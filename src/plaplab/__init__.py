@@ -18,6 +18,7 @@ from .constants import (
     RegionVerdict,
     barrier_height,
     barrier_value,
+    combined_weight,
     compute_constants,
     growth_case,
     region_boundary,

@@ -53,6 +53,7 @@ import numpy as np
 from .constants import (
     CRITICAL,
     SUPER,
+    combined_weight,
     compute_constants,
     growth_case,
     region_boundary,
@@ -495,10 +496,8 @@ def cmd_torsion(args) -> int:
     spec = _load_spec(args)
     grid = spec.build_grid()
     opts = _solve_options(args)
-    w1, w2, w3 = sample_weights(spec, grid)
-    wmax = w1.with_values(np.maximum(np.maximum(w1.values, w2.values),
-                                     w3.values))
-    result = torsion_function(grid, spec.p, wmax, opts)
+    omega = combined_weight(sample_weights(spec, grid))
+    result = torsion_function(grid, spec.p, omega, opts)
     print(f"{result.phi_sup:.12g}")
     if args.out is not None:
         coords = ["x1", "x2"][:grid.dimension]

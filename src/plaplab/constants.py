@@ -99,6 +99,13 @@ class RegionVerdict:
     height: float | None = None
 
 
+def combined_weight(weights) -> ScalarField:
+    """omega = max(omega1, omega2, omega3) from the sampled weight triple."""
+    w1, w2, w3 = weights
+    return w1.with_values(np.maximum(np.maximum(w1.values, w2.values),
+                                     w3.values))
+
+
 def compute_constants(spec: ProblemSpec, grid: Grid | None = None,
                       opts: SolveOptions | None = None) -> ConstantsBundle:
     """Run the three computed stages and assemble the bundle.
@@ -111,9 +118,9 @@ def compute_constants(spec: ProblemSpec, grid: Grid | None = None,
     """
     if grid is None:
         grid = spec.build_grid()
-    w1, w2, w3 = sample_weights(spec, grid)
-    omega = ScalarField(grid, np.maximum(np.maximum(w1.values, w2.values),
-                                         w3.values))
+    weights = sample_weights(spec, grid)
+    w1, w2, w3 = weights
+    omega = combined_weight(weights)
 
     extra = [(name, w)
              for name, w in (("omega1", w1), ("omega2", w2), ("omega3", w3))

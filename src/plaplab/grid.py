@@ -14,9 +14,17 @@ Two operators matter:
 
       F = (|Du|^2 + delta^2)^((p-2)/2) * Du
 
-  are formed at cell-face midpoints and differenced back onto interior nodes;
-  in 2d the transverse derivative at a face midpoint is averaged from the four
-  adjacent nodal differences.  Output is zero on boundary nodes.
+  are formed at cell-face midpoints and differenced back onto interior nodes.
+  Output is zero on boundary nodes.
+
+Face families.  Every face quantity -- the flux, the gradient scale, the
+Newton Jacobian's conductances, the discrete energy -- is read from one pair
+``(s, t)`` per axis.  ``s`` is the difference across the face and ``t`` the
+transverse derivative at the face midpoint, averaged from the four adjacent
+nodal differences; ``|Du|^2 = s^2 + t^2`` there.  On an (nx, ny) grid the
+x-faces lie between node rows on interior columns, shape (nx-1, ny-2), and
+the y-faces between node columns on interior rows, shape (nx-2, ny-1).  In
+1d there is one family of nx-1 faces and ``t`` is the scalar 0.
 
 The regularization is ``delta = 1e-8 * s`` where ``s`` is the largest midpoint
 gradient magnitude of the field itself.  Tying delta to the field's own scale
@@ -27,7 +35,6 @@ solver's scaling law relies on.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -210,67 +217,53 @@ def integrate(u: ScalarField) -> float:
     return float(total)
 
 
-def _powered_flux(m2: np.ndarray, s: np.ndarray, p: float) -> np.ndarray:
-    """Flux (m2)^((p-2)/2) * s with the m2 == 0 cells mapped to zero."""
-    out = np.zeros_like(s)
+def _faces(values: np.ndarray, spacing):
+    """The ``(s, t)`` pair of each face family, in axis order (see the
+    module docstring for the layout)."""
+    if len(spacing) == 1:
+        return [(np.diff(values) / spacing[0], 0.0)]
+    v = values
+    hx, hy = spacing
+    return [((v[1:, 1:-1] - v[:-1, 1:-1]) / hx,
+             (v[:-1, 2:] + v[1:, 2:] - v[:-1, :-2] - v[1:, :-2]) / (4.0 * hy)),
+            ((v[1:-1, 1:] - v[1:-1, :-1]) / hy,
+             (v[2:, :-1] + v[2:, 1:] - v[:-2, :-1] - v[:-2, 1:]) / (4.0 * hx))]
+
+
+def _slope2(s, t):
+    """Squared face gradient s^2 + t^2; the 1d family has no transverse term."""
+    return s * s + t * t if np.ndim(t) else s * s
+
+
+def _masked_power(m2: np.ndarray, expo: float) -> np.ndarray:
+    """m2^expo with the m2 == 0 cells mapped to zero."""
+    out = np.zeros_like(m2)
     nz = m2 > 0.0
-    out[nz] = m2[nz] ** ((p - 2.0) / 2.0) * s[nz]
+    out[nz] = m2[nz] ** expo
     return out
 
 
-def _midpoint_data_1d(values: np.ndarray, h: float):
-    s = np.diff(values) / h
-    return s
-
-
-def _midpoint_data_2d(values: np.ndarray, hx: float, hy: float):
-    """Face-midpoint differences for both flux families.
-
-    x-faces live between node rows on interior columns, shape (nx-1, ny-2);
-    y-faces between node columns on interior rows, shape (nx-2, ny-1).  The
-    transverse derivative at each face averages the four adjacent nodal
-    differences.
-    """
-    v = values
-    sx = (v[1:, 1:-1] - v[:-1, 1:-1]) / hx
-    tx = (v[:-1, 2:] + v[1:, 2:] - v[:-1, :-2] - v[1:, :-2]) / (4.0 * hy)
-    sy = (v[1:-1, 1:] - v[1:-1, :-1]) / hy
-    ty = (v[2:, :-1] + v[2:, 1:] - v[:-2, :-1] - v[:-2, 1:]) / (4.0 * hx)
-    return sx, tx, sy, ty
-
-
-def gradient_scale(u: ScalarField) -> float:
-    """Largest midpoint gradient magnitude; the natural flux scale of ``u``."""
-    g = u.grid
-    if g.dimension == 1:
-        s = _midpoint_data_1d(u.values, g.spacing[0])
-        return float(np.max(np.abs(s))) if s.size else 0.0
-    sx, tx, sy, ty = _midpoint_data_2d(u.values, *g.spacing)
-    mx = np.max(sx ** 2 + tx ** 2) if sx.size else 0.0
-    my = np.max(sy ** 2 + ty ** 2) if sy.size else 0.0
-    return float(np.sqrt(max(mx, my)))
+def _gradient_scale(values: np.ndarray, spacing) -> float:
+    """Largest face-midpoint gradient magnitude; the natural flux scale."""
+    return float(np.sqrt(max(np.max(_slope2(s, t))
+                             for s, t in _faces(values, spacing))))
 
 
 def flux_delta(u: ScalarField) -> float:
     """Regularization delta used for this field: 1e-8 of its gradient scale."""
-    return DELTA_RELATIVE * gradient_scale(u)
+    return DELTA_RELATIVE * _gradient_scale(u.values, u.grid.spacing)
 
 
 def _plap_raw(values: np.ndarray, spacing, p: float, delta: float) -> np.ndarray:
     """Negative discrete p-Laplacian of a nodal array; zero on the boundary."""
-    out = np.zeros_like(values)
     d2 = delta * delta
-    if len(spacing) == 1:
-        h = spacing[0]
-        s = _midpoint_data_1d(values, h)
-        flux = _powered_flux(s * s + d2, s, p)
-        out[1:-1] = -np.diff(flux) / h
-    else:
-        hx, hy = spacing
-        sx, tx, sy, ty = _midpoint_data_2d(values, hx, hy)
-        fx = _powered_flux(sx * sx + tx * tx + d2, sx, p)
-        fy = _powered_flux(sy * sy + ty * ty + d2, sy, p)
-        out[1:-1, 1:-1] = -(np.diff(fx, axis=0) / hx + np.diff(fy, axis=1) / hy)
+    div = None
+    for axis, ((s, t), h) in enumerate(zip(_faces(values, spacing), spacing)):
+        flux = _masked_power(_slope2(s, t) + d2, (p - 2.0) / 2.0) * s
+        term = np.diff(flux, axis=axis) / h
+        div = term if div is None else div + term
+    out = np.zeros_like(values)
+    out[(slice(1, -1),) * len(spacing)] = -div
     return out
 
 

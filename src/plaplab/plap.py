@@ -2,18 +2,20 @@
 
 Solves  -div(|Du|^(p-2) Du) = g  on interior nodes with u = 0 on the
 boundary, using damped Newton iteration on the conservative flux
-discretization.  The Jacobian is assembled analytically from the flux form:
-for a face with longitudinal difference s, transverse difference t and
-m2 = s^2 + t^2 + delta^2,
+discretization.  The Jacobian is assembled analytically from the flux form,
+reading the same face arrays (s, t) as the residual (see the face families in
+``grid``): for a face with longitudinal difference s, transverse difference t
+and m2 = s^2 + t^2 + delta^2,
 
     dF/ds = m2^((p-4)/2) * (delta^2 + t^2 + (p-1) s^2),
     dF/dt = (p-2) * m2^((p-4)/2) * s * t,
 
-both strictly positive / well defined for p > 1 once delta > 0.  Exponents far
-from 2 are reached by continuation: solve at p = 2 (a single linear solve),
-then step the exponent by 0.25 re-using the previous solution.  Whenever a
-damped Newton step fails to reduce the residual, one frozen-coefficient
-(Picard) step is tried instead.
+both strictly positive / well defined for p > 1 once delta > 0; in 1d t = 0
+and only dF/ds is assembled.  Exponents far from 2 (p >= 2.5 or p <= 1.6) are
+reached by continuation: solve at p = 2 (a single linear solve), then step
+the exponent by 0.25 re-using the previous solution.  Newton steps start at
+the full step and are halved until the residual drops; whenever that fails,
+one frozen-coefficient (Picard) step is tried instead.
 
 Contracts the rest of the package relies on:
 
@@ -46,9 +48,11 @@ from .grid import (
     DELTA_RELATIVE,
     Grid,
     ScalarField,
-    _midpoint_data_1d,
-    _midpoint_data_2d,
+    _faces,
+    _gradient_scale,
+    _masked_power,
     _plap_raw,
+    _slope2,
     gradient,
     sup_norm,
 )
@@ -56,35 +60,19 @@ from .grid import (
 log = logging.getLogger(__name__)
 
 
+# Cold solves continue in p from 2 when p >= CONTINUATION_ABOVE or
+# p <= CONTINUATION_BELOW, one CONTINUATION_STEP per rung.
+CONTINUATION_ABOVE = 2.5
+CONTINUATION_BELOW = 1.6
+CONTINUATION_STEP = 0.25
+
+
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the nonlinear solver.
-
-    continuation=None means automatic: enabled when p >= 2.5 or p <= 1.6.
-    damping is the first step fraction tried before backtracking halves it.
-    """
+    """Knobs for the nonlinear solver: residual tolerance and iteration budget."""
 
     tol_residual: float = 1.0e-8
     max_iter: int = 500
-    damping: float = 1.0
-    continuation: bool | None = None
-    continuation_step: float = 0.25
-
-
-def _gradient_scale_raw(values, spacing):
-    if len(spacing) == 1:
-        s = _midpoint_data_1d(values, spacing[0])
-        return float(np.max(np.abs(s)))
-    sx, tx, sy, ty = _midpoint_data_2d(values, *spacing)
-    return float(np.sqrt(max(np.max(sx * sx + tx * tx),
-                             np.max(sy * sy + ty * ty))))
-
-
-def _masked_power(m2, expo):
-    out = np.zeros_like(m2)
-    nz = m2 > 0.0
-    out[nz] = m2[nz] ** expo
-    return out
 
 
 def _assemble(values, spacing, p, delta, frozen):
@@ -92,18 +80,27 @@ def _assemble(values, spacing, p, delta, frozen):
 
     frozen=True freezes the face conductances W = m2^((p-2)/2) (the Picard
     matrix, also the p=2 Laplacian when the field is flat); frozen=False
-    builds the full Newton Jacobian including the transverse coupling.
+    builds the full Newton Jacobian including the transverse coupling.  The
+    conductances of each face family come from the same face arrays as the
+    residual.
     """
     d2 = delta * delta
-    if len(spacing) == 1:
-        h = spacing[0]
-        s = _midpoint_data_1d(values, h)
-        m2 = s * s + d2
+    conductances = []
+    for s, t in _faces(values, spacing):
+        m2 = _slope2(s, t) + d2
         if frozen:
-            coef = np.ones_like(s) if p == 2.0 else _masked_power(m2, (p - 2.0) / 2.0)
+            ds = np.ones_like(s) if p == 2.0 else _masked_power(m2, (p - 2.0) / 2.0)
+            dt = np.zeros_like(t)
         else:
-            coef = _masked_power(m2, (p - 4.0) / 2.0) * (d2 + (p - 1.0) * s * s)
-        coef = coef / (h * h)
+            w = _masked_power(m2, (p - 4.0) / 2.0)
+            ds = w * (d2 + t * t + (p - 1.0) * s * s)
+            # no transverse coupling in 1d, where t is the scalar 0
+            dt = (p - 2.0) * w * s * t if np.ndim(t) else 0.0
+        conductances.append((ds, dt))
+
+    if len(spacing) == 1:
+        [(ds, _)] = conductances
+        coef = ds / (spacing[0] * spacing[0])
         main = coef[:-1] + coef[1:]
         off = -coef[1:-1]
         return sp.diags([off, main, off], [-1, 0, 1], format="csc")
@@ -114,19 +111,17 @@ def _assemble(values, spacing, p, delta, frozen):
     unknown = -np.ones(nx * ny, dtype=np.int64)
     interior_ids = idx[1:-1, 1:-1].ravel()
     unknown[interior_ids] = np.arange(interior_ids.size)
-
-    sx, tx, sy, ty = _midpoint_data_2d(values, hx, hy)
+    # per family: the face's two nodes (lo, hi), their neighbours on the
+    # minus and plus transverse side, and the face and transverse spacings
+    stencils = (
+        ((idx[:-1, 1:-1], idx[1:, 1:-1],
+          idx[:-1, :-2], idx[1:, :-2], idx[:-1, 2:], idx[1:, 2:]), hx, hy),
+        ((idx[1:-1, :-1], idx[1:-1, 1:],
+          idx[:-2, :-1], idx[:-2, 1:], idx[2:, :-1], idx[2:, 1:]), hy, hx),
+    )
     rows, cols, vals = [], [], []
-
-    def family(s, t, node_pairs, face_h, trans_h):
-        m2 = s * s + t * t + d2
-        if frozen:
-            ds = np.ones_like(s) if p == 2.0 else _masked_power(m2, (p - 2.0) / 2.0)
-            dt = np.zeros_like(s)
-        else:
-            ds = _masked_power(m2, (p - 4.0) / 2.0) * (d2 + t * t + (p - 1.0) * s * s)
-            dt = (p - 2.0) * _masked_power(m2, (p - 4.0) / 2.0) * s * t
-        lo, hi, lo_m, hi_m, lo_p, hi_p = node_pairs
+    for (ds, dt), (nodes, face_h, trans_h) in zip(conductances, stencils):
+        lo, hi, lo_m, hi_m, lo_p, hi_p = nodes
         col_terms = [(hi, ds / face_h), (lo, -ds / face_h),
                      (lo_p, dt / (4.0 * trans_h)), (hi_p, dt / (4.0 * trans_h)),
                      (lo_m, -dt / (4.0 * trans_h)), (hi_m, -dt / (4.0 * trans_h))]
@@ -135,17 +130,6 @@ def _assemble(values, spacing, p, delta, frozen):
                 rows.append(row_nodes.ravel())
                 cols.append(col_nodes.ravel())
                 vals.append((sign * dval).ravel())
-
-    # x-faces: between node rows, on interior columns
-    family(sx, tx,
-           (idx[:-1, 1:-1], idx[1:, 1:-1],
-            idx[:-1, :-2], idx[1:, :-2], idx[:-1, 2:], idx[1:, 2:]),
-           hx, hy)
-    # y-faces: between node columns, on interior rows
-    family(sy, ty,
-           (idx[1:-1, :-1], idx[1:-1, 1:],
-            idx[:-2, :-1], idx[:-2, 1:], idx[2:, :-1], idx[2:, 1:]),
-           hy, hx)
 
     rows = unknown[np.concatenate(rows)]
     cols = unknown[np.concatenate(cols)]
@@ -157,12 +141,18 @@ def _assemble(values, spacing, p, delta, frozen):
 
 
 def _try_solve(matrix, rhs):
-    """Direct sparse solve; None when the factorization fails or is singular."""
+    """Direct sparse solve; None when the factorization fails or is singular.
+
+    A singular matrix makes SuperLU return NaN (with a MatrixRankWarning),
+    caught by the finiteness check; an aborted factorization raises
+    RuntimeError.  Anything else, such as a right-hand side of the wrong
+    length, propagates.
+    """
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
             sol = spla.spsolve(matrix, rhs)
-    except Exception:
+    except RuntimeError:
         return None
     if not np.all(np.isfinite(sol)):
         return None
@@ -181,19 +171,16 @@ def _linear_poisson(grid, gv):
     return u
 
 
-def _continuation_ladder(p, opts):
-    enabled = opts.continuation
-    if enabled is None:
-        enabled = p >= 2.5 or p <= 1.6
-    step = opts.continuation_step
-    if not enabled or abs(p - 2.0) <= step:
+def _continuation_ladder(p):
+    """Exponents of a cold solve: p alone near 2, else 2 +- step, ..., p."""
+    if CONTINUATION_BELOW < p < CONTINUATION_ABOVE:
         return [p]
     direction = 1.0 if p > 2.0 else -1.0
     ladder = []
-    pk = 2.0 + direction * step
+    pk = 2.0 + direction * CONTINUATION_STEP
     while (p - pk) * direction > 1.0e-12:
         ladder.append(pk)
-        pk += direction * step
+        pk += direction * CONTINUATION_STEP
     ladder.append(p)
     return ladder
 
@@ -238,11 +225,11 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         u[grid.boundary_mask()] = 0.0
         ladder = [p]
         # a flat warm start cannot seed the Jacobian; fall back to cold start
-        if _gradient_scale_raw(u, grid.spacing) == 0.0 and gsup > 0.0:
+        if _gradient_scale(u, grid.spacing) == 0.0 and gsup > 0.0:
             u = _linear_poisson(grid, gv)
     else:
         u = _linear_poisson(grid, gv)
-        ladder = _continuation_ladder(p, opts)
+        ladder = _continuation_ladder(p)
 
     history = []
     for pk in ladder:
@@ -257,7 +244,7 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
     inner_shape = tuple(n - 2 for n in grid.shape)
 
     def residual(vals):
-        delta = DELTA_RELATIVE * _gradient_scale_raw(vals, spacing)
+        delta = DELTA_RELATIVE * _gradient_scale(vals, spacing)
         r = (_plap_raw(vals, spacing, p, delta) - gv)[interior]
         return r, delta, float(np.max(np.abs(r)))
 
@@ -270,7 +257,7 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
                           -r_int.ravel())
         if step is not None:
             accepted = _backtrack(u, step.reshape(inner_shape), interior,
-                                  residual, rn, opts.damping, tol)
+                                  residual, rn, tol)
         if accepted is None:
             # Newton could not make progress; take a frozen-coefficient step
             target = _try_solve(_assemble(u, spacing, p, delta, frozen=True),
@@ -278,7 +265,7 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
             if target is not None:
                 direction = target.reshape(inner_shape) - u[interior]
                 accepted = _backtrack(u, direction, interior, residual, rn,
-                                      1.0, tol)
+                                      tol)
         if accepted is None:
             raise SolveFailure(
                 f"p-Laplacian solve stalled at residual {rn:.3e} (p={p})",
@@ -296,9 +283,10 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
         history)
 
 
-def _backtrack(u, direction, interior, residual, rn, alpha0, tol):
-    """Halve the step until the residual drops; None if it never does."""
-    alpha = min(alpha0, 1.0)
+def _backtrack(u, direction, interior, residual, rn, tol):
+    """Halve the step, from the full step, until the residual drops; None if
+    it never does."""
+    alpha = 1.0
     while alpha > 1.0e-8:
         cand = u.copy()
         cand[interior] += alpha * direction

@@ -79,13 +79,16 @@ class FrozenNonlinearity:
 
     coeff = lambda*omega1 >= 0 and base >= 0 hold by construction, which
     makes the map nondecreasing in xi >= 0 -- the property the monotone
-    iteration lives on.
+    iteration lives on.  source is the raw right-hand side lambda*h + beta*f
+    at the freezing state, before any clamping (None when not frozen from a
+    state).
     """
 
     grid: Grid
     coeff: np.ndarray
     base: np.ndarray
     q: float
+    source: np.ndarray | None = None
 
     def evaluate(self, xi) -> np.ndarray:
         """Evaluate at a state array (negative roundoff states clamp to 0)."""
@@ -160,7 +163,7 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
     base = lam * (h_vals - w1.values * growth) + beta * f_vals
     base = np.maximum(base, 0.0)  # roundoff only; real negatives raised above
     return FrozenNonlinearity(grid=grid, coeff=lam * w1.values, base=base,
-                              q=spec.q)
+                              q=spec.q, source=lam * h_vals + beta * f_vals)
 
 
 @dataclass(frozen=True)
@@ -469,15 +472,9 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
 
     bounds = verify_solution_bounds(u, eps, eigen.u1, height, phi,
                                     constants.gamma)
-    gn = gradient(u).magnitude().values
-    bindings = spec.coordinate_bindings(grid)
-    uv = np.maximum(u.values, 0.0)
-    rhs_direct = (lam * np.broadcast_to(
-        evaluate_on(spec.h, {**bindings, "u": uv}), grid.shape)
-        + beta * np.broadcast_to(
-            evaluate_on(spec.f, {**bindings, "u": uv, "gnorm": gn}),
-            grid.shape))
-    defect = (p_laplacian_apply(u, spec.p).values - rhs_direct)[grid.interior]
+    # the residual is checked against the raw lambda*h + beta*f at u, which
+    # the freeze above already evaluated
+    defect = (p_laplacian_apply(u, spec.p).values - frozen.source)[grid.interior]
     pde_residual = float(np.max(np.abs(defect)))
     scale = natural_residual_scale(lam, beta, constants, spec, height)
     volume = math.prod(hi - lo for lo, hi in grid.extents)

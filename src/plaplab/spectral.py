@@ -25,6 +25,7 @@ lambda1(omega1) / t, exactly at the discrete level.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ from .errors import (
 from .grid import (
     Grid,
     ScalarField,
-    _midpoint_data_1d,
-    _midpoint_data_2d,
+    _faces,
+    _slope2,
     integrate,
     p_laplacian_apply,
     sup_norm,
@@ -153,20 +154,14 @@ def rayleigh_quotient(u: ScalarField, omega1: ScalarField, p: float) -> float:
     """Diagnostic quotient int |grad u|^p / int omega1 |u|^p.
 
     The numerator uses face-midpoint gradients (the discrete energy of the
-    operator); in 1d this makes the quotient of a converged eigenfunction
-    equal the fixed-point eigenvalue to solver accuracy.
+    operator), averaged over the face families; in 1d this makes the quotient
+    of a converged eigenfunction equal the fixed-point eigenvalue to solver
+    accuracy.
     """
     grid = u.grid
-    if grid.dimension == 1:
-        h = grid.spacing[0]
-        s = _midpoint_data_1d(u.values, h)
-        num = float(np.sum(np.abs(s) ** p) * h)
-    else:
-        hx, hy = grid.spacing
-        sx, tx, sy, ty = _midpoint_data_2d(u.values, hx, hy)
-        num = 0.5 * float(
-            (np.sum((sx * sx + tx * tx) ** (p / 2.0))
-             + np.sum((sy * sy + ty * ty) ** (p / 2.0))) * hx * hy)
+    faces = _faces(u.values, grid.spacing)
+    energy = sum(float(np.sum(_slope2(s, t) ** (p / 2.0))) for s, t in faces)
+    num = energy / len(faces) * math.prod(grid.spacing)
     den = integrate(ScalarField(grid, omega1.values * np.abs(u.values) ** p))
     if den == 0.0:
         raise ConfigurationError("Rayleigh quotient undefined: zero denominator")

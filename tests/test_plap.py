@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +14,10 @@ from plaplab.errors import (
 )
 from plaplab.grid import (
     ScalarField,
+    _plap_raw,
     build_grid,
     field_from_function,
+    flux_delta,
     gradient,
     p_laplacian_apply,
     sup_norm,
@@ -22,6 +25,8 @@ from plaplab.grid import (
 )
 from plaplab.plap import (
     SolveOptions,
+    _assemble,
+    _try_solve,
     assert_gradient_bound,
     check_comparison,
     default_probes,
@@ -102,6 +107,72 @@ def test_solver_homogeneity(t, p):
 
 
 # ---------------------------------------------------------------------------
+# the linearized operator
+
+
+def _jacobian_test_field(dimension):
+    if dimension == 1:
+        g = grid_1d(33)
+        return field_from_function(
+            g, lambda x: x * (1.0 - x) * (1.2 + np.sin(3.0 * x)))
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (13, 11))
+    return field_from_function(
+        g, lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y)
+                         * (1.0 + 0.3 * x + 0.2 * y * y)))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
+def test_newton_jacobian_matches_central_differences(p, dimension):
+    u = _jacobian_test_field(dimension)
+    g = u.grid
+    delta = flux_delta(u)  # held fixed: the Jacobian is taken at fixed delta
+    jac = _assemble(u.values, g.spacing, p, delta, frozen=False).toarray()
+    eps = 1.0e-6 * sup_norm(u)
+    nodes = np.argwhere(np.ones(tuple(n - 2 for n in g.shape), dtype=bool)) + 1
+    fd = np.empty_like(jac)
+    for col, node in enumerate(map(tuple, nodes)):
+        up, down = u.values.copy(), u.values.copy()
+        up[node] += eps
+        down[node] -= eps
+        diff = (_plap_raw(up, g.spacing, p, delta)
+                - _plap_raw(down, g.spacing, p, delta))
+        fd[:, col] = diff[g.interior].ravel() / (2.0 * eps)
+    assert np.max(np.abs(jac - fd)) <= 1.0e-6 * np.max(np.abs(jac))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_frozen_matrix_at_p2_is_the_standard_laplacian(dimension):
+    if dimension == 1:
+        g = grid_1d(9)
+    else:
+        g = build_grid(((0.0, 1.0), (0.0, 2.0)), (7, 9))
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(g.shape)  # p = 2 ignores the state
+    mat = _assemble(values, g.spacing, 2.0, 1.0e-3, frozen=True).toarray()
+    blocks = [sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n - 2, n - 2))
+              / (h * h) for n, h in zip(g.shape, g.spacing)]
+    if dimension == 1:
+        expected = blocks[0]
+    else:
+        expected = (sp.kron(blocks[0], sp.identity(g.shape[1] - 2))
+                    + sp.kron(sp.identity(g.shape[0] - 2), blocks[1]))
+    assert np.allclose(mat, expected.toarray(), rtol=1e-14, atol=0.0)
+
+
+def test_try_solve_returns_none_on_singular_matrix():
+    singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert _try_solve(singular, np.array([1.0, 2.0])) is None
+    assert _try_solve(sp.csc_matrix((2, 2)), np.array([1.0, 2.0])) is None
+
+
+def test_try_solve_keeps_programming_errors_loud():
+    mat = sp.identity(3, format="csc")
+    with pytest.raises(ValueError):
+        _try_solve(mat, np.ones(4))
+
+
+# ---------------------------------------------------------------------------
 # solver mechanics
 
 
@@ -132,7 +203,7 @@ def test_flat_warm_start_falls_back_to_cold_start():
 def test_iteration_budget_exhaustion_raises_with_history():
     g = grid_1d(65)
     load = const_field(g)
-    opts = SolveOptions(tol_residual=1e-14, max_iter=1, continuation=False)
+    opts = SolveOptions(tol_residual=1e-14, max_iter=1)
     with pytest.raises(SolveFailure) as err:
         solve_plap_dirichlet(g, 3.0, load, opts)
     assert len(err.value.residual_history) >= 1

@@ -125,3 +125,18 @@ def test_rayleigh_quotient_consistent_at_p2():
     # The quotient is a diagnostic: it carries its own O(h^2) quadrature
     # bias, so agreement is at discretization accuracy, not solver accuracy.
     assert rq == pytest.approx(pair.lambda1, rel=1e-3)
+
+
+def test_rayleigh_quotient_2d_converges_at_p2():
+    # sin(pi x) sin(pi y) is the first eigenfunction on the unit square.  The
+    # face families cover only interior transverse lines, so the boundary
+    # strips where |grad u| != 0 are left out of the numerator: the quotient
+    # approaches 2 pi^2 from below at first order in h.
+    errors = []
+    for n in (33, 65):
+        g = build_grid(((0.0, 1.0), (0.0, 1.0)), (n, n))
+        u = field_from_function(
+            g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        errors.append(2.0 * np.pi ** 2 - rayleigh_quotient(u, unit_weight(g), 2.0))
+    assert 0.0 < errors[1] < errors[0] < 0.05 * 2.0 * np.pi ** 2
+    assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.1)
