@@ -132,8 +132,9 @@ def _emit(path, header, rows):
         _write_rows(path, header, rows)
 
 
-def _field_rows(grid, columns):
-    """Rows of (coordinates..., column values...) in row-major node order."""
+def _write_field(path, grid, columns):
+    """Write nodal (name, values) columns after the coordinates x1[, x2],
+    one row per node in row-major order."""
     axes = [grid.axis(d) for d in range(grid.dimension)]
     rows = []
     if grid.dimension == 1:
@@ -144,7 +145,8 @@ def _field_rows(grid, columns):
             for j in range(grid.shape[1]):
                 rows.append([_fmt(axes[0][i]), _fmt(axes[1][j])]
                             + [_fmt(v[i, j]) for _, v in columns])
-    return rows
+    header = ["x1", "x2"][:grid.dimension] + [name for name, _ in columns]
+    _write_rows(path, header, rows)
 
 
 def _sibling_path(out, tag):
@@ -405,9 +407,7 @@ def cmd_solve(args) -> int:
     if args.out is not None:
         u = report.solution
         gn = gradient(u).magnitude()
-        coords = ["x1", "x2"][:grid.dimension]
-        _write_rows(args.out, coords + ["u", "gradnorm"],
-                    _field_rows(grid, [("u", u.values), ("gradnorm", gn.values)]))
+        _write_field(args.out, grid, [("u", u.values), ("gradnorm", gn.values)])
         root, _ = os.path.splitext(args.out)
         with open(f"{root}_report.txt", "w") as fh:
             fh.write(text + "\n")
@@ -486,9 +486,7 @@ def cmd_eigen(args) -> int:
     pair = first_eigenpair(grid, spec.p, w1, opts)
     print(f"{pair.lambda1:.12g}")
     if args.out is not None:
-        coords = ["x1", "x2"][:grid.dimension]
-        _write_rows(args.out, coords + ["u1"],
-                    _field_rows(grid, [("u1", pair.u1.values)]))
+        _write_field(args.out, grid, [("u1", pair.u1.values)])
     return 0
 
 
@@ -500,9 +498,7 @@ def cmd_torsion(args) -> int:
     result = torsion_function(grid, spec.p, omega, opts)
     print(f"{result.phi_sup:.12g}")
     if args.out is not None:
-        coords = ["x1", "x2"][:grid.dimension]
-        _write_rows(args.out, coords + ["phi"],
-                    _field_rows(grid, [("phi", result.phi.values)]))
+        _write_field(args.out, grid, [("phi", result.phi.values)])
     return 0
 
 

@@ -503,95 +503,101 @@ class HypothesisReport:
         return (f"FAIL: {self.check} violated by {self.worst_violation:.3e}{where}")
 
 
-def default_u_samples(u_max: float = 10.0, count: int = 24) -> np.ndarray:
-    """Log-spaced state samples in [1e-3, u_max]."""
-    return np.geomspace(1.0e-3, u_max, count)
+# Validation samples: log-spaced states in [1e-3, 10] and linear gradient
+# magnitudes in [0, 10], a desk-scale range (freeze_nonlinearity checks the
+# iterates' own values during a run).
+U_SAMPLES = np.geomspace(1.0e-3, 10.0, 24)
+GNORM_SAMPLES = np.linspace(0.0, 10.0, 24)
 
 
-def default_v_samples(v_max: float = 10.0, count: int = 24) -> np.ndarray:
-    """Linear gradient-magnitude samples in [0, v_max]."""
-    return np.linspace(0.0, v_max, count)
+@dataclass(frozen=True)
+class GrowthViolation:
+    """The largest failure of one inequality lhs <= rhs: excess = lhs - rhs
+    at ``index`` of the compared arrays."""
+
+    check: str
+    excess: float
+    index: tuple
+    lhs: float
+    rhs: float
 
 
-def validate_hypotheses(spec: ProblemSpec, grid: Grid | None = None,
-                        u_samples=None, v_samples=None) -> HypothesisReport:
-    """Check the growth hypotheses on grid nodes x sample values.
+def _worst_excess(check, lhs, rhs) -> GrowthViolation | None:
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    diff = lhs - rhs
+    # slack scaled to the size of the quantities compared, not of their
+    # difference
+    bad = diff > 1.0e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    if not np.any(bad):
+        return None
+    index = np.unravel_index(int(np.argmax(np.where(bad, diff, -np.inf))),
+                             diff.shape)
+    return GrowthViolation(check, float(diff[index]),
+                           tuple(int(i) for i in index),
+                           float(lhs[index]), float(rhs[index]))
 
-    Verifies, with 1e-12 relative slack for roundoff,
 
-        omega_i(x) >= 0,
-        0 <= omega1(x) u^(q-1) <= h(x, u) <= omega2(x) u^(q-1),
-        0 <= f(x, u, gnorm) <= omega3(x) u^a gnorm^b,
+def _worst(violations) -> GrowthViolation | None:
+    return max((v for v in violations if v is not None),
+               key=lambda v: v.excess, default=None)
 
-    over every node and every (u, gnorm) sample pair.  Defaults cover a
-    provisional desk-scale range; the driver re-validates on the actual
-    iterate range [1e-3, M] x [0, gamma*M] once the height M is known.
+
+def check_growth(spec: ProblemSpec, weights, u, gnorm, h, f
+                 ) -> GrowthViolation | None:
+    """Largest failure of the growth hypotheses, or None when they hold:
+
+        omega1 u^(q-1) <= h <= omega2 u^(q-1),   0 <= f <= omega3 u^a gnorm^b,
+
+    each with 1e-12 relative slack.  h and f are h(x, u) and f(x, u, gnorm)
+    as the caller evaluated them; weights is sample_weights(spec, grid).
+    Arrays broadcast against the grid, leading sample axes allowed; the
+    result's index is into the broadcast shape of the failing check (gnorm
+    takes part in the f checks only).
     """
-    if grid is None:
-        grid = spec.build_grid()
-    if u_samples is None:
-        u_samples = default_u_samples()
-    if v_samples is None:
-        v_samples = default_v_samples()
-    u_samples = np.asarray(u_samples, dtype=float)
-    v_samples = np.asarray(v_samples, dtype=float)
-    if u_samples.size == 0 or np.any(u_samples <= 0.0):
-        raise ConfigurationError("u_samples must be nonempty and positive")
-    if np.any(v_samples < 0.0):
-        raise ConfigurationError("v_samples must be nonnegative")
+    w1, w2, w3 = (w.values for w in weights)
+    f = np.broadcast_to(f, np.broadcast_shapes(np.shape(f), np.shape(gnorm)))
+    growth = np.power(u, spec.q - 1.0)
+    f_bound = w3 * np.power(u, spec.a) * np.power(gnorm, spec.b)
+    return _worst((
+        _worst_excess("omega1*u^(q-1) <= h", w1 * growth, h),
+        _worst_excess("h <= omega2*u^(q-1)", h, w2 * growth),
+        _worst_excess("f >= 0", -f, 0.0),
+        _worst_excess("f <= omega3*u^a*gnorm^b", f, f_bound),
+    ))
 
-    w1, w2, w3 = sample_weights(spec, grid)
+
+def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
+    """Check omega_i >= 0 and the growth hypotheses on sample states.
+
+    The weights are checked at every node; h and f at every node for every
+    state in U_SAMPLES and, for f, every gradient magnitude in GNORM_SAMPLES
+    (see check_growth).  This is a screen before any solve; the iterates of
+    a run are checked at their own values by freeze_nonlinearity.
+    """
+    grid = spec.build_grid()
+    weights = sample_weights(spec, grid)
     bindings = spec.coordinate_bindings(grid)
-    state = {"passed": True, "worst": 0.0}
+    gnorm = GNORM_SAMPLES.reshape((-1,) + (1,) * grid.dimension)
 
-    def record(lhs, rhs, check, u=None, v=None):
-        # the inequality under test is lhs <= rhs, with slack scaled to the
-        # size of the quantities compared (not of their difference)
-        diff = lhs - rhs
-        tol = 1.0e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        bad = diff > tol
-        if np.any(bad):
-            worst = float(np.max(diff[bad]))
-            if worst > state["worst"]:
-                flat = int(np.argmax(np.where(bad, diff, -np.inf)))
-                state.update(passed=False, worst=worst, check=check,
-                             node=tuple(int(i) for i in
-                                        np.unravel_index(flat, grid.shape)),
-                             u=u, v=v)
-            else:
-                state["passed"] = False
-
-    zero = np.zeros(grid.shape)
-    for name, w in (("omega1", w1), ("omega2", w2), ("omega3", w3)):
-        record(-w.values, zero, f"{name} >= 0")
-
-    for u in u_samples:
+    worst = _worst(_worst_excess(f"{name} >= 0", -w.values, 0.0)
+                   for name, w in zip(("omega1", "omega2", "omega3"), weights))
+    worst_u = None
+    for u in U_SAMPLES:
         try:
-            h_vals = np.broadcast_to(
-                evaluate_on(spec.h, {**bindings, "u": u}), grid.shape)
+            h = evaluate_on(spec.h, {**bindings, "u": u})
+            f = evaluate_on(spec.f, {**bindings, "u": u, "gnorm": gnorm})
         except EvalError as exc:
-            raise EvalError(f"evaluating h at u={u:.6g}: {exc}") from exc
-        growth = np.power(u, spec.q - 1.0)
-        record(w1.values * growth, h_vals, "omega1*u^(q-1) <= h", u=u)
-        record(h_vals, w2.values * growth, "h <= omega2*u^(q-1)", u=u)
+            raise EvalError(f"evaluating h and f at u={u:.6g}: {exc}") from exc
+        found = check_growth(spec, weights, u, gnorm, h, f)
+        if found is not None and (worst is None or found.excess > worst.excess):
+            worst, worst_u = found, float(u)
 
-    for u in u_samples:
-        for v in v_samples:
-            try:
-                f_vals = np.broadcast_to(
-                    evaluate_on(spec.f, {**bindings, "u": u, "gnorm": v}),
-                    grid.shape)
-            except EvalError as exc:
-                raise EvalError(
-                    f"evaluating f at u={u:.6g}, gnorm={v:.6g}: {exc}") from exc
-            record(-f_vals, zero, "f >= 0", u=u, v=v)
-            bound = w3.values * np.power(u, spec.a) * np.power(v, spec.b)
-            record(f_vals, bound, "f <= omega3*u^a*gnorm^b", u=u, v=v)
-
-    if state["passed"]:
+    if worst is None:
         return HypothesisReport(True, 0.0)
-    return HypothesisReport(False, state["worst"], state.get("check"),
-                            state.get("node"), state.get("u"), state.get("v"))
+    sample = worst.index[:-grid.dimension]  # the gnorm axis, f checks only
+    return HypothesisReport(False, worst.excess, worst.check,
+                            worst.index[-grid.dimension:], worst_u,
+                            float(GNORM_SAMPLES[sample[0]]) if sample else None)
 
 
 # --------------------------------------------------------------------------
@@ -614,8 +620,6 @@ def _strip_comment(line):
 
 
 def _parse_domain(text, path, lineno):
-    import re
-
     intervals = re.findall(r"\[([^\]]*)\]", text)
     leftover = re.sub(r"\[[^\]]*\]", "", text).replace("x", "").strip()
     if not intervals or len(intervals) > 2 or leftover:

@@ -69,7 +69,12 @@ CONTINUATION_STEP = 0.25
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the nonlinear solver: residual tolerance and iteration budget."""
+    """Knobs for the nonlinear solver: residual tolerance and Newton budget.
+
+    ``max_iter`` bounds the Newton iterations of one Dirichlet solve (per
+    continuation rung); the monotone sweeps of the scheme have their own
+    budget, scheme.INNER_MAX_SWEEPS.
+    """
 
     tol_residual: float = 1.0e-8
     max_iter: int = 500
@@ -344,8 +349,7 @@ def estimate_grad_constant(grid: Grid, p: float, probes=None,
     """Estimate the gradient constant by solving the probe family.
 
     Args:
-        probes: (label, ScalarField) pairs; bare fields get generated labels;
-            None means default_probes(grid).
+        probes: (label, ScalarField) pairs; None means default_probes(grid).
 
     Raises:
         EstimateFailure: when any probe solve fails (names the probe).
@@ -353,17 +357,11 @@ def estimate_grad_constant(grid: Grid, p: float, probes=None,
     """
     if probes is None:
         probes = default_probes(grid)
-    normalized = []
-    for k, probe in enumerate(probes):
-        if isinstance(probe, ScalarField):
-            normalized.append((f"probe{k}", probe))
-        else:
-            normalized.append(tuple(probe))
-    if not normalized:
+    if not probes:
         raise ConfigurationError("need at least one probe field")
 
     ratios = {}
-    for label, field in normalized:
+    for label, field in probes:
         gsup = sup_norm(field)
         if gsup == 0.0:
             raise ConfigurationError(f"probe '{label}' is identically zero")
@@ -375,7 +373,7 @@ def estimate_grad_constant(grid: Grid, p: float, probes=None,
         ratios[label] = sup_norm(gradient(u)) / gsup ** (1.0 / (p - 1.0))
     worst = max(ratios, key=ratios.get)
     return GradConstantEstimate(khat=1.1 * ratios[worst],
-                                probe_count=len(normalized),
+                                probe_count=len(probes),
                                 worst_probe=worst,
                                 ratios=ratios)
 

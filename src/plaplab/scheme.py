@@ -53,7 +53,7 @@ from .errors import (
     MonotonicityError,
     OutOfRegionError,
 )
-from .expr import ProblemSpec, evaluate_on, sample_weights
+from .expr import ProblemSpec, check_growth, evaluate_on, sample_weights
 from .grid import Grid, ScalarField, gradient, integrate, p_laplacian_apply, sup_norm
 from .plap import SolveOptions, assert_gradient_bound, solve_plap_dirichlet
 from .spectral import EigenPair, first_eigenpair
@@ -63,8 +63,9 @@ log = logging.getLogger(__name__)
 # Relative C^1 stopping threshold of the outer iteration, in units of M.
 OUTER_STOP_REL = 1.0e-7
 # Inner monotone iteration stops when successive iterates move less than
-# this fraction of the upper barrier's sup norm.
+# this fraction of the upper barrier's sup norm, within this many sweeps.
 INNER_STOP_REL = 1.0e-8
+INNER_MAX_SWEEPS = 500
 # Slack, in units of M, for the invariant-set membership checks.
 MEMBERSHIP_SLACK_REL = 1.0e-6
 # Certificate tolerances.
@@ -121,7 +122,7 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
     """Freeze h and f at the iterate u, checking the hypotheses there.
 
     The growth hypotheses are re-verified at the actual nodal values of u and
-    |grad u| (not just at validation samples); a violation raises
+    |grad u| (not just at validation samples); the worst violation raises
     HypothesisViolationError with the offending node and values.  The frozen
     part is clamped from roundoff-negative to exact zero.
     """
@@ -129,7 +130,7 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
         raise ConfigurationError("iterate lives on a different grid")
     if weights is None:
         weights = sample_weights(spec, grid)
-    w1, w2, w3 = weights
+    w1 = weights[0]
     uv = np.maximum(u.values, 0.0)
     gn = gradient(u).magnitude().values
     bindings = spec.coordinate_bindings(grid)
@@ -138,28 +139,18 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
     f_vals = np.broadcast_to(
         evaluate_on(spec.f, {**bindings, "u": uv, "gnorm": gn}), grid.shape)
 
+    violation = check_growth(spec, weights, uv, gn, h_vals, f_vals)
+    if violation is not None:
+        node = violation.index
+        raise HypothesisViolationError(
+            f"hypothesis '{violation.check}' failed at an iterate", node=node,
+            values={"u": float(uv[node]), "gnorm": float(gn[node]),
+                    "lhs": violation.lhs, "rhs": violation.rhs})
+
     # np.power matches the expression evaluator bitwise; ** would take
     # numpy's sqrt fast path for half-integer exponents and differ by an ulp,
     # leaving roundoff residue in ``base`` where h equals its growth bound
     growth = np.power(uv, spec.q - 1.0)
-    f_bound = w3.values * np.power(uv, spec.a) * np.power(gn, spec.b)
-    checks = (
-        ("omega1*u^(q-1) <= h", w1.values * growth, h_vals),
-        ("h <= omega2*u^(q-1)", h_vals, w2.values * growth),
-        ("0 <= f", np.zeros(grid.shape), f_vals),
-        ("f <= omega3*u^a*gnorm^b", f_vals, f_bound),
-    )
-    for name, lhs, rhs in checks:
-        slack = 1.0e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        bad = lhs - rhs > slack
-        if np.any(bad):
-            flat = int(np.argmax(np.where(bad, lhs - rhs, -np.inf)))
-            node = tuple(int(i) for i in np.unravel_index(flat, grid.shape))
-            raise HypothesisViolationError(
-                f"hypothesis '{name}' failed at an iterate", node=node,
-                values={"u": float(uv[node]), "gnorm": float(gn[node]),
-                        "lhs": float(lhs[node]), "rhs": float(rhs[node])})
-
     base = lam * (h_vals - w1.values * growth) + beta * f_vals
     base = np.maximum(base, 0.0)  # roundoff only; real negatives raised above
     return FrozenNonlinearity(grid=grid, coeff=lam * w1.values, base=base,
@@ -230,7 +221,7 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
             gradient bound (StaleGradConstantError on violation).
 
     Raises:
-        IterationFailure: no convergence within opts.max_iter sweeps.
+        IterationFailure: no convergence within INNER_MAX_SWEEPS sweeps.
     """
     if opts is None:
         opts = SolveOptions()
@@ -244,7 +235,7 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
 
     stop = INNER_STOP_REL * sup_norm(sup_field)
     u = sup_field if start == "super" else sub
-    for sweep in range(1, opts.max_iter + 1):
+    for sweep in range(1, INNER_MAX_SWEEPS + 1):
         rhs = F.as_field(u.values)
         solve_opts = _support_tolerance(opts, stop)
         u_next = solve_plap_dirichlet(grid, p, rhs, solve_opts, initial_guess=u)
@@ -272,7 +263,8 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
         if move < stop:
             return u
     raise IterationFailure(
-        f"inner monotone iteration made no C0 limit in {opts.max_iter} sweeps")
+        f"inner monotone iteration made no C0 limit in {INNER_MAX_SWEEPS} "
+        "sweeps")
 
 
 def picone_diagnostic(U: ScalarField, V: ScalarField, F: FrozenNonlinearity,

@@ -156,7 +156,9 @@ def rayleigh_quotient(u: ScalarField, omega1: ScalarField, p: float) -> float:
     The numerator uses face-midpoint gradients (the discrete energy of the
     operator), averaged over the face families; in 1d this makes the quotient
     of a converged eigenfunction equal the fixed-point eigenvalue to solver
-    accuracy.
+    accuracy.  In 2d each face family lies on interior transverse lines only,
+    so the boundary strips drop out of the numerator and the quotient
+    converges at first order in h: a diagnostic, not an eigenvalue estimate.
     """
     grid = u.grid
     faces = _faces(u.values, grid.spacing)

@@ -221,6 +221,15 @@ def test_validate_hypotheses_flags_oversized_f():
     assert "omega3" in report.check
 
 
+def test_validate_hypotheses_finds_a_violation_at_one_gnorm_sample():
+    # f exceeds its bound only above gnorm = 9.9, i.e. at the last sample
+    report = validate_hypotheses(
+        make_spec(f="u ^ a * gnorm ^ b * (1 + max(0, gnorm - 9.9))"))
+    assert not report.passed
+    assert "omega3" in report.check
+    assert report.gnorm == 10.0
+
+
 # ---------------------------------------------------------------------------
 # problem files
 

@@ -12,11 +12,18 @@ from plaplab.errors import (
     ConfigurationError,
     HypothesisViolationError,
     InvariantViolation,
+    IterationFailure,
     MonotonicityError,
     OutOfRegionError,
     StaleGradConstantError,
 )
-from plaplab.expr import ProblemSpec, evaluate_on, sample_weights
+from plaplab import scheme
+from plaplab.expr import (
+    ProblemSpec,
+    evaluate_on,
+    sample_weights,
+    validate_hypotheses,
+)
 from plaplab.grid import (
     ScalarField,
     build_grid,
@@ -97,6 +104,18 @@ def test_freeze_flags_hypothesis_violation_at_iterate():
         freeze_nonlinearity(u, 1.0, 1.0, spec, g)
     assert err.value.node is not None
     assert err.value.values["u"] > 0.0
+
+
+def test_freeze_and_validation_name_the_same_violated_bound():
+    # h undercuts omega1 u^(q-1) by 1%, f doubles the omega3 bound: both
+    # report the larger, second violation
+    spec = make_spec(h="0.99 * u ^ (q - 1)", f="2 * u ^ a * gnorm ^ b")
+    g = spec.build_grid()
+    with pytest.raises(HypothesisViolationError) as err:
+        freeze_nonlinearity(parabola(g), 1.0, 1.0, spec, g)
+    check = validate_hypotheses(spec).check
+    assert "omega3" in check
+    assert f"'{check}'" in str(err.value)
 
 
 def test_freeze_rejects_foreign_grid():
@@ -202,6 +221,20 @@ def test_inner_iteration_detects_band_escape(sub_stage):
                            base=np.full(g.shape, 50.0), q=spec.q)
     with pytest.raises(MonotonicityError):
         inner_monotone_solve(F, zero_field(g), sup, g, spec.p)
+
+
+def test_inner_iteration_raises_when_sweep_budget_runs_out(sub_stage,
+                                                           monkeypatch):
+    spec, g, c, eig = sub_stage
+    from plaplab.constants import region_classify
+    m = region_classify(1.0, 1.0, c, spec).height
+    eps = make_epsilon(1.0, eig.lambda1, m, c.phi_sup, spec)
+    sub = ScalarField(g, eps * eig.u1.values)
+    sup = ScalarField(g, (m / c.phi_sup) * c.weighted_torsion.phi.values)
+    F = freeze_nonlinearity(sub, 1.0, 1.0, spec, g)
+    monkeypatch.setattr(scheme, "INNER_MAX_SWEEPS", 1)
+    with pytest.raises(IterationFailure, match="in 1 sweeps"):
+        inner_monotone_solve(F, sub, sup, g, spec.p)
 
 
 def sub_weight(grid):

@@ -41,6 +41,26 @@ def test_torsion_matches_closed_form(p, length):
     assert sup_norm(result.phi) == result.phi_sup
 
 
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
+def test_observed_convergence_orders_1d(p):
+    # lambda1 converges at second order.  The torsion sup sits where Du = 0,
+    # where the solution has only p/(p-1) regularity for p > 2, so its order
+    # is min(2, p/(p-1)).
+    exact_sup = (p - 1.0) / p * 0.5 ** (p / (p - 1.0))
+    lambdas, sup_errors = [], []
+    for n in (65, 129, 257):
+        g = build_grid(((0.0, 1.0),), n)
+        lambdas.append(first_eigenpair(g, p, unit_weight(g)).lambda1)
+        sup_errors.append(
+            abs(torsion_function(g, p, unit_weight(g)).phi_sup - exact_sup))
+    # three-level differences, each level halving the spacing
+    lambda_order = np.log2(abs(lambdas[0] - lambdas[1])
+                           / abs(lambdas[1] - lambdas[2]))
+    assert 1.8 <= lambda_order <= 2.2
+    sup_order = np.log2(sup_errors[1] / sup_errors[2])
+    assert sup_order == pytest.approx(min(2.0, p / (p - 1.0)), abs=0.1)
+
+
 def test_torsion_2d_positive_and_symmetric():
     g = build_grid(((0.0, 1.0), (0.0, 1.0)), (33, 33))
     result = torsion_function(g, 2.5, unit_weight(g))
