@@ -15,11 +15,19 @@ and only dF/ds is assembled.  Exponents far from 2 (p >= 2.5 or p <= 1.6) are
 reached by continuation: solve at p = 2 (a single linear solve), then step
 the exponent by 0.25 re-using the previous solution.  Newton steps start at
 the full step and are halved until the residual drops; whenever that fails,
-one frozen-coefficient (Picard) step is tried instead.
+one frozen-coefficient (Picard) step is tried instead.  The linear systems
+are solved directly: in 1d the tridiagonal matrix goes to LAPACK
+(``scipy.linalg.solve_banded``), in 2d the nine-point matrix, whose CSC
+pattern is cached per grid shape, is factored by SuperLU with the
+minimum-degree ordering of A^T + A.
 
 Contracts the rest of the package relies on:
 
-* residual: ||(-Lap_p u) - g||_inf <= tol_residual * max(1, ||g||_inf);
+* residual: ||(-Lap_p u) - g||_inf <= max(tol_residual * max(1, ||g||_inf),
+  rounding floor), where the rounding floor ROUNDING_ULPS * eps *
+  max(|J| |u|) is the rounding level of evaluating the operator at u
+  (J the Newton Jacobian); the floor is used only when no Newton or
+  Picard step lowers the residual any more;
 * scaling:  solve(t*g) = t^(1/(p-1)) * solve(g) up to solver tolerance
   (exact for the regularized operator, because delta tracks the field scale);
 * boundedness: for ||g||_inf <= 1, solve(g) <= torsion function pointwise;
@@ -29,13 +37,14 @@ Contracts the rest of the package relies on:
 
 from __future__ import annotations
 
+import functools
 import logging
-import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import (
     ConfigurationError,
@@ -65,6 +74,9 @@ log = logging.getLogger(__name__)
 CONTINUATION_ABOVE = 2.5
 CONTINUATION_BELOW = 1.6
 CONTINUATION_STEP = 0.25
+# A stalled Newton solve returns when its residual is at most ROUNDING_ULPS *
+# eps * max(|J| |u|): one ulp of u moves the residual by about eps |J| |u|.
+ROUNDING_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -106,58 +118,88 @@ def _assemble(values, spacing, p, delta, frozen):
     if len(spacing) == 1:
         [(ds, _)] = conductances
         coef = ds / (spacing[0] * spacing[0])
-        main = coef[:-1] + coef[1:]
-        off = -coef[1:-1]
-        return sp.diags([off, main, off], [-1, 0, 1], format="csc")
+        n = coef.size - 1
+        # LAPACK band layout: row 0 super-, row 1 main, row 2 sub-diagonal,
+        # column j holding the entries of matrix column j
+        bands = np.zeros((3, n))
+        bands[0, 1:] = -coef[1:-1]
+        bands[1] = coef[:-1] + coef[1:]
+        bands[2, :-1] = -coef[1:-1]
+        return sp.dia_matrix((bands, [1, 0, -1]), shape=(n, n))
 
-    hx, hy = spacing
-    nx, ny = values.shape
+    keep, slot, indices, indptr = _csc_pattern(values.shape)
+    vals = []
+    for (ds, dt), face_h, trans_h in zip(conductances, spacing, spacing[::-1]):
+        # same order as the column nodes of _csc_pattern's stencils
+        col_terms = (ds / face_h, -ds / face_h,
+                     dt / (4.0 * trans_h), dt / (4.0 * trans_h),
+                     -dt / (4.0 * trans_h), -dt / (4.0 * trans_h))
+        for sign in (-1.0 / face_h, 1.0 / face_h):
+            for dval in col_terms:
+                vals.append((sign * dval).ravel())
+    data = np.bincount(slot, weights=np.concatenate(vals)[keep],
+                       minlength=indices.size)
+    n = indptr.size - 1
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+
+@functools.lru_cache(maxsize=8)
+def _csc_pattern(shape):
+    """Index work of the 2D Jacobian, which depends only on the grid shape.
+
+    Returns the mask of the face-stencil triplets that couple two interior
+    nodes, the CSC slot each kept triplet is summed into, and the CSC
+    ``indices`` / ``indptr`` arrays (read-only: the cache shares them).
+    """
+    nx, ny = shape
     idx = np.arange(nx * ny).reshape(nx, ny)
     unknown = -np.ones(nx * ny, dtype=np.int64)
     interior_ids = idx[1:-1, 1:-1].ravel()
     unknown[interior_ids] = np.arange(interior_ids.size)
     # per family: the face's two nodes (lo, hi), their neighbours on the
-    # minus and plus transverse side, and the face and transverse spacings
+    # minus and plus transverse side
     stencils = (
-        ((idx[:-1, 1:-1], idx[1:, 1:-1],
-          idx[:-1, :-2], idx[1:, :-2], idx[:-1, 2:], idx[1:, 2:]), hx, hy),
-        ((idx[1:-1, :-1], idx[1:-1, 1:],
-          idx[:-2, :-1], idx[:-2, 1:], idx[2:, :-1], idx[2:, 1:]), hy, hx),
+        (idx[:-1, 1:-1], idx[1:, 1:-1],
+         idx[:-1, :-2], idx[1:, :-2], idx[:-1, 2:], idx[1:, 2:]),
+        (idx[1:-1, :-1], idx[1:-1, 1:],
+         idx[:-2, :-1], idx[:-2, 1:], idx[2:, :-1], idx[2:, 1:]),
     )
-    rows, cols, vals = [], [], []
-    for (ds, dt), (nodes, face_h, trans_h) in zip(conductances, stencils):
-        lo, hi, lo_m, hi_m, lo_p, hi_p = nodes
-        col_terms = [(hi, ds / face_h), (lo, -ds / face_h),
-                     (lo_p, dt / (4.0 * trans_h)), (hi_p, dt / (4.0 * trans_h)),
-                     (lo_m, -dt / (4.0 * trans_h)), (hi_m, -dt / (4.0 * trans_h))]
-        for row_nodes, sign in ((lo, -1.0 / face_h), (hi, 1.0 / face_h)):
-            for col_nodes, dval in col_terms:
+    rows, cols = [], []
+    for lo, hi, lo_m, hi_m, lo_p, hi_p in stencils:
+        for row_nodes in (lo, hi):
+            for col_nodes in (hi, lo, lo_p, hi_p, lo_m, hi_m):
                 rows.append(row_nodes.ravel())
                 cols.append(col_nodes.ravel())
-                vals.append((sign * dval).ravel())
-
     rows = unknown[np.concatenate(rows)]
     cols = unknown[np.concatenate(cols)]
-    vals = np.concatenate(vals)
     keep = (rows >= 0) & (cols >= 0)
     n = interior_ids.size
-    mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
-    return mat.tocsc()
+    # np.unique sorts by (column, row), which is the CSC order
+    keys, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+    indices = (keys % n).astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    for arr in (keep, slot, indices, indptr):
+        arr.setflags(write=False)
+    return keep, slot, indices, indptr
 
 
 def _try_solve(matrix, rhs):
-    """Direct sparse solve; None when the factorization fails or is singular.
+    """Direct solve; None when the matrix is singular or the result is not
+    finite.
 
-    A singular matrix makes SuperLU return NaN (with a MatrixRankWarning),
-    caught by the finiteness check; an aborted factorization raises
-    RuntimeError.  Anything else, such as a right-hand side of the wrong
-    length, propagates.
+    A tridiagonal ``dia`` matrix from the 1D assembly goes to LAPACK through
+    ``solve_banded``; a CSC matrix from the 2D assembly is factored by SuperLU
+    with the minimum-degree ordering of A^T + A.  A singular matrix raises
+    LinAlgError (LAPACK) or RuntimeError (SuperLU).  Anything else, such as a
+    right-hand side of the wrong length, propagates.
     """
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", spla.MatrixRankWarning)
-            sol = spla.spsolve(matrix, rhs)
-    except RuntimeError:
+        if matrix.format == "dia":
+            sol = solve_banded((1, 1), matrix.data, rhs, check_finite=False)
+        else:
+            sol = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    except (RuntimeError, LinAlgError):
         return None
     if not np.all(np.isfinite(sol)):
         return None
@@ -207,7 +249,8 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
 
     Returns:
         The solution as a Dirichlet-zero field, with sup-norm residual at most
-        tol_residual * max(1, ||g||_inf).
+        tol_residual * max(1, ||g||_inf), or at most the rounding floor
+        when that is larger and no step lowers the residual further.
 
     Raises:
         SolveFailure: if the iteration stalls or exhausts max_iter; the
@@ -258,8 +301,8 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
         if rn <= tol:
             return u
         accepted = None
-        step = _try_solve(_assemble(u, spacing, p, delta, frozen=False),
-                          -r_int.ravel())
+        jac = _assemble(u, spacing, p, delta, frozen=False)
+        step = _try_solve(jac, -r_int.ravel())
         if step is not None:
             accepted = _backtrack(u, step.reshape(inner_shape), interior,
                                   residual, rn, tol)
@@ -272,9 +315,15 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
                 accepted = _backtrack(u, direction, interior, residual, rn,
                                       tol)
         if accepted is None:
+            # no step lowers the residual: accept u if the residual is at the
+            # rounding level of evaluating the operator at u
+            floor = ROUNDING_ULPS * np.finfo(float).eps * float(
+                np.max(abs(jac) @ np.abs(u[interior].ravel())))
+            if rn <= floor:
+                return u
             raise SolveFailure(
-                f"p-Laplacian solve stalled at residual {rn:.3e} (p={p})",
-                history)
+                f"p-Laplacian solve stalled at residual {rn:.3e} above the "
+                f"rounding floor {floor:.3e} (p={p})", history)
         u, r_int, delta, rn, alpha = accepted
         history.append(rn)
         if trace is not None:

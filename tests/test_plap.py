@@ -1,8 +1,11 @@
 """Nonlinear solver tests: correctness, contracts, and the gradient constant."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +15,10 @@ from plaplab.errors import (
     SolveFailure,
     StaleGradConstantError,
 )
+import plaplab.plap as plap
 from plaplab.grid import (
     ScalarField,
+    _faces,
     _plap_raw,
     build_grid,
     field_from_function,
@@ -24,6 +29,7 @@ from plaplab.grid import (
     zero_field,
 )
 from plaplab.plap import (
+    ROUNDING_ULPS,
     SolveOptions,
     _assemble,
     _try_solve,
@@ -172,6 +178,82 @@ def test_try_solve_keeps_programming_errors_loud():
         _try_solve(mat, np.ones(4))
 
 
+@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
+def test_banded_solve_matches_sparse_lu(p, frozen):
+    u = _jacobian_test_field(1)
+    mat = _assemble(u.values, u.grid.spacing, p, flux_delta(u), frozen)
+    assert mat.format == "dia"
+    rhs = np.random.default_rng(5).standard_normal(mat.shape[0])
+    expected = spla.spsolve(mat.tocsc(), rhs)
+    got = _try_solve(mat, rhs)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _loop_jacobian_2d(values, spacing, p, delta, frozen):
+    """Dense Newton/Picard matrix scattered face by face in plain loops."""
+    nx, ny = values.shape
+    number = {(i, j): k for k, (i, j) in enumerate(
+        (i, j) for i in range(1, nx - 1) for j in range(1, ny - 1))}
+    mat = np.zeros((len(number), len(number)))
+    d2 = delta * delta
+    for axis, ((s, t), face_h, trans_h) in enumerate(
+            zip(_faces(values, spacing), spacing, spacing[::-1])):
+        m2 = s * s + t * t + d2
+        if frozen:
+            ds, dt = m2 ** ((p - 2.0) / 2.0), 0.0 * s
+        else:
+            w = m2 ** ((p - 4.0) / 2.0)
+            ds = w * (d2 + t * t + (p - 1.0) * s * s)
+            dt = (p - 2.0) * w * s * t
+        for a, b in np.ndindex(s.shape):
+            # lo node, hi node, and the unit step along / across the face
+            lo = (a, b + 1) if axis == 0 else (a + 1, b)
+            along = (1, 0) if axis == 0 else (0, 1)
+            di, dj = (0, 1) if axis == 0 else (1, 0)
+            hi = (lo[0] + along[0], lo[1] + along[1])
+            flux_terms = [(hi, ds[a, b] / face_h), (lo, -ds[a, b] / face_h)]
+            for (i, j), side in itertools.product((lo, hi), (1, -1)):
+                flux_terms.append(((i + side * di, j + side * dj),
+                                   side * dt[a, b] / (4.0 * trans_h)))
+            for row, sign in ((lo, -1.0 / face_h), (hi, 1.0 / face_h)):
+                for col, dval in flux_terms:
+                    if row in number and col in number:
+                        mat[number[row], number[col]] += sign * dval
+    return mat
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_2d_assembly_pattern_follows_the_grid_shape(frozen):
+    rng = np.random.default_rng(11)
+    for shape in ((7, 9), (9, 7), (33, 33), (7, 9)):
+        g = build_grid(((0.0, 1.0), (0.0, 2.0)), shape)
+        values = rng.standard_normal(shape)
+        mat = _assemble(values, g.spacing, 2.5, 1.0e-3, frozen)
+        assert mat.format == "csc" and mat.has_canonical_format
+        expected = _loop_jacobian_2d(values, g.spacing, 2.5, 1.0e-3, frozen)
+        assert np.allclose(mat.toarray(), expected, rtol=0.0,
+                           atol=1e-13 * np.max(np.abs(expected)))
+
+
+def test_banded_try_solve_singular_and_wrong_length():
+    singular = sp.dia_matrix((np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]),
+                              [1, 0, -1]), shape=(2, 2))
+    assert _try_solve(singular, np.array([1.0, 2.0])) is None
+    band = sp.dia_matrix((np.ones((3, 3)), [1, 0, -1]), shape=(3, 3))
+    with pytest.raises(ValueError):
+        _try_solve(band, np.ones(4))
+
+
+@pytest.mark.parametrize("shape, peak", [
+    ((3,), 0.19842513151050908), ((4,), 0.16024995225825045),
+    ((3, 3), 0.12500000021801208)])
+def test_smallest_grids_solve(shape, peak):
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    u = solve_plap_dirichlet(g, 2.5, const_field(g))
+    assert u.values.max() == pytest.approx(peak, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # solver mechanics
 
@@ -207,6 +289,33 @@ def test_iteration_budget_exhaustion_raises_with_history():
     with pytest.raises(SolveFailure) as err:
         solve_plap_dirichlet(g, 3.0, load, opts)
     assert len(err.value.residual_history) >= 1
+
+
+def _rounding_floor(u, p):
+    delta = flux_delta(u)
+    jac = _assemble(u.values, u.grid.spacing, p, delta, frozen=False)
+    return ROUNDING_ULPS * np.finfo(float).eps * np.max(
+        abs(jac) @ np.abs(u.values[u.grid.interior].ravel()))
+
+
+@pytest.mark.parametrize("shape, tol", [((2049,), 1e-10), ((65, 65), 1e-16)])
+def test_newton_stops_at_the_rounding_floor(shape, tol):
+    # the tolerance sits below what rounding lets the residual reach
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    u = solve_plap_dirichlet(g, 2.5, const_field(g),
+                             SolveOptions(tol_residual=tol))
+    res = np.max(np.abs((p_laplacian_apply(u, 2.5).values - 1.0)[g.interior]))
+    assert res <= _rounding_floor(u, 2.5)
+    assert res < 2e-9
+
+
+def test_stall_above_the_rounding_floor_still_raises(monkeypatch):
+    monkeypatch.setattr(plap, "_backtrack", lambda *args: None)
+    g = grid_1d(65)
+    guess = field_from_function(g, lambda x: np.sin(np.pi * x))
+    with pytest.raises(SolveFailure, match=r"stalled at residual .* above the "
+                       r"rounding floor \d"):
+        solve_plap_dirichlet(g, 2.0, const_field(g), initial_guess=guess)
 
 
 def test_rejects_mismatched_grid_and_bad_p():
