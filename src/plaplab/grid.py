@@ -44,6 +44,9 @@ from .errors import ConfigurationError, GridMismatchError
 
 # Relative size of the gradient regularization in the p-Laplacian flux.
 DELTA_RELATIVE = 1.0e-8
+# Nodal gradient components within this many ulps of max|u| per unit spacing
+# are rounding and read as exactly zero.
+GRADIENT_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -195,13 +198,21 @@ def sup_norm(field) -> float:
 
 
 def gradient(u: ScalarField) -> VectorField:
-    """Second-order nodal gradient (central interior, one-sided boundary)."""
+    """Second-order nodal gradient (central interior, one-sided boundary).
+
+    A component at most GRADIENT_ULPS * eps * max|u| / h_k is the rounding of
+    a difference of two equal values and is set to exactly zero, so that a
+    symmetric field has a zero gradient on its symmetry planes.
+    """
     g = u.grid
     grads = np.gradient(u.values, *g.spacing, edge_order=2)
     if g.dimension == 1:
         comps = np.asarray(grads)[np.newaxis, :]
     else:
         comps = np.stack(grads)
+    floor = (GRADIENT_ULPS * np.finfo(float).eps * float(np.max(np.abs(u.values)))
+             / np.reshape(g.spacing, (-1,) + (1,) * g.dimension))
+    comps[np.abs(comps) <= floor] = 0.0
     return VectorField(g, comps)
 
 

@@ -151,6 +151,29 @@ def test_gradient_second_order_convergence():
     assert errs[0] / errs[1] > 3.0  # roughly h^2
 
 
+@pytest.mark.parametrize("shape", [(9,), (9, 11)])
+def test_gradient_reads_one_ulp_of_asymmetry_as_zero(shape):
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    u = field_from_function(
+        g, lambda *xs: np.prod([np.sin(np.pi * x) for x in xs], axis=0))
+    values = u.values.copy()
+    centre = tuple(n // 2 for n in shape)
+    for k in range(len(shape)):
+        # one ulp up on one side of the centre, one down on the other
+        for side, towards in ((1, np.inf), (-1, -np.inf)):
+            node = list(centre)
+            node[k] += side
+            values[tuple(node)] = np.nextafter(values[tuple(node)], towards)
+    raw = np.gradient(values, *g.spacing, edge_order=2)
+    raw = np.reshape(raw, (len(shape),) + values.shape)
+    assert np.all(raw[(slice(None),) + centre] != 0.0)
+    grad = gradient(u.with_values(values))
+    assert np.all(grad.components[(slice(None),) + centre] == 0.0)
+    # a resolved slope is untouched
+    near_corner = (slice(None),) + (1,) * len(shape)
+    assert np.array_equal(grad.components[near_corner], raw[near_corner])
+
+
 def test_integrate_matches_closed_forms():
     g1 = unit_grid_1d(201)
     assert integrate(bump_1d(g1)) == pytest.approx(2.0 / np.pi, rel=1e-4)

@@ -17,9 +17,11 @@ from plaplab.errors import (
     OutOfRegionError,
     StaleGradConstantError,
 )
-from plaplab import scheme
+from plaplab import plap, scheme
 from plaplab.expr import (
     ProblemSpec,
+    bundled_problem_path,
+    load_problem,
     evaluate_on,
     sample_weights,
     validate_hypotheses,
@@ -329,6 +331,22 @@ def test_outer_detects_stale_gradient_constant(sub_stage):
     doctored = dataclasses.replace(c, khat=1e-6 * c.khat)
     with pytest.raises(InvariantViolation):
         outer_fixed_point(spec, 1.0, 1.0, g, doctored, eig)
+
+
+def test_square2d_outcome_does_not_hang_on_the_lu_ordering(monkeypatch):
+    # the centre node of square2d is a symmetry point where f depends on
+    # gnorm^0.2; a rounding-level gradient there must not decide the outcome
+    spec = load_problem(bundled_problem_path("square2d"))
+    grid = spec.build_grid()
+    constants = compute_constants(spec, grid)
+    mmd = outer_fixed_point(spec, 2.0, 0.1, grid, constants)
+    splu = plap.spla.splu
+    monkeypatch.setattr(plap.spla, "splu", lambda matrix, permc_spec=None:
+                        splu(matrix, permc_spec="COLAMD"))
+    colamd = outer_fixed_point(spec, 2.0, 0.1, grid, constants)
+    assert mmd.converged and colamd.converged
+    assert colamd.certificates.pde_residual == pytest.approx(
+        mmd.certificates.pde_residual, rel=1e-9)
 
 
 def test_stale_constant_error_is_an_invariant_violation():
