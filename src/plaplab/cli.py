@@ -39,6 +39,7 @@ field:     x1[,x2],<name>
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import logging
@@ -112,41 +113,24 @@ def _parse_bool(text):
     return text == "true"
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
+def _emit(path, header, rows):
+    """Write CSV rows to ``path``, or to standard output when it is None."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _print_rows(header, rows):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _emit(path, header, rows):
-    if path is None:
-        _print_rows(header, rows)
-    else:
-        _write_rows(path, header, rows)
-
-
 def _write_field(path, grid, columns):
-    """Write nodal (name, values) columns after the coordinates x1[, x2],
+    """Write nodal (name, values) columns after the coordinates x1, x2, ...,
     one row per node in row-major order."""
     axes = [grid.axis(d) for d in range(grid.dimension)]
-    rows = []
-    if grid.dimension == 1:
-        for i in range(grid.shape[0]):
-            rows.append([_fmt(axes[0][i])] + [_fmt(v[i]) for _, v in columns])
-    else:
-        for i in range(grid.shape[0]):
-            for j in range(grid.shape[1]):
-                rows.append([_fmt(axes[0][i]), _fmt(axes[1][j])]
-                            + [_fmt(v[i, j]) for _, v in columns])
-    header = ["x1", "x2"][:grid.dimension] + [name for name, _ in columns]
-    _write_rows(path, header, rows)
+    rows = [[_fmt(axis[i]) for axis, i in zip(axes, node)]
+            + [_fmt(v[node]) for _, v in columns]
+            for node in np.ndindex(grid.shape)]
+    header = [f"x{d + 1}" for d in range(len(axes))] + [name for name, _ in columns]
+    _emit(path, header, rows)
 
 
 def _sibling_path(out, tag):
@@ -360,8 +344,8 @@ def cmd_region(args) -> int:
         lo, hi = _parse_range(args.lambda_range, "--lambda-range")
         dense = np.linspace(lo, hi, 256)
         curve = region_boundary([float(x) for x in dense], constants, spec)
-        _write_rows(_sibling_path(args.out, "boundary"), ["lambda", "beta"],
-                    [[_fmt(l), _fmt(b)] for l, b in curve])
+        _emit(_sibling_path(args.out, "boundary"), ["lambda", "beta"],
+              [[_fmt(l), _fmt(b)] for l, b in curve])
     print(f"{case}: {inside} of {len(rows)} sampled points inside the region")
     return 0
 
@@ -522,10 +506,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigurationError, GridMismatchError,
+    except (ProblemFileError, ConfigurationError, GridMismatchError,
             HypothesisViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -428,13 +428,15 @@ class ProblemSpec:
         if self.a <= 0.0 or self.b <= 0.0:
             raise ConfigurationError(f"need a, b > 0, got a={self.a}, b={self.b}")
         probe = build_grid(self.extents, self.resolution)  # validates the box
+        if probe.dimension > 2:
+            raise ConfigurationError(f"need 1 or 2 axes, got {probe.dimension} axes")
         object.__setattr__(self, "extents", probe.extents)
         object.__setattr__(self, "resolution", probe.shape)
         for name in ("omega1", "omega2", "omega3", "h", "f"):
             slot = getattr(self, name)
             if isinstance(slot, str):  # accept source text for convenience
                 object.__setattr__(self, name, parse(slot))
-        coords = {"x1", "x2"} if probe.dimension == 2 else {"x1"}
+        coords = {f"x{k + 1}" for k in range(probe.dimension)}
         params = set(PARAMETER_NAMES)
         for name in ("omega1", "omega2", "omega3"):
             _check_slot(name, getattr(self, name), coords | params)
@@ -452,12 +454,8 @@ class ProblemSpec:
         return build_grid(self.extents, self.resolution)
 
     def coordinate_bindings(self, grid: Grid) -> dict:
-        out = dict(self.param_bindings())
-        meshes = grid.meshes()
-        out["x1"] = meshes[0]
-        if grid.dimension == 2:
-            out["x2"] = meshes[1]
-        return out
+        return {**self.param_bindings(),
+                **{f"x{k + 1}": m for k, m in enumerate(grid.meshes())}}
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,15 +1,15 @@
 """Uniform box grids, nodal fields, and finite-difference operators.
 
-The whole package works on axis-aligned boxes in one or two dimensions,
-discretized by uniform node grids that include the boundary.  A field is a
-nodal array on such a grid; "Dirichlet-zero" means exact zeros on every
-boundary node.
+The operators work on axis-aligned boxes with any number of axes (problem
+files describe one or two), discretized by uniform node grids that include
+the boundary.  A field is a nodal array on such a grid; "Dirichlet-zero"
+means exact zeros on every boundary node.
 
 Two operators matter:
 
 * ``gradient`` -- second-order nodal gradient: central differences at interior
   nodes, one-sided three-point stencils on the boundary (exact for
-  quadratics).
+  quadratics); components at the rounding level of max|u| read as zero.
 * ``p_laplacian_apply`` -- the conservative discrete p-Laplacian.  Fluxes
 
       F = (|Du|^2 + delta^2)^((p-2)/2) * Du
@@ -19,12 +19,12 @@ Two operators matter:
 
 Face families.  Every face quantity -- the flux, the gradient scale, the
 Newton Jacobian's conductances, the discrete energy -- is read from one pair
-``(s, t)`` per axis.  ``s`` is the difference across the face and ``t`` the
-transverse derivative at the face midpoint, averaged from the four adjacent
-nodal differences; ``|Du|^2 = s^2 + t^2`` there.  On an (nx, ny) grid the
-x-faces lie between node rows on interior columns, shape (nx-1, ny-2), and
-the y-faces between node columns on interior rows, shape (nx-2, ny-1).  In
-1d there is one family of nx-1 faces and ``t`` is the scalar 0.
+``(s, t)`` per axis.  The faces of family k join the nodes ``lo`` and
+``hi = lo + e_k`` whose other coordinates are interior: shape n_k - 1 along
+axis k, n_j - 2 along each other axis j.  ``s = (u[hi] - u[lo]) / h_k`` and
+``t`` holds, per other axis j, the transverse derivative averaged from four
+nodal differences, (u[lo+e_j] + u[hi+e_j] - u[lo-e_j] - u[hi-e_j]) / (4 h_j);
+``|Du|^2 = s^2 + sum_j t_j^2`` there.  In 1d ``t`` is empty.
 
 The regularization is ``delta = 1e-8 * s`` where ``s`` is the largest midpoint
 gradient magnitude of the field itself.  Tying delta to the field's own scale
@@ -35,6 +35,7 @@ solver's scaling law relies on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,14 +45,13 @@ from .errors import ConfigurationError, GridMismatchError
 
 # Relative size of the gradient regularization in the p-Laplacian flux.
 DELTA_RELATIVE = 1.0e-8
-# Nodal gradient components within this many ulps of max|u| per unit spacing
-# are rounding and read as exactly zero.
+# Nodal gradient components up to this many ulps of max|u| / h read as zero.
 GRADIENT_ULPS = 4.0
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform node grid on an axis-aligned box (1d or 2d).
+    """Uniform node grid on an axis-aligned box with any number of axes.
 
     Attributes:
         extents: per-axis (lo, hi) bounds.
@@ -62,9 +62,8 @@ class Grid:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= len(self.extents) <= 2:
-            raise ConfigurationError(
-                f"only 1d and 2d boxes are supported, got {len(self.extents)} axes")
+        if not self.extents:
+            raise ConfigurationError("a box needs at least one axis")
         if len(self.shape) != len(self.extents):
             raise ConfigurationError("extents and shape must have the same length")
         for (lo, hi), n in zip(self.extents, self.shape):
@@ -200,16 +199,11 @@ def sup_norm(field) -> float:
 def gradient(u: ScalarField) -> VectorField:
     """Second-order nodal gradient (central interior, one-sided boundary).
 
-    A component at most GRADIENT_ULPS * eps * max|u| / h_k is the rounding of
-    a difference of two equal values and is set to exactly zero, so that a
-    symmetric field has a zero gradient on its symmetry planes.
-    """
+    Components up to GRADIENT_ULPS * eps * max|u| / h_k, the rounding of a
+    difference of equal values, are set to exactly zero."""
     g = u.grid
-    grads = np.gradient(u.values, *g.spacing, edge_order=2)
-    if g.dimension == 1:
-        comps = np.asarray(grads)[np.newaxis, :]
-    else:
-        comps = np.stack(grads)
+    comps = np.reshape(np.gradient(u.values, *g.spacing, edge_order=2),
+                       (g.dimension,) + g.shape)
     floor = (GRADIENT_ULPS * np.finfo(float).eps * float(np.max(np.abs(u.values)))
              / np.reshape(g.spacing, (-1,) + (1,) * g.dimension))
     comps[np.abs(comps) <= floor] = 0.0
@@ -228,26 +222,43 @@ def integrate(u: ScalarField) -> float:
     return float(total)
 
 
+@functools.lru_cache(maxsize=None)
+def _face_windows(dimension):
+    """Per face family: the windows ``lo``, ``hi`` of a nodal array at the
+    faces' nodes, and per other axis j the same moved by -1 and +1 along j,
+    ``(j, lo_minus, hi_minus, lo_plus, hi_plus)``."""
+    def window(k, shift):  # the nodes lo + shift of the faces of family k
+        return tuple(slice(int(a != k) + int(c), int(c) - 1 or None)
+                     for a, c in enumerate(shift))
+
+    unit = np.eye(dimension, dtype=int)
+    return tuple(
+        (window(k, 0 * unit[k]), window(k, unit[k]),
+         tuple((j, window(k, -unit[j]), window(k, unit[k] - unit[j]),
+                window(k, unit[j]), window(k, unit[k] + unit[j]))
+               for j in range(dimension) if j != k))
+        for k in range(dimension))
+
+
 def _faces(values: np.ndarray, spacing):
-    """The ``(s, t)`` pair of each face family, in axis order (see the
-    module docstring for the layout)."""
-    if len(spacing) == 1:
-        return [(np.diff(values) / spacing[0], 0.0)]
+    """The ``(s, t)`` pair of each face family, in axis order: ``t`` holds one
+    transverse difference per other axis (see the module docstring)."""
     v = values
-    hx, hy = spacing
-    return [((v[1:, 1:-1] - v[:-1, 1:-1]) / hx,
-             (v[:-1, 2:] + v[1:, 2:] - v[:-1, :-2] - v[1:, :-2]) / (4.0 * hy)),
-            ((v[1:-1, 1:] - v[1:-1, :-1]) / hy,
-             (v[2:, :-1] + v[2:, 1:] - v[:-2, :-1] - v[:-2, 1:]) / (4.0 * hx))]
+    return [((v[hi] - v[lo]) / spacing[k],
+             [(v[lo_p] + v[hi_p] - v[lo_m] - v[hi_m]) / (4.0 * spacing[j])
+              for j, lo_m, hi_m, lo_p, hi_p in cross])
+            for k, (lo, hi, cross) in enumerate(_face_windows(len(spacing)))]
 
 
 def _slope2(s, t):
-    """Squared face gradient s^2 + t^2; the 1d family has no transverse term."""
-    return s * s + t * t if np.ndim(t) else s * s
+    """Squared face gradient s^2 + sum_j t_j^2."""
+    return s * s + sum(tj * tj for tj in t)
 
 
 def _masked_power(m2: np.ndarray, expo: float) -> np.ndarray:
     """m2^expo with the m2 == 0 cells mapped to zero."""
+    if m2.min() > 0.0:  # always so once delta > 0
+        return m2 ** expo
     out = np.zeros_like(m2)
     nz = m2 > 0.0
     out[nz] = m2[nz] ** expo

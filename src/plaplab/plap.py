@@ -4,22 +4,23 @@ Solves  -div(|Du|^(p-2) Du) = g  on interior nodes with u = 0 on the
 boundary, using damped Newton iteration on the conservative flux
 discretization.  The Jacobian is assembled analytically from the flux form,
 reading the same face arrays (s, t) as the residual (see the face families in
-``grid``): for a face with longitudinal difference s, transverse difference t
-and m2 = s^2 + t^2 + delta^2,
+``grid``): for a face with longitudinal difference s, transverse differences
+t_j and m2 = s^2 + |t|^2 + delta^2,
 
-    dF/ds = m2^((p-4)/2) * (delta^2 + t^2 + (p-1) s^2),
-    dF/dt = (p-2) * m2^((p-4)/2) * s * t,
+    dF/ds   = m2^((p-4)/2) * (delta^2 + |t|^2 + (p-1) s^2),
+    dF/dt_j = (p-2) * m2^((p-4)/2) * s * t_j,
 
-both strictly positive / well defined for p > 1 once delta > 0; in 1d t = 0
-and only dF/ds is assembled.  Exponents far from 2 (p >= 2.5 or p <= 1.6) are
-reached by continuation: solve at p = 2 (a single linear solve), then step
-the exponent by 0.25 re-using the previous solution.  Newton steps start at
-the full step and are halved until the residual drops; whenever that fails,
-one frozen-coefficient (Picard) step is tried instead.  The linear systems
-are solved directly: in 1d the tridiagonal matrix goes to LAPACK
-(``scipy.linalg.solve_banded``), in 2d the nine-point matrix, whose CSC
-pattern is cached per grid shape, is factored by SuperLU with the
-minimum-degree ordering of A^T + A.
+both strictly positive / well defined for p > 1 once delta > 0; with one
+axis t is empty and only dF/ds is assembled.  Exponents far from 2
+(p >= 2.5 or p <= 1.6) are reached by continuation: solve at p = 2 (a single
+linear solve), then step the exponent by 0.25 re-using the previous
+solution.  Newton steps start at the full step and are halved until the
+residual drops; whenever that fails, one frozen-coefficient (Picard) step is
+tried instead.  The linear systems are solved directly, and their storage
+follows the number of axes: with one, the tridiagonal matrix is kept in band
+layout for LAPACK (``scipy.linalg.solve_banded``); with more, the 9-point
+(2D) or 19-point (3D) matrix, whose CSC pattern is cached per grid shape, is
+factored by SuperLU with the minimum-degree ordering of A^T + A.
 
 Contracts the rest of the package relies on:
 
@@ -38,7 +39,9 @@ Contracts the rest of the package relies on:
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -57,11 +60,11 @@ from .grid import (
     DELTA_RELATIVE,
     Grid,
     ScalarField,
+    _face_windows,
     _faces,
     _gradient_scale,
     _masked_power,
     _plap_raw,
-    _slope2,
     gradient,
     sup_norm,
 )
@@ -99,97 +102,93 @@ def _assemble(values, spacing, p, delta, frozen):
     matrix, also the p=2 Laplacian when the field is flat); frozen=False
     builds the full Newton Jacobian including the transverse coupling.  The
     conductances of each face family come from the same face arrays as the
-    residual.
+    residual.  Each face adds -v to the row of its lo node and +v to the row
+    of its hi node, v = (1/h_k) dF/du_c, for every node c its flux F reads.
     """
+    offsets, plans, csc = _stencil(values.shape)
+    coef = np.zeros((len(offsets),) + values.shape)
     d2 = delta * delta
-    conductances = []
-    for s, t in _faces(values, spacing):
-        m2 = _slope2(s, t) + d2
+    for k, ((s, t), (s_plan, t_plan)) in enumerate(zip(_faces(values, spacing), plans)):
+        tt = sum(tj * tj for tj in t)
+        m2 = s * s + tt + d2
         if frozen:
             ds = np.ones_like(s) if p == 2.0 else _masked_power(m2, (p - 2.0) / 2.0)
-            dt = np.zeros_like(t)
+            dts, plan = [], s_plan
         else:
             w = _masked_power(m2, (p - 4.0) / 2.0)
-            ds = w * (d2 + t * t + (p - 1.0) * s * s)
-            # no transverse coupling in 1d, where t is the scalar 0
-            dt = (p - 2.0) * w * s * t if np.ndim(t) else 0.0
-        conductances.append((ds, dt))
-
-    if len(spacing) == 1:
-        [(ds, _)] = conductances
-        coef = ds / (spacing[0] * spacing[0])
-        n = coef.size - 1
-        # LAPACK band layout: row 0 super-, row 1 main, row 2 sub-diagonal,
-        # column j holding the entries of matrix column j
-        bands = np.zeros((3, n))
-        bands[0, 1:] = -coef[1:-1]
-        bands[1] = coef[:-1] + coef[1:]
-        bands[2, :-1] = -coef[1:-1]
-        return sp.dia_matrix((bands, [1, 0, -1]), shape=(n, n))
-
-    keep, slot, indices, indptr = _csc_pattern(values.shape)
-    vals = []
-    for (ds, dt), face_h, trans_h in zip(conductances, spacing, spacing[::-1]):
-        # same order as the column nodes of _csc_pattern's stencils
-        col_terms = (ds / face_h, -ds / face_h,
-                     dt / (4.0 * trans_h), dt / (4.0 * trans_h),
-                     -dt / (4.0 * trans_h), -dt / (4.0 * trans_h))
-        for sign in (-1.0 / face_h, 1.0 / face_h):
-            for dval in col_terms:
-                vals.append((sign * dval).ravel())
-    data = np.bincount(slot, weights=np.concatenate(vals)[keep],
-                       minlength=indices.size)
-    n = indptr.size - 1
-    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+            ds = w * (d2 + tt + (p - 1.0) * s * s)
+            dts, plan = [(p - 2.0) * w * s * tj for tj in t], s_plan + t_plan
+        inv_h, cross_h = 1.0 / spacing[k], [h for j, h in enumerate(spacing) if j != k]
+        vals = [inv_h * (ds / spacing[k])] + [
+            inv_h * (dt / (4.0 * h)) for dt, h in zip(dts, cross_h)]
+        for op, index, m in plan:
+            target = coef[index]
+            op(target, vals[m], out=target)
+    n = math.prod(size - 2 for size in values.shape)
+    if csc is None:  # one axis: coef's interior columns are the LAPACK band layout
+        return sp.dia_matrix((coef[:, 1:-1], np.ravel(offsets)), shape=(n, n))
+    gather, indices, indptr = csc
+    return sp.csc_matrix((coef.ravel()[gather], indices, indptr), shape=(n, n))
 
 
 @functools.lru_cache(maxsize=8)
-def _csc_pattern(shape):
-    """Index work of the 2D Jacobian, which depends only on the grid shape.
+def _stencil(shape):
+    """Index work of _assemble, once per grid shape: (offsets, plans, csc).
 
-    Returns the mask of the face-stencil triplets that couple two interior
-    nodes, the CSC slot each kept triplet is summed into, and the CSC
-    ``indices`` / ``indptr`` arrays (read-only: the cache shares them).
+    ``coef[q, c]`` sums the entry of column node c and row node c - offsets[q]
+    (offsets descend: 1, 0, -1 with one axis; 9 with two, 19 with three).  Per
+    family, ``plans`` holds the couplings through s, then through t, as
+    (op, index, m): add or subtract value m (0: s, i: the i-th t) into
+    ``coef[index]``, lo rows first.  ``csc`` is None for one axis, else the
+    read-only (gather, indices, indptr), gather picking the entries of the
+    flattened coef with interior row and column nodes in CSC order.
     """
-    nx, ny = shape
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    unknown = -np.ones(nx * ny, dtype=np.int64)
-    interior_ids = idx[1:-1, 1:-1].ravel()
-    unknown[interior_ids] = np.arange(interior_ids.size)
-    # per family: the face's two nodes (lo, hi), their neighbours on the
-    # minus and plus transverse side
-    stencils = (
-        (idx[:-1, 1:-1], idx[1:, 1:-1],
-         idx[:-1, :-2], idx[1:, :-2], idx[:-1, 2:], idx[1:, 2:]),
-        (idx[1:-1, :-1], idx[1:-1, 1:],
-         idx[:-2, :-1], idx[:-2, 1:], idx[2:, :-1], idx[2:, 1:]),
-    )
-    rows, cols = [], []
-    for lo, hi, lo_m, hi_m, lo_p, hi_p in stencils:
-        for row_nodes in (lo, hi):
-            for col_nodes in (hi, lo, lo_p, hi_p, lo_m, hi_m):
-                rows.append(row_nodes.ravel())
-                cols.append(col_nodes.ravel())
-    rows = unknown[np.concatenate(rows)]
-    cols = unknown[np.concatenate(cols)]
-    keep = (rows >= 0) & (cols >= 0)
-    n = interior_ids.size
-    # np.unique sorts by (column, row), which is the CSC order
-    keys, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
-    indices = (keys % n).astype(np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    for arr in (keep, slot, indices, indptr):
+    d = len(shape)
+
+    def start(window):  # position of a window's first node
+        return np.array([sl.start or 0 for sl in window])
+
+    # a face couples nodes at most one step apart along two axes
+    offsets = tuple(o for o in itertools.product((1, 0, -1), repeat=d)
+                    if sum(map(abs, o)) <= 2)
+    number = {offset: q for q, offset in enumerate(offsets)}
+    plans = []
+    for lo, hi, cross in _face_windows(d):
+        # the nodes the flux reads, the sign of dF/du there, the value index
+        s_cols = [(hi, 1.0, 0), (lo, -1.0, 0)]
+        t_cols = [(w, sign, i)
+                  for i, (_, lo_m, hi_m, lo_p, hi_p) in enumerate(cross, 1)
+                  for w, sign in ((lo_p, 1.0), (hi_p, 1.0), (lo_m, -1.0), (hi_m, -1.0))]
+        plans.append(tuple(tuple((np.add if row_sign * sign > 0 else np.subtract,
+                                  (number[tuple(start(w) - start(row))],) + w, m)
+                                 for row, row_sign in ((lo, -1.0), (hi, 1.0))
+                                 for w, sign, m in cols) for cols in (s_cols, t_cols)))
+    if d == 1:
+        return offsets, tuple(plans), None
+    inner = tuple(n - 2 for n in shape)
+    ids = np.full(shape, -1)
+    ids[(slice(1, -1),) * d] = np.arange(math.prod(inner)).reshape(inner)
+    steps = np.array(offsets) @ (np.array(ids.strides) // ids.itemsize)
+    nodes = np.flatnonzero(ids >= 0) + steps[:, None]  # column node per (q, row)
+    keep = ids.ravel()[nodes] >= 0
+    rows = np.broadcast_to(np.arange(nodes.shape[1]), nodes.shape)[keep]
+    cols = ids.ravel()[nodes][keep]
+    order = np.lexsort((rows, cols))
+    gather = (nodes + ids.size * np.arange(len(offsets))[:, None])[keep][order]
+    # indptr: where each column starts in CSC order
+    csc = (gather, rows[order].astype(np.int32),
+           np.searchsorted(cols[order], np.arange(nodes.shape[1] + 1)).astype(np.int32))
+    for arr in csc:
         arr.setflags(write=False)
-    return keep, slot, indices, indptr
+    return offsets, tuple(plans), csc
 
 
 def _try_solve(matrix, rhs):
     """Direct solve; None when the matrix is singular or the result is not
     finite.
 
-    A tridiagonal ``dia`` matrix from the 1D assembly goes to LAPACK through
-    ``solve_banded``; a CSC matrix from the 2D assembly is factored by SuperLU
+    A tridiagonal ``dia`` matrix (one axis) goes to LAPACK through
+    ``solve_banded``; a CSC matrix (more axes) is factored by SuperLU
     with the minimum-degree ordering of A^T + A.  A singular matrix raises
     LinAlgError (LAPACK) or RuntimeError (SuperLU).  Anything else, such as a
     right-hand side of the wrong length, propagates.

@@ -118,13 +118,13 @@ def make_epsilon(lam: float, lambda1: float, height: float, phi_sup: float,
 
 def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
                         spec: ProblemSpec, grid: Grid,
-                        weights=None) -> FrozenNonlinearity:
+                        weights=None, grad=None) -> FrozenNonlinearity:
     """Freeze h and f at the iterate u, checking the hypotheses there.
 
-    The growth hypotheses are re-verified at the actual nodal values of u and
-    |grad u| (not just at validation samples); the worst violation raises
-    HypothesisViolationError with the offending node and values.  The frozen
-    part is clamped from roundoff-negative to exact zero.
+    The growth hypotheses are re-verified at the nodal values of u and |grad u|
+    (``grad``, when the caller holds it), not just at validation samples; the
+    worst violation raises HypothesisViolationError with the offending node
+    and values.  The frozen part is clamped from roundoff-negative to zero.
     """
     if u.grid != grid:
         raise ConfigurationError("iterate lives on a different grid")
@@ -132,7 +132,7 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
         weights = sample_weights(spec, grid)
     w1 = weights[0]
     uv = np.maximum(u.values, 0.0)
-    gn = gradient(u).magnitude().values
+    gn = (gradient(u) if grad is None else grad).magnitude().values
     bindings = spec.coordinate_bindings(grid)
     h_vals = np.broadcast_to(
         evaluate_on(spec.h, {**bindings, "u": uv}), grid.shape)
@@ -307,17 +307,17 @@ class BoundsCheck:
 
 def verify_solution_bounds(u: ScalarField, eps: float, u1: ScalarField,
                            height: float, phi: ScalarField, gamma: float,
-                           slack: float | None = None) -> BoundsCheck:
+                           slack: float | None = None, grad=None) -> BoundsCheck:
     """Check eps*u1 <= u <= (height/||phi||)*phi and ||grad u|| <= gamma*height.
 
-    Default slack is 1e-6 * height on each comparison.
+    Default slack is 1e-6 * height per comparison; ``grad`` is gradient(u), if held.
     """
     if slack is None:
         slack = MEMBERSHIP_SLACK_REL * height
     upper = (height / sup_norm(phi)) * phi.values
     lower_gap = float(np.max(eps * u1.values - u.values))
     upper_gap = float(np.max(u.values - upper))
-    gradient_gap = sup_norm(gradient(u)) - gamma * height
+    gradient_gap = sup_norm(gradient(u) if grad is None else grad) - gamma * height
     return BoundsCheck(lower_ok=lower_gap <= slack, upper_ok=upper_gap <= slack,
                        gradient_ok=gradient_gap <= slack,
                        lower_gap=lower_gap, upper_gap=upper_gap,
@@ -421,7 +421,7 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     outer_iters = 0
     for k in range(1, max_outer + 1):
         outer_iters = k
-        frozen = freeze_nonlinearity(u, lam, beta, spec, grid, weights)
+        frozen = freeze_nonlinearity(u, lam, beta, spec, grid, weights, grad_u)
         for cand, kind in ((sup_field, "super"), (sub, "sub")):
             rep = verify_subsuper(cand, frozen, grid, spec.p, kind)
             if not rep.ok:
@@ -454,7 +454,7 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
             converged_iter = True
             break
 
-    frozen = freeze_nonlinearity(u, lam, beta, spec, grid, weights)
+    frozen = freeze_nonlinearity(u, lam, beta, spec, grid, weights, grad_u)
     from_above = inner_monotone_solve(frozen, sub, sup_field, grid, spec.p,
                                       opts, start="super", khat=constants.khat)
     from_below = inner_monotone_solve(frozen, sub, sup_field, grid, spec.p,
@@ -463,7 +463,7 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     picone_gap = picone_diagnostic(from_above, from_below, frozen, grid, spec.p)
 
     bounds = verify_solution_bounds(u, eps, eigen.u1, height, phi,
-                                    constants.gamma)
+                                    constants.gamma, grad=grad_u)
     # the residual is checked against the raw lambda*h + beta*f at u, which
     # the freeze above already evaluated
     defect = (p_laplacian_apply(u, spec.p).values - frozen.source)[grid.interior]

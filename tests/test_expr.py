@@ -24,6 +24,7 @@ from plaplab.expr import (
     sample_weights,
     validate_hypotheses,
 )
+from plaplab.grid import build_grid
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,13 @@ def test_spec_2d_allows_second_coordinate():
     spec = make_spec(extents=((0.0, 1.0), (0.0, 1.0)), resolution=(9, 9),
                      omega2="1 + x2", h="(1 + 0.5 * x2) * u ^ (q - 1)")
     assert spec.build_grid().dimension == 2
+
+
+def test_spec_rejects_three_axes_that_the_grid_accepts():
+    extents = ((0.0, 1.0),) * 3
+    assert build_grid(extents, 5).dimension == 3
+    with pytest.raises(ConfigurationError, match="3 axes"):
+        make_spec(extents=extents, resolution=(5, 5, 5))
 
 
 def test_sample_weights_cached_and_clamped():

@@ -74,6 +74,13 @@ def test_build_grid_rejects_bad_input(extents, resolution):
         build_grid(extents, resolution)
 
 
+def test_grid_takes_any_number_of_axes():
+    g = build_grid(((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)), (5, 9, 3))
+    assert g.dimension == 3 and g.spacing == (0.25, 0.25, 1.0)
+    with pytest.raises(ConfigurationError):
+        Grid((), ())
+
+
 def test_interior_and_boundary_partition_nodes():
     g = unit_grid_2d(9)
     mask = g.boundary_mask()
@@ -151,7 +158,7 @@ def test_gradient_second_order_convergence():
     assert errs[0] / errs[1] > 3.0  # roughly h^2
 
 
-@pytest.mark.parametrize("shape", [(9,), (9, 11)])
+@pytest.mark.parametrize("shape", [(9,), (9, 11), (7, 9, 5)])
 def test_gradient_reads_one_ulp_of_asymmetry_as_zero(shape):
     g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
     u = field_from_function(

@@ -18,7 +18,6 @@ from plaplab.errors import (
 import plaplab.plap as plap
 from plaplab.grid import (
     ScalarField,
-    _faces,
     _plap_raw,
     build_grid,
     field_from_function,
@@ -121,13 +120,19 @@ def _jacobian_test_field(dimension):
         g = grid_1d(33)
         return field_from_function(
             g, lambda x: x * (1.0 - x) * (1.2 + np.sin(3.0 * x)))
-    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (13, 11))
+    if dimension == 2:
+        g = build_grid(((0.0, 1.0), (0.0, 1.0)), (13, 11))
+        return field_from_function(
+            g, lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y)
+                             * (1.0 + 0.3 * x + 0.2 * y * y)))
+    g = build_grid(((0.0, 1.0), (0.0, 1.0), (0.0, 2.0)), (7, 6, 5))
     return field_from_function(
-        g, lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y)
-                         * (1.0 + 0.3 * x + 0.2 * y * y)))
+        g, lambda x, y, z: (np.sin(np.pi * x) * np.sin(np.pi * y)
+                            * np.sin(0.5 * np.pi * z)
+                            * (1.0 + 0.3 * x + 0.2 * y * y - 0.1 * z)))
 
 
-@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
 def test_newton_jacobian_matches_central_differences(p, dimension):
     u = _jacobian_test_field(dimension)
@@ -147,22 +152,25 @@ def test_newton_jacobian_matches_central_differences(p, dimension):
     assert np.max(np.abs(jac - fd)) <= 1.0e-6 * np.max(np.abs(jac))
 
 
-@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_frozen_matrix_at_p2_is_the_standard_laplacian(dimension):
-    if dimension == 1:
-        g = grid_1d(9)
-    else:
-        g = build_grid(((0.0, 1.0), (0.0, 2.0)), (7, 9))
+    extents = ((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:dimension]
+    g = build_grid(extents, (9, 7, 6)[:dimension] if dimension > 1 else 9)
     rng = np.random.default_rng(3)
     values = rng.standard_normal(g.shape)  # p = 2 ignores the state
     mat = _assemble(values, g.spacing, 2.0, 1.0e-3, frozen=True).toarray()
-    blocks = [sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n - 2, n - 2))
-              / (h * h) for n, h in zip(g.shape, g.spacing)]
-    if dimension == 1:
-        expected = blocks[0]
-    else:
-        expected = (sp.kron(blocks[0], sp.identity(g.shape[1] - 2))
-                    + sp.kron(sp.identity(g.shape[0] - 2), blocks[1]))
+    # the (2d+1)-point Laplacian: one second difference per axis, as a
+    # Kronecker sum
+    sizes = [n - 2 for n in g.shape]
+    expected = 0.0
+    for k, h in enumerate(g.spacing):
+        term = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1],
+                        shape=(sizes[k], sizes[k])) / (h * h)
+        for before in reversed(sizes[:k]):
+            term = sp.kron(sp.identity(before), term)
+        for after in sizes[k + 1:]:
+            term = sp.kron(term, sp.identity(after))
+        expected = expected + term
     assert np.allclose(mat, expected.toarray(), rtol=1e-14, atol=0.0)
 
 
@@ -190,33 +198,44 @@ def test_banded_solve_matches_sparse_lu(p, frozen):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def _loop_jacobian_2d(values, spacing, p, delta, frozen):
-    """Dense Newton/Picard matrix scattered face by face in plain loops."""
-    nx, ny = values.shape
-    number = {(i, j): k for k, (i, j) in enumerate(
-        (i, j) for i in range(1, nx - 1) for j in range(1, ny - 1))}
+def _loop_jacobian(values, spacing, p, delta, frozen):
+    """Dense Newton/Picard matrix scattered face by face in plain loops, with
+    each face's s and t taken from the node values (any number of axes)."""
+    shape = values.shape
+    d = len(shape)
+    interior = itertools.product(*(range(1, n - 1) for n in shape))
+    number = {node: k for k, node in enumerate(interior)}
     mat = np.zeros((len(number), len(number)))
     d2 = delta * delta
-    for axis, ((s, t), face_h, trans_h) in enumerate(
-            zip(_faces(values, spacing), spacing, spacing[::-1])):
-        m2 = s * s + t * t + d2
-        if frozen:
-            ds, dt = m2 ** ((p - 2.0) / 2.0), 0.0 * s
-        else:
-            w = m2 ** ((p - 4.0) / 2.0)
-            ds = w * (d2 + t * t + (p - 1.0) * s * s)
-            dt = (p - 2.0) * w * s * t
-        for a, b in np.ndindex(s.shape):
-            # lo node, hi node, and the unit step along / across the face
-            lo = (a, b + 1) if axis == 0 else (a + 1, b)
-            along = (1, 0) if axis == 0 else (0, 1)
-            di, dj = (0, 1) if axis == 0 else (1, 0)
-            hi = (lo[0] + along[0], lo[1] + along[1])
-            flux_terms = [(hi, ds[a, b] / face_h), (lo, -ds[a, b] / face_h)]
-            for (i, j), side in itertools.product((lo, hi), (1, -1)):
-                flux_terms.append(((i + side * di, j + side * dj),
-                                   side * dt[a, b] / (4.0 * trans_h)))
-            for row, sign in ((lo, -1.0 / face_h), (hi, 1.0 / face_h)):
+
+    def moved(node, axis, step):
+        return tuple(c + step * (a == axis) for a, c in enumerate(node))
+
+    for k, h in enumerate(spacing):
+        cross = [j for j in range(d) if j != k]
+        faces = itertools.product(*(range(n - 1) if a == k else range(1, n - 1)
+                                    for a, n in enumerate(shape)))
+        for lo in faces:
+            hi = moved(lo, k, 1)
+            s = (values[hi] - values[lo]) / h
+            t = [(values[moved(lo, j, 1)] + values[moved(hi, j, 1)]
+                  - values[moved(lo, j, -1)] - values[moved(hi, j, -1)])
+                 / (4.0 * spacing[j]) for j in cross]
+            tt = sum(tj * tj for tj in t)
+            m2 = s * s + tt + d2
+            if frozen:
+                ds, dts = m2 ** ((p - 2.0) / 2.0), [0.0] * len(cross)
+            else:
+                w = m2 ** ((p - 4.0) / 2.0)
+                ds = w * (d2 + tt + (p - 1.0) * s * s)
+                dts = [(p - 2.0) * w * s * tj for tj in t]
+            # dF/du at every node the face flux reads
+            flux_terms = [(hi, ds / h), (lo, -ds / h)]
+            for j, dt in zip(cross, dts):
+                for node, side in itertools.product((lo, hi), (1, -1)):
+                    flux_terms.append((moved(node, j, side),
+                                       side * dt / (4.0 * spacing[j])))
+            for row, sign in ((lo, -1.0 / h), (hi, 1.0 / h)):
                 for col, dval in flux_terms:
                     if row in number and col in number:
                         mat[number[row], number[col]] += sign * dval
@@ -231,9 +250,21 @@ def test_2d_assembly_pattern_follows_the_grid_shape(frozen):
         values = rng.standard_normal(shape)
         mat = _assemble(values, g.spacing, 2.5, 1.0e-3, frozen)
         assert mat.format == "csc" and mat.has_canonical_format
-        expected = _loop_jacobian_2d(values, g.spacing, 2.5, 1.0e-3, frozen)
+        expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3, frozen)
         assert np.allclose(mat.toarray(), expected, rtol=0.0,
                            atol=1e-13 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("shape", [(17,), (5, 6, 7)])
+def test_assembly_matches_the_loop_reference_in_1d_and_3d(shape, frozen):
+    g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
+    values = np.random.default_rng(13).standard_normal(shape)
+    mat = _assemble(values, g.spacing, 2.5, 1.0e-3, frozen)
+    assert mat.format == ("dia" if len(shape) == 1 else "csc")
+    expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3, frozen)
+    assert np.allclose(mat.toarray(), expected, rtol=0.0,
+                       atol=1e-13 * np.max(np.abs(expected)))
 
 
 def test_banded_try_solve_singular_and_wrong_length():

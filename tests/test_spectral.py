@@ -137,6 +137,16 @@ def test_eigen_2d_runs_and_certifies():
     assert pair.lambda1 == pytest.approx(2.0 * np.pi ** 2, rel=5e-3)
 
 
+def test_eigen_3d_matches_the_seven_point_laplacian():
+    # at p = 2 the operator is the 7-point Laplacian, whose first eigenvalue
+    # on the unit cube is sum_k (4/h^2) sin^2(pi h/2)
+    g = build_grid(((0.0, 1.0),) * 3, 9)
+    pair = first_eigenpair(g, 2.0, unit_weight(g))
+    h = g.spacing[0]
+    exact = 3.0 * 4.0 / h ** 2 * np.sin(np.pi * h / 2.0) ** 2
+    assert pair.lambda1 == pytest.approx(exact, rel=1e-6)
+
+
 def test_rayleigh_quotient_consistent_at_p2():
     g = build_grid(((0.0, 1.0),), 129)
     w = unit_weight(g)
