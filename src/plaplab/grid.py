@@ -252,7 +252,7 @@ def _faces(values: np.ndarray, spacing):
 
 def _slope2(s, t):
     """Squared face gradient s^2 + sum_j t_j^2."""
-    return s * s + sum(tj * tj for tj in t)
+    return sum((tj * tj for tj in t), s * s)
 
 
 def _masked_power(m2: np.ndarray, expo: float) -> np.ndarray:

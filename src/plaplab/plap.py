@@ -65,6 +65,7 @@ from .grid import (
     _gradient_scale,
     _masked_power,
     _plap_raw,
+    _slope2,
     gradient,
     sup_norm,
 )
@@ -109,14 +110,13 @@ def _assemble(values, spacing, p, delta, frozen):
     coef = np.zeros((len(offsets),) + values.shape)
     d2 = delta * delta
     for k, ((s, t), (s_plan, t_plan)) in enumerate(zip(_faces(values, spacing), plans)):
-        tt = sum(tj * tj for tj in t)
-        m2 = s * s + tt + d2
+        m2 = _slope2(s, t) + d2
         if frozen:
             ds = np.ones_like(s) if p == 2.0 else _masked_power(m2, (p - 2.0) / 2.0)
             dts, plan = [], s_plan
         else:
             w = _masked_power(m2, (p - 4.0) / 2.0)
-            ds = w * (d2 + tt + (p - 1.0) * s * s)
+            ds = w * (d2 + sum(tj * tj for tj in t) + (p - 1.0) * s * s)
             dts, plan = [(p - 2.0) * w * s * tj for tj in t], s_plan + t_plan
         inv_h, cross_h = 1.0 / spacing[k], [h for j, h in enumerate(spacing) if j != k]
         vals = [inv_h * (ds / spacing[k])] + [

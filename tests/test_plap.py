@@ -154,8 +154,8 @@ def test_newton_jacobian_matches_central_differences(p, dimension):
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_frozen_matrix_at_p2_is_the_standard_laplacian(dimension):
-    extents = ((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:dimension]
-    g = build_grid(extents, (9, 7, 6)[:dimension] if dimension > 1 else 9)
+    shape = {1: (9,), 2: (7, 9), 3: (7, 9, 6)}[dimension]
+    g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:dimension], shape)
     rng = np.random.default_rng(3)
     values = rng.standard_normal(g.shape)  # p = 2 ignores the state
     mat = _assemble(values, g.spacing, 2.0, 1.0e-3, frozen=True).toarray()
@@ -243,28 +243,21 @@ def _loop_jacobian(values, spacing, p, delta, frozen):
 
 
 @pytest.mark.parametrize("frozen", [True, False])
-def test_2d_assembly_pattern_follows_the_grid_shape(frozen):
+def test_assembly_pattern_follows_the_grid_shape(frozen):
+    # one axis stores the band layout, more axes CSC; (7, 9) twice checks
+    # the per-shape cache
     rng = np.random.default_rng(11)
-    for shape in ((7, 9), (9, 7), (33, 33), (7, 9)):
-        g = build_grid(((0.0, 1.0), (0.0, 2.0)), shape)
+    for shape in ((17,), (7, 9), (9, 7), (33, 33), (7, 9), (5, 6, 7)):
+        g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
         values = rng.standard_normal(shape)
         mat = _assemble(values, g.spacing, 2.5, 1.0e-3, frozen)
-        assert mat.format == "csc" and mat.has_canonical_format
+        if len(shape) == 1:
+            assert mat.format == "dia"
+        else:
+            assert mat.format == "csc" and mat.has_canonical_format
         expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3, frozen)
         assert np.allclose(mat.toarray(), expected, rtol=0.0,
                            atol=1e-13 * np.max(np.abs(expected)))
-
-
-@pytest.mark.parametrize("frozen", [True, False])
-@pytest.mark.parametrize("shape", [(17,), (5, 6, 7)])
-def test_assembly_matches_the_loop_reference_in_1d_and_3d(shape, frozen):
-    g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
-    values = np.random.default_rng(13).standard_normal(shape)
-    mat = _assemble(values, g.spacing, 2.5, 1.0e-3, frozen)
-    assert mat.format == ("dia" if len(shape) == 1 else "csc")
-    expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3, frozen)
-    assert np.allclose(mat.toarray(), expected, rtol=0.0,
-                       atol=1e-13 * np.max(np.abs(expected)))
 
 
 def test_banded_try_solve_singular_and_wrong_length():
