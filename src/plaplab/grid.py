@@ -265,10 +265,13 @@ def _masked_power(m2: np.ndarray, expo: float) -> np.ndarray:
     return out
 
 
-def _gradient_scale(values: np.ndarray, spacing) -> float:
-    """Largest face-midpoint gradient magnitude; the natural flux scale."""
-    return float(np.sqrt(max(np.max(_slope2(s, t))
-                             for s, t in _faces(values, spacing))))
+def _gradient_scale(values: np.ndarray, spacing, faces=None) -> float:
+    """Largest face-midpoint gradient magnitude; the natural flux scale.
+
+    ``faces`` is ``_faces(values, spacing)`` when the caller has built it."""
+    if faces is None:
+        faces = _faces(values, spacing)
+    return float(np.sqrt(max(np.max(_slope2(s, t)) for s, t in faces)))
 
 
 def flux_delta(u: ScalarField) -> float:
@@ -276,11 +279,16 @@ def flux_delta(u: ScalarField) -> float:
     return DELTA_RELATIVE * _gradient_scale(u.values, u.grid.spacing)
 
 
-def _plap_raw(values: np.ndarray, spacing, p: float, delta: float) -> np.ndarray:
-    """Negative discrete p-Laplacian of a nodal array; zero on the boundary."""
+def _plap_raw(values: np.ndarray, spacing, p: float, delta: float,
+              faces=None) -> np.ndarray:
+    """Negative discrete p-Laplacian of a nodal array; zero on the boundary.
+
+    ``faces`` is ``_faces(values, spacing)`` when the caller has built it."""
+    if faces is None:
+        faces = _faces(values, spacing)
     d2 = delta * delta
     div = None
-    for axis, ((s, t), h) in enumerate(zip(_faces(values, spacing), spacing)):
+    for axis, ((s, t), h) in enumerate(zip(faces, spacing)):
         flux = _masked_power(_slope2(s, t) + d2, (p - 2.0) / 2.0) * s
         term = np.diff(flux, axis=axis) / h
         div = term if div is None else div + term

@@ -285,14 +285,22 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
     return ScalarField(grid, u)
 
 
+def _plap_own_delta(values, spacing, p):
+    """``_plap_raw`` at the field's own delta, DELTA_RELATIVE times its
+    gradient scale, with both read from one face build: (result, delta)."""
+    faces = _faces(values, spacing)
+    delta = DELTA_RELATIVE * _gradient_scale(values, spacing, faces)
+    return _plap_raw(values, spacing, p, delta, faces), delta
+
+
 def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
     interior = grid.interior
     spacing = grid.spacing
     inner_shape = tuple(n - 2 for n in grid.shape)
 
     def residual(vals):
-        delta = DELTA_RELATIVE * _gradient_scale(vals, spacing)
-        r = (_plap_raw(vals, spacing, p, delta) - gv)[interior]
+        out, delta = _plap_own_delta(vals, spacing, p)
+        r = (out - gv)[interior]
         return r, delta, float(np.max(np.abs(r)))
 
     r_int, delta, rn = residual(u)

@@ -17,7 +17,9 @@ from plaplab.errors import (
 )
 import plaplab.plap as plap
 from plaplab.grid import (
+    DELTA_RELATIVE,
     ScalarField,
+    _gradient_scale,
     _plap_raw,
     build_grid,
     field_from_function,
@@ -31,6 +33,7 @@ from plaplab.plap import (
     ROUNDING_ULPS,
     SolveOptions,
     _assemble,
+    _plap_own_delta,
     _try_solve,
     assert_gradient_bound,
     check_comparison,
@@ -150,6 +153,22 @@ def test_newton_jacobian_matches_central_differences(p, dimension):
                 - _plap_raw(down, g.spacing, p, delta))
         fd[:, col] = diff[g.interior].ravel() / (2.0 * eps)
     assert np.max(np.abs(jac - fd)) <= 1.0e-6 * np.max(np.abs(jac))
+
+
+@pytest.mark.parametrize("shape", [(17,), (7, 9), (5, 6, 7)])
+@pytest.mark.parametrize("zero", [False, True])
+def test_newton_residual_reads_delta_and_flux_from_one_face_build(shape, zero):
+    # the zero field has delta = 0 and takes the masked-power branch
+    g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
+    values = np.zeros(shape)
+    if not zero:
+        values[g.interior] = np.random.default_rng(7).standard_normal(
+            tuple(n - 2 for n in shape))
+    for p in (1.5, 2.5, 4.0):
+        delta = DELTA_RELATIVE * _gradient_scale(values, g.spacing)
+        out, got = _plap_own_delta(values, g.spacing, p)
+        assert got == delta and (delta == 0.0) == zero
+        assert out.tobytes() == _plap_raw(values, g.spacing, p, delta).tobytes()
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
