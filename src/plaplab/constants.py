@@ -115,6 +115,12 @@ def compute_constants(spec: ProblemSpec, grid: Grid | None = None,
     constant is the default one extended by the nonzero weights and by omega
     itself; including omega makes the super-solution's gradient certificate
     hold by construction.
+
+    The torsion weights and the probes often coincide (where every weight
+    is 1, seven of the eleven fields are the ones field).  Each distinct
+    field is solved once per call; with grid, p and opts fixed this gives
+    the bits a repeated solve would.  Nothing is reused across calls: each
+    call stands for a separate run and pays for its own solves.
     """
     if grid is None:
         grid = spec.build_grid()
@@ -127,11 +133,14 @@ def compute_constants(spec: ProblemSpec, grid: Grid | None = None,
              if np.any(w.values > 0.0)]
     extra.append(("omega_max", omega))
 
-    weighted = torsion_function(grid, spec.p, omega, opts)
+    solved = {}  # bytes of a field -> its solution, for this call only
+    weighted = torsion_function(grid, spec.p, omega, opts, solved)
     unit = torsion_function(grid, spec.p,
-                            ScalarField(grid, np.ones(grid.shape)), opts)
+                            ScalarField(grid, np.ones(grid.shape)), opts,
+                            solved)
     estimate = estimate_grad_constant(grid, spec.p,
-                                      default_probes(grid, extra), opts)
+                                      default_probes(grid, extra), opts,
+                                      solved)
 
     p, b = spec.p, spec.b
     phi_sup = weighted.phi_sup

@@ -285,6 +285,19 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
     return ScalarField(grid, u)
 
 
+def _cold_solve(grid, p, g, opts, solved):
+    """``solve_plap_dirichlet(grid, p, g, opts)``; with a ``solved`` map from
+    the bytes of a right-hand side to its solution, a field already in it is
+    not solved again, and a new one is added.  The map must hold solves on
+    this grid with this p and opts only."""
+    if solved is None:
+        return solve_plap_dirichlet(grid, p, g, opts)
+    key = g.values.tobytes()
+    if key not in solved:
+        solved[key] = solve_plap_dirichlet(grid, p, g, opts)
+    return solved[key]
+
+
 def _plap_own_delta(values, spacing, p):
     """``_plap_raw`` at the field's own delta, DELTA_RELATIVE times its
     gradient scale, with both read from one face build: (result, delta)."""
@@ -401,11 +414,15 @@ def default_probes(grid: Grid, extra=None) -> list:
 
 
 def estimate_grad_constant(grid: Grid, p: float, probes=None,
-                           opts: SolveOptions | None = None) -> GradConstantEstimate:
+                           opts: SolveOptions | None = None,
+                           solved: dict | None = None) -> GradConstantEstimate:
     """Estimate the gradient constant by solving the probe family.
 
     Args:
         probes: (label, ScalarField) pairs; None means default_probes(grid).
+        solved: optional map from the bytes of a field to its solution on
+            this grid with this p and opts; a probe found there is not
+            solved again, and each new solution is added.
 
     Raises:
         EstimateFailure: when any probe solve fails (names the probe).
@@ -422,7 +439,7 @@ def estimate_grad_constant(grid: Grid, p: float, probes=None,
         if gsup == 0.0:
             raise ConfigurationError(f"probe '{label}' is identically zero")
         try:
-            u = solve_plap_dirichlet(grid, p, field, opts)
+            u = _cold_solve(grid, p, field, opts, solved)
         except SolveFailure as exc:
             raise EstimateFailure(f"probe '{label}' did not converge: {exc}",
                                   probe=label) from exc

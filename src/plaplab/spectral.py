@@ -45,7 +45,7 @@ from .grid import (
     p_laplacian_apply,
     sup_norm,
 )
-from .plap import SolveOptions, solve_plap_dirichlet
+from .plap import SolveOptions, _cold_solve, solve_plap_dirichlet
 
 log = logging.getLogger(__name__)
 
@@ -81,15 +81,20 @@ def _check_weight(w: ScalarField, grid: Grid, name: str):
 
 
 def torsion_function(grid: Grid, p: float, w: ScalarField,
-                     opts: SolveOptions | None = None) -> TorsionResult:
+                     opts: SolveOptions | None = None,
+                     solved: dict | None = None) -> TorsionResult:
     """Solve -Lap_p phi = w, phi = 0 on the boundary, for a weight w >= 0.
+
+    ``solved`` is an optional map from the bytes of a field to its solution
+    on this grid with this p and opts; a weight found there is not solved
+    again, and a new solution is added.
 
     Raises:
         ConfigurationError: if the weight is negative somewhere or all zero.
         InvariantViolation: if the computed phi fails interior positivity.
     """
     _check_weight(w, grid, "torsion weight")
-    phi = solve_plap_dirichlet(grid, p, w, opts)
+    phi = _cold_solve(grid, p, w, opts, solved)
     interior_min = float(np.min(phi.values[grid.interior]))
     if interior_min <= 0.0:
         raise InvariantViolation(
@@ -103,6 +108,9 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
                     max_sweeps: int = 200) -> EigenPair:
     """First eigenpair of -Lap_p u = lambda * omega1 * u^(p-1) by inverse
     power iteration.
+
+    The start is the torsion function of omega1, solved here afresh even
+    when compute_constants has solved the same field for the same grid.
 
     Stops when successive eigenvalue estimates agree to 1e-8 relative and the
     sup-normalized field moves less than 1e-8.  The returned pair satisfies

@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import plaplab.constants as constants
+import plaplab.plap as plap
+import plaplab.spectral as spectral
 from plaplab.constants import (
     CRITICAL,
     SUB,
@@ -18,8 +21,9 @@ from plaplab.constants import (
     region_classify,
     super_threshold,
 )
-from plaplab.errors import ConfigurationError
+from plaplab.errors import ConfigurationError, EstimateFailure, SolveFailure
 from plaplab.expr import ProblemSpec, bundled_problem_path, load_problem
+from plaplab.plap import default_probes
 
 from oracles import barrier_min, torsion_sup_1d
 
@@ -80,6 +84,85 @@ def test_growth_case_of_bundled_specs():
     assert growth_case(load_problem(bundled_problem_path("sub"))) == SUB
     assert growth_case(load_problem(bundled_problem_path("super"))) == SUPER
     assert growth_case(load_problem(bundled_problem_path("critical"))) == CRITICAL
+
+
+# ---------------------------------------------------------------------------
+# one solve per distinct field
+
+
+def bundled_spec(name, resolution, **changes):
+    spec = load_problem(bundled_problem_path(name))
+    return dataclasses.replace(spec, resolution=resolution, **changes)
+
+
+def count_solves(monkeypatch, fail_on=None):
+    """Route every Dirichlet solve through a recorder of its right-hand side;
+    a right-hand side with the bytes of ``fail_on`` raises SolveFailure."""
+    calls = []
+    original = plap.solve_plap_dirichlet
+
+    def recorded(grid, p, g, *args, **kwargs):
+        calls.append(g.values.tobytes())
+        if fail_on is not None and calls[-1] == fail_on.values.tobytes():
+            raise SolveFailure("forced failure")
+        return original(grid, p, g, *args, **kwargs)
+
+    monkeypatch.setattr(plap, "solve_plap_dirichlet", recorded)
+    monkeypatch.setattr(spectral, "solve_plap_dirichlet", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name, resolution, distinct", [
+    ("sub", 65, 5), ("square2d", (9, 9), 6)])
+def test_each_distinct_field_is_solved_once_per_call(monkeypatch, name,
+                                                     resolution, distinct):
+    # 11 fields: the two torsion weights and nine probes
+    spec = bundled_spec(name, resolution)
+    calls = count_solves(monkeypatch)
+    compute_constants(spec)
+    assert len(calls) == len(set(calls)) == distinct
+    compute_constants(spec)  # nothing carries over to a second call
+    assert len(calls) == 2 * distinct and calls[distinct:] == calls[:distinct]
+
+
+@pytest.mark.parametrize("name, resolution", [("sub", 33), ("square2d", (9, 9))])
+@pytest.mark.parametrize("p, q", [(1.5, 1.2), (2.5, 1.5), (4.0, 1.5)])
+def test_shared_solves_give_the_bundle_of_separate_solves(monkeypatch, name,
+                                                          resolution, p, q):
+    spec = bundled_spec(name, resolution, p=p, q=q)
+    shared = compute_constants(spec)
+    for fn in ("torsion_function", "estimate_grad_constant"):
+        monkeypatch.setattr(constants, fn, lambda grid, p, field, opts, solved,
+                            fn=getattr(constants, fn): fn(grid, p, field, opts))
+    separate = compute_constants(spec)
+    for scalar in ("phi_sup", "khat", "omega_sup", "gamma", "coeff_sub",
+                   "coeff_grad", "unit_torsion_sup"):
+        assert getattr(shared, scalar) == getattr(separate, scalar), scalar
+    assert (shared.weighted_torsion.phi.values.tobytes()
+            == separate.weighted_torsion.phi.values.tobytes())
+    a, b = shared.grad_estimate, separate.grad_estimate
+    assert list(a.ratios.items()) == list(b.ratios.items())
+    assert (a.worst_probe, a.probe_count) == (b.worst_probe, b.probe_count)
+
+
+def test_a_failing_probe_only_field_is_named(monkeypatch):
+    spec = bundled_spec("square2d", (9, 9))
+    checker0 = dict(default_probes(spec.build_grid()))["checker0"]
+    calls = count_solves(monkeypatch, fail_on=checker0)
+    with pytest.raises(EstimateFailure) as err:
+        compute_constants(spec)
+    assert err.value.probe == "checker0"
+    assert len(calls) == 3  # omega, the ones field, then checker0
+
+
+def test_a_failing_weight_fails_the_torsion_step(monkeypatch):
+    spec = bundled_spec("square2d", (9, 9))
+    grid = spec.build_grid()
+    omega = constants.combined_weight(constants.sample_weights(spec, grid))
+    calls = count_solves(monkeypatch, fail_on=omega)
+    with pytest.raises(SolveFailure):
+        compute_constants(spec, grid)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
