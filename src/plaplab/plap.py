@@ -96,20 +96,23 @@ class SolveOptions:
     max_iter: int = 500
 
 
-def _assemble(values, spacing, p, delta, frozen):
+def _assemble(values, spacing, p, delta, frozen, faces=None):
     """Sparse interior-by-interior matrix of the linearized operator.
 
     frozen=True freezes the face conductances W = m2^((p-2)/2) (the Picard
     matrix, also the p=2 Laplacian when the field is flat); frozen=False
     builds the full Newton Jacobian including the transverse coupling.  The
     conductances of each face family come from the same face arrays as the
-    residual.  Each face adds -v to the row of its lo node and +v to the row
+    residual: ``faces`` is ``_faces(values, spacing)`` when the caller has
+    built it.  Each face adds -v to the row of its lo node and +v to the row
     of its hi node, v = (1/h_k) dF/du_c, for every node c its flux F reads.
     """
+    if faces is None:
+        faces = _faces(values, spacing)
     offsets, plans, csc = _stencil(values.shape)
     coef = np.zeros((len(offsets),) + values.shape)
     d2 = delta * delta
-    for k, ((s, t), (s_plan, t_plan)) in enumerate(zip(_faces(values, spacing), plans)):
+    for k, ((s, t), (s_plan, t_plan)) in enumerate(zip(faces, plans)):
         m2 = _slope2(s, t) + d2
         if frozen:
             ds = np.ones_like(s) if p == 2.0 else _masked_power(m2, (p - 2.0) / 2.0)
@@ -298,10 +301,13 @@ def _cold_solve(grid, p, g, opts, solved):
     return solved[key]
 
 
-def _plap_own_delta(values, spacing, p):
+def _plap_own_delta(values, spacing, p, faces=None):
     """``_plap_raw`` at the field's own delta, DELTA_RELATIVE times its
-    gradient scale, with both read from one face build: (result, delta)."""
-    faces = _faces(values, spacing)
+    gradient scale, with both read from one face build: (result, delta).
+
+    ``faces`` is ``_faces(values, spacing)`` when the caller has built it."""
+    if faces is None:
+        faces = _faces(values, spacing)
     delta = DELTA_RELATIVE * _gradient_scale(values, spacing, faces)
     return _plap_raw(values, spacing, p, delta, faces), delta
 
@@ -312,23 +318,25 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
     inner_shape = tuple(n - 2 for n in grid.shape)
 
     def residual(vals):
-        out, delta = _plap_own_delta(vals, spacing, p)
+        faces = _faces(vals, spacing)  # shared with the next _assemble
+        out, delta = _plap_own_delta(vals, spacing, p, faces)
         r = (out - gv)[interior]
-        return r, delta, float(np.max(np.abs(r)))
+        return r, delta, float(np.max(np.abs(r))), faces
 
-    r_int, delta, rn = residual(u)
+    r_int, delta, rn, faces = residual(u)
     for _ in range(opts.max_iter):
         if rn <= tol:
             return u
         accepted = None
-        jac = _assemble(u, spacing, p, delta, frozen=False)
+        jac = _assemble(u, spacing, p, delta, frozen=False, faces=faces)
         step = _try_solve(jac, -r_int.ravel())
         if step is not None:
             accepted = _backtrack(u, step.reshape(inner_shape), interior,
                                   residual, rn, tol)
         if accepted is None:
             # Newton could not make progress; take a frozen-coefficient step
-            target = _try_solve(_assemble(u, spacing, p, delta, frozen=True),
+            target = _try_solve(_assemble(u, spacing, p, delta, frozen=True,
+                                          faces=faces),
                                 gv[interior].ravel())
             if target is not None:
                 direction = target.reshape(inner_shape) - u[interior]
@@ -344,7 +352,7 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
             raise SolveFailure(
                 f"p-Laplacian solve stalled at residual {rn:.3e} above the "
                 f"rounding floor {floor:.3e} (p={p})", history)
-        u, r_int, delta, rn, alpha = accepted
+        u, r_int, delta, rn, faces, alpha = accepted
         history.append(rn)
         if trace is not None:
             trace.append((len(history), rn, alpha))
@@ -358,15 +366,16 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
 
 
 def _backtrack(u, direction, interior, residual, rn, tol):
-    """Halve the step, from the full step, until the residual drops; None if
+    """Halve the step, from the full step, until the residual drops:
+    (candidate, its residual, delta, residual norm, faces, alpha), or None if
     it never does."""
     alpha = 1.0
     while alpha > 1.0e-8:
         cand = u.copy()
         cand[interior] += alpha * direction
-        r_int, delta, cn = residual(cand)
+        r_int, delta, cn, faces = residual(cand)
         if cn <= tol or cn < rn * (1.0 - 1.0e-4 * alpha):
-            return cand, r_int, delta, cn, alpha
+            return cand, r_int, delta, cn, faces, alpha
         alpha /= 2.0
     return None
 

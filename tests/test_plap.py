@@ -19,6 +19,7 @@ import plaplab.plap as plap
 from plaplab.grid import (
     DELTA_RELATIVE,
     ScalarField,
+    _faces,
     _gradient_scale,
     _plap_raw,
     build_grid,
@@ -169,6 +170,21 @@ def test_newton_residual_reads_delta_and_flux_from_one_face_build(shape, zero):
         out, got = _plap_own_delta(values, g.spacing, p)
         assert got == delta and (delta == 0.0) == zero
         assert out.tobytes() == _plap_raw(values, g.spacing, p, delta).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(17,), (7, 9), (5, 6, 7)])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_assembly_from_the_residual_faces_is_bit_equal(shape, frozen):
+    g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
+    values = np.zeros(shape)
+    values[g.interior] = np.random.default_rng(8).standard_normal(
+        tuple(n - 2 for n in shape))
+    faces = _faces(values, g.spacing)
+    for p in (1.5, 2.5, 4.0):
+        delta = DELTA_RELATIVE * _gradient_scale(values, g.spacing, faces)
+        got = _assemble(values, g.spacing, p, delta, frozen, faces)
+        expected = _assemble(values, g.spacing, p, delta, frozen)
+        assert got.data.tobytes() == expected.data.tobytes()
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
