@@ -22,13 +22,25 @@ layout for LAPACK (``scipy.linalg.solve_banded``); with more, the 9-point
 (2D) or 19-point (3D) matrix, whose CSC pattern is cached per grid shape, is
 factored by SuperLU with the minimum-degree ordering of A^T + A.
 
+A caller that solves a run of nearby problems can hand solve_plap_dirichlet
+a one-slot ``factor`` list (the inner monotone iteration of ``scheme`` does,
+once per call).  The last SuperLU factor is kept there, and each iteration
+first tries the chord step u - J_old^-1 r with it (modified Newton; Kelley,
+*Solving Nonlinear Equations with Newton's Method*, SIAM 2003).  The
+step is taken when it brings the residual below tol or to at most
+CHORD_CONTRACTION times the old residual; otherwise the factor is dropped
+and the iteration takes the fresh Newton step at u, as without a factor.
+One axis keeps no factor: LAPACK factors and solves in one O(n) call.
+
 Contracts the rest of the package relies on:
 
 * residual: ||(-Lap_p u) - g||_inf <= max(tol_residual * max(1, ||g||_inf),
   rounding floor), where the rounding floor ROUNDING_ULPS * eps *
   max(|J| |u|) is the rounding level of evaluating the operator at u
-  (J the Newton Jacobian); the floor is used only when no Newton or
-  Picard step lowers the residual any more;
+  (J the Newton Jacobian, always assembled at u itself, never a kept
+  factor's); the floor is used only when no Newton or Picard step lowers
+  the residual any more.  Chord steps do not change this contract: the
+  true residual decides convergence against the same tol;
 * scaling:  solve(t*g) = t^(1/(p-1)) * solve(g) up to solver tolerance
   (exact for the regularized operator, because delta tracks the field scale);
 * boundedness: for ||g||_inf <= 1, solve(g) <= torsion function pointwise;
@@ -81,6 +93,9 @@ CONTINUATION_STEP = 0.25
 # A stalled Newton solve returns when its residual is at most ROUNDING_ULPS *
 # eps * max(|J| |u|): one ulp of u moves the residual by about eps |J| |u|.
 ROUNDING_ULPS = 4.0
+# A warm solve with a kept factor takes its chord step when the step cuts the
+# residual to at most CHORD_CONTRACTION times the old one (or below tol).
+CHORD_CONTRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -186,7 +201,7 @@ def _stencil(shape):
     return offsets, tuple(plans), csc
 
 
-def _try_solve(matrix, rhs):
+def _try_solve(matrix, rhs, factor=None):
     """Direct solve; None when the matrix is singular or the result is not
     finite.
 
@@ -194,17 +209,24 @@ def _try_solve(matrix, rhs):
     ``solve_banded``; a CSC matrix (more axes) is factored by SuperLU
     with the minimum-degree ordering of A^T + A.  A singular matrix raises
     LinAlgError (LAPACK) or RuntimeError (SuperLU).  Anything else, such as a
-    right-hand side of the wrong length, propagates.
+    right-hand side of the wrong length, propagates.  ``factor``, a one-slot
+    list, receives the ``solve`` of a SuperLU factor whose solution is
+    finite; a banded solve factors and solves in one call and leaves it as
+    it is.
     """
+    solve = None
     try:
         if matrix.format == "dia":
             sol = solve_banded((1, 1), matrix.data, rhs, check_finite=False)
         else:
-            sol = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+            solve = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve
+            sol = solve(rhs)
     except (RuntimeError, LinAlgError):
         return None
     if not np.all(np.isfinite(sol)):
         return None
+    if factor is not None and solve is not None:
+        factor[:] = [solve]
     return sol
 
 
@@ -237,7 +259,8 @@ def _continuation_ladder(p):
 def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
                          opts: SolveOptions | None = None,
                          initial_guess: ScalarField | None = None,
-                         trace: list | None = None) -> ScalarField:
+                         trace: list | None = None,
+                         factor: list | None = None) -> ScalarField:
     """Solve the discrete Dirichlet problem -Lap_p u = g, u = 0 on the boundary.
 
     Args:
@@ -248,6 +271,12 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         initial_guess: warm start; skips continuation when given.
         trace: optional list that receives (iteration, residual, damping)
             triples as the solve progresses.
+        factor: optional one-slot list for the solve of the last SuperLU
+            factor (grids with more than one axis).  A factor found there is
+            tried first for chord steps, and the newest factor is left there
+            for the next solve.  Pass one only across solves of one problem
+            on one grid with one p, such as the sweeps of one inner
+            iteration.
 
     Returns:
         The solution as a Dirichlet-zero field, with sup-norm residual at most
@@ -284,7 +313,7 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
     history = []
     for pk in ladder:
         u = _newton_loop(grid, pk, gv, u, tol, opts, history,
-                         trace if pk == ladder[-1] else None)
+                         trace if pk == ladder[-1] else None, factor)
     return ScalarField(grid, u)
 
 
@@ -312,7 +341,7 @@ def _plap_own_delta(values, spacing, p, faces=None):
     return _plap_raw(values, spacing, p, delta, faces), delta
 
 
-def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
+def _newton_loop(grid, p, gv, u, tol, opts, history, trace, factor=None):
     interior = grid.interior
     spacing = grid.spacing
     inner_shape = tuple(n - 2 for n in grid.shape)
@@ -328,11 +357,22 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace):
         if rn <= tol:
             return u
         accepted = None
-        jac = _assemble(u, spacing, p, delta, frozen=False, faces=faces)
-        step = _try_solve(jac, -r_int.ravel())
-        if step is not None:
-            accepted = _backtrack(u, step.reshape(inner_shape), interior,
-                                  residual, rn, tol)
+        if factor:
+            # chord step: the kept factor's full step, while it contracts
+            cand = u.copy()
+            cand[interior] += factor[0](-r_int.ravel()).reshape(inner_shape)
+            c_int, c_delta, cn, c_faces = residual(cand)
+            if cn <= tol or cn <= CHORD_CONTRACTION * rn:
+                accepted = cand, c_int, c_delta, cn, c_faces, 1.0
+            else:
+                factor.clear()
+        if accepted is None:
+            # a fresh Jacobian at u: the rounding floor below reads it too
+            jac = _assemble(u, spacing, p, delta, frozen=False, faces=faces)
+            step = _try_solve(jac, -r_int.ravel(), factor)
+            if step is not None:
+                accepted = _backtrack(u, step.reshape(inner_shape), interior,
+                                      residual, rn, tol)
         if accepted is None:
             # Newton could not make progress; take a frozen-coefficient step
             target = _try_solve(_assemble(u, spacing, p, delta, frozen=True,

@@ -216,6 +216,13 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
     to 10x the solver tolerance, else MonotonicityError.  Stops when the sup
     move drops below 1e-8 * ||super||_inf.
 
+    The warm-started solves of one call share one kept SuperLU factor (the
+    chord steps of plap.solve_plap_dirichlet): successive sweeps differ
+    little, so one factor stays a good linear model for many of them.  The
+    factor lives for this call only: the two inner limits of the certificate
+    stay independent computations, and a result never depends on what was
+    solved before it.
+
     Args:
         khat: when given, every solve is checked against the empirical
             gradient bound (StaleGradConstantError on violation).
@@ -235,10 +242,12 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
 
     stop = INNER_STOP_REL * sup_norm(sup_field)
     u = sup_field if start == "super" else sub
+    factor = []  # the sweeps' shared SuperLU factor, for this call only
     for sweep in range(1, INNER_MAX_SWEEPS + 1):
         rhs = F.as_field(u.values)
         solve_opts = _support_tolerance(opts, stop)
-        u_next = solve_plap_dirichlet(grid, p, rhs, solve_opts, initial_guess=u)
+        u_next = solve_plap_dirichlet(grid, p, rhs, solve_opts, initial_guess=u,
+                                      factor=factor)
         if khat is not None:
             assert_gradient_bound(khat, u_next, rhs, p,
                                   context=f"inner sweep {sweep}")

@@ -377,6 +377,57 @@ def test_stall_above_the_rounding_floor_still_raises(monkeypatch):
         solve_plap_dirichlet(g, 2.0, const_field(g), initial_guess=guess)
 
 
+@pytest.mark.parametrize("shape", [(9, 9), (17, 17)])
+def test_a_wrong_kept_factor_is_replaced(shape, monkeypatch):
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), shape)
+    p, opts = 2.5, SolveOptions(tol_residual=1e-10)
+    load = field_from_function(g, lambda x, y: 1.0 + x * y)
+    guess = solve_plap_dirichlet(g, p, const_field(g), opts)
+    # the p = 2 Laplacian is a poor linear model of the p = 2.5 operator
+    wrong = spla.splu(_assemble(np.zeros(g.shape), g.spacing, 2.0, 0.0,
+                                frozen=True)).solve
+    factor = [wrong]
+    factorizations = []
+    try_solve = plap._try_solve
+    monkeypatch.setattr(plap, "_try_solve", lambda *args: factorizations.append(
+        args) or try_solve(*args))
+    u = solve_plap_dirichlet(g, p, load, opts, initial_guess=guess,
+                             factor=factor)
+    monkeypatch.undo()
+    assert factorizations and len(factor) == 1 and factor[0] is not wrong
+    tol = opts.tol_residual * max(1.0, sup_norm(load))
+    res = (p_laplacian_apply(u, p).values - load.values)[g.interior]
+    assert np.max(np.abs(res)) <= tol
+    fresh = solve_plap_dirichlet(g, p, load, opts, initial_guess=guess)
+    assert np.max(np.abs(u.values - fresh.values)) <= 10.0 * tol
+
+
+def test_rounding_floor_after_a_failed_chord_step_reads_a_fresh_jacobian(
+        monkeypatch):
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    p = 2.5
+    guess = solve_plap_dirichlet(g, p, const_field(g))
+    guess = guess.with_values(1.01 * guess.values)
+    jacobians = []
+    assemble = plap._assemble
+
+    def recording(values, *args, **kwargs):
+        if not kwargs["frozen"]:
+            jacobians.append(values.copy())
+        return assemble(values, *args, **kwargs)
+
+    monkeypatch.setattr(plap, "_assemble", recording)
+    monkeypatch.setattr(plap, "_backtrack", lambda *args: None)
+    idle = [lambda rhs: np.zeros_like(rhs)]  # a chord step that stays put
+    with pytest.raises(SolveFailure) as err:
+        solve_plap_dirichlet(g, p, const_field(g), initial_guess=guess,
+                             factor=idle)
+    monkeypatch.undo()
+    assert len(jacobians) == 1
+    assert jacobians[0].tobytes() == guess.values.tobytes()
+    assert f"rounding floor {_rounding_floor(guess, p):.3e}" in str(err.value)
+
+
 def test_rejects_mismatched_grid_and_bad_p():
     g = grid_1d(17)
     other = grid_1d(19)

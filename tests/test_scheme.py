@@ -349,6 +349,106 @@ def test_square2d_outcome_does_not_hang_on_the_lu_ordering(monkeypatch):
         mmd.certificates.pde_residual, rel=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# one kept factor per inner iteration
+
+
+@pytest.fixture(scope="module")
+def square2d_stage():
+    """square2d on a 9x9 grid with its constants and eigenpair."""
+    spec = dataclasses.replace(load_problem(bundled_problem_path("square2d")),
+                               resolution=(9, 9))
+    g = spec.build_grid()
+    c = compute_constants(spec, g)
+    eig = first_eigenpair(g, spec.p, sample_weights(spec, g)[0])
+    return spec, g, c, eig
+
+
+def counting(monkeypatch, module, name):
+    """Route ``module.name`` through a wrapper; returns its call list."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_inner_solves_share_factors_on_2d_grids(square2d_stage, monkeypatch):
+    spec, g, c, eig = square2d_stage
+    factors = counting(monkeypatch, plap, "_try_solve")
+    solves = counting(monkeypatch, scheme, "solve_plap_dirichlet")
+    report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    assert report.converged
+    # one factorization per Newton step would make at least one per solve
+    assert 0 < len(factors) < len(solves)
+
+
+def test_every_factorization_goes_through_try_solve(square2d_stage,
+                                                    monkeypatch):
+    # the benchmark's tracer counts factorizations as _try_solve calls
+    spec, g, c, eig = square2d_stage
+    splu = counting(monkeypatch, plap.spla, "splu")
+    factors = counting(monkeypatch, plap, "_try_solve")
+    outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    assert len(splu) == len(factors) > 0
+
+
+def report_bytes(report):
+    """Every value of a SolveReport, with the solution as bytes."""
+    fields = dataclasses.asdict(report)
+    fields["solution"] = report.solution.values.tobytes()
+    return fields
+
+
+def test_no_factor_outlives_an_inner_iteration(square2d_stage, monkeypatch):
+    spec, g, c, eig = square2d_stage
+    inner_calls = counting(monkeypatch, scheme, "inner_monotone_solve")
+    holders = []  # one per inner iteration, empty at its first solve
+
+    def recording(*args, factor, **kwargs):
+        if not holders or factor is not holders[-1]:
+            assert factor == [] and all(factor is not h for h in holders)
+            holders.append(factor)
+        return solve_plap_dirichlet(*args, factor=factor, **kwargs)
+
+    monkeypatch.setattr(scheme, "solve_plap_dirichlet", recording)
+    first = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    outer_fixed_point(spec, 0.5, 2.0, g, c, eig)
+    again = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    assert len(holders) == len(inner_calls)
+    assert report_bytes(again) == report_bytes(first)
+
+
+def test_1d_inner_iteration_keeps_no_factor(sub_stage, monkeypatch):
+    # a banded solve factors and solves in one LAPACK call
+    spec, g, c, eig = sub_stage
+    from plaplab.constants import region_classify
+    m = region_classify(1.0, 1.0, c, spec).height
+    eps = make_epsilon(1.0, eig.lambda1, m, c.phi_sup, spec)
+    sub = ScalarField(g, eps * eig.u1.values)
+    sup = ScalarField(g, (m / c.phi_sup) * c.weighted_torsion.phi.values)
+    F = freeze_nonlinearity(sub, 1.0, 1.0, spec, g)
+    holders = []
+
+    def recording(*args, factor, **kwargs):
+        u = solve_plap_dirichlet(*args, factor=factor, **kwargs)
+        holders.append(list(factor))
+        return u
+
+    monkeypatch.setattr(scheme, "solve_plap_dirichlet", recording)
+    kept = inner_monotone_solve(F, sub, sup, g, spec.p, khat=c.khat)
+    assert holders and all(h == [] for h in holders)
+    monkeypatch.setattr(scheme, "solve_plap_dirichlet",
+                        lambda *args, factor, **kwargs:
+                        solve_plap_dirichlet(*args, **kwargs))
+    without = inner_monotone_solve(F, sub, sup, g, spec.p, khat=c.khat)
+    assert kept.values.tobytes() == without.values.tobytes()
+
+
 def test_stale_constant_error_is_an_invariant_violation():
     assert issubclass(StaleGradConstantError, InvariantViolation)
     assert issubclass(MonotonicityError, InvariantViolation)
