@@ -11,16 +11,19 @@ t_j and m2 = s^2 + |t|^2 + delta^2,
     dF/dt_j = (p-2) * m2^((p-4)/2) * s * t_j,
 
 both strictly positive / well defined for p > 1 once delta > 0; with one
-axis t is empty and only dF/ds is assembled.  Exponents far from 2
-(p >= 2.5 or p <= 1.6) are reached by continuation: solve at p = 2 (a single
-linear solve), then step the exponent by 0.25 re-using the previous
-solution.  Newton steps start at the full step and are halved until the
-residual drops; whenever that fails, one frozen-coefficient (Picard) step is
-tried instead.  The linear systems are solved directly, and their storage
-follows the number of axes: with one, the tridiagonal matrix is kept in band
-layout for LAPACK (``scipy.linalg.solve_banded``); with more, the 9-point
-(2D) or 19-point (3D) matrix, whose CSC pattern is cached per grid shape, is
-factored by SuperLU with the minimum-degree ordering of A^T + A.
+axis t is empty and only dF/ds is assembled.  A cold solve starts from the
+p = 2 solution (a single linear solve) and runs Newton at p itself.  Only
+when that stalls does it retreat to the exponent halfway between the failed
+one and the last one it reached, and from there it comes back to p
+(adaptive step control of continuation methods; Allgower & Georg,
+*Introduction to Numerical Continuation Methods*, SIAM 2003).  Newton steps
+start at the full step and are halved until the residual drops; whenever
+that fails, one frozen-coefficient (Picard) step is tried instead.  The
+linear systems are solved directly, and their storage follows the number of
+axes: with one, the tridiagonal matrix is kept in band layout for LAPACK
+(``scipy.linalg.solve_banded``); with more, the 9-point (2D) or 19-point
+(3D) matrix, whose CSC pattern is cached per grid shape, is factored by
+SuperLU with the minimum-degree ordering of A^T + A.
 
 A caller that solves a run of nearby problems can hand solve_plap_dirichlet
 a one-slot ``factor`` list (the inner monotone iteration of ``scheme`` does,
@@ -85,11 +88,12 @@ from .grid import (
 log = logging.getLogger(__name__)
 
 
-# Cold solves continue in p from 2 when p >= CONTINUATION_ABOVE or
-# p <= CONTINUATION_BELOW, one CONTINUATION_STEP per rung.
-CONTINUATION_ABOVE = 2.5
-CONTINUATION_BELOW = 1.6
+# A stalled cold solve retreats in p while the failed exponent lies more than
+# CONTINUATION_STEP from the last one reached; no retreat is finer.
 CONTINUATION_STEP = 0.25
+# Newton iterations of one attempt at one exponent; the monotone sweeps of
+# the scheme have their own budget, scheme.INNER_MAX_SWEEPS.
+NEWTON_MAX_ITER = 500
 # A stalled Newton solve returns when its residual is at most ROUNDING_ULPS *
 # eps * max(|J| |u|): one ulp of u moves the residual by about eps |J| |u|.
 ROUNDING_ULPS = 4.0
@@ -100,15 +104,10 @@ CHORD_CONTRACTION = 0.1
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the nonlinear solver: residual tolerance and Newton budget.
-
-    ``max_iter`` bounds the Newton iterations of one Dirichlet solve (per
-    continuation rung); the monotone sweeps of the scheme have their own
-    budget, scheme.INNER_MAX_SWEEPS.
-    """
+    """Options of the nonlinear solver: the residual tolerance of a Dirichlet
+    solve, relative to max(1, ||g||_inf)."""
 
     tol_residual: float = 1.0e-8
-    max_iter: int = 500
 
 
 def _assemble(values, spacing, p, delta, frozen, faces=None):
@@ -242,20 +241,6 @@ def _linear_poisson(grid, gv):
     return u
 
 
-def _continuation_ladder(p):
-    """Exponents of a cold solve: p alone near 2, else 2 +- step, ..., p."""
-    if CONTINUATION_BELOW < p < CONTINUATION_ABOVE:
-        return [p]
-    direction = 1.0 if p > 2.0 else -1.0
-    ladder = []
-    pk = 2.0 + direction * CONTINUATION_STEP
-    while (p - pk) * direction > 1.0e-12:
-        ladder.append(pk)
-        pk += direction * CONTINUATION_STEP
-    ladder.append(p)
-    return ladder
-
-
 def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
                          opts: SolveOptions | None = None,
                          initial_guess: ScalarField | None = None,
@@ -268,7 +253,9 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         p: exponent > 1.
         g: right-hand side field (any sign; need not vanish on the boundary).
         opts: solver options; defaults to SolveOptions().
-        initial_guess: warm start; skips continuation when given.
+        initial_guess: warm start; Newton runs at p from it, and a stall
+            raises at once.  Without one (or with a flat one), Newton starts
+            from the p = 2 solution and retreats in p only on a stall.
         trace: optional list that receives (iteration, residual, damping)
             triples as the solve progresses.
         factor: optional one-slot list for the solve of the last SuperLU
@@ -284,8 +271,10 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         when that is larger and no step lowers the residual further.
 
     Raises:
-        SolveFailure: if the iteration stalls or exhausts max_iter; the
-            exception carries the residual history.
+        SolveFailure: if the iteration at p stalls or exhausts
+            NEWTON_MAX_ITER and no retreat is left: the start is warm, or the
+            failed exponent lies within CONTINUATION_STEP of the last one
+            reached.  The exception carries the residual history.
     """
     if opts is None:
         opts = SolveOptions()
@@ -302,19 +291,27 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             raise GridMismatchError("initial guess lives on a different grid")
         u = initial_guess.values.copy()
         u[grid.boundary_mask()] = 0.0
-        ladder = [p]
+        reached = p
         # a flat warm start cannot seed the Jacobian; fall back to cold start
         if _gradient_scale(u, grid.spacing) == 0.0 and gsup > 0.0:
-            u = _linear_poisson(grid, gv)
+            u, reached = _linear_poisson(grid, gv), 2.0
     else:
-        u = _linear_poisson(grid, gv)
-        ladder = _continuation_ladder(p)
+        u, reached = _linear_poisson(grid, gv), 2.0
 
     history = []
-    for pk in ladder:
-        u = _newton_loop(grid, pk, gv, u, tol, opts, history,
-                         trace if pk == ladder[-1] else None, factor)
-    return ScalarField(grid, u)
+    pk = p
+    while True:
+        try:
+            u_pk = _newton_loop(grid, pk, gv, u, tol, history,
+                                trace if pk == p else None, factor)
+        except SolveFailure:
+            if abs(pk - reached) <= CONTINUATION_STEP:
+                raise
+            pk = 0.5 * (reached + pk)  # retreat from the same u
+            continue
+        if pk == p:
+            return ScalarField(grid, u_pk)
+        u, reached, pk = u_pk, pk, p
 
 
 def _cold_solve(grid, p, g, opts, solved):
@@ -341,7 +338,7 @@ def _plap_own_delta(values, spacing, p, faces=None):
     return _plap_raw(values, spacing, p, delta, faces), delta
 
 
-def _newton_loop(grid, p, gv, u, tol, opts, history, trace, factor=None):
+def _newton_loop(grid, p, gv, u, tol, history, trace, factor=None):
     interior = grid.interior
     spacing = grid.spacing
     inner_shape = tuple(n - 2 for n in grid.shape)
@@ -353,7 +350,7 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace, factor=None):
         return r, delta, float(np.max(np.abs(r))), faces
 
     r_int, delta, rn, faces = residual(u)
-    for _ in range(opts.max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if rn <= tol:
             return u
         accepted = None
@@ -401,8 +398,8 @@ def _newton_loop(grid, p, gv, u, tol, opts, history, trace, factor=None):
     if rn <= tol:
         return u
     raise SolveFailure(
-        f"no convergence in {opts.max_iter} iterations (residual {rn:.3e}, p={p})",
-        history)
+        f"no convergence in {NEWTON_MAX_ITER} iterations "
+        f"(residual {rn:.3e}, p={p})", history)
 
 
 def _backtrack(u, direction, interior, residual, rn, tol):
