@@ -22,18 +22,25 @@ that fails, one frozen-coefficient (Picard) step is tried instead.  The
 linear systems are solved directly, and their storage follows the number of
 axes: with one, the tridiagonal matrix is kept in band layout for LAPACK
 (``scipy.linalg.solve_banded``); with more, the 9-point (2D) or 19-point
-(3D) matrix, whose CSC pattern is cached per grid shape, is factored by
-SuperLU with the minimum-degree ordering of A^T + A.
+(3D) matrix is stored as CSC with its unknowns numbered by nested
+dissection, a numbering and pattern computed once per grid shape
+(``_stencil``), and SuperLU factors it in that numbering.  The assembled
+matrix carries its numbering as ``order``, and every solve takes and
+returns vectors in grid (C) order: ``_in_grid_order`` alone translates a
+solve between the two.
 
-A caller that solves a run of nearby problems can hand solve_plap_dirichlet
-a one-slot ``factor`` list (the inner monotone iteration of ``scheme`` does,
-once per call).  The last SuperLU factor is kept there, and each iteration
-first tries the chord step u - J_old^-1 r with it (modified Newton; Kelley,
-*Solving Nonlinear Equations with Newton's Method*, SIAM 2003).  The
-step is taken when it brings the residual below tol or to at most
+With more than one axis, each Newton iteration first tries the chord step
+u - J_old^-1 r with the last SuperLU factor (modified Newton; Kelley,
+*Solving Nonlinear Equations with Newton's Method*, SIAM 2003).  The step
+is taken when it brings the residual below tol or to at most
 CHORD_CONTRACTION times the old residual; otherwise the factor is dropped
-and the iteration takes the fresh Newton step at u, as without a factor.
-One axis keeps no factor: LAPACK factors and solves in one O(n) call.
+and the iteration takes the fresh Newton step at u.  The factor is kept in
+a one-slot ``factor`` list.  A solve makes its own, so a cold solve keeps
+one across its Newton iterations and its retreats in p; a caller that
+solves a run of nearby problems hands one list to all of them (the inner
+monotone iteration of ``scheme`` and the inverse iteration of ``spectral``
+do, once per call).  No factor outlives such a call.  One axis keeps no
+factor: LAPACK factors and solves in one O(n) call.
 
 Contracts the rest of the package relies on:
 
@@ -97,8 +104,9 @@ NEWTON_MAX_ITER = 500
 # A stalled Newton solve returns when its residual is at most ROUNDING_ULPS *
 # eps * max(|J| |u|): one ulp of u moves the residual by about eps |J| |u|.
 ROUNDING_ULPS = 4.0
-# A warm solve with a kept factor takes its chord step when the step cuts the
-# residual to at most CHORD_CONTRACTION times the old one (or below tol).
+# A Newton iteration with a kept factor takes its chord step when the step
+# cuts the residual to at most CHORD_CONTRACTION times the old one (or below
+# tol).
 CHORD_CONTRACTION = 0.1
 
 
@@ -120,10 +128,14 @@ def _assemble(values, spacing, p, delta, frozen, faces=None):
     residual: ``faces`` is ``_faces(values, spacing)`` when the caller has
     built it.  Each face adds -v to the row of its lo node and +v to the row
     of its hi node, v = (1/h_k) dF/du_c, for every node c its flux F reads.
+
+    The matrix numbers its unknowns as ``_stencil`` does: its attribute
+    ``order`` holds the C-order interior index of each unknown, so with more
+    than one axis it is P A P^T for the nested-dissection permutation P.
     """
     if faces is None:
         faces = _faces(values, spacing)
-    offsets, plans, csc = _stencil(values.shape)
+    offsets, plans, csc, order = _stencil(values.shape)
     coef = np.zeros((len(offsets),) + values.shape)
     d2 = delta * delta
     for k, ((s, t), (s_plan, t_plan)) in enumerate(zip(faces, plans)):
@@ -143,22 +155,31 @@ def _assemble(values, spacing, p, delta, frozen, faces=None):
             op(target, vals[m], out=target)
     n = math.prod(size - 2 for size in values.shape)
     if csc is None:  # one axis: coef's interior columns are the LAPACK band layout
-        return sp.dia_matrix((coef[:, 1:-1], np.ravel(offsets)), shape=(n, n))
-    gather, indices, indptr = csc
-    return sp.csc_matrix((coef.ravel()[gather], indices, indptr), shape=(n, n))
+        matrix = sp.dia_matrix((coef[:, 1:-1], np.ravel(offsets)), shape=(n, n))
+    else:
+        gather, indices, indptr = csc
+        matrix = sp.csc_matrix((coef.ravel()[gather], indices, indptr),
+                               shape=(n, n))
+    matrix.order = order
+    return matrix
 
 
 @functools.lru_cache(maxsize=8)
 def _stencil(shape):
-    """Index work of _assemble, once per grid shape: (offsets, plans, csc).
+    """Index work of _assemble, once per grid shape:
+    (offsets, plans, csc, order).
 
     ``coef[q, c]`` sums the entry of column node c and row node c - offsets[q]
     (offsets descend: 1, 0, -1 with one axis; 9 with two, 19 with three).  Per
     family, ``plans`` holds the couplings through s, then through t, as
     (op, index, m): add or subtract value m (0: s, i: the i-th t) into
-    ``coef[index]``, lo rows first.  ``csc`` is None for one axis, else the
-    read-only (gather, indices, indptr), gather picking the entries of the
-    flattened coef with interior row and column nodes in CSC order.
+    ``coef[index]``, lo rows first.  ``order`` numbers the unknowns: unknown
+    i is the interior node with C-order index order[i].  With one axis it is
+    the identity (the LAPACK band layout) and ``csc`` is None; with more it
+    is ``_dissection``, and ``csc`` is the read-only (gather, indices,
+    indptr) of the CSC pattern whose rows and columns both follow it, gather
+    picking the entries of the flattened coef in CSC order.  So SuperLU
+    factors the matrix in nested-dissection order as it stands.
     """
     d = len(shape)
 
@@ -180,36 +201,73 @@ def _stencil(shape):
                                   (number[tuple(start(w) - start(row))],) + w, m)
                                  for row, row_sign in ((lo, -1.0), (hi, 1.0))
                                  for w, sign, m in cols) for cols in (s_cols, t_cols)))
-    if d == 1:
-        return offsets, tuple(plans), None
     inner = tuple(n - 2 for n in shape)
+    order = _dissection(inner) if d > 1 else np.arange(inner[0])
+    order.setflags(write=False)
+    if d == 1:
+        return offsets, tuple(plans), None, order
     ids = np.full(shape, -1)
-    ids[(slice(1, -1),) * d] = np.arange(math.prod(inner)).reshape(inner)
+    ids[(slice(1, -1),) * d] = np.argsort(order).reshape(inner)  # unknown per node
     steps = np.array(offsets) @ (np.array(ids.strides) // ids.itemsize)
-    nodes = np.flatnonzero(ids >= 0) + steps[:, None]  # column node per (q, row)
+    row_nodes = np.flatnonzero(ids >= 0)
+    nodes = row_nodes + steps[:, None]  # column node per (q, row)
     keep = ids.ravel()[nodes] >= 0
-    rows = np.broadcast_to(np.arange(nodes.shape[1]), nodes.shape)[keep]
+    rows = np.broadcast_to(ids.ravel()[row_nodes], nodes.shape)[keep]
     cols = ids.ravel()[nodes][keep]
-    order = np.lexsort((rows, cols))
-    gather = (nodes + ids.size * np.arange(len(offsets))[:, None])[keep][order]
+    csc_order = np.lexsort((rows, cols))
+    gather = (nodes + ids.size * np.arange(len(offsets))[:, None])[keep][csc_order]
     # indptr: where each column starts in CSC order
-    csc = (gather, rows[order].astype(np.int32),
-           np.searchsorted(cols[order], np.arange(nodes.shape[1] + 1)).astype(np.int32))
+    csc = (gather, rows[csc_order].astype(np.int32),
+           np.searchsorted(cols[csc_order],
+                           np.arange(len(row_nodes) + 1)).astype(np.int32))
     for arr in csc:
         arr.setflags(write=False)
-    return offsets, tuple(plans), csc
+    return offsets, tuple(plans), csc, order
+
+
+def _dissection(inner):
+    """Nested-dissection numbering of a box of nodes with sizes ``inner``:
+    the C-order index of each node, in the order the unknowns take.
+
+    A box is cut across its longest axis by the plane through its middle;
+    the nodes below the plane come first, then those above, each numbered
+    the same way, then the plane itself.  A face couples nodes at most one
+    step apart along each axis, so the plane separates the two halves, and
+    eliminating them first confines the fill to the separators (George,
+    "Nested dissection of a regular finite element mesh", SIAM J. Numer.
+    Anal. 10, 1973).  A box whose longest axis has fewer than 3 nodes is
+    numbered in C order.
+    """
+    parts = []
+
+    def visit(box):
+        k = int(np.argmax(box.shape))
+        n = box.shape[k]
+        if n < 3:
+            parts.append(box.ravel())
+            return
+        lead = (slice(None),) * k
+        visit(box[lead + (slice(None, n // 2),)])
+        visit(box[lead + (slice(n // 2 + 1, None),)])
+        parts.append(box[lead + (n // 2,)].ravel())
+
+    visit(np.arange(math.prod(inner)).reshape(inner))
+    return np.concatenate(parts)
 
 
 def _try_solve(matrix, rhs, factor=None):
     """Direct solve; None when the matrix is singular or the result is not
     finite.
 
-    A tridiagonal ``dia`` matrix (one axis) goes to LAPACK through
-    ``solve_banded``; a CSC matrix (more axes) is factored by SuperLU
-    with the minimum-degree ordering of A^T + A.  A singular matrix raises
-    LinAlgError (LAPACK) or RuntimeError (SuperLU).  Anything else, such as a
-    right-hand side of the wrong length, propagates.  ``factor``, a one-slot
-    list, receives the ``solve`` of a SuperLU factor whose solution is
+    ``rhs`` and the solution are in grid (C) order.  A tridiagonal ``dia``
+    matrix (one axis) goes to LAPACK through ``solve_banded``; a CSC matrix
+    (more axes) is factored by SuperLU as it is numbered, with no column
+    permutation of its own ("NATURAL"): ``_assemble`` numbers it by nested
+    dissection and records that in its ``order``, and a matrix without one
+    is solved in its own numbering.  A singular matrix raises LinAlgError
+    (LAPACK) or RuntimeError (SuperLU).  Anything else, such as a right-hand
+    side of the wrong length, propagates.  ``factor``, a one-slot list,
+    receives the grid-order ``solve`` of a SuperLU factor whose solution is
     finite; a banded solve factors and solves in one call and leaves it as
     it is.
     """
@@ -218,7 +276,8 @@ def _try_solve(matrix, rhs, factor=None):
         if matrix.format == "dia":
             sol = solve_banded((1, 1), matrix.data, rhs, check_finite=False)
         else:
-            solve = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve
+            solve = _in_grid_order(spla.splu(matrix, permc_spec="NATURAL").solve,
+                                   getattr(matrix, "order", None))
             sol = solve(rhs)
     except (RuntimeError, LinAlgError):
         return None
@@ -227,6 +286,24 @@ def _try_solve(matrix, rhs, factor=None):
     if factor is not None and solve is not None:
         factor[:] = [solve]
     return sol
+
+
+def _in_grid_order(solve, order):
+    """``solve`` of the unknowns numbered by ``order`` (unknown i is the
+    interior node with C-order index order[i]) as a solve with right-hand
+    side and solution in grid (C) order; ``order`` None keeps ``solve``."""
+    if order is None:
+        return solve
+
+    def grid_solve(rhs):
+        if rhs.shape != order.shape:
+            raise ValueError(f"right-hand side of shape {rhs.shape} for "
+                             f"{order.size} unknowns")
+        sol = np.empty_like(rhs)
+        sol[order] = solve(rhs[order])
+        return sol
+
+    return grid_solve
 
 
 def _linear_poisson(grid, gv):
@@ -263,7 +340,10 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             tried first for chord steps, and the newest factor is left there
             for the next solve.  Pass one only across solves of one problem
             on one grid with one p, such as the sweeps of one inner
-            iteration.
+            iteration or of one eigen iteration.  Without one the solve keeps
+            its factors in a fresh list of its own, so it takes chord steps
+            all the same, also across retreats in p, and leaves no factor
+            behind.
 
     Returns:
         The solution as a Dirichlet-zero field, with sup-norm residual at most
@@ -298,6 +378,8 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
     else:
         u, reached = _linear_poisson(grid, gv), 2.0
 
+    if factor is None:
+        factor = []
     history = []
     pk = p
     while True:
@@ -383,7 +465,7 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, factor=None):
             # no step lowers the residual: accept u if the residual is at the
             # rounding level of evaluating the operator at u
             floor = ROUNDING_ULPS * np.finfo(float).eps * float(
-                np.max(abs(jac) @ np.abs(u[interior].ravel())))
+                np.max(abs(jac) @ np.abs(u[interior].ravel())[jac.order]))
             if rn <= floor:
                 return u
             raise SolveFailure(

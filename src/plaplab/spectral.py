@@ -111,6 +111,11 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
 
     The start is the torsion function of omega1, solved here afresh even
     when compute_constants has solved the same field for the same grid.
+    The sweeps share one kept SuperLU factor (the chord steps of
+    plap.solve_plap_dirichlet): successive right-hand sides differ little,
+    so one factor stays a good linear model for many sweeps.  The factor
+    lives for this call only, so the pair never depends on what was solved
+    before it.
 
     Stops when successive eigenvalue estimates agree to 1e-8 relative and the
     sup-normalized field moves less than 1e-8.  The returned pair satisfies
@@ -126,9 +131,11 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
     u = start.phi.values / start.phi_sup
     guess = start.phi
     lam = None
+    factor = []  # the sweeps' shared SuperLU factor, for this call only
     for sweep in range(1, max_sweeps + 1):
         rhs = ScalarField(grid, wv * u ** (p - 1.0))
-        v = solve_plap_dirichlet(grid, p, rhs, opts, initial_guess=guess)
+        v = solve_plap_dirichlet(grid, p, rhs, opts, initial_guess=guess,
+                                 factor=factor)
         scale = sup_norm(v)
         if scale == 0.0:
             raise EigenFailure("inverse iteration collapsed to zero")

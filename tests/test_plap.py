@@ -35,6 +35,7 @@ from plaplab.plap import (
     SolveOptions,
     _assemble,
     _plap_own_delta,
+    _stencil,
     _try_solve,
     assert_gradient_bound,
     check_comparison,
@@ -136,13 +137,21 @@ def _jacobian_test_field(dimension):
                             * (1.0 + 0.3 * x + 0.2 * y * y - 0.1 * z)))
 
 
+def grid_order(matrix, shape):
+    """An _assemble matrix as CSC with its rows and columns in grid (C) order
+    of the interior nodes, through the stencil's numbering."""
+    unknown = np.argsort(_stencil(shape)[3])  # the unknown of each node
+    return matrix.tocsr()[unknown][:, unknown].tocsc()
+
+
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
 def test_newton_jacobian_matches_central_differences(p, dimension):
     u = _jacobian_test_field(dimension)
     g = u.grid
     delta = flux_delta(u)  # held fixed: the Jacobian is taken at fixed delta
-    jac = _assemble(u.values, g.spacing, p, delta, frozen=False).toarray()
+    jac = grid_order(_assemble(u.values, g.spacing, p, delta, frozen=False),
+                     g.shape).toarray()
     eps = 1.0e-6 * sup_norm(u)
     nodes = np.argwhere(np.ones(tuple(n - 2 for n in g.shape), dtype=bool)) + 1
     fd = np.empty_like(jac)
@@ -193,7 +202,8 @@ def test_frozen_matrix_at_p2_is_the_standard_laplacian(dimension):
     g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:dimension], shape)
     rng = np.random.default_rng(3)
     values = rng.standard_normal(g.shape)  # p = 2 ignores the state
-    mat = _assemble(values, g.spacing, 2.0, 1.0e-3, frozen=True).toarray()
+    mat = grid_order(_assemble(values, g.spacing, 2.0, 1.0e-3, frozen=True),
+                     g.shape).toarray()
     # the (2d+1)-point Laplacian: one second difference per axis, as a
     # Kronecker sum
     sizes = [n - 2 for n in g.shape]
@@ -291,8 +301,57 @@ def test_assembly_pattern_follows_the_grid_shape(frozen):
         else:
             assert mat.format == "csc" and mat.has_canonical_format
         expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3, frozen)
-        assert np.allclose(mat.toarray(), expected, rtol=0.0,
+        assert np.allclose(grid_order(mat, shape).toarray(), expected, rtol=0.0,
                            atol=1e-13 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 3), (3, 4), (3, 3, 3), (7, 9),
+                                   (9, 7), (33, 33), (5, 6, 7)])
+def test_stencil_numbering_is_a_permutation_of_the_interior(shape):
+    order = _stencil(shape)[3]
+    inner = tuple(n - 2 for n in shape)
+    assert np.array_equal(np.sort(order), np.arange(np.prod(inner)))
+    if len(shape) > 1:
+        # nested dissection: the plane through the middle of the longest
+        # axis comes last
+        k = int(np.argmax(inner))
+        index = np.arange(np.prod(inner)).reshape(inner)
+        plane = np.take(index, inner[k] // 2, axis=k).ravel()
+        assert np.array_equal(order[-plane.size:], plane)
+
+
+@pytest.mark.parametrize("shape", [(7, 9), (5, 6, 7)])
+@pytest.mark.parametrize("frozen", [True, False])
+def test_try_solve_answers_in_grid_order(shape, frozen):
+    g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
+    rng = np.random.default_rng(9)
+    values = np.zeros(shape)
+    values[g.interior] = rng.standard_normal(tuple(n - 2 for n in shape))
+    mat = _assemble(values, g.spacing, 2.5, 1.0e-3, frozen)
+    rhs = rng.standard_normal(mat.shape[0])
+    expected = spla.spsolve(grid_order(mat, shape), rhs)
+    factor = []
+    got = _try_solve(mat, rhs, factor)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+    # the kept solve answers in grid order too
+    assert np.max(np.abs(factor[0](rhs) - expected)) <= 1e-12 * scale
+
+
+def _lu_fill(matrix, permc_spec):
+    lu = spla.splu(matrix, permc_spec=permc_spec)
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("shape, bound", [((33, 33), 1.01), ((65, 65), 1.01),
+                                          ((17, 17, 17), 0.6)])
+def test_nested_dissection_fill_against_minimum_degree(shape, bound):
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    u = field_from_function(g, lambda *xs: np.prod(
+        [np.sin(np.pi * x) for x in xs], axis=0) * (1.0 + 0.3 * xs[0]))
+    mat = _assemble(u.values, g.spacing, 2.5, flux_delta(u), frozen=False)
+    assert (_lu_fill(mat, "NATURAL")
+            <= bound * _lu_fill(grid_order(mat, shape), "MMD_AT_PLUS_A"))
 
 
 def test_banded_try_solve_singular_and_wrong_length():
@@ -356,8 +415,9 @@ def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):
 def _rounding_floor(u, p):
     delta = flux_delta(u)
     jac = _assemble(u.values, u.grid.spacing, p, delta, frozen=False)
+    order = _stencil(u.grid.shape)[3]  # |u| in the Jacobian's numbering
     return ROUNDING_ULPS * np.finfo(float).eps * np.max(
-        abs(jac) @ np.abs(u.values[u.grid.interior].ravel()))
+        abs(jac) @ np.abs(u.values[u.grid.interior].ravel())[order])
 
 
 @pytest.mark.parametrize("shape, tol", [((2049,), 1e-10), ((65, 65), 1e-16)])
@@ -435,6 +495,22 @@ def _assert_residual_contract(u, p, load, tol=1e-8):
     res = (p_laplacian_apply(u, p).values - load.values)[u.grid.interior]
     allowed = max(tol * max(1.0, sup_norm(load)), _rounding_floor(u, p))
     assert np.max(np.abs(res)) <= allowed
+
+
+def test_a_cold_2d_solve_takes_chord_steps(monkeypatch):
+    # without a kept factor every accepted Newton step costs one
+    # factorization, and the p = 2 start one more
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+    load = const_field(g)
+    factorizations = []
+    try_solve = plap._try_solve
+    monkeypatch.setattr(plap, "_try_solve", lambda *args: factorizations.append(
+        args) or try_solve(*args))
+    trace = []
+    u = solve_plap_dirichlet(g, 4.0, load, trace=trace)
+    monkeypatch.undo()
+    assert 0 < len(factorizations) < len(trace)
+    _assert_residual_contract(u, 4.0, load)
 
 
 def _record_exponents(monkeypatch, stall_at=()):

@@ -397,6 +397,18 @@ def test_every_factorization_goes_through_try_solve(square2d_stage,
     assert len(splu) == len(factors) > 0
 
 
+def test_every_set_up_factorization_goes_through_try_solve(monkeypatch):
+    # cold solves and the eigen sweeps keep factors too
+    spec = dataclasses.replace(load_problem(bundled_problem_path("square2d")),
+                               resolution=(9, 9))
+    g = spec.build_grid()
+    splu = counting(monkeypatch, plap.spla, "splu")
+    factors = counting(monkeypatch, plap, "_try_solve")
+    compute_constants(spec, g)
+    first_eigenpair(g, spec.p, sample_weights(spec, g)[0])
+    assert len(splu) == len(factors) > 0
+
+
 def report_bytes(report):
     """Every value of a SolveReport, with the solution as bytes."""
     fields = dataclasses.asdict(report)

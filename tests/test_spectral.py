@@ -1,9 +1,13 @@
 """Torsion function and first-eigenpair tests against independent oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from plaplab import plap, spectral
 from plaplab.errors import ConfigurationError, GridMismatchError
+from plaplab.expr import bundled_problem_path, load_problem, sample_weights
 from plaplab.grid import (
     ScalarField,
     build_grid,
@@ -145,6 +149,68 @@ def test_eigen_3d_matches_the_seven_point_laplacian():
     h = g.spacing[0]
     exact = 3.0 * 4.0 / h ** 2 * np.sin(np.pi * h / 2.0) ** 2
     assert pair.lambda1 == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def square2d_weight():
+    """square2d's p and omega1 on a 9x9 grid."""
+    spec = dataclasses.replace(load_problem(bundled_problem_path("square2d")),
+                               resolution=(9, 9))
+    return spec.p, sample_weights(spec, spec.build_grid())[0]
+
+
+def test_eigen_sweeps_share_one_factor_per_call(square2d_weight, monkeypatch):
+    p, w = square2d_weight
+    factorizations = []
+    try_solve = plap._try_solve
+    monkeypatch.setattr(plap, "_try_solve", lambda *args: factorizations.append(
+        args) or try_solve(*args))
+    holders = []  # one per call, empty at its first sweep
+    sweeps = []  # the factorizations of each sweep
+    solve = spectral.solve_plap_dirichlet
+
+    def recording(*args, factor, **kwargs):
+        if not holders or factor is not holders[-1]:
+            assert factor == [] and all(factor is not h for h in holders)
+            holders.append(factor)
+        before = len(factorizations)
+        v = solve(*args, factor=factor, **kwargs)
+        sweeps.append(len(factorizations) - before)
+        return v
+
+    monkeypatch.setattr(spectral, "solve_plap_dirichlet", recording)
+    first_eigenpair(w.grid, p, w)
+    count = len(sweeps)
+    first_eigenpair(w.grid, p, w)
+    assert len(holders) == 2
+    assert sum(sweeps[:count]) < count
+    assert sweeps[count:] == sweeps[:count]
+
+
+def test_eigenpair_does_not_depend_on_earlier_calls(square2d_weight):
+    p, w = square2d_weight
+    first = first_eigenpair(w.grid, p, w)
+    first_eigenpair(w.grid, 1.5, w)
+    again = first_eigenpair(w.grid, p, w)
+    assert again.lambda1 == first.lambda1
+    assert again.u1.values.tobytes() == first.u1.values.tobytes()
+
+
+def test_1d_solves_keep_no_factor(monkeypatch):
+    # a banded solve factors and solves in one LAPACK call
+    holders = []
+    newton_loop = plap._newton_loop
+
+    def recording(*args):
+        u = newton_loop(*args)
+        holders.append(list(args[-1]))
+        return u
+
+    monkeypatch.setattr(plap, "_newton_loop", recording)
+    g = build_grid(((0.0, 1.0),), 129)
+    w = field_from_function(g, lambda x: 1.0 + 0.3 * np.sin(3.0 * x))
+    first_eigenpair(g, 2.5, w)
+    assert len(holders) > 1 and all(h == [] for h in holders)
 
 
 def test_rayleigh_quotient_consistent_at_p2():
