@@ -425,6 +425,8 @@ def cmd_sweep(args) -> int:
     opts = _solve_options(args)
     if args.parallel < 1:
         raise ConfigurationError("--parallel must be at least 1")
+    if args.max_outer < 1:
+        raise ConfigurationError("--max-outer must be at least 1")
     constants = compute_constants(spec, grid, opts)
     eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0], opts)
     lams = _sample_axis(_parse_range(args.lambda_range, "--lambda-range"),

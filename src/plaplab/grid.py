@@ -297,6 +297,17 @@ def _plap_raw(values: np.ndarray, spacing, p: float, delta: float,
     return out
 
 
+def _plap_own_delta(values, spacing, p, faces=None):
+    """``_plap_raw`` at the field's own delta, DELTA_RELATIVE times its
+    gradient scale, with both read from one face build: (result, delta).
+
+    ``faces`` is ``_faces(values, spacing)`` when the caller has built it."""
+    if faces is None:
+        faces = _faces(values, spacing)
+    delta = DELTA_RELATIVE * _gradient_scale(values, spacing, faces)
+    return _plap_raw(values, spacing, p, delta, faces), delta
+
+
 def p_laplacian_apply(u: ScalarField, p: float, delta: float | None = None) -> ScalarField:
     """Apply the regularized discrete negative p-Laplacian to ``u``.
 
@@ -313,5 +324,7 @@ def p_laplacian_apply(u: ScalarField, p: float, delta: float | None = None) -> S
     if p <= 1.0:
         raise ConfigurationError(f"p must exceed 1, got {p}")
     if delta is None:
-        delta = flux_delta(u)
-    return ScalarField(u.grid, _plap_raw(u.values, u.grid.spacing, p, delta))
+        out, _ = _plap_own_delta(u.values, u.grid.spacing, p)
+    else:
+        out = _plap_raw(u.values, u.grid.spacing, p, delta)
+    return ScalarField(u.grid, out)

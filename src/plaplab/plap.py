@@ -17,10 +17,9 @@ when that stalls does it retreat to the exponent halfway between the failed
 one and the last one it reached, and from there it comes back to p
 (adaptive step control of continuation methods; Allgower & Georg,
 *Introduction to Numerical Continuation Methods*, SIAM 2003).  Newton steps
-start at the full step and are halved until the residual drops; whenever
-that fails, one frozen-coefficient (Picard) step is tried instead.  The
-linear systems are solved directly, and their storage follows the number of
-axes: with one, the tridiagonal matrix is kept in band layout for LAPACK
+start at the full step and are halved until the residual drops.  The linear
+systems are solved directly, and their storage follows the number of axes:
+with one, the tridiagonal matrix is kept in band layout for LAPACK
 (``scipy.linalg.solve_banded``); with more, the 9-point (2D) or 19-point
 (3D) matrix is stored as CSC with its unknowns numbered by nested
 dissection, a numbering and pattern computed once per grid shape
@@ -48,8 +47,8 @@ Contracts the rest of the package relies on:
   rounding floor), where the rounding floor ROUNDING_ULPS * eps *
   max(|J| |u|) is the rounding level of evaluating the operator at u
   (J the Newton Jacobian, always assembled at u itself, never a kept
-  factor's); the floor is used only when no Newton or Picard step lowers
-  the residual any more.  Chord steps do not change this contract: the
+  factor's); the floor is used only when no Newton step lowers the
+  residual any more.  Chord steps do not change this contract: the
   true residual decides convergence against the same tol;
 * scaling:  solve(t*g) = t^(1/(p-1)) * solve(g) up to solver tolerance
   (exact for the regularized operator, because delta tracks the field scale);
@@ -79,14 +78,14 @@ from .errors import (
     StaleGradConstantError,
 )
 from .grid import (
-    DELTA_RELATIVE,
     Grid,
     ScalarField,
     _face_windows,
     _faces,
     _gradient_scale,
     _masked_power,
-    _plap_raw,
+    _plap_own_delta,
+    _plap_raw,  # unused here; perfbench's tracer patches and checks it in plap
     _slope2,
     gradient,
     sup_norm,
@@ -121,13 +120,14 @@ class SolveOptions:
 def _assemble(values, spacing, p, delta, frozen, faces=None):
     """Sparse interior-by-interior matrix of the linearized operator.
 
-    frozen=True freezes the face conductances W = m2^((p-2)/2) (the Picard
-    matrix, also the p=2 Laplacian when the field is flat); frozen=False
-    builds the full Newton Jacobian including the transverse coupling.  The
-    conductances of each face family come from the same face arrays as the
-    residual: ``faces`` is ``_faces(values, spacing)`` when the caller has
-    built it.  Each face adds -v to the row of its lo node and +v to the row
-    of its hi node, v = (1/h_k) dF/du_c, for every node c its flux F reads.
+    frozen=False builds the full Newton Jacobian including the transverse
+    coupling; frozen=True freezes the face conductances W = m2^((p-2)/2),
+    which at p = 2 gives the Laplacian that starts a cold solve
+    (``_linear_poisson``).  The conductances of each face family come from
+    the same face arrays as the residual: ``faces`` is ``_faces(values,
+    spacing)`` when the caller has built it.  Each face adds -v to the row
+    of its lo node and +v to the row of its hi node, v = (1/h_k) dF/du_c,
+    for every node c its flux F reads.
 
     The matrix numbers its unknowns as ``_stencil`` does: its attribute
     ``order`` holds the C-order interior index of each unknown, so with more
@@ -409,17 +409,6 @@ def _cold_solve(grid, p, g, opts, solved):
     return solved[key]
 
 
-def _plap_own_delta(values, spacing, p, faces=None):
-    """``_plap_raw`` at the field's own delta, DELTA_RELATIVE times its
-    gradient scale, with both read from one face build: (result, delta).
-
-    ``faces`` is ``_faces(values, spacing)`` when the caller has built it."""
-    if faces is None:
-        faces = _faces(values, spacing)
-    delta = DELTA_RELATIVE * _gradient_scale(values, spacing, faces)
-    return _plap_raw(values, spacing, p, delta, faces), delta
-
-
 def _newton_loop(grid, p, gv, u, tol, history, trace, factor=None):
     interior = grid.interior
     spacing = grid.spacing
@@ -452,15 +441,6 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, factor=None):
             if step is not None:
                 accepted = _backtrack(u, step.reshape(inner_shape), interior,
                                       residual, rn, tol)
-        if accepted is None:
-            # Newton could not make progress; take a frozen-coefficient step
-            target = _try_solve(_assemble(u, spacing, p, delta, frozen=True,
-                                          faces=faces),
-                                gv[interior].ravel())
-            if target is not None:
-                direction = target.reshape(inner_shape) - u[interior]
-                accepted = _backtrack(u, direction, interior, residual, rn,
-                                      tol)
         if accepted is None:
             # no step lowers the residual: accept u if the residual is at the
             # rounding level of evaluating the operator at u

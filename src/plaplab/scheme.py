@@ -394,10 +394,14 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     reported unconverged (inconclusive), not raised.
 
     Raises:
+        ConfigurationError: max_outer below 1.
         OutOfRegionError: point outside the region (no solve attempted).
         InvariantViolation: barrier ordering, sub/super verification,
             invariant-set membership, or the gradient-constant check failed.
     """
+    if max_outer < 1:
+        raise ConfigurationError(
+            f"max_outer must be at least 1, got {max_outer}")
     if grid is None:
         grid = spec.build_grid()
     if opts is None:

@@ -122,9 +122,13 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
     ||Lap_p-residual||_inf <= 1e-5 * lambda1 * ||omega1||_inf.
 
     Raises:
+        ConfigurationError: max_sweeps below 1, or a bad weight.
         EigenFailure: no convergence within max_sweeps, or the converged pair
             misses the residual certificate.
     """
+    if max_sweeps < 1:
+        raise ConfigurationError(
+            f"max_sweeps must be at least 1, got {max_sweeps}")
     _check_weight(omega1, grid, "omega1")
     wv = omega1.values
     start = torsion_function(grid, p, omega1, opts)

@@ -80,6 +80,17 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+def test_outer_budget_below_one_exits_two(capsys, tmp_path):
+    assert main(["solve", "--spec", SUB, "--n", "17", "--lambda", "1",
+                 "--beta", "1", "--max-outer", "0"]) == 2
+    assert "max_outer" in capsys.readouterr().err
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--spec", SUB, "--n", "17", "--max-outer", "0",
+                 "--out", str(out)]) == 2
+    assert "--max-outer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # region
 

@@ -21,6 +21,7 @@ from plaplab.grid import (
     ScalarField,
     _faces,
     _gradient_scale,
+    _plap_own_delta,
     _plap_raw,
     build_grid,
     field_from_function,
@@ -34,7 +35,6 @@ from plaplab.plap import (
     ROUNDING_ULPS,
     SolveOptions,
     _assemble,
-    _plap_own_delta,
     _stencil,
     _try_solve,
     assert_gradient_bound,
@@ -179,6 +179,8 @@ def test_newton_residual_reads_delta_and_flux_from_one_face_build(shape, zero):
         out, got = _plap_own_delta(values, g.spacing, p)
         assert got == delta and (delta == 0.0) == zero
         assert out.tobytes() == _plap_raw(values, g.spacing, p, delta).tobytes()
+        assert p_laplacian_apply(ScalarField(g, values), p).values.tobytes() \
+            == out.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(17,), (7, 9), (5, 6, 7)])
@@ -577,10 +579,30 @@ def test_cold_solves_far_above_2_meet_the_contract(shape, p):
     _assert_residual_contract(solve_plap_dirichlet(g, p, load), p, load)
 
 
-def test_checkerboard_probe_converges_near_p_1():
+def test_checkerboard_probe_converges_near_p_1(monkeypatch):
+    # every step is a Newton step: the frozen matrix is only the p = 2 start
+    frozen_calls, in_start = [], []
+    assemble, linear_poisson = plap._assemble, plap._linear_poisson
+
+    def recording_assemble(*args, **kwargs):
+        frozen = kwargs["frozen"] if "frozen" in kwargs else args[4]
+        frozen_calls.append((bool(frozen), bool(in_start)))
+        return assemble(*args, **kwargs)
+
+    def recording_linear_poisson(*args):
+        in_start.append(True)
+        try:
+            return linear_poisson(*args)
+        finally:
+            in_start.pop()
+
+    monkeypatch.setattr(plap, "_assemble", recording_assemble)
+    monkeypatch.setattr(plap, "_linear_poisson", recording_linear_poisson)
     g = grid_1d(2049)
     load = dict(default_probes(g))["checker1"]
     _assert_residual_contract(solve_plap_dirichlet(g, 1.1, load), 1.1, load)
+    assert (True, True) in frozen_calls
+    assert all(inside for frozen, inside in frozen_calls if frozen)
 
 
 def test_rejects_mismatched_grid_and_bad_p():

@@ -318,6 +318,13 @@ def test_outer_budget_exhaustion_is_inconclusive_not_fatal(sub_stage):
     assert report.outer_iters == 1
 
 
+@pytest.mark.parametrize("max_outer", [0, -1])
+def test_outer_rejects_a_budget_below_one(sub_stage, max_outer):
+    spec, g, c, eig = sub_stage
+    with pytest.raises(ConfigurationError, match="max_outer"):
+        outer_fixed_point(spec, 1.0, 1.0, g, c, eig, max_outer=max_outer)
+
+
 def test_outer_rejects_out_of_region_points():
     spec = make_spec(p=2.0, q=1.5, a=1.0, b=1.0)  # r = 3 > p
     g = spec.build_grid()
