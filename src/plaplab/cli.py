@@ -321,15 +321,21 @@ def _sample_axis(rng, samples):
 # subcommands
 
 
+def _sample_grid(args):
+    """The (lambda, beta) sample axes of ``region`` and ``sweep``, checked
+    before any set-up work: (lambda range, lambdas, betas)."""
+    lam_range = _parse_range(args.lambda_range, "--lambda-range")
+    return (lam_range, _sample_axis(lam_range, args.samples),
+            _sample_axis(_parse_range(args.beta_range, "--beta-range"),
+                         args.samples))
+
+
 def cmd_region(args) -> int:
+    (lo, hi), lams, betas = _sample_grid(args)
+    opts = _solve_options(args)
     spec = _load_spec(args)
     grid = spec.build_grid()
-    opts = _solve_options(args)
     constants = compute_constants(spec, grid, opts)
-    lams = _sample_axis(_parse_range(args.lambda_range, "--lambda-range"),
-                        args.samples)
-    betas = _sample_axis(_parse_range(args.beta_range, "--beta-range"),
-                         args.samples)
     rows = []
     inside = 0
     for lam in lams:
@@ -341,7 +347,6 @@ def cmd_region(args) -> int:
     _emit(args.out, REGION_HEADER, rows)
     case = growth_case(spec)
     if args.out is not None and case in (SUPER, CRITICAL):
-        lo, hi = _parse_range(args.lambda_range, "--lambda-range")
         dense = np.linspace(lo, hi, 256)
         curve = region_boundary([float(x) for x in dense], constants, spec)
         _emit(_sibling_path(args.out, "boundary"), ["lambda", "beta"],
@@ -420,19 +425,16 @@ def _sweep_point(spec, lam, beta, grid, constants, eigen, opts, max_outer):
 
 
 def cmd_sweep(args) -> int:
-    spec = _load_spec(args)
-    grid = spec.build_grid()
-    opts = _solve_options(args)
     if args.parallel < 1:
         raise ConfigurationError("--parallel must be at least 1")
     if args.max_outer < 1:
         raise ConfigurationError("--max-outer must be at least 1")
+    _, lams, betas = _sample_grid(args)
+    opts = _solve_options(args)
+    spec = _load_spec(args)
+    grid = spec.build_grid()
     constants = compute_constants(spec, grid, opts)
     eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0], opts)
-    lams = _sample_axis(_parse_range(args.lambda_range, "--lambda-range"),
-                        args.samples)
-    betas = _sample_axis(_parse_range(args.beta_range, "--beta-range"),
-                         args.samples)
     points = [(float(lam), float(beta)) for lam in lams for beta in betas]
 
     rows = [None] * len(points)

@@ -36,10 +36,13 @@ CHORD_CONTRACTION times the old residual; otherwise the factor is dropped
 and the iteration takes the fresh Newton step at u.  The factor is kept in
 a one-slot ``factor`` list.  A solve makes its own, so a cold solve keeps
 one across its Newton iterations and its retreats in p; a caller that
-solves a run of nearby problems hands one list to all of them (the inner
-monotone iteration of ``scheme`` and the inverse iteration of ``spectral``
-do, once per call).  No factor outlives such a call.  One axis keeps no
-factor: LAPACK factors and solves in one O(n) call.
+solves a run of nearby problems hands one list to all of them.  The outer
+iteration of ``scheme`` makes one per ``outer_fixed_point`` call and shares
+it across all its outer steps, whose inner iterations start next to the last
+limit; the two inner limits of its certificate stage get a fresh one each;
+the inverse iteration of ``spectral`` makes one per call.  No factor
+outlives such a call.  One axis keeps no factor: LAPACK factors and solves
+in one O(n) call.
 
 Contracts the rest of the package relies on:
 
@@ -115,6 +118,12 @@ class SolveOptions:
     solve, relative to max(1, ||g||_inf)."""
 
     tol_residual: float = 1.0e-8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol_residual) and self.tol_residual > 0.0):
+            raise ConfigurationError(
+                "tol_residual must be finite and positive, got "
+                f"{self.tol_residual!r}")
 
 
 def _assemble(values, spacing, p, delta, frozen, faces=None):
@@ -338,9 +347,11 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         factor: optional one-slot list for the solve of the last SuperLU
             factor (grids with more than one axis).  A factor found there is
             tried first for chord steps, and the newest factor is left there
-            for the next solve.  Pass one only across solves of one problem
-            on one grid with one p, such as the sweeps of one inner
-            iteration or of one eigen iteration.  Without one the solve keeps
+            for the next solve.  Pass one only across solves of nearby
+            problems on one grid with one p, such as the sweeps of the outer
+            steps of one outer_fixed_point call or of one eigen iteration; a
+            factor that no longer contracts is dropped, so it costs at most
+            one trial step.  Without one the solve keeps
             its factors in a fresh list of its own, so it takes chord steps
             all the same, also across retreats in p, and leaves no factor
             behind.

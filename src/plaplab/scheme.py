@@ -14,12 +14,22 @@ which is nondecreasing in xi with nonnegative frozen part, then solve
     lower:  eps * u1          (scaled first eigenfunction),
     upper:  (M / ||phi||_inf) * phi   (scaled torsion function),
 
-by monotone iteration from the upper barrier.  Every stage is checked at run
-time: the barriers must verify as sub/super-solutions for each frozen F, the
-iterates must stay in the invariant set (between the barriers, gradient below
-gamma*M), and each solve must respect the empirical gradient constant.  A
-violation of any of these raises InvariantViolation -- it falsifies the
-implementation or a stale constant, never the underlying analysis.
+by monotone iteration down from a verified supersolution: the upper barrier
+at the first outer step, and after it min(upper, (1 + t) u) for the previous
+iterate u and the smallest t of WARM_START_LADDER that verifies, or the upper
+barrier when none does.  A step whose frozen map equals the previous one
+bit for bit keeps the previous limit.  The price: an outer iterate is the
+maximal solution below the start, not below the upper barrier.  The two
+differ only if the frozen problem has more than one solution in the band, and
+the certificates at the final map, computed from both barriers, catch that
+case.
+
+Every stage is checked at run time: the barriers must verify as
+sub/super-solutions for each frozen F, the iterates must stay in the
+invariant set (between the barriers, gradient below gamma*M), and each solve
+must respect the empirical gradient constant.  A violation of any of these
+raises InvariantViolation -- it falsifies the implementation or a stale
+constant, never the underlying analysis.
 
 Convergence of the outer map is monitored in C^1 (sup distance of values plus
 gradients); the fixed-point argument behind it is nonconstructive, so
@@ -62,6 +72,10 @@ log = logging.getLogger(__name__)
 
 # Relative C^1 stopping threshold of the outer iteration, in units of M.
 OUTER_STOP_REL = 1.0e-7
+# An outer step after the first starts its inner iteration from the first
+# min(sup, (1 + t) u_prev), t on this ladder, that verifies with no slack as a
+# supersolution of the step's frozen map; from the upper barrier if none does.
+WARM_START_LADDER = (1.0e-4, 1.0e-3, 1.0e-2, 3.0e-2, 1.0e-1)
 # Inner monotone iteration stops when successive iterates move less than
 # this fraction of the upper barrier's sup norm, within this many sweeps.
 INNER_STOP_REL = 1.0e-8
@@ -208,7 +222,9 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
                          sup_field: ScalarField, grid: Grid, p: float,
                          opts: SolveOptions | None = None,
                          start: str = "super",
-                         khat: float | None = None) -> ScalarField:
+                         khat: float | None = None,
+                         start_field: ScalarField | None = None,
+                         factor: list | None = None) -> ScalarField:
     """Monotone iteration U_{n+1} = solve(F(x, U_n)) between the barriers.
 
     Started from the upper barrier the sequence is nonincreasing (from the
@@ -216,16 +232,24 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
     to 10x the solver tolerance, else MonotonicityError.  Stops when the sup
     move drops below 1e-8 * ||super||_inf.
 
-    The warm-started solves of one call share one kept SuperLU factor (the
-    chord steps of plap.solve_plap_dirichlet): successive sweeps differ
-    little, so one factor stays a good linear model for many of them.  The
-    factor lives for this call only: the two inner limits of the certificate
-    stay independent computations, and a result never depends on what was
-    solved before it.
+    The warm-started solves share one kept SuperLU factor (the chord steps
+    of plap.solve_plap_dirichlet): successive sweeps differ little, so one
+    factor stays a good linear model for many of them.  ``factor`` is the
+    one-slot holder of plap.solve_plap_dirichlet; without one the call makes
+    its own, and its factor lives for this call only.  The outer iteration
+    hands one holder to all its steps, and the certificate stage gives each
+    of its two inner limits a fresh one, so they stay independent
+    computations.  No factor outlives an outer_fixed_point call.
 
     Args:
         khat: when given, every solve is checked against the empirical
             gradient bound (StaleGradConstantError on violation).
+        start_field: with start="super", a supersolution of F inside the
+            band to start the nonincreasing iteration from instead of the
+            upper barrier; the caller has verified it.  The limit is then
+            the maximal solution below start_field.
+        factor: the SuperLU factor holder the solves share; None makes a
+            fresh one for this call.
 
     Raises:
         IterationFailure: no convergence within INNER_MAX_SWEEPS sweeps.
@@ -236,13 +260,20 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
         raise ConfigurationError(f"start must be 'sub' or 'super', got {start!r}")
     if sub.grid != grid or sup_field.grid != grid:
         raise ConfigurationError("barriers live on a different grid")
+    if start_field is not None and (start != "super" or start_field.grid != grid):
+        raise ConfigurationError(
+            "a start field needs start='super' and the barriers' grid")
     band_slack = 1.0e-12 * max(1.0, sup_norm(sup_field))
     if np.any(sub.values > sup_field.values + band_slack):
         raise ConfigurationError("lower barrier exceeds upper barrier")
 
     stop = INNER_STOP_REL * sup_norm(sup_field)
-    u = sup_field if start == "super" else sub
-    factor = []  # the sweeps' shared SuperLU factor, for this call only
+    if start_field is not None:
+        u = start_field
+    else:
+        u = sup_field if start == "super" else sub
+    if factor is None:
+        factor = []
     for sweep in range(1, INNER_MAX_SWEEPS + 1):
         rhs = F.as_field(u.values)
         solve_opts = _support_tolerance(opts, stop)
@@ -274,6 +305,33 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
     raise IterationFailure(
         f"inner monotone iteration made no C0 limit in {INNER_MAX_SWEEPS} "
         "sweeps")
+
+
+def _same_map(F: FrozenNonlinearity, G: FrozenNonlinearity) -> bool:
+    """True when two frozen maps are bitwise equal."""
+    return (F.coeff.tobytes() == G.coeff.tobytes()
+            and F.base.tobytes() == G.base.tobytes())
+
+
+def _warm_start(u: ScalarField, F: FrozenNonlinearity, sup_field: ScalarField,
+                grid: Grid, p: float):
+    """Start of an outer step's inner iteration, with its label: the first
+    v = min(sup, (1 + t) u) over WARM_START_LADDER that verifies as a
+    supersolution of F, else the upper barrier itself.
+
+    Since q < p, a slightly scaled-up limit of the previous frozen map is a
+    supersolution of the next one whenever that map moved little, and the
+    minimum of two supersolutions is again one.  A rung must verify with no
+    slack (tol 0): the default tolerance has an absolute floor of 1e-7, sized
+    for the barriers, which have a margin by construction; on a small
+    right-hand side it would pass a candidate the first sweep then rises
+    above, past the inner iteration's monotone check.
+    """
+    for t in WARM_START_LADDER:
+        v = ScalarField(grid, np.minimum(sup_field.values, (1.0 + t) * u.values))
+        if verify_subsuper(v, F, grid, p, "super", tol=0.0).ok:
+            return v, f"t={t:g}"
+    return sup_field, "sup"
 
 
 def picone_diagnostic(U: ScalarField, V: ScalarField, F: FrozenNonlinearity,
@@ -432,6 +490,8 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     trace = []
     converged_iter = False
     outer_iters = 0
+    factor = []  # one SuperLU factor holder for every outer step of this call
+    previous = None  # the last step's frozen map
     for k in range(1, max_outer + 1):
         outer_iters = k
         frozen = freeze_nonlinearity(u, lam, beta, spec, grid, weights, grad_u)
@@ -442,8 +502,16 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                     f"{kind}-solution verification failed at outer step {k}: "
                     f"violation {rep.worst_violation:.3e} over tol {rep.tol:.1e} "
                     f"at node {rep.node}")
-        u_next = inner_monotone_solve(frozen, sub, sup_field, grid, spec.p,
-                                      opts, start="super", khat=constants.khat)
+        if previous is not None and _same_map(frozen, previous):
+            # u is already the limit of this very map
+            u_next, started = u, "reused"
+        else:
+            start_field, started = ((sup_field, "sup") if previous is None else
+                                    _warm_start(u, frozen, sup_field, grid, spec.p))
+            u_next = inner_monotone_solve(frozen, sub, sup_field, grid, spec.p,
+                                          opts, start="super", khat=constants.khat,
+                                          start_field=start_field, factor=factor)
+        previous = frozen
         below = float(np.max(sub.values - u_next.values))
         above = float(np.max(u_next.values - sup_field.values))
         if max(below, above) > membership_slack:
@@ -461,8 +529,8 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                     (grad_next.components - grad_u.components) ** 2, axis=0)))))
         trace.append(dist)
         u, grad_u = u_next, grad_next
-        log.info("outer step %d: C1 move %.3e (target %.1e)",
-                 k, dist, OUTER_STOP_REL * height)
+        log.info("outer step %d from %s: C1 move %.3e (target %.1e)",
+                 k, started, dist, OUTER_STOP_REL * height)
         if dist < OUTER_STOP_REL * height:
             converged_iter = True
             break

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+import plaplab.cli as cli
 from plaplab.cli import (
     REGION_HEADER,
     SWEEP_HEADER,
@@ -72,6 +73,19 @@ def test_solve_exit_codes(capsys, tmp_path):
     assert main(["sweep", "--spec", SUB, "--n", "17",
                  "--lambda-range", "nope", "--out",
                  str(tmp_path / "s.csv")]) == 2
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--lambda", "1", "--beta", "1"], ["sweep", "--samples", "2"],
+    ["region", "--samples", "2"], ["eigen"], ["torsion"]],
+    ids=lambda command: command[0])
+def test_a_bad_tolerance_exits_two(command, tol, capsys, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(command + ["--spec", SUB, "--n", "17", f"--tol={tol}",
+                           "--out", str(out)]) == 2
+    assert "tol_residual must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_two():
@@ -178,6 +192,21 @@ def test_sweep_records_out_of_region_rows_without_aborting(tmp_path):
             assert not row.in_region and row.outer_iters is None
         if row.converged:
             assert row.in_region  # gate implies attempt
+
+
+@pytest.mark.parametrize("command", ["sweep", "region"])
+@pytest.mark.parametrize("bad", [
+    ["--samples", "0"], ["--lambda-range", "2:1"], ["--beta-range", "0:1"],
+    ["--lambda-range", "nope"]])
+def test_bad_sample_arguments_exit_before_the_set_up(command, bad, monkeypatch,
+                                                     tmp_path):
+    set_ups = []
+    monkeypatch.setattr(cli, "compute_constants",
+                        lambda *args, **kwargs: set_ups.append(args))
+    out = tmp_path / "out.csv"
+    assert main([command, "--spec", SUB, "--n", "17", *bad,
+                 "--out", str(out)]) == 2
+    assert set_ups == [] and not out.exists()
 
 
 def test_sweep_timings_go_to_stdout_not_csv(tmp_path, capsys):

@@ -97,6 +97,12 @@ def test_residual_contract_and_boundary():
     assert np.all(u.values[g.interior] > 0.0)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_options_reject_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ConfigurationError, match="tol_residual"):
+        SolveOptions(tol_residual=tol)
+
+
 # ---------------------------------------------------------------------------
 # scaling law
 

@@ -423,23 +423,175 @@ def report_bytes(report):
     return fields
 
 
-def test_no_factor_outlives_an_inner_iteration(square2d_stage, monkeypatch):
+def test_no_factor_outlives_an_outer_fixed_point_call(square2d_stage,
+                                                       monkeypatch):
     spec, g, c, eig = square2d_stage
-    inner_calls = counting(monkeypatch, scheme, "inner_monotone_solve")
-    holders = []  # one per inner iteration, empty at its first solve
+    inner = []  # per inner iteration: [factor argument, holders its solves saw]
+    seen = []  # every holder, kept alive so that identity checks stay sound
 
-    def recording(*args, factor, **kwargs):
-        if not holders or factor is not holders[-1]:
-            assert factor == [] and all(factor is not h for h in holders)
-            holders.append(factor)
+    def recording_inner(*args, factor=None, **kwargs):
+        inner.append([factor, []])
+        return inner_monotone_solve(*args, factor=factor, **kwargs)
+
+    def recording_solve(*args, factor, **kwargs):
+        inner[-1][1].append((factor, factor == []))
+        seen.append(factor)
         return solve_plap_dirichlet(*args, factor=factor, **kwargs)
 
-    monkeypatch.setattr(scheme, "solve_plap_dirichlet", recording)
-    first = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
-    outer_fixed_point(spec, 0.5, 2.0, g, c, eig)
-    again = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
-    assert len(holders) == len(inner_calls)
-    assert report_bytes(again) == report_bytes(first)
+    monkeypatch.setattr(scheme, "inner_monotone_solve", recording_inner)
+    monkeypatch.setattr(scheme, "solve_plap_dirichlet", recording_solve)
+    runs = []
+    for lam, beta in ((1.0, 1.0), (0.5, 2.0), (1.0, 1.0)):
+        inner.clear()
+        before = list(seen)
+        runs.append(outer_fixed_point(spec, lam, beta, g, c, eig))
+        *steps, from_above, from_below = [list(rec) for rec in inner]
+        # the outer steps share one holder of this call, empty at its start
+        shared = steps[0][0]
+        assert shared is not None and all(h is shared for h, _ in steps)
+        assert steps[0][1][0] == (shared, True)
+        assert all(h is shared for _, solves in steps for h, _ in solves)
+        assert all(h is not shared for h in before)
+        # each certificate iteration starts with a fresh empty holder
+        for factor, solves in (from_above, from_below):
+            first = solves[0][0]
+            assert factor is None and solves[0][1]
+            assert all(h is first for h, _ in solves)
+            assert first is not shared
+            assert all(h is not first for h in before)
+        assert from_above[1][0][0] is not from_below[1][0][0]
+    assert report_bytes(runs[2]) == report_bytes(runs[0])
+
+
+# ---------------------------------------------------------------------------
+# warm starts of the outer steps
+
+
+def recording_starts(monkeypatch):
+    """Route scheme.inner_monotone_solve through a wrapper; returns per call
+    (F, sub, sup, start, start_field)."""
+    calls = []
+
+    def wrapper(F, sub, sup, grid, p, opts=None, start="super", khat=None,
+                start_field=None, factor=None):
+        calls.append((F, sub, sup, start, start_field))
+        return inner_monotone_solve(F, sub, sup, grid, p, opts, start, khat,
+                                    start_field=start_field, factor=factor)
+
+    monkeypatch.setattr(scheme, "inner_monotone_solve", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("stage", ["sub_stage", "square2d_stage"])
+def test_every_warm_start_is_a_verified_supersolution_in_the_band(
+        stage, request, monkeypatch):
+    spec, g, c, eig = request.getfixturevalue(stage)
+    calls = recording_starts(monkeypatch)
+    report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    assert report.converged
+    *steps, _, _ = calls  # the last two make the certificates
+    sup = steps[0][2]
+    assert steps[0][4] is sup  # the first step starts from the upper barrier
+    warm = [call for call in steps[1:] if call[4] is not sup]
+    assert warm  # later steps start below the upper barrier
+    for F, sub, sup, start, v in warm:
+        assert start == "super"
+        assert verify_subsuper(v, F, g, spec.p, "super", tol=0.0).ok
+        assert np.all(sub.values <= v.values) and np.all(v.values <= sup.values)
+    # a previous iterate at the upper barrier: the scaled-up start is cut
+    # back to it
+    F = steps[1][0]
+    v, started = scheme._warm_start(sup, F, sup, g, spec.p)
+    assert started == "t=0.0001" and v.values.tobytes() == sup.values.tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.1, 2.0])
+def test_warm_starts_keep_the_monotone_check_on_a_small_right_hand_side(
+        beta, monkeypatch):
+    # critical at lambda = 0.1 has M of about 1.6e-4, so its defects sit far
+    # below the 1e-7 floor of verify_subsuper's default tolerance
+    spec = dataclasses.replace(load_problem(bundled_problem_path("critical")),
+                               resolution=33)
+    calls = recording_starts(monkeypatch)
+    report = outer_fixed_point(spec, 0.1, beta)
+    assert report.converged and report.certificates.all_ok
+    sup = calls[0][2]
+    assert any(call[4] is not sup for call in calls[1:-2])
+
+
+def test_a_failing_ladder_falls_back_to_the_upper_barrier(sub_stage,
+                                                          monkeypatch):
+    spec, g, c, eig = sub_stage
+    plain = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    verify = scheme.verify_subsuper
+    barrier = []  # the upper barrier: the first field verified as "super"
+
+    def failing_rungs(candidate, F, grid, p, kind, tol=None):
+        rep = verify(candidate, F, grid, p, kind, tol)
+        if kind == "super":
+            if not barrier:
+                barrier.append(candidate)
+            if candidate is not barrier[0]:
+                return dataclasses.replace(rep, ok=False)
+        return rep
+
+    monkeypatch.setattr(scheme, "verify_subsuper", failing_rungs)
+    calls = recording_starts(monkeypatch)
+    forced = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    assert forced.converged and forced.certificates.all_ok
+    assert forced.outer_iters == plain.outer_iters
+    *steps, _, _ = calls
+    assert len(steps) == forced.outer_iters
+    assert all(call[4] is barrier[0] for call in steps)
+
+
+def test_an_unchanged_frozen_map_reuses_the_last_limit(monkeypatch, caplog):
+    # degenerate's frozen map does not depend on the iterate (C8's case)
+    spec = dataclasses.replace(load_problem(bundled_problem_path("degenerate")),
+                               resolution=33)
+    g = spec.build_grid()
+    c = compute_constants(spec, g)
+    eig = first_eigenpair(g, spec.p, sample_weights(spec, g)[0])
+    calls = recording_starts(monkeypatch)
+    with caplog.at_level("INFO", logger="plaplab.scheme"):
+        report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    assert report.converged and report.outer_iters == 2
+    assert report.outer_trace[1] == 0.0
+    # step 1, then the two certificate iterations: step 2 solves nothing
+    assert [call[3] for call in calls] == ["super", "super", "sub"]
+    assert "outer step 2 from reused:" in caplog.text
+
+
+def test_outer_steps_log_the_start_they_used(sub_stage, caplog):
+    spec, g, c, eig = sub_stage
+    with caplog.at_level("INFO", logger="plaplab.scheme"):
+        report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    steps = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("outer step ")]
+    assert len(steps) == report.outer_iters
+    assert steps[0].startswith("outer step 1 from sup:")
+    rungs = {f"t={t:g}" for t in scheme.WARM_START_LADDER}
+    started = [m.split(" from ", 1)[1].split(":", 1)[0] for m in steps[1:]]
+    assert set(started) <= rungs | {"sup", "reused"}
+    assert rungs & set(started)
+
+
+# _try_solve calls (factorizations) of outer_fixed_point(square2d at 33x33,
+# lambda = beta = 1) when every outer step started from the upper barrier
+# with a holder of its own
+COLD_START_FACTORIZATIONS = 52
+
+
+def test_warm_starts_halve_the_factorizations_on_square2d(monkeypatch):
+    spec = load_problem(bundled_problem_path("square2d"))
+    g = spec.build_grid()
+    assert g.shape == (33, 33)
+    c = compute_constants(spec, g)
+    eig = first_eigenpair(g, spec.p, sample_weights(spec, g)[0])
+    factors = counting(monkeypatch, plap, "_try_solve")
+    report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    assert report.converged
+    assert 0 < len(factors) <= COLD_START_FACTORIZATIONS // 2
 
 
 def test_1d_inner_iteration_keeps_no_factor(sub_stage, monkeypatch):
