@@ -54,6 +54,7 @@ import numpy as np
 from .constants import (
     CRITICAL,
     SUPER,
+    _check_point,
     combined_weight,
     compute_constants,
     growth_case,
@@ -76,7 +77,7 @@ from .errors import (
 from .expr import ProblemSpec, load_problem, sample_weights, validate_hypotheses
 from .grid import gradient, sup_norm
 from .plap import SolveOptions
-from .scheme import SolveReport, outer_fixed_point
+from .scheme import SolveReport, _check_outer_budget, outer_fixed_point
 from .spectral import first_eigenpair, torsion_function
 
 log = logging.getLogger(__name__)
@@ -385,6 +386,9 @@ def _report_lines(report: SolveReport, with_trace: bool):
 
 
 def cmd_solve(args) -> int:
+    # the point and the budget are checked before any set-up work
+    _check_point(args.lam, args.beta)
+    _check_outer_budget(args.max_outer)
     spec = _load_spec(args)
     grid = spec.build_grid()
     opts = _solve_options(args)

@@ -12,7 +12,10 @@ t_j and m2 = s^2 + |t|^2 + delta^2,
 
 both strictly positive / well defined for p > 1 once delta > 0; with one
 axis t is empty and only dF/ds is assembled.  A cold solve starts from the
-p = 2 solution (a single linear solve) and runs Newton at p itself.  Only
+p = 2 solution, which the discrete sine transform gives with no matrix and
+no factorization (``_linear_poisson``); above p = 2 that start is rescaled
+to the size of the solution at p, using that the operator is
+(p-1)-homogeneous (``_cold_start``).  Newton then runs at p itself.  Only
 when that stalls does it retreat to the exponent halfway between the failed
 one and the last one it reached, and from there it comes back to p
 (adaptive step control of continuation methods; Allgower & Georg,
@@ -69,6 +72,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solve_banded
@@ -126,17 +130,15 @@ class SolveOptions:
                 f"{self.tol_residual!r}")
 
 
-def _assemble(values, spacing, p, delta, frozen, faces=None):
-    """Sparse interior-by-interior matrix of the linearized operator.
+def _assemble(values, spacing, p, delta, *, faces=None):
+    """Sparse interior-by-interior Newton Jacobian of the operator at delta,
+    including the transverse coupling.
 
-    frozen=False builds the full Newton Jacobian including the transverse
-    coupling; frozen=True freezes the face conductances W = m2^((p-2)/2),
-    which at p = 2 gives the Laplacian that starts a cold solve
-    (``_linear_poisson``).  The conductances of each face family come from
-    the same face arrays as the residual: ``faces`` is ``_faces(values,
-    spacing)`` when the caller has built it.  Each face adds -v to the row
-    of its lo node and +v to the row of its hi node, v = (1/h_k) dF/du_c,
-    for every node c its flux F reads.
+    The conductances of each face family come from the same face arrays as
+    the residual: ``faces`` is ``_faces(values, spacing)`` when the caller
+    has built it.  Each face adds -v to the row of its lo node and +v to the
+    row of its hi node, v = (1/h_k) dF/du_c, for every node c its flux F
+    reads.
 
     The matrix numbers its unknowns as ``_stencil`` does: its attribute
     ``order`` holds the C-order interior index of each unknown, so with more
@@ -148,18 +150,13 @@ def _assemble(values, spacing, p, delta, frozen, faces=None):
     coef = np.zeros((len(offsets),) + values.shape)
     d2 = delta * delta
     for k, ((s, t), (s_plan, t_plan)) in enumerate(zip(faces, plans)):
-        m2 = _slope2(s, t) + d2
-        if frozen:
-            ds = np.ones_like(s) if p == 2.0 else _masked_power(m2, (p - 2.0) / 2.0)
-            dts, plan = [], s_plan
-        else:
-            w = _masked_power(m2, (p - 4.0) / 2.0)
-            ds = w * (d2 + sum(tj * tj for tj in t) + (p - 1.0) * s * s)
-            dts, plan = [(p - 2.0) * w * s * tj for tj in t], s_plan + t_plan
+        w = _masked_power(_slope2(s, t) + d2, (p - 4.0) / 2.0)
+        ds = w * (d2 + sum(tj * tj for tj in t) + (p - 1.0) * s * s)
+        dts = [(p - 2.0) * w * s * tj for tj in t]
         inv_h, cross_h = 1.0 / spacing[k], [h for j, h in enumerate(spacing) if j != k]
         vals = [inv_h * (ds / spacing[k])] + [
             inv_h * (dt / (4.0 * h)) for dt, h in zip(dts, cross_h)]
-        for op, index, m in plan:
+        for op, index, m in s_plan + t_plan:
             target = coef[index]
             op(target, vals[m], out=target)
     n = math.prod(size - 2 for size in values.shape)
@@ -316,14 +313,40 @@ def _in_grid_order(solve, order):
 
 
 def _linear_poisson(grid, gv):
-    """Solve -Lap u = g (the p=2 problem); used as the cold-start guess."""
-    zeros = np.zeros(grid.shape)
-    mat = _assemble(zeros, grid.spacing, 2.0, 0.0, frozen=True)
-    sol = _try_solve(mat, gv[grid.interior].ravel())
-    if sol is None:
-        raise SolveFailure("linear Poisson solve failed")
+    """Solve -Lap u = g (the p = 2 problem) with the discrete sine transform.
+
+    The (2d+1)-point Dirichlet Laplacian of a box is diagonalized by the
+    type-I sine transform along every axis, with eigenvalues
+    sum_k (4 / h_k^2) sin^2(pi j_k / (2 (n_k - 1))), j_k = 1 .. n_k - 2
+    (Buzbee, Golub & Nielson, "On direct methods for solving Poisson's
+    equations", SIAM J. Numer. Anal. 7, 1970): no matrix, no factorization.
+    """
+    eigen = 0.0
+    for k, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+        j = np.arange(1, n - 1)
+        axis = (4.0 / (h * h)) * np.sin(0.5 * np.pi * j / (n - 1)) ** 2
+        eigen = eigen + axis.reshape((-1,) + (1,) * (grid.dimension - 1 - k))
     u = np.zeros(grid.shape)
-    u[grid.interior] = sol.reshape(tuple(n - 2 for n in grid.shape))
+    u[grid.interior] = sfft.idstn(sfft.dstn(gv[grid.interior], type=1) / eigen,
+                                  type=1)
+    return u
+
+
+def _cold_start(grid, p, gv):
+    """The p = 2 solution; for p > 2 rescaled by
+    c = (<Au, g> / <Au, Au>)^(1/(p-1)), A the operator at p on the interior.
+
+    The regularized operator is (p-1)-homogeneous, A(cu) = c^(p-1) A(u), so c
+    is the scale whose residual is least in the 2-norm, at the cost of one
+    operator apply.  The start is kept when <Au, g> is not positive, and for
+    p <= 2, where the power 1/(p-1) >= 1 magnifies any error of the ratio.
+    """
+    u = _linear_poisson(grid, gv)
+    if p > 2.0:
+        au = _plap_own_delta(u, grid.spacing, p)[0][grid.interior].ravel()
+        num = float(au @ gv[grid.interior].ravel())
+        if num > 0.0:  # then au is not zero either
+            u *= (num / float(au @ au)) ** (1.0 / (p - 1.0))
     return u
 
 
@@ -341,7 +364,9 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         opts: solver options; defaults to SolveOptions().
         initial_guess: warm start; Newton runs at p from it, and a stall
             raises at once.  Without one (or with a flat one), Newton starts
-            from the p = 2 solution and retreats in p only on a stall.
+            from the p = 2 solution, for p > 2 scaled by the factor c with
+            the least 2-norm residual of -Lap_p(c u) = g, and retreats in p
+            only on a stall.
         trace: optional list that receives (iteration, residual, damping)
             triples as the solve progresses.
         factor: optional one-slot list for the solve of the last SuperLU
@@ -385,9 +410,9 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         reached = p
         # a flat warm start cannot seed the Jacobian; fall back to cold start
         if _gradient_scale(u, grid.spacing) == 0.0 and gsup > 0.0:
-            u, reached = _linear_poisson(grid, gv), 2.0
+            u, reached = _cold_start(grid, p, gv), 2.0
     else:
-        u, reached = _linear_poisson(grid, gv), 2.0
+        u, reached = _cold_start(grid, p, gv), 2.0
 
     if factor is None:
         factor = []
@@ -447,7 +472,7 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, factor=None):
                 factor.clear()
         if accepted is None:
             # a fresh Jacobian at u: the rounding floor below reads it too
-            jac = _assemble(u, spacing, p, delta, frozen=False, faces=faces)
+            jac = _assemble(u, spacing, p, delta, faces=faces)
             step = _try_solve(jac, -r_int.ravel(), factor)
             if step is not None:
                 accepted = _backtrack(u, step.reshape(inner_shape), interior,

@@ -436,6 +436,12 @@ def natural_residual_scale(lam: float, beta: float, c: ConstantsBundle,
                           * height ** spec.a)
 
 
+def _check_outer_budget(max_outer):
+    if max_outer < 1:
+        raise ConfigurationError(
+            f"max_outer must be at least 1, got {max_outer}")
+
+
 def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                       grid: Grid | None = None,
                       constants: ConstantsBundle | None = None,
@@ -457,9 +463,7 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
         InvariantViolation: barrier ordering, sub/super verification,
             invariant-set membership, or the gradient-constant check failed.
     """
-    if max_outer < 1:
-        raise ConfigurationError(
-            f"max_outer must be at least 1, got {max_outer}")
+    _check_outer_budget(max_outer)
     if grid is None:
         grid = spec.build_grid()
     if opts is None:

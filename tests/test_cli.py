@@ -105,6 +105,24 @@ def test_outer_budget_below_one_exits_two(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam, beta, max_outer, message", [
+    ("1", "1", "0", "max_outer"), ("-1", "1", "50", "lambda and beta"),
+    ("0", "1", "50", "lambda and beta"), ("inf", "1", "50", "lambda and beta"),
+    ("1", "nan", "50", "lambda and beta"), ("1", "-2", "50", "lambda and beta")])
+def test_bad_solve_arguments_exit_before_the_set_up(lam, beta, max_outer,
+                                                    message, monkeypatch,
+                                                    tmp_path, capsys):
+    set_ups = []
+    monkeypatch.setattr(cli, "compute_constants",
+                        lambda *args, **kwargs: set_ups.append(args))
+    out = tmp_path / "u.csv"
+    assert main(["solve", "--spec", SUB, "--n", "17", f"--lambda={lam}",
+                 f"--beta={beta}", "--max-outer", max_outer,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert set_ups == [] and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # region
 
@@ -207,6 +225,27 @@ def test_bad_sample_arguments_exit_before_the_set_up(command, bad, monkeypatch,
     assert main([command, "--spec", SUB, "--n", "17", *bad,
                  "--out", str(out)]) == 2
     assert set_ups == [] and not out.exists()
+
+
+# outer_iters of each row of `sweep --samples 3` on the bundled problems at
+# their own resolution, lambda-major; every row converges
+SWEEP_OUTER_ITERS = {
+    "sub": (12, 15, 15, 7, 11, 12, 6, 10, 11),
+    "super": (2, 3, 3, 3, 4, 5, 4, 5, 6),
+    "critical": (6, 12, 17, 6, 12, 17, 6, 12, 17),
+    "degenerate": (2, 2, 2, 2, 2, 2, 2, 2, 2),
+    "square2d": (11, 14, 14, 8, 11, 12, 7, 9, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_OUTER_ITERS))
+def test_bundled_sweeps_keep_their_outcomes(name, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--spec", str(bundled_problem_path(name)),
+                 "--samples", "3", "--out", str(out)]) == 0
+    assert [(row.status, row.converged, row.outer_iters)
+            for row in SweepResult.read(out).rows] \
+        == [("converged", True, k) for k in SWEEP_OUTER_ITERS[name]]
 
 
 def test_sweep_timings_go_to_stdout_not_csv(tmp_path, capsys):

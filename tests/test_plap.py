@@ -156,7 +156,7 @@ def test_newton_jacobian_matches_central_differences(p, dimension):
     u = _jacobian_test_field(dimension)
     g = u.grid
     delta = flux_delta(u)  # held fixed: the Jacobian is taken at fixed delta
-    jac = grid_order(_assemble(u.values, g.spacing, p, delta, frozen=False),
+    jac = grid_order(_assemble(u.values, g.spacing, p, delta),
                      g.shape).toarray()
     eps = 1.0e-6 * sup_norm(u)
     nodes = np.argwhere(np.ones(tuple(n - 2 for n in g.shape), dtype=bool)) + 1
@@ -189,8 +189,10 @@ def test_newton_residual_reads_delta_and_flux_from_one_face_build(shape, zero):
             == out.tobytes()
 
 
+# the frozen=False ids name the Newton Jacobian, the one matrix _assemble
+# builds
 @pytest.mark.parametrize("shape", [(17,), (7, 9), (5, 6, 7)])
-@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("frozen", [False])
 def test_assembly_from_the_residual_faces_is_bit_equal(shape, frozen):
     g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
     values = np.zeros(shape)
@@ -199,32 +201,89 @@ def test_assembly_from_the_residual_faces_is_bit_equal(shape, frozen):
     faces = _faces(values, g.spacing)
     for p in (1.5, 2.5, 4.0):
         delta = DELTA_RELATIVE * _gradient_scale(values, g.spacing, faces)
-        got = _assemble(values, g.spacing, p, delta, frozen, faces)
-        expected = _assemble(values, g.spacing, p, delta, frozen)
+        got = _assemble(values, g.spacing, p, delta, faces=faces)
+        expected = _assemble(values, g.spacing, p, delta)
         assert got.data.tobytes() == expected.data.tobytes()
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-def test_frozen_matrix_at_p2_is_the_standard_laplacian(dimension):
-    shape = {1: (9,), 2: (7, 9), 3: (7, 9, 6)}[dimension]
-    g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:dimension], shape)
-    rng = np.random.default_rng(3)
-    values = rng.standard_normal(g.shape)  # p = 2 ignores the state
-    mat = grid_order(_assemble(values, g.spacing, 2.0, 1.0e-3, frozen=True),
-                     g.shape).toarray()
-    # the (2d+1)-point Laplacian: one second difference per axis, as a
-    # Kronecker sum
-    sizes = [n - 2 for n in g.shape]
-    expected = 0.0
-    for k, h in enumerate(g.spacing):
+def kron_laplacian(grid):
+    """The (2d+1)-point Dirichlet Laplacian of the interior nodes in grid (C)
+    order, one second difference per axis, as a Kronecker sum (CSC)."""
+    sizes = [n - 2 for n in grid.shape]
+    total = 0.0
+    for k, h in enumerate(grid.spacing):
         term = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1],
                         shape=(sizes[k], sizes[k])) / (h * h)
         for before in reversed(sizes[:k]):
             term = sp.kron(sp.identity(before), term)
         for after in sizes[k + 1:]:
             term = sp.kron(term, sp.identity(after))
-        expected = expected + term
-    assert np.allclose(mat, expected.toarray(), rtol=1e-14, atol=0.0)
+        total = total + term
+    return total.tocsc()
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_linear_poisson_matches_the_kronecker_sum_laplacian(dimension,
+                                                             monkeypatch):
+    # a non-square 2D box with unequal spacings; no matrix and no factor
+    g = {1: build_grid(((0.0, 1.0),), 2049),
+         2: build_grid(((0.0, 1.0), (0.0, 2.5)), (33, 17)),
+         3: build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5)), (9, 7, 5))}[dimension]
+    load = np.random.default_rng(3).standard_normal(g.shape)
+    for name in ("_assemble", "_try_solve"):
+        monkeypatch.setattr(plap, name, None)
+    u = plap._linear_poisson(g, load)
+    monkeypatch.undo()
+    expected = spla.spsolve(kron_laplacian(g), load[g.interior].ravel())
+    assert np.all(u[g.boundary_mask()] == 0.0)
+    assert np.max(np.abs(u[g.interior].ravel() - expected)) \
+        <= 1e-11 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
+def test_the_operator_is_exactly_homogeneous(p):
+    # delta tracks the field scale, so -Lap_p(c u) = c^(p-1) (-Lap_p u)
+    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (13, 11))
+    u = np.zeros(g.shape)
+    u[g.interior] = np.random.default_rng(4).standard_normal((11, 9))
+    out = _plap_own_delta(u, g.spacing, p)[0]
+    for c in (1e-6, 0.3, 7.0, 1e3):
+        scaled = _plap_own_delta(c * u, g.spacing, p)[0]
+        assert np.max(np.abs(scaled - c ** (p - 1.0) * out)) \
+            <= 1e-13 * c ** (p - 1.0) * np.max(np.abs(out))
+
+
+@pytest.mark.parametrize("shape", [(2049,), (33, 33)])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5, 4.0, 8.0])
+def test_the_cold_start_is_rescaled_only_above_p2(shape, p):
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+
+    def residual(u, load):
+        return np.linalg.norm((_plap_own_delta(u, g.spacing, p)[0]
+                               - load)[g.interior])
+
+    for label, load in default_probes(g):
+        linear = plap._linear_poisson(g, load.values)
+        start = plap._cold_start(g, p, load.values)
+        if p <= 2.0:
+            assert start.tobytes() == linear.tobytes(), label
+        else:
+            assert residual(start, load.values) < residual(linear, load.values), label
+
+
+@pytest.mark.parametrize("p, budget", [(4.0, 30), (1.1, 331)])
+def test_cold_probe_solves_stay_within_their_factorization_budget(
+        p, budget, monkeypatch):
+    # a factored p = 2 start that is not rescaled takes 40 at p = 4 and 331
+    # at p = 1.1
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+    factorizations = []
+    try_solve = plap._try_solve
+    monkeypatch.setattr(plap, "_try_solve", lambda *args: factorizations.append(
+        args) or try_solve(*args))
+    for _, load in default_probes(g):
+        solve_plap_dirichlet(g, p, load)
+    assert len(factorizations) <= budget
 
 
 def test_try_solve_returns_none_on_singular_matrix():
@@ -239,11 +298,11 @@ def test_try_solve_keeps_programming_errors_loud():
         _try_solve(mat, np.ones(4))
 
 
-@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("frozen", [False])
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
 def test_banded_solve_matches_sparse_lu(p, frozen):
     u = _jacobian_test_field(1)
-    mat = _assemble(u.values, u.grid.spacing, p, flux_delta(u), frozen)
+    mat = _assemble(u.values, u.grid.spacing, p, flux_delta(u))
     assert mat.format == "dia"
     rhs = np.random.default_rng(5).standard_normal(mat.shape[0])
     expected = spla.spsolve(mat.tocsc(), rhs)
@@ -251,8 +310,8 @@ def test_banded_solve_matches_sparse_lu(p, frozen):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def _loop_jacobian(values, spacing, p, delta, frozen):
-    """Dense Newton/Picard matrix scattered face by face in plain loops, with
+def _loop_jacobian(values, spacing, p, delta):
+    """Dense Newton Jacobian scattered face by face in plain loops, with
     each face's s and t taken from the node values (any number of axes)."""
     shape = values.shape
     d = len(shape)
@@ -276,12 +335,9 @@ def _loop_jacobian(values, spacing, p, delta, frozen):
                  / (4.0 * spacing[j]) for j in cross]
             tt = sum(tj * tj for tj in t)
             m2 = s * s + tt + d2
-            if frozen:
-                ds, dts = m2 ** ((p - 2.0) / 2.0), [0.0] * len(cross)
-            else:
-                w = m2 ** ((p - 4.0) / 2.0)
-                ds = w * (d2 + tt + (p - 1.0) * s * s)
-                dts = [(p - 2.0) * w * s * tj for tj in t]
+            w = m2 ** ((p - 4.0) / 2.0)
+            ds = w * (d2 + tt + (p - 1.0) * s * s)
+            dts = [(p - 2.0) * w * s * tj for tj in t]
             # dF/du at every node the face flux reads
             flux_terms = [(hi, ds / h), (lo, -ds / h)]
             for j, dt in zip(cross, dts):
@@ -295,7 +351,7 @@ def _loop_jacobian(values, spacing, p, delta, frozen):
     return mat
 
 
-@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("frozen", [False])
 def test_assembly_pattern_follows_the_grid_shape(frozen):
     # one axis stores the band layout, more axes CSC; (7, 9) twice checks
     # the per-shape cache
@@ -303,12 +359,12 @@ def test_assembly_pattern_follows_the_grid_shape(frozen):
     for shape in ((17,), (7, 9), (9, 7), (33, 33), (7, 9), (5, 6, 7)):
         g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
         values = rng.standard_normal(shape)
-        mat = _assemble(values, g.spacing, 2.5, 1.0e-3, frozen)
+        mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
         if len(shape) == 1:
             assert mat.format == "dia"
         else:
             assert mat.format == "csc" and mat.has_canonical_format
-        expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3, frozen)
+        expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3)
         assert np.allclose(grid_order(mat, shape).toarray(), expected, rtol=0.0,
                            atol=1e-13 * np.max(np.abs(expected)))
 
@@ -329,13 +385,13 @@ def test_stencil_numbering_is_a_permutation_of_the_interior(shape):
 
 
 @pytest.mark.parametrize("shape", [(7, 9), (5, 6, 7)])
-@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("frozen", [False])
 def test_try_solve_answers_in_grid_order(shape, frozen):
     g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
     rng = np.random.default_rng(9)
     values = np.zeros(shape)
     values[g.interior] = rng.standard_normal(tuple(n - 2 for n in shape))
-    mat = _assemble(values, g.spacing, 2.5, 1.0e-3, frozen)
+    mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
     rhs = rng.standard_normal(mat.shape[0])
     expected = spla.spsolve(grid_order(mat, shape), rhs)
     factor = []
@@ -357,7 +413,7 @@ def test_nested_dissection_fill_against_minimum_degree(shape, bound):
     g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
     u = field_from_function(g, lambda *xs: np.prod(
         [np.sin(np.pi * x) for x in xs], axis=0) * (1.0 + 0.3 * xs[0]))
-    mat = _assemble(u.values, g.spacing, 2.5, flux_delta(u), frozen=False)
+    mat = _assemble(u.values, g.spacing, 2.5, flux_delta(u))
     assert (_lu_fill(mat, "NATURAL")
             <= bound * _lu_fill(grid_order(mat, shape), "MMD_AT_PLUS_A"))
 
@@ -422,7 +478,7 @@ def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):
 
 def _rounding_floor(u, p):
     delta = flux_delta(u)
-    jac = _assemble(u.values, u.grid.spacing, p, delta, frozen=False)
+    jac = _assemble(u.values, u.grid.spacing, p, delta)
     order = _stencil(u.grid.shape)[3]  # |u| in the Jacobian's numbering
     return ROUNDING_ULPS * np.finfo(float).eps * np.max(
         abs(jac) @ np.abs(u.values[u.grid.interior].ravel())[order])
@@ -455,8 +511,7 @@ def test_a_wrong_kept_factor_is_replaced(shape, monkeypatch):
     load = field_from_function(g, lambda x, y: 1.0 + x * y)
     guess = solve_plap_dirichlet(g, p, const_field(g), opts)
     # the p = 2 Laplacian is a poor linear model of the p = 2.5 operator
-    wrong = spla.splu(_assemble(np.zeros(g.shape), g.spacing, 2.0, 0.0,
-                                frozen=True)).solve
+    wrong = spla.splu(kron_laplacian(g)).solve
     factor = [wrong]
     factorizations = []
     try_solve = plap._try_solve
@@ -483,8 +538,7 @@ def test_rounding_floor_after_a_failed_chord_step_reads_a_fresh_jacobian(
     assemble = plap._assemble
 
     def recording(values, *args, **kwargs):
-        if not kwargs["frozen"]:
-            jacobians.append(values.copy())
+        jacobians.append(values.copy())
         return assemble(values, *args, **kwargs)
 
     monkeypatch.setattr(plap, "_assemble", recording)
@@ -507,7 +561,7 @@ def _assert_residual_contract(u, p, load, tol=1e-8):
 
 def test_a_cold_2d_solve_takes_chord_steps(monkeypatch):
     # without a kept factor every accepted Newton step costs one
-    # factorization, and the p = 2 start one more
+    # factorization; the p = 2 start costs none
     g = build_grid(((0.0, 1.0), (0.0, 1.0)), (33, 33))
     load = const_field(g)
     factorizations = []
@@ -586,29 +640,28 @@ def test_cold_solves_far_above_2_meet_the_contract(shape, p):
 
 
 def test_checkerboard_probe_converges_near_p_1(monkeypatch):
-    # every step is a Newton step: the frozen matrix is only the p = 2 start
-    frozen_calls, in_start = [], []
-    assemble, linear_poisson = plap._assemble, plap._linear_poisson
+    # the start makes no direct solve: every factorization is a Newton step's
+    calls, in_start, starts = [], [], []
+    try_solve, cold_start = plap._try_solve, plap._cold_start
 
-    def recording_assemble(*args, **kwargs):
-        frozen = kwargs["frozen"] if "frozen" in kwargs else args[4]
-        frozen_calls.append((bool(frozen), bool(in_start)))
-        return assemble(*args, **kwargs)
+    def recording_try_solve(*args):
+        calls.append(bool(in_start))
+        return try_solve(*args)
 
-    def recording_linear_poisson(*args):
+    def recording_cold_start(*args):
+        starts.append(args[1])
         in_start.append(True)
         try:
-            return linear_poisson(*args)
+            return cold_start(*args)
         finally:
             in_start.pop()
 
-    monkeypatch.setattr(plap, "_assemble", recording_assemble)
-    monkeypatch.setattr(plap, "_linear_poisson", recording_linear_poisson)
+    monkeypatch.setattr(plap, "_try_solve", recording_try_solve)
+    monkeypatch.setattr(plap, "_cold_start", recording_cold_start)
     g = grid_1d(2049)
     load = dict(default_probes(g))["checker1"]
     _assert_residual_contract(solve_plap_dirichlet(g, 1.1, load), 1.1, load)
-    assert (True, True) in frozen_calls
-    assert all(inside for frozen, inside in frozen_calls if frozen)
+    assert starts == [1.1] and calls and not any(calls)
 
 
 def test_rejects_mismatched_grid_and_bad_p():

@@ -1,0 +1,82 @@
+"""Solve every default probe cold over a grid of resolutions and exponents.
+
+Usage, from the repository root:
+
+    python3 tools/stress_cold_solves.py
+
+The stress set is every ``plap.default_probes`` field on the unit box, solved
+cold by ``solve_plap_dirichlet`` on 1D 2049, 2D 33x33 and 2D 65x65 at each p
+in {1.1, 1.25, 1.5, 1.75, 2.5, 3, 4, 5, 6, 8}: 150 solves.  Each solution is
+checked against the solver's residual contract.  Prints one JSON object:
+the failures (grid, p, probe, reason), the direct solves (``_try_solve``
+calls, one factorization each) per grid and p, and their total.  Exits 1
+when any solve fails or misses the contract, 0 otherwise.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+import plaplab.plap as plap  # noqa: E402
+from plaplab.errors import SolveFailure  # noqa: E402
+from plaplab.grid import build_grid, p_laplacian_apply, sup_norm  # noqa: E402
+
+SHAPES = ((2049,), (33, 33), (65, 65))
+EXPONENTS = (1.1, 1.25, 1.5, 1.75, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
+
+
+def contract_gap(u, p, load, opts):
+    """Residual over what the contract allows, tol or the rounding floor; a
+    value above 1 misses the contract."""
+    res = np.max(np.abs((p_laplacian_apply(u, p).values
+                         - load.values)[u.grid.interior]))
+    jac = plap._assemble(u.values, u.grid.spacing, p, plap._plap_own_delta(
+        u.values, u.grid.spacing, p)[1])
+    floor = plap.ROUNDING_ULPS * np.finfo(float).eps * float(np.max(
+        abs(jac) @ np.abs(u.values[u.grid.interior].ravel())[jac.order]))
+    return res / max(opts.tol_residual * max(1.0, sup_norm(load)), floor)
+
+
+def main():
+    opts = plap.SolveOptions()
+    solves = []
+    try_solve = plap._try_solve
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return try_solve(*args, **kwargs)
+
+    failures, counts = [], {}
+    plap._try_solve = counted
+    try:
+        for shape in SHAPES:
+            grid = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+            name = "x".join(map(str, shape))
+            counts[name] = {}
+            for p in EXPONENTS:
+                solves.clear()
+                for label, load in plap.default_probes(grid):
+                    try:
+                        u = plap.solve_plap_dirichlet(grid, p, load, opts)
+                    except SolveFailure as exc:
+                        failures.append([name, p, label, str(exc)])
+                        continue
+                    gap = contract_gap(u, p, load, opts)
+                    if not gap <= 1.0:
+                        failures.append([name, p, label,
+                                         f"residual {gap:.3g} times the allowed"])
+                counts[name][str(p)] = len(solves)
+    finally:
+        plap._try_solve = try_solve
+    total = sum(sum(per_p.values()) for per_p in counts.values())
+    print(json.dumps({"failures": failures, "factorizations": counts,
+                      "total": total}, indent=1))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
