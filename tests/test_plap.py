@@ -223,6 +223,20 @@ def kron_laplacian(grid):
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_frozen_matrix_at_p2_is_the_standard_laplacian(dimension):
+    # at p = 2 the operator is linear, so its Newton Jacobian and its frozen
+    # (Picard) matrix are one matrix: the Laplacian that _linear_poisson
+    # diagonalizes, whatever the state and delta
+    shape = {1: (9,), 2: (7, 9), 3: (7, 9, 6)}[dimension]
+    g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:dimension], shape)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(g.shape)
+    mat = grid_order(_assemble(values, g.spacing, 2.0, 1.0e-3),
+                     g.shape).toarray()
+    assert np.allclose(mat, kron_laplacian(g).toarray(), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_linear_poisson_matches_the_kronecker_sum_laplacian(dimension,
                                                              monkeypatch):
     # a non-square 2D box with unequal spacings; no matrix and no factor
