@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError
+from .errors import ConfigurationError
 
 # Relative size of the gradient regularization in the p-Laplacian flux.
 DELTA_RELATIVE = 1.0e-8
@@ -174,16 +174,6 @@ def field_from_function(grid: Grid, fn) -> ScalarField:
     return ScalarField(grid, np.asarray(fn(*grid.meshes()), dtype=float))
 
 
-def require_same_grid(*fields):
-    """Raise :class:`GridMismatchError` unless all fields share one grid."""
-    first = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != first:
-            raise GridMismatchError(
-                f"fields on different grids: {first.shape} vs {f.grid.shape}")
-    return first
-
-
 def is_dirichlet_zero(u: ScalarField, tol: float = 0.0) -> bool:
     """True if the field is (within ``tol``) zero on every boundary node."""
     return bool(np.all(np.abs(u.values[u.grid.boundary_mask()]) <= tol))
@@ -308,14 +298,13 @@ def _plap_own_delta(values, spacing, p, faces=None):
     return _plap_raw(values, spacing, p, delta, faces), delta
 
 
-def p_laplacian_apply(u: ScalarField, p: float, delta: float | None = None) -> ScalarField:
-    """Apply the regularized discrete negative p-Laplacian to ``u``.
+def p_laplacian_apply(u: ScalarField, p: float) -> ScalarField:
+    """Apply the regularized discrete negative p-Laplacian to ``u``, at the
+    flux regularization ``flux_delta(u)``.
 
     Args:
         u: Dirichlet-zero nodal field.
         p: exponent, must be > 1.
-        delta: override for the flux regularization; defaults to
-            ``flux_delta(u)``.
 
     Returns:
         Nodal field holding -div(|Du|^(p-2) Du) at interior nodes, zero on the
@@ -323,8 +312,5 @@ def p_laplacian_apply(u: ScalarField, p: float, delta: float | None = None) -> S
     """
     if p <= 1.0:
         raise ConfigurationError(f"p must exceed 1, got {p}")
-    if delta is None:
-        out, _ = _plap_own_delta(u.values, u.grid.spacing, p)
-    else:
-        out = _plap_raw(u.values, u.grid.spacing, p, delta)
+    out, _ = _plap_own_delta(u.values, u.grid.spacing, p)
     return ScalarField(u.grid, out)

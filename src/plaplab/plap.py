@@ -480,8 +480,7 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, factor=None):
         if accepted is None:
             # no step lowers the residual: accept u if the residual is at the
             # rounding level of evaluating the operator at u
-            floor = ROUNDING_ULPS * np.finfo(float).eps * float(
-                np.max(abs(jac) @ np.abs(u[interior].ravel())[jac.order]))
+            floor = _rounding_floor(jac, u[interior])
             if rn <= floor:
                 return u
             raise SolveFailure(
@@ -515,11 +514,19 @@ def _backtrack(u, direction, interior, residual, rn, tol):
     return None
 
 
-def check_comparison(u1: ScalarField, u2: ScalarField, slack: float = 0.0) -> bool:
-    """True when u1 <= u2 + slack at every node (fields on one grid)."""
+def _rounding_floor(jac, u_interior):
+    """ROUNDING_ULPS * eps * max(|J| |u|): the rounding level of evaluating
+    the operator at u, for the Jacobian ``jac`` assembled at u and the
+    interior nodal values ``u_interior``."""
+    return ROUNDING_ULPS * np.finfo(float).eps * float(
+        np.max(abs(jac) @ np.abs(u_interior.ravel())[jac.order]))
+
+
+def check_comparison(u1: ScalarField, u2: ScalarField) -> bool:
+    """True when u1 <= u2 at every node (fields on one grid)."""
     if u1.grid != u2.grid:
         raise GridMismatchError("comparison requires a common grid")
-    return bool(np.all(u1.values <= u2.values + slack))
+    return bool(np.all(u1.values <= u2.values))
 
 
 # --------------------------------------------------------------------------

@@ -24,12 +24,15 @@ differ only if the frozen problem has more than one solution in the band, and
 the certificates at the final map, computed from both barriers, catch that
 case.
 
-Every stage is checked at run time: the barriers must verify as
-sub/super-solutions for each frozen F, the iterates must stay in the
-invariant set (between the barriers, gradient below gamma*M), and each solve
-must respect the empirical gradient constant.  A violation of any of these
-raises InvariantViolation -- it falsifies the implementation or a stale
-constant, never the underlying analysis.
+Every stage is checked at run time, each check under one rule.  The
+barriers, and every warm start, must verify as sub/super-solutions of each
+frozen F with a defect tolerance of SUBSUPER_TOL_REL times the candidate's
+own ||Lap_p v||_inf.  Each outer iterate must stay in the invariant set
+(between the barriers, gradient below gamma*M) up to MEMBERSHIP_SLACK_REL * M,
+checked once per step by verify_solution_bounds; the last step's check is the
+certificate's.  Each solve must respect the empirical gradient constant.  A
+violation of any of these raises InvariantViolation -- it falsifies the
+implementation or a stale constant, never the underlying analysis.
 
 Convergence of the outer map is monitored in C^1 (sup distance of values plus
 gradients); the fixed-point argument behind it is nonconstructive, so
@@ -73,13 +76,16 @@ log = logging.getLogger(__name__)
 # Relative C^1 stopping threshold of the outer iteration, in units of M.
 OUTER_STOP_REL = 1.0e-7
 # An outer step after the first starts its inner iteration from the first
-# min(sup, (1 + t) u_prev), t on this ladder, that verifies with no slack as a
-# supersolution of the step's frozen map; from the upper barrier if none does.
+# min(sup, (1 + t) u_prev), t on this ladder, that verifies as a supersolution
+# of the step's frozen map; from the upper barrier if none does.
 WARM_START_LADDER = (1.0e-4, 1.0e-3, 1.0e-2, 3.0e-2, 1.0e-1)
 # Inner monotone iteration stops when successive iterates move less than
 # this fraction of the upper barrier's sup norm, within this many sweeps.
 INNER_STOP_REL = 1.0e-8
 INNER_MAX_SWEEPS = 500
+# Defect tolerance of every sub/super-solution check, relative to the
+# candidate's ||Lap_p v||_inf.
+SUBSUPER_TOL_REL = 1.0e-7
 # Slack, in units of M, for the invariant-set membership checks.
 MEMBERSHIP_SLACK_REL = 1.0e-6
 # Certificate tolerances.
@@ -183,19 +189,19 @@ class SubSuperReport:
 
 
 def verify_subsuper(candidate: ScalarField, F: FrozenNonlinearity, grid: Grid,
-                    p: float, kind: str, tol: float | None = None) -> SubSuperReport:
+                    p: float, kind: str) -> SubSuperReport:
     """Check the defect d = (-Lap_p candidate) - F(x, candidate) pointwise.
 
     A super-solution needs d >= -tol, a sub-solution d <= tol, over interior
-    nodes.  Default tol is 1e-7 * max(1, ||Lap_p candidate||_inf), sized for
-    barriers produced by solves with the default residual tolerance.
+    nodes, with tol = SUBSUPER_TOL_REL * ||Lap_p candidate||_inf for the
+    barriers and the warm starts alike: relative, so it means the same on a
+    small right-hand side as on a large one.
     """
     if kind not in ("sub", "super"):
         raise ConfigurationError(f"kind must be 'sub' or 'super', got {kind!r}")
     lap = p_laplacian_apply(candidate, p).values
     defect = (lap - F.evaluate(candidate.values))[grid.interior]
-    if tol is None:
-        tol = 1.0e-7 * max(1.0, float(np.max(np.abs(lap))))
+    tol = SUBSUPER_TOL_REL * float(np.max(np.abs(lap)))
     signed = -defect if kind == "super" else defect
     flat = int(np.argmax(signed))
     worst = float(signed.ravel()[flat] if signed.size else 0.0)
@@ -274,9 +280,9 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
         u = sup_field if start == "super" else sub
     if factor is None:
         factor = []
+    solve_opts = _support_tolerance(opts, stop)
     for sweep in range(1, INNER_MAX_SWEEPS + 1):
         rhs = F.as_field(u.values)
-        solve_opts = _support_tolerance(opts, stop)
         u_next = solve_plap_dirichlet(grid, p, rhs, solve_opts, initial_guess=u,
                                       factor=factor)
         if khat is not None:
@@ -321,15 +327,11 @@ def _warm_start(u: ScalarField, F: FrozenNonlinearity, sup_field: ScalarField,
 
     Since q < p, a slightly scaled-up limit of the previous frozen map is a
     supersolution of the next one whenever that map moved little, and the
-    minimum of two supersolutions is again one.  A rung must verify with no
-    slack (tol 0): the default tolerance has an absolute floor of 1e-7, sized
-    for the barriers, which have a margin by construction; on a small
-    right-hand side it would pass a candidate the first sweep then rises
-    above, past the inner iteration's monotone check.
+    minimum of two supersolutions is again one.
     """
     for t in WARM_START_LADDER:
         v = ScalarField(grid, np.minimum(sup_field.values, (1.0 + t) * u.values))
-        if verify_subsuper(v, F, grid, p, "super", tol=0.0).ok:
+        if verify_subsuper(v, F, grid, p, "super").ok:
             return v, f"t={t:g}"
     return sup_field, "sup"
 
@@ -362,7 +364,8 @@ def picone_diagnostic(U: ScalarField, V: ScalarField, F: FrozenNonlinearity,
 
 @dataclass(frozen=True)
 class BoundsCheck:
-    """Barrier and gradient certificates; gaps are max violations (<= 0 ok)."""
+    """Barrier and gradient certificates; gaps are max violations, each bound
+    holding when its gap is at most ``allowed``."""
 
     lower_ok: bool
     upper_ok: bool
@@ -370,25 +373,34 @@ class BoundsCheck:
     lower_gap: float
     upper_gap: float
     gradient_gap: float
+    allowed: float
+
+    def violations(self) -> list:
+        """Each failed bound, named, with its gap over the allowed one."""
+        return [f"{name} gap {gap:.3e} over allowed {self.allowed:.1e}"
+                for name, ok, gap in (
+                    ("lower barrier", self.lower_ok, self.lower_gap),
+                    ("upper barrier", self.upper_ok, self.upper_gap),
+                    ("gradient bound", self.gradient_ok, self.gradient_gap))
+                if not ok]
 
 
 def verify_solution_bounds(u: ScalarField, eps: float, u1: ScalarField,
                            height: float, phi: ScalarField, gamma: float,
-                           slack: float | None = None, grad=None) -> BoundsCheck:
-    """Check eps*u1 <= u <= (height/||phi||)*phi and ||grad u|| <= gamma*height.
-
-    Default slack is 1e-6 * height per comparison; ``grad`` is gradient(u), if held.
+                           grad=None) -> BoundsCheck:
+    """Check eps*u1 <= u <= (height/||phi||)*phi and ||grad u|| <= gamma*height,
+    each up to MEMBERSHIP_SLACK_REL * height; ``grad`` is gradient(u), if held.
     """
-    if slack is None:
-        slack = MEMBERSHIP_SLACK_REL * height
+    allowed = MEMBERSHIP_SLACK_REL * height
     upper = (height / sup_norm(phi)) * phi.values
     lower_gap = float(np.max(eps * u1.values - u.values))
     upper_gap = float(np.max(u.values - upper))
     gradient_gap = sup_norm(gradient(u) if grad is None else grad) - gamma * height
-    return BoundsCheck(lower_ok=lower_gap <= slack, upper_ok=upper_gap <= slack,
-                       gradient_ok=gradient_gap <= slack,
+    return BoundsCheck(lower_ok=lower_gap <= allowed,
+                       upper_ok=upper_gap <= allowed,
+                       gradient_ok=gradient_gap <= allowed,
                        lower_gap=lower_gap, upper_gap=upper_gap,
-                       gradient_gap=gradient_gap)
+                       gradient_gap=gradient_gap, allowed=allowed)
 
 
 @dataclass(frozen=True)
@@ -487,8 +499,6 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
         raise InvariantViolation(
             "lower barrier exceeds upper barrier; constants inconsistent")
 
-    membership_slack = MEMBERSHIP_SLACK_REL * height
-    gamma_cap = constants.gamma * height
     u = sub
     grad_u = gradient(u)
     trace = []
@@ -516,18 +526,13 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                                           opts, start="super", khat=constants.khat,
                                           start_field=start_field, factor=factor)
         previous = frozen
-        below = float(np.max(sub.values - u_next.values))
-        above = float(np.max(u_next.values - sup_field.values))
-        if max(below, above) > membership_slack:
-            raise InvariantViolation(
-                f"outer iterate {k} left the invariant set by "
-                f"{max(below, above):.3e} (allowed {membership_slack:.1e})")
         grad_next = gradient(u_next)
-        gmax = sup_norm(grad_next)
-        if gmax > gamma_cap * (1.0 + 1.0e-6):
+        bounds = verify_solution_bounds(u_next, eps, eigen.u1, height, phi,
+                                        constants.gamma, grad=grad_next)
+        broken = bounds.violations()
+        if broken:
             raise InvariantViolation(
-                f"outer iterate {k} gradient {gmax:.6g} exceeds "
-                f"gamma*M = {gamma_cap:.6g}")
+                f"outer iterate {k} left the invariant set: {'; '.join(broken)}")
         dist = (float(np.max(np.abs(u_next.values - u.values)))
                 + float(np.max(np.sqrt(np.sum(
                     (grad_next.components - grad_u.components) ** 2, axis=0)))))
@@ -547,9 +552,8 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     two_sided_gap = float(np.max(np.abs(from_above.values - from_below.values)))
     picone_gap = picone_diagnostic(from_above, from_below, frozen, grid, spec.p)
 
-    bounds = verify_solution_bounds(u, eps, eigen.u1, height, phi,
-                                    constants.gamma, grad=grad_u)
-    # the residual is checked against the raw lambda*h + beta*f at u, which
+    # bounds is the last step's membership check, made on u itself; the
+    # residual is checked against the raw lambda*h + beta*f at u, which
     # the freeze above already evaluated
     defect = (p_laplacian_apply(u, spec.p).values - frozen.source)[grid.interior]
     pde_residual = float(np.max(np.abs(defect)))

@@ -53,6 +53,8 @@ log = logging.getLogger(__name__)
 EIGEN_RESIDUAL_REL = 1.0e-5
 # Relative change (eigenvalue and normalized field) that stops the iteration.
 EIGEN_STOP = 1.0e-8
+# Inverse-iteration sweeps allowed before EigenFailure.
+EIGEN_MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,7 @@ def torsion_function(grid: Grid, p: float, w: ScalarField,
 
 
 def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
-                    opts: SolveOptions | None = None,
-                    max_sweeps: int = 200) -> EigenPair:
+                    opts: SolveOptions | None = None) -> EigenPair:
     """First eigenpair of -Lap_p u = lambda * omega1 * u^(p-1) by inverse
     power iteration.
 
@@ -122,13 +123,10 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
     ||Lap_p-residual||_inf <= 1e-5 * lambda1 * ||omega1||_inf.
 
     Raises:
-        ConfigurationError: max_sweeps below 1, or a bad weight.
-        EigenFailure: no convergence within max_sweeps, or the converged pair
-            misses the residual certificate.
+        ConfigurationError: a bad weight.
+        EigenFailure: no convergence within EIGEN_MAX_SWEEPS sweeps, or the
+            converged pair misses the residual certificate.
     """
-    if max_sweeps < 1:
-        raise ConfigurationError(
-            f"max_sweeps must be at least 1, got {max_sweeps}")
     _check_weight(omega1, grid, "omega1")
     wv = omega1.values
     start = torsion_function(grid, p, omega1, opts)
@@ -136,7 +134,7 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
     guess = start.phi
     lam = None
     factor = []  # the sweeps' shared SuperLU factor, for this call only
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, EIGEN_MAX_SWEEPS + 1):
         rhs = ScalarField(grid, wv * u ** (p - 1.0))
         v = solve_plap_dirichlet(grid, p, rhs, opts, initial_guess=guess,
                                  factor=factor)
@@ -155,7 +153,8 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
             break
     else:
         raise EigenFailure(
-            f"no eigen convergence in {max_sweeps} sweeps (lambda ~ {lam:.6g})")
+            f"no eigen convergence in {EIGEN_MAX_SWEEPS} sweeps "
+            f"(lambda ~ {lam:.6g})")
 
     u1 = ScalarField(grid, u)
     if float(np.min(u[grid.interior])) <= 0.0:

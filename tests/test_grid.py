@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plaplab.errors import ConfigurationError, GridMismatchError
+from plaplab.errors import ConfigurationError
 from plaplab.grid import (
     Grid,
     ScalarField,
@@ -17,7 +17,6 @@ from plaplab.grid import (
     integrate,
     is_dirichlet_zero,
     p_laplacian_apply,
-    require_same_grid,
     sup_norm,
     zero_field,
 )
@@ -107,15 +106,6 @@ def test_field_shape_mismatch_rejected():
         ScalarField(g, np.zeros(8))
     with pytest.raises(ConfigurationError):
         VectorField(g, np.zeros((2, 9)))
-
-
-def test_require_same_grid():
-    a = zero_field(unit_grid_1d(9))
-    b = zero_field(unit_grid_1d(9))
-    c = zero_field(unit_grid_1d(11))
-    assert require_same_grid(a, b) == a.grid
-    with pytest.raises(GridMismatchError):
-        require_same_grid(a, c)
 
 
 def test_is_dirichlet_zero():

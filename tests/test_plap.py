@@ -693,7 +693,6 @@ def test_check_comparison():
     hi = const_field(g, 1.0)
     assert check_comparison(lo, hi)
     assert not check_comparison(hi, lo)
-    assert check_comparison(hi, lo, slack=1.0)
     with pytest.raises(GridMismatchError):
         check_comparison(lo, const_field(grid_1d(19)))
 

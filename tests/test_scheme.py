@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plaplab.constants import compute_constants
+from plaplab.constants import compute_constants, region_classify
 from plaplab.errors import (
     ConfigurationError,
     HypothesisViolationError,
@@ -31,6 +31,7 @@ from plaplab.grid import (
     build_grid,
     field_from_function,
     gradient,
+    p_laplacian_apply,
     sup_norm,
     zero_field,
 )
@@ -174,6 +175,43 @@ def test_verify_subsuper_accepts_the_barriers(sub_stage):
     assert not verify_subsuper(shrunk, F, g, spec.p, "super").ok
 
 
+def test_verify_subsuper_rejects_a_small_violation_on_a_small_problem():
+    # critical at lambda = 0.1 has M of about 1.6e-4 and ||Lap_p sup|| of
+    # about 1.3e-3: a candidate 1e-8 to 3e-8 short of a supersolution must
+    # fail there, though an absolute tolerance floor of 1e-7 would pass it
+    spec = dataclasses.replace(load_problem(bundled_problem_path("critical")),
+                               resolution=33)
+    g = spec.build_grid()
+    c = compute_constants(spec, g)
+    eig = first_eigenpair(g, spec.p, sample_weights(spec, g)[0])
+    lam = beta = 0.1
+    m = region_classify(lam, beta, c, spec).height
+    eps = make_epsilon(lam, eig.lambda1, m, c.phi_sup, spec)
+    sub = ScalarField(g, eps * eig.u1.values)
+    sup = ScalarField(g, (m / c.phi_sup) * c.weighted_torsion.phi.values)
+    F = freeze_nonlinearity(sub, lam, beta, spec, g)
+    assert verify_subsuper(sup, F, g, spec.p, "super").ok
+
+    def shrunk(s):
+        return sup.with_values(s * sup.values)
+
+    # scale the upper barrier down until its defect falls 2e-8 short
+    lo, hi = 0.5, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        rep = verify_subsuper(shrunk(mid), F, g, spec.p, "super")
+        if rep.worst_violation > 2e-8:
+            lo = mid
+        else:
+            hi = mid
+    v = shrunk(lo)
+    rep = verify_subsuper(v, F, g, spec.p, "super")
+    assert 1e-8 <= rep.worst_violation <= 3e-8
+    assert not rep.ok
+    assert rep.tol == scheme.SUBSUPER_TOL_REL * sup_norm(
+        p_laplacian_apply(v, spec.p))
+
+
 def test_verify_subsuper_validates_kind(sub_stage):
     spec, g, c, eig = sub_stage
     F = freeze_nonlinearity(zero_field(g), 1.0, 1.0, spec, g)
@@ -199,8 +237,9 @@ def test_inner_iteration_is_monotone_from_both_ends(sub_stage):
     up = inner_monotone_solve(F, sub, sup, g, spec.p, start="sub",
                               khat=c.khat)
     slack = 1e-9 * sup_norm(sup)
-    assert check_comparison(sub, down, slack) and check_comparison(down, sup, slack)
-    assert check_comparison(sub, up, slack) and check_comparison(up, sup, slack)
+    for u in (down, up):
+        assert check_comparison(sub, u.with_values(u.values + slack))
+        assert check_comparison(u, sup.with_values(sup.values + slack))
     assert np.max(np.abs(down.values - up.values)) <= 1e-6 * m
 
 
@@ -496,7 +535,7 @@ def test_every_warm_start_is_a_verified_supersolution_in_the_band(
     assert warm  # later steps start below the upper barrier
     for F, sub, sup, start, v in warm:
         assert start == "super"
-        assert verify_subsuper(v, F, g, spec.p, "super", tol=0.0).ok
+        assert verify_subsuper(v, F, g, spec.p, "super").ok
         assert np.all(sub.values <= v.values) and np.all(v.values <= sup.values)
     # a previous iterate at the upper barrier: the scaled-up start is cut
     # back to it
@@ -509,7 +548,8 @@ def test_every_warm_start_is_a_verified_supersolution_in_the_band(
 def test_warm_starts_keep_the_monotone_check_on_a_small_right_hand_side(
         beta, monkeypatch):
     # critical at lambda = 0.1 has M of about 1.6e-4, so its defects sit far
-    # below the 1e-7 floor of verify_subsuper's default tolerance
+    # below 1e-7: only a tolerance relative to ||Lap_p v|| keeps the rung
+    # check meaningful
     spec = dataclasses.replace(load_problem(bundled_problem_path("critical")),
                                resolution=33)
     calls = recording_starts(monkeypatch)
@@ -526,8 +566,8 @@ def test_a_failing_ladder_falls_back_to_the_upper_barrier(sub_stage,
     verify = scheme.verify_subsuper
     barrier = []  # the upper barrier: the first field verified as "super"
 
-    def failing_rungs(candidate, F, grid, p, kind, tol=None):
-        rep = verify(candidate, F, grid, p, kind, tol)
+    def failing_rungs(candidate, F, grid, p, kind):
+        rep = verify(candidate, F, grid, p, kind)
         if kind == "super":
             if not barrier:
                 barrier.append(candidate)

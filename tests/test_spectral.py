@@ -89,12 +89,6 @@ def test_torsion_rejects_bad_weight():
 # eigenpair
 
 
-def test_eigen_rejects_a_sweep_budget_below_one():
-    g = build_grid(((0.0, 1.0),), 33)
-    with pytest.raises(ConfigurationError, match="max_sweeps"):
-        first_eigenpair(g, 2.0, unit_weight(g), max_sweeps=0)
-
-
 def test_pi_p_closed_form_agrees_with_quadrature():
     for p in (1.5, 2.0, 2.5, 3.0):
         assert pi_p(p) == pytest.approx(pi_p_quadrature(p), rel=1e-9)

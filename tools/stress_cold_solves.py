@@ -36,8 +36,7 @@ def contract_gap(u, p, load, opts):
                          - load.values)[u.grid.interior]))
     jac = plap._assemble(u.values, u.grid.spacing, p, plap._plap_own_delta(
         u.values, u.grid.spacing, p)[1])
-    floor = plap.ROUNDING_ULPS * np.finfo(float).eps * float(np.max(
-        abs(jac) @ np.abs(u.values[u.grid.interior].ravel())[jac.order]))
+    floor = plap._rounding_floor(jac, u.values[u.grid.interior])
     return res / max(opts.tol_residual * max(1.0, sup_norm(load)), floor)
 
 
