@@ -27,8 +27,6 @@ def show_report(report):
     print(f"  barrier height M {report.height:.8f}")
     print(f"  epsilon (lower)  {report.epsilon:.8f}")
     print(f"  sup |u|          {sup_norm(report.solution):.8f}")
-    print(f"  bounds ok        lower={certs.lower_bound_ok} "
-          f"upper={certs.upper_bound_ok} gradient={certs.gradient_bound_ok}")
     print(f"  pde residual     {certs.pde_residual:.3e} "
           f"(scale {certs.residual_scale:.3e}, ok={certs.residual_ok})")
     print(f"  two-sided gap    {certs.two_sided_gap:.3e} "

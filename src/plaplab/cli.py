@@ -13,7 +13,7 @@ torsion  print the sup norm of the torsion function of max(omega_i)
 Exit codes (total: every run terminates with one of these)
 ----------------------------------------------------------
 0  success (for solve: converged with all certificates true)
-2  usage, problem-file, configuration, or hypothesis errors
+2  usage, problem-file, expression, configuration, or hypothesis errors
 3  inconclusive: the outer iteration did not certify within its budget
 4  (lambda, beta) outside the existence region
 5  a nonlinear solve or probe estimate failed
@@ -74,7 +74,14 @@ from .errors import (
     ProblemFileError,
     SolveFailure,
 )
-from .expr import ProblemSpec, load_problem, sample_weights, validate_hypotheses
+from .expr import (
+    EvalError,
+    ParseError,
+    ProblemSpec,
+    load_problem,
+    sample_weights,
+    validate_hypotheses,
+)
 from .grid import gradient, sup_norm
 from .plap import SolveOptions
 from .scheme import SolveReport, _check_outer_budget, outer_fixed_point
@@ -371,9 +378,6 @@ def _report_lines(report: SolveReport, with_trace: bool):
         ("pde_residual", _fmt(cert.pde_residual)),
         ("residual_scale", _fmt(cert.residual_scale)),
         ("residual_ok", _fmt(cert.residual_ok)),
-        ("lower_bound_ok", _fmt(cert.lower_bound_ok)),
-        ("upper_bound_ok", _fmt(cert.upper_bound_ok)),
-        ("gradient_bound_ok", _fmt(cert.gradient_bound_ok)),
         ("two_sided_gap", _fmt(cert.two_sided_gap)),
         ("two_sided_ok", _fmt(cert.two_sided_ok)),
         ("picone_gap", _fmt(cert.picone_gap)),
@@ -441,7 +445,6 @@ def cmd_sweep(args) -> int:
     eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0], opts)
     points = [(float(lam), float(beta)) for lam in lams for beta in betas]
 
-    rows = [None] * len(points)
     times = [0.0] * len(points)
 
     def run(idx):
@@ -450,15 +453,10 @@ def cmd_sweep(args) -> int:
         row = _sweep_point(spec, lam, beta, grid, constants, eigen, opts,
                            args.max_outer)
         times[idx] = time.perf_counter() - start
-        return idx, row
+        return row
 
-    if args.parallel == 1:
-        for i in range(len(points)):
-            _, rows[i] = run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            for idx, row in pool.map(run, range(len(points))):
-                rows[idx] = row
+    with ThreadPoolExecutor(max_workers=args.parallel) as pool:
+        rows = list(pool.map(run, range(len(points))))
     result = SweepResult(rows=tuple(rows))
     result.write(args.out)
     if args.timings:
@@ -514,8 +512,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFileError, ConfigurationError, GridMismatchError,
-            HypothesisViolationError) as exc:
+    except (ProblemFileError, ParseError, EvalError, ConfigurationError,
+            GridMismatchError, HypothesisViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OutOfRegionError as exc:

@@ -29,18 +29,19 @@ barriers, and every warm start, must verify as sub/super-solutions of each
 frozen F with a defect tolerance of SUBSUPER_TOL_REL times the candidate's
 own ||Lap_p v||_inf.  Each outer iterate must stay in the invariant set
 (between the barriers, gradient below gamma*M) up to MEMBERSHIP_SLACK_REL * M,
-checked once per step by verify_solution_bounds; the last step's check is the
-certificate's.  Each solve must respect the empirical gradient constant.  A
-violation of any of these raises InvariantViolation -- it falsifies the
-implementation or a stale constant, never the underlying analysis.
+checked at every step by verify_solution_bounds.  Each solve must respect the
+empirical gradient constant.  A violation of any of these raises
+InvariantViolation -- it falsifies the implementation or a stale constant,
+never the underlying analysis -- so a returned report always lies in the set.
 
 Convergence of the outer map is monitored in C^1 (sup distance of values plus
 gradients); the fixed-point argument behind it is nonconstructive, so
 non-convergence within the budget is reported as inconclusive rather than as
-a counterexample.  A converged run carries certificates: barrier bounds and
-gradient bound, pointwise PDE residual against the raw expressions, the
-agreement of inner limits started from both barriers, and the Picone-type
-uniqueness gap for that pair.
+a counterexample.  A report carries three certificates, each of which can
+fail: the pointwise PDE residual against the raw expressions, the agreement
+of inner limits started from both barriers, and the Picone-type uniqueness
+gap for that pair.  A run is converged when the outer moves stopped and all
+three hold.
 """
 
 from __future__ import annotations
@@ -181,7 +182,6 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
 class SubSuperReport:
     """Outcome of testing a candidate barrier against a frozen F."""
 
-    kind: str
     ok: bool
     worst_violation: float
     tol: float
@@ -207,8 +207,8 @@ def verify_subsuper(candidate: ScalarField, F: FrozenNonlinearity, grid: Grid,
     worst = float(signed.ravel()[flat] if signed.size else 0.0)
     node = tuple(int(i) + 1 for i in
                  np.unravel_index(flat, tuple(n - 2 for n in grid.shape)))
-    return SubSuperReport(kind=kind, ok=worst <= tol, worst_violation=worst,
-                          tol=tol, node=node)
+    return SubSuperReport(ok=worst <= tol, worst_violation=worst, tol=tol,
+                          node=node)
 
 
 def _support_tolerance(opts: SolveOptions, stop: float) -> SolveOptions:
@@ -362,54 +362,35 @@ def picone_diagnostic(U: ScalarField, V: ScalarField, F: FrozenNonlinearity,
     return integrate(ScalarField(grid, integrand))
 
 
-@dataclass(frozen=True)
-class BoundsCheck:
-    """Barrier and gradient certificates; gaps are max violations, each bound
-    holding when its gap is at most ``allowed``."""
-
-    lower_ok: bool
-    upper_ok: bool
-    gradient_ok: bool
-    lower_gap: float
-    upper_gap: float
-    gradient_gap: float
-    allowed: float
-
-    def violations(self) -> list:
-        """Each failed bound, named, with its gap over the allowed one."""
-        return [f"{name} gap {gap:.3e} over allowed {self.allowed:.1e}"
-                for name, ok, gap in (
-                    ("lower barrier", self.lower_ok, self.lower_gap),
-                    ("upper barrier", self.upper_ok, self.upper_gap),
-                    ("gradient bound", self.gradient_ok, self.gradient_gap))
-                if not ok]
-
-
 def verify_solution_bounds(u: ScalarField, eps: float, u1: ScalarField,
                            height: float, phi: ScalarField, gamma: float,
-                           grad=None) -> BoundsCheck:
+                           grad=None) -> list:
     """Check eps*u1 <= u <= (height/||phi||)*phi and ||grad u|| <= gamma*height,
     each up to MEMBERSHIP_SLACK_REL * height; ``grad`` is gradient(u), if held.
+
+    Returns each broken bound, named, with its gap over the allowed value
+    (a NaN gap counts as broken); an empty list when all three hold.
     """
     allowed = MEMBERSHIP_SLACK_REL * height
     upper = (height / sup_norm(phi)) * phi.values
-    lower_gap = float(np.max(eps * u1.values - u.values))
-    upper_gap = float(np.max(u.values - upper))
-    gradient_gap = sup_norm(gradient(u) if grad is None else grad) - gamma * height
-    return BoundsCheck(lower_ok=lower_gap <= allowed,
-                       upper_ok=upper_gap <= allowed,
-                       gradient_ok=gradient_gap <= allowed,
-                       lower_gap=lower_gap, upper_gap=upper_gap,
-                       gradient_gap=gradient_gap, allowed=allowed)
+    gaps = (("lower barrier", float(np.max(eps * u1.values - u.values))),
+            ("upper barrier", float(np.max(u.values - upper))),
+            ("gradient bound",
+             sup_norm(gradient(u) if grad is None else grad) - gamma * height))
+    return [f"{name} gap {gap:.3e} over allowed {allowed:.1e}"
+            for name, gap in gaps if not gap <= allowed]
 
 
 @dataclass(frozen=True)
 class Certificates:
-    """Everything a converged run promises, in checkable form."""
+    """The verdicts of a run at its final iterate, in checkable form.
 
-    lower_bound_ok: bool
-    upper_bound_ok: bool
-    gradient_bound_ok: bool
+    Membership of the invariant set (barriers and gradient bound) is not
+    among them: verify_solution_bounds checks it at every outer step, and a
+    breach raises InvariantViolation (exit 7), so no report exists for a run
+    that left the set.
+    """
+
     pde_residual: float
     residual_scale: float
     residual_ok: bool
@@ -420,9 +401,7 @@ class Certificates:
 
     @property
     def all_ok(self) -> bool:
-        return (self.lower_bound_ok and self.upper_bound_ok
-                and self.gradient_bound_ok and self.residual_ok
-                and self.two_sided_ok and self.picone_ok)
+        return self.residual_ok and self.two_sided_ok and self.picone_ok
 
 
 @dataclass(frozen=True)
@@ -502,12 +481,9 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     u = sub
     grad_u = gradient(u)
     trace = []
-    converged_iter = False
-    outer_iters = 0
     factor = []  # one SuperLU factor holder for every outer step of this call
     previous = None  # the last step's frozen map
     for k in range(1, max_outer + 1):
-        outer_iters = k
         frozen = freeze_nonlinearity(u, lam, beta, spec, grid, weights, grad_u)
         for cand, kind in ((sup_field, "super"), (sub, "sub")):
             rep = verify_subsuper(cand, frozen, grid, spec.p, kind)
@@ -527,9 +503,8 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                                           start_field=start_field, factor=factor)
         previous = frozen
         grad_next = gradient(u_next)
-        bounds = verify_solution_bounds(u_next, eps, eigen.u1, height, phi,
+        broken = verify_solution_bounds(u_next, eps, eigen.u1, height, phi,
                                         constants.gamma, grad=grad_next)
-        broken = bounds.violations()
         if broken:
             raise InvariantViolation(
                 f"outer iterate {k} left the invariant set: {'; '.join(broken)}")
@@ -541,7 +516,6 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
         log.info("outer step %d from %s: C1 move %.3e (target %.1e)",
                  k, started, dist, OUTER_STOP_REL * height)
         if dist < OUTER_STOP_REL * height:
-            converged_iter = True
             break
 
     frozen = freeze_nonlinearity(u, lam, beta, spec, grid, weights, grad_u)
@@ -552,8 +526,7 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     two_sided_gap = float(np.max(np.abs(from_above.values - from_below.values)))
     picone_gap = picone_diagnostic(from_above, from_below, frozen, grid, spec.p)
 
-    # bounds is the last step's membership check, made on u itself; the
-    # residual is checked against the raw lambda*h + beta*f at u, which
+    # the residual is checked against the raw lambda*h + beta*f at u, which
     # the freeze above already evaluated
     defect = (p_laplacian_apply(u, spec.p).values - frozen.source)[grid.interior]
     pde_residual = float(np.max(np.abs(defect)))
@@ -561,8 +534,6 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     volume = math.prod(hi - lo for lo, hi in grid.extents)
     picone_scale = max(scale * height * volume, 1.0e-30)
     certificates = Certificates(
-        lower_bound_ok=bounds.lower_ok, upper_bound_ok=bounds.upper_ok,
-        gradient_bound_ok=bounds.gradient_ok,
         pde_residual=pde_residual, residual_scale=scale,
         residual_ok=pde_residual <= RESIDUAL_CERT_REL * scale,
         two_sided_gap=two_sided_gap,
@@ -570,7 +541,9 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
         picone_gap=picone_gap,
         picone_ok=abs(picone_gap) <= PICONE_CERT_REL * picone_scale)
 
-    return SolveReport(converged=converged_iter and certificates.all_ok,
-                       solution=u, outer_iters=outer_iters,
+    # the loop breaks exactly when a move drops below the stopping threshold
+    stopped = trace[-1] < OUTER_STOP_REL * height
+    return SolveReport(converged=stopped and certificates.all_ok,
+                       solution=u, outer_iters=len(trace),
                        outer_trace=tuple(trace), certificates=certificates,
                        epsilon=eps, height=height, region=verdict)

@@ -13,6 +13,7 @@ from plaplab.cli import (
     SweepResult,
     main,
 )
+from plaplab.errors import PlapLabError
 from plaplab.expr import bundled_problem_path
 
 SUB = str(bundled_problem_path("sub"))
@@ -73,6 +74,43 @@ def test_solve_exit_codes(capsys, tmp_path):
     assert main(["sweep", "--spec", SUB, "--n", "17",
                  "--lambda-range", "nope", "--out",
                  str(tmp_path / "s.csv")]) == 2
+
+
+def _library_errors(cls=PlapLabError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _library_errors(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_library_errors()),
+                                         key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_every_library_error_maps_to_a_documented_exit_code(error, monkeypatch,
+                                                            capsys):
+    def failing(args):
+        # bypass each class's own constructor arguments; main only prints it
+        exc = error.__new__(error)
+        Exception.__init__(exc, "boom")
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_torsion", failing)
+    code = main(["torsion", "--spec", SUB])
+    assert code in (2, 4, 5, 6, 7)
+    assert "boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["torsion"], ["solve", "--lambda", "1", "--beta", "1"],
+    ["sweep", "--samples", "2"]], ids=lambda command: command[0])
+def test_an_undefined_weight_expression_exits_two(command, tmp_path, capsys):
+    bad = tmp_path / "bad.plap"
+    bad.write_text(bundled_problem_path("sub").read_text().replace(
+        'omega1 = "1"', 'omega1 = "1 / x1"'))
+    out = tmp_path / "out.csv"
+    assert main(command + ["--spec", str(bad), "--n", "17",
+                           "--out", str(out)]) == 2
+    assert "error: division by zero" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])

@@ -325,13 +325,12 @@ def test_verify_solution_bounds_reports_gaps(sub_stage):
     eps = 0.05
     good = ScalarField(g, 0.5 * (eps * eig.u1.values
                                  + (m / c.phi_sup) * phi.values))
-    check = verify_solution_bounds(good, eps, eig.u1, m, phi, c.gamma)
-    assert check.lower_ok and check.upper_ok
-    assert check.lower_gap <= 0.0 and check.upper_gap <= 0.0
+    assert verify_solution_bounds(good, eps, eig.u1, m, phi, c.gamma) == []
     too_big = ScalarField(g, 2.0 * (m / c.phi_sup) * phi.values)
     bad = verify_solution_bounds(too_big, eps, eig.u1, m, phi, c.gamma)
-    assert not bad.upper_ok
-    assert bad.upper_gap > 0.0
+    allowed = scheme.MEMBERSHIP_SLACK_REL * m
+    assert f"upper barrier gap {m:.3e} over allowed {allowed:.1e}" in bad
+    assert not any(v.startswith("lower barrier") for v in bad)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +376,23 @@ def test_outer_detects_stale_gradient_constant(sub_stage):
     doctored = dataclasses.replace(c, khat=1e-6 * c.khat)
     with pytest.raises(InvariantViolation):
         outer_fixed_point(spec, 1.0, 1.0, g, doctored, eig)
+
+
+def test_outer_step_leaving_the_invariant_set_raises(sub_stage, monkeypatch):
+    spec, g, c, eig = sub_stage
+
+    def overshoot(F, sub, sup_field, grid, p, *args, **kwargs):
+        return ScalarField(grid, 1.5 * sup_field.values)
+
+    monkeypatch.setattr(scheme, "inner_monotone_solve", overshoot)
+    height = region_classify(1.0, 1.0, c, spec).height
+    allowed = scheme.MEMBERSHIP_SLACK_REL * height
+    with pytest.raises(InvariantViolation) as exc:
+        outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    message = str(exc.value)
+    assert "outer iterate 1 left the invariant set" in message
+    assert f"upper barrier gap {0.5 * height:.3e}" in message
+    assert f"over allowed {allowed:.1e}" in message
 
 
 def test_square2d_outcome_does_not_hang_on_the_lu_ordering(monkeypatch):
