@@ -22,12 +22,12 @@ one and the last one it reached, and from there it comes back to p
 *Introduction to Numerical Continuation Methods*, SIAM 2003).  Newton steps
 start at the full step and are halved until the residual drops.  The linear
 systems are solved directly, and their storage follows the number of axes:
-with one, the tridiagonal matrix is kept in band layout for LAPACK
-(``scipy.linalg.solve_banded``); with more, the 9-point (2D) or 19-point
-(3D) matrix is stored as CSC with its unknowns numbered by nested
-dissection, a numbering and pattern computed once per grid shape
-(``_stencil``), and SuperLU factors it in that numbering.  The assembled
-matrix carries its numbering as ``order``, and every solve takes and
+with one, the matrix is kept as its three diagonals (``_Tridiagonal``) and
+LAPACK ``dgtsv`` solves it, with no sparse matrix built; with more, the
+9-point (2D) or 19-point (3D) matrix is stored as CSC with its unknowns
+numbered by nested dissection, a numbering and pattern computed once per
+grid shape (``_stencil``), and SuperLU factors it in that numbering.  The
+CSC matrix carries its numbering as ``order``, and every solve takes and
 returns vectors in grid (C) order: ``_in_grid_order`` alone translates a
 solve between the two.
 
@@ -70,12 +70,13 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     ConfigurationError,
@@ -130,9 +131,25 @@ class SolveOptions:
                 f"{self.tol_residual!r}")
 
 
+class _Tridiagonal(NamedTuple):
+    """The Newton Jacobian of one axis as its three diagonals, in grid order:
+    ``lower[i]`` is the entry of row i + 1 and column i, ``upper[i]`` that of
+    row i and column i + 1.  ``nnz`` counts the entries a sparse matrix of
+    this pattern stores."""
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def nnz(self):
+        return 3 * self.diag.size - 2
+
+
 def _assemble(values, spacing, p, delta, *, faces=None):
-    """Sparse interior-by-interior Newton Jacobian of the operator at delta,
-    including the transverse coupling.
+    """Interior-by-interior Newton Jacobian of the operator at delta,
+    including the transverse coupling: a ``_Tridiagonal`` with one axis, a
+    sparse CSC matrix with more.
 
     The conductances of each face family come from the same face arrays as
     the residual: ``faces`` is ``_faces(values, spacing)`` when the caller
@@ -140,9 +157,9 @@ def _assemble(values, spacing, p, delta, *, faces=None):
     row of its hi node, v = (1/h_k) dF/du_c, for every node c its flux F
     reads.
 
-    The matrix numbers its unknowns as ``_stencil`` does: its attribute
-    ``order`` holds the C-order interior index of each unknown, so with more
-    than one axis it is P A P^T for the nested-dissection permutation P.
+    The CSC matrix numbers its unknowns as ``_stencil`` does: its attribute
+    ``order`` holds the C-order interior index of each unknown, so it is
+    P A P^T for the nested-dissection permutation P.
     """
     if faces is None:
         faces = _faces(values, spacing)
@@ -159,13 +176,12 @@ def _assemble(values, spacing, p, delta, *, faces=None):
         for op, index, m in s_plan + t_plan:
             target = coef[index]
             op(target, vals[m], out=target)
+    if csc is None:  # one axis: coef[q, c] is row c - offsets[q], column c
+        return _Tridiagonal(coef[2, 1:-2], coef[1, 1:-1], coef[0, 2:-1])
     n = math.prod(size - 2 for size in values.shape)
-    if csc is None:  # one axis: coef's interior columns are the LAPACK band layout
-        matrix = sp.dia_matrix((coef[:, 1:-1], np.ravel(offsets)), shape=(n, n))
-    else:
-        gather, indices, indptr = csc
-        matrix = sp.csc_matrix((coef.ravel()[gather], indices, indptr),
-                               shape=(n, n))
+    gather, indices, indptr = csc
+    matrix = sp.csc_matrix((coef.ravel()[gather], indices, indptr),
+                           shape=(n, n))
     matrix.order = order
     return matrix
 
@@ -181,7 +197,7 @@ def _stencil(shape):
     (op, index, m): add or subtract value m (0: s, i: the i-th t) into
     ``coef[index]``, lo rows first.  ``order`` numbers the unknowns: unknown
     i is the interior node with C-order index order[i].  With one axis it is
-    the identity (the LAPACK band layout) and ``csc`` is None; with more it
+    the identity (the tridiagonal numbering) and ``csc`` is None; with more it
     is ``_dissection``, and ``csc`` is the read-only (gather, indices,
     indptr) of the CSC pattern whose rows and columns both follow it, gather
     picking the entries of the flattened coef in CSC order.  So SuperLU
@@ -265,28 +281,35 @@ def _try_solve(matrix, rhs, factor=None):
     """Direct solve; None when the matrix is singular or the result is not
     finite.
 
-    ``rhs`` and the solution are in grid (C) order.  A tridiagonal ``dia``
-    matrix (one axis) goes to LAPACK through ``solve_banded``; a CSC matrix
-    (more axes) is factored by SuperLU as it is numbered, with no column
-    permutation of its own ("NATURAL"): ``_assemble`` numbers it by nested
-    dissection and records that in its ``order``, and a matrix without one
-    is solved in its own numbering.  A singular matrix raises LinAlgError
-    (LAPACK) or RuntimeError (SuperLU).  Anything else, such as a right-hand
-    side of the wrong length, propagates.  ``factor``, a one-slot list,
-    receives the grid-order ``solve`` of a SuperLU factor whose solution is
-    finite; a banded solve factors and solves in one call and leaves it as
-    it is.
+    ``rhs`` and the solution are in grid (C) order.  A ``_Tridiagonal``
+    (one axis) goes to LAPACK ``dgtsv``, which reports a singular matrix by
+    a positive ``info``; a CSC matrix (more axes) is factored by SuperLU as
+    it is numbered, with no column permutation of its own ("NATURAL"):
+    ``_assemble`` numbers it by nested dissection and records that in its
+    ``order``, and a matrix without one is solved in its own numbering.  A
+    singular CSC matrix raises RuntimeError (SuperLU).  Anything else, such
+    as a right-hand side of the wrong length (ValueError), propagates.
+    ``factor``, a one-slot list, receives the grid-order ``solve`` of a
+    SuperLU factor whose solution is finite; ``dgtsv`` factors and solves in
+    one call and leaves it as it is.
     """
     solve = None
-    try:
-        if matrix.format == "dia":
-            sol = solve_banded((1, 1), matrix.data, rhs, check_finite=False)
-        else:
+    if isinstance(matrix, _Tridiagonal):
+        lower, upper = matrix.lower, matrix.upper
+        if matrix.diag.size == 1:
+            # the wrapper takes no empty off-diagonal; LAPACK reads none here
+            lower = upper = np.zeros(1)
+        # no overwrite flags: a stalled solve reads the Jacobian afterwards
+        *_, sol, info = dgtsv(lower, matrix.diag, upper, rhs)
+        if info > 0:
+            return None
+    else:
+        try:
             solve = _in_grid_order(spla.splu(matrix, permc_spec="NATURAL").solve,
                                    getattr(matrix, "order", None))
             sol = solve(rhs)
-    except (RuntimeError, LinAlgError):
-        return None
+        except RuntimeError:
+            return None
     if not np.all(np.isfinite(sol)):
         return None
     if factor is not None and solve is not None:
@@ -518,8 +541,14 @@ def _rounding_floor(jac, u_interior):
     """ROUNDING_ULPS * eps * max(|J| |u|): the rounding level of evaluating
     the operator at u, for the Jacobian ``jac`` assembled at u and the
     interior nodal values ``u_interior``."""
-    return ROUNDING_ULPS * np.finfo(float).eps * float(
-        np.max(abs(jac) @ np.abs(u_interior.ravel())[jac.order]))
+    if isinstance(jac, _Tridiagonal):
+        au = np.abs(u_interior)
+        ju = np.abs(jac.diag) * au
+        ju[:-1] += np.abs(jac.upper) * au[1:]
+        ju[1:] += np.abs(jac.lower) * au[:-1]
+    else:
+        ju = abs(jac) @ np.abs(u_interior.ravel())[jac.order]
+    return ROUNDING_ULPS * np.finfo(float).eps * float(np.max(ju))
 
 
 def check_comparison(u1: ScalarField, u2: ScalarField) -> bool:

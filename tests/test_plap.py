@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from plaplab.grid import (
 from plaplab.plap import (
     ROUNDING_ULPS,
     SolveOptions,
+    _Tridiagonal,
     _assemble,
     _stencil,
     _try_solve,
@@ -145,9 +147,21 @@ def _jacobian_test_field(dimension):
 
 def grid_order(matrix, shape):
     """An _assemble matrix as CSC with its rows and columns in grid (C) order
-    of the interior nodes, through the stencil's numbering."""
+    of the interior nodes: a _Tridiagonal from its three diagonals, a CSC
+    matrix through the stencil's numbering."""
+    if isinstance(matrix, _Tridiagonal):
+        n = matrix.diag.size
+        return sp.diags([matrix.lower, matrix.diag, matrix.upper], [-1, 0, 1],
+                        shape=(n, n), format="csc")
     unknown = np.argsort(_stencil(shape)[3])  # the unknown of each node
     return matrix.tocsr()[unknown][:, unknown].tocsc()
+
+
+def stored(matrix):
+    """The bytes of the entries an _assemble matrix stores."""
+    if isinstance(matrix, _Tridiagonal):
+        return np.concatenate(matrix).tobytes()
+    return matrix.data.tobytes()
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -203,7 +217,7 @@ def test_assembly_from_the_residual_faces_is_bit_equal(shape, frozen):
         delta = DELTA_RELATIVE * _gradient_scale(values, g.spacing, faces)
         got = _assemble(values, g.spacing, p, delta, faces=faces)
         expected = _assemble(values, g.spacing, p, delta)
-        assert got.data.tobytes() == expected.data.tobytes()
+        assert stored(got) == stored(expected)
 
 
 def kron_laplacian(grid):
@@ -317,9 +331,9 @@ def test_try_solve_keeps_programming_errors_loud():
 def test_banded_solve_matches_sparse_lu(p, frozen):
     u = _jacobian_test_field(1)
     mat = _assemble(u.values, u.grid.spacing, p, flux_delta(u))
-    assert mat.format == "dia"
-    rhs = np.random.default_rng(5).standard_normal(mat.shape[0])
-    expected = spla.spsolve(mat.tocsc(), rhs)
+    assert isinstance(mat, _Tridiagonal)
+    rhs = np.random.default_rng(5).standard_normal(mat.diag.size)
+    expected = spla.spsolve(grid_order(mat, u.grid.shape), rhs)
     got = _try_solve(mat, rhs)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -367,15 +381,15 @@ def _loop_jacobian(values, spacing, p, delta):
 
 @pytest.mark.parametrize("frozen", [False])
 def test_assembly_pattern_follows_the_grid_shape(frozen):
-    # one axis stores the band layout, more axes CSC; (7, 9) twice checks
-    # the per-shape cache
+    # one axis stores the three diagonals, more axes CSC; (7, 9) twice
+    # checks the per-shape cache
     rng = np.random.default_rng(11)
     for shape in ((17,), (7, 9), (9, 7), (33, 33), (7, 9), (5, 6, 7)):
         g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
         values = rng.standard_normal(shape)
         mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
         if len(shape) == 1:
-            assert mat.format == "dia"
+            assert isinstance(mat, _Tridiagonal) and mat.nnz == 3 * 15 - 2
         else:
             assert mat.format == "csc" and mat.has_canonical_format
         expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3)
@@ -433,12 +447,79 @@ def test_nested_dissection_fill_against_minimum_degree(shape, bound):
 
 
 def test_banded_try_solve_singular_and_wrong_length():
-    singular = sp.dia_matrix((np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]),
-                              [1, 0, -1]), shape=(2, 2))
+    singular = _Tridiagonal(np.ones(1), np.ones(2), np.ones(1))
     assert _try_solve(singular, np.array([1.0, 2.0])) is None
-    band = sp.dia_matrix((np.ones((3, 3)), [1, 0, -1]), shape=(3, 3))
+    band = _Tridiagonal(np.ones(2), np.ones(3), np.ones(2))
     with pytest.raises(ValueError):
         _try_solve(band, np.ones(4))
+    # one unknown: no off-diagonal entries
+    empty = np.empty(0)
+    assert _try_solve(_Tridiagonal(empty, np.zeros(1), empty), np.ones(1)) is None
+    assert _try_solve(_Tridiagonal(empty, np.full(1, 4.0), empty),
+                      np.ones(1)).tolist() == [0.25]
+    with pytest.raises(ValueError):
+        _try_solve(_Tridiagonal(empty, np.ones(1), empty), np.ones(2))
+
+
+def _one_axis_jacobians(p):
+    """(u, Newton Jacobian at u) on 2049 nodes: a smooth field, the cold
+    start at p, and seeded random fields."""
+    g = grid_1d(2049)
+    fields = [np.sin(np.pi * g.axis(0)) * (1.2 + np.sin(3.0 * g.axis(0))),
+              plap._cold_start(g, p, np.ones(g.shape))]
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        values = np.zeros(g.shape)
+        values[g.interior] = rng.standard_normal(2047)
+        fields.append(values)
+    for values in fields:
+        delta = _plap_own_delta(values, g.spacing, p)[1]
+        yield values, _assemble(values, g.spacing, p, delta)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
+def test_tridiagonal_solve_is_bit_equal_to_solve_banded(p):
+    rng = np.random.default_rng(13)
+    for _, jac in _one_axis_jacobians(p):
+        before = stored(jac)
+        band = np.array([np.r_[0.0, jac.upper], jac.diag, np.r_[jac.lower, 0.0]])
+        rhs = rng.standard_normal(jac.diag.size)
+        expected = scipy.linalg.solve_banded((1, 1), band, rhs)
+        assert _try_solve(jac, rhs).tobytes() == expected.tobytes()
+        assert stored(jac) == before  # a stalled solve reads jac afterwards
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
+def test_tridiagonal_rounding_floor_matches_the_sparse_product(p):
+    for values, jac in _one_axis_jacobians(p):
+        u_int = values[1:-1]
+        expected = ROUNDING_ULPS * np.finfo(float).eps * np.max(
+            abs(grid_order(jac, values.shape)) @ np.abs(u_int))
+        got = plap._rounding_floor(jac, u_int)
+        assert abs(got - expected) <= 1e-15 * expected
+
+
+def test_one_axis_solve_builds_no_sparse_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-axis solve reached scipy.sparse or "
+                             "solve_banded")
+
+    for name in dir(sp):
+        if name.endswith(("_matrix", "_array")) and isinstance(getattr(sp, name), type):
+            monkeypatch.setattr(getattr(sp, name), "__init__", refuse)
+    monkeypatch.setattr(scipy.linalg, "solve_banded", refuse)
+    assert not hasattr(plap, "solve_banded")
+    g = grid_1d(2049)
+    load = field_from_function(g, lambda x: 1.0 + x)
+    larger = load.with_values(1.1 * load.values)
+    solved = []
+    for p in (1.5, 2.5, 4.0):  # a cold solve, then a warm one
+        u = solve_plap_dirichlet(g, p, load)
+        solved += [(p, load, u), (p, larger, solve_plap_dirichlet(
+            g, p, larger, initial_guess=u))]
+    monkeypatch.undo()
+    for p, rhs, u in solved:
+        _assert_residual_contract(u, p, rhs)
 
 
 # exact discrete peaks at p = 2.5; rel=1e-8 is the residual contract's bound
@@ -492,10 +573,9 @@ def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):
 
 def _rounding_floor(u, p):
     delta = flux_delta(u)
-    jac = _assemble(u.values, u.grid.spacing, p, delta)
-    order = _stencil(u.grid.shape)[3]  # |u| in the Jacobian's numbering
+    jac = grid_order(_assemble(u.values, u.grid.spacing, p, delta), u.grid.shape)
     return ROUNDING_ULPS * np.finfo(float).eps * np.max(
-        abs(jac) @ np.abs(u.values[u.grid.interior].ravel())[order])
+        abs(jac) @ np.abs(u.values[u.grid.interior].ravel()))
 
 
 @pytest.mark.parametrize("shape, tol", [((2049,), 1e-10), ((65, 65), 1e-16)])
