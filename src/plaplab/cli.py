@@ -311,8 +311,9 @@ def _parse_range(text, name):
     except ValueError:
         raise ConfigurationError(
             f"{name} must look like LO:HI, got {text!r}") from None
-    if not (0.0 < lo <= hi):
-        raise ConfigurationError(f"{name} needs 0 < LO <= HI, got {text!r}")
+    if not (0.0 < lo <= hi < np.inf):
+        raise ConfigurationError(
+            f"{name} needs finite 0 < LO <= HI, got {text!r}")
     return lo, hi
 
 
@@ -435,8 +436,7 @@ def _sweep_point(spec, lam, beta, grid, constants, eigen, opts, max_outer):
 def cmd_sweep(args) -> int:
     if args.parallel < 1:
         raise ConfigurationError("--parallel must be at least 1")
-    if args.max_outer < 1:
-        raise ConfigurationError("--max-outer must be at least 1")
+    _check_outer_budget(args.max_outer)
     _, lams, betas = _sample_grid(args)
     opts = _solve_options(args)
     spec = _load_spec(args)

@@ -28,11 +28,13 @@ Every stage is checked at run time, each check under one rule.  The
 barriers, and every warm start, must verify as sub/super-solutions of each
 frozen F with a defect tolerance of SUBSUPER_TOL_REL times the candidate's
 own ||Lap_p v||_inf.  Each outer iterate must stay in the invariant set
-(between the barriers, gradient below gamma*M) up to MEMBERSHIP_SLACK_REL * M,
-checked at every step by verify_solution_bounds.  Each solve must respect the
-empirical gradient constant.  A violation of any of these raises
-InvariantViolation -- it falsifies the implementation or a stale constant,
-never the underlying analysis -- so a returned report always lies in the set.
+(between the barriers, which outer_fixed_point builds once per run, with
+gradient below gamma*M) up to MEMBERSHIP_SLACK_REL * M, checked at every step
+by verify_solution_bounds.  Each solve must respect the empirical gradient
+constant.  A violation of any of these raises InvariantViolation -- it
+falsifies the implementation or a stale constant, never the underlying
+analysis -- so a returned report always lies in the set.  Functions other
+than outer_fixed_point take their grid from the fields they are given.
 
 Convergence of the outer map is monitored in C^1 (sup distance of values plus
 gradients); the fixed-point argument behind it is nonconstructive, so
@@ -138,8 +140,7 @@ def make_epsilon(lam: float, lambda1: float, height: float, phi_sup: float,
 
 
 def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
-                        spec: ProblemSpec, grid: Grid,
-                        weights=None, grad=None) -> FrozenNonlinearity:
+                        spec: ProblemSpec, grad=None) -> FrozenNonlinearity:
     """Freeze h and f at the iterate u, checking the hypotheses there.
 
     The growth hypotheses are re-verified at the nodal values of u and |grad u|
@@ -147,10 +148,8 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
     worst violation raises HypothesisViolationError with the offending node
     and values.  The frozen part is clamped from roundoff-negative to zero.
     """
-    if u.grid != grid:
-        raise ConfigurationError("iterate lives on a different grid")
-    if weights is None:
-        weights = sample_weights(spec, grid)
+    grid = u.grid
+    weights = sample_weights(spec, grid)
     w1 = weights[0]
     uv = np.maximum(u.values, 0.0)
     gn = (gradient(u) if grad is None else grad).magnitude().values
@@ -188,8 +187,8 @@ class SubSuperReport:
     node: tuple | None = None
 
 
-def verify_subsuper(candidate: ScalarField, F: FrozenNonlinearity, grid: Grid,
-                    p: float, kind: str) -> SubSuperReport:
+def verify_subsuper(candidate: ScalarField, F: FrozenNonlinearity, p: float,
+                    kind: str) -> SubSuperReport:
     """Check the defect d = (-Lap_p candidate) - F(x, candidate) pointwise.
 
     A super-solution needs d >= -tol, a sub-solution d <= tol, over interior
@@ -200,13 +199,12 @@ def verify_subsuper(candidate: ScalarField, F: FrozenNonlinearity, grid: Grid,
     if kind not in ("sub", "super"):
         raise ConfigurationError(f"kind must be 'sub' or 'super', got {kind!r}")
     lap = p_laplacian_apply(candidate, p).values
-    defect = (lap - F.evaluate(candidate.values))[grid.interior]
+    defect = (lap - F.evaluate(candidate.values))[candidate.grid.interior]
     tol = SUBSUPER_TOL_REL * float(np.max(np.abs(lap)))
     signed = -defect if kind == "super" else defect
     flat = int(np.argmax(signed))
-    worst = float(signed.ravel()[flat] if signed.size else 0.0)
-    node = tuple(int(i) + 1 for i in
-                 np.unravel_index(flat, tuple(n - 2 for n in grid.shape)))
+    worst = float(signed.ravel()[flat])
+    node = tuple(int(i) + 1 for i in np.unravel_index(flat, signed.shape))
     return SubSuperReport(ok=worst <= tol, worst_violation=worst, tol=tol,
                           node=node)
 
@@ -225,7 +223,7 @@ def _support_tolerance(opts: SolveOptions, stop: float) -> SolveOptions:
 
 
 def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
-                         sup_field: ScalarField, grid: Grid, p: float,
+                         sup_field: ScalarField, p: float,
                          opts: SolveOptions | None = None,
                          start: str = "super",
                          khat: float | None = None,
@@ -264,16 +262,17 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
         opts = SolveOptions()
     if start not in ("sub", "super"):
         raise ConfigurationError(f"start must be 'sub' or 'super', got {start!r}")
-    if sub.grid != grid or sup_field.grid != grid:
-        raise ConfigurationError("barriers live on a different grid")
+    grid = sub.grid
+    if sup_field.grid != grid:
+        raise ConfigurationError("barriers live on different grids")
     if start_field is not None and (start != "super" or start_field.grid != grid):
         raise ConfigurationError(
             "a start field needs start='super' and the barriers' grid")
-    band_slack = 1.0e-12 * max(1.0, sup_norm(sup_field))
-    if np.any(sub.values > sup_field.values + band_slack):
+    sup_size = sup_norm(sup_field)
+    if np.any(sub.values > sup_field.values + 1.0e-12 * max(1.0, sup_size)):
         raise ConfigurationError("lower barrier exceeds upper barrier")
 
-    stop = INNER_STOP_REL * sup_norm(sup_field)
+    stop = INNER_STOP_REL * sup_size
     if start_field is not None:
         u = start_field
     else:
@@ -289,10 +288,8 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
             assert_gradient_bound(khat, u_next, rhs, p,
                                   context=f"inner sweep {sweep}")
         slack = 10.0 * solve_opts.tol_residual * max(1.0, sup_norm(rhs))
-        if start == "super":
-            drift = float(np.max(u_next.values - u.values))
-        else:
-            drift = float(np.max(u.values - u_next.values))
+        step = u_next.values - u.values
+        drift = float(np.max(step if start == "super" else -step))
         if drift > slack:
             raise MonotonicityError(
                 f"inner iterate moved {drift:.3e} against the monotone "
@@ -303,7 +300,7 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
             raise MonotonicityError(
                 f"inner iterate left the barrier band by "
                 f"{max(below, above):.3e} at sweep {sweep}")
-        move = float(np.max(np.abs(u_next.values - u.values)))
+        move = float(np.max(np.abs(step)))
         u = u_next
         log.debug("inner sweep %d (%s start): move %.3e", sweep, start, move)
         if move < stop:
@@ -320,7 +317,7 @@ def _same_map(F: FrozenNonlinearity, G: FrozenNonlinearity) -> bool:
 
 
 def _warm_start(u: ScalarField, F: FrozenNonlinearity, sup_field: ScalarField,
-                grid: Grid, p: float):
+                p: float):
     """Start of an outer step's inner iteration, with its label: the first
     v = min(sup, (1 + t) u) over WARM_START_LADDER that verifies as a
     supersolution of F, else the upper barrier itself.
@@ -330,14 +327,14 @@ def _warm_start(u: ScalarField, F: FrozenNonlinearity, sup_field: ScalarField,
     minimum of two supersolutions is again one.
     """
     for t in WARM_START_LADDER:
-        v = ScalarField(grid, np.minimum(sup_field.values, (1.0 + t) * u.values))
-        if verify_subsuper(v, F, grid, p, "super").ok:
+        v = u.with_values(np.minimum(sup_field.values, (1.0 + t) * u.values))
+        if verify_subsuper(v, F, p, "super").ok:
             return v, f"t={t:g}"
     return sup_field, "sup"
 
 
 def picone_diagnostic(U: ScalarField, V: ScalarField, F: FrozenNonlinearity,
-                      grid: Grid, p: float) -> float:
+                      p: float) -> float:
     """Picone-type uniqueness gap for two positive states.
 
     Integrates  (F(x,U)/U^(p-1) - F(x,V)/V^(p-1)) * (U^p - V^p)  over the box
@@ -346,8 +343,9 @@ def picone_diagnostic(U: ScalarField, V: ScalarField, F: FrozenNonlinearity,
     U = V; a value near zero for two independently computed limits is the
     uniqueness surrogate.
     """
-    if U.grid != grid or V.grid != grid:
-        raise ConfigurationError("states live on a different grid")
+    grid = U.grid
+    if V.grid != grid:
+        raise ConfigurationError("states live on different grids")
     interior = grid.interior
     for name, w in (("first", U), ("second", V)):
         if float(np.min(w.values[interior])) <= 0.0:
@@ -362,19 +360,19 @@ def picone_diagnostic(U: ScalarField, V: ScalarField, F: FrozenNonlinearity,
     return integrate(ScalarField(grid, integrand))
 
 
-def verify_solution_bounds(u: ScalarField, eps: float, u1: ScalarField,
-                           height: float, phi: ScalarField, gamma: float,
+def verify_solution_bounds(u: ScalarField, sub: ScalarField,
+                           sup_field: ScalarField, height: float, gamma: float,
                            grad=None) -> list:
-    """Check eps*u1 <= u <= (height/||phi||)*phi and ||grad u|| <= gamma*height,
-    each up to MEMBERSHIP_SLACK_REL * height; ``grad`` is gradient(u), if held.
+    """Check sub <= u <= sup_field and ||grad u|| <= gamma*height, each up to
+    MEMBERSHIP_SLACK_REL * height, for the run's barriers sub = eps*u1 and
+    sup_field = (height/||phi||)*phi; ``grad`` is gradient(u), if held.
 
     Returns each broken bound, named, with its gap over the allowed value
     (a NaN gap counts as broken); an empty list when all three hold.
     """
     allowed = MEMBERSHIP_SLACK_REL * height
-    upper = (height / sup_norm(phi)) * phi.values
-    gaps = (("lower barrier", float(np.max(eps * u1.values - u.values))),
-            ("upper barrier", float(np.max(u.values - upper))),
+    gaps = (("lower barrier", float(np.max(sub.values - u.values))),
+            ("upper barrier", float(np.max(u.values - sup_field.values))),
             ("gradient bound",
              sup_norm(gradient(u) if grad is None else grad) - gamma * height))
     return [f"{name} gap {gap:.3e} over allowed {allowed:.1e}"
@@ -467,13 +465,13 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
             f"(lambda, beta) = ({lam:.6g}, {beta:.6g}) is outside the "
             f"{verdict.case} existence region (margin {verdict.margin:.3e})")
     height = verdict.height
-    weights = sample_weights(spec, grid)
     if eigen is None:
-        eigen = first_eigenpair(grid, spec.p, weights[0], opts)
+        eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0],
+                                opts)
     eps = make_epsilon(lam, eigen.lambda1, height, constants.phi_sup, spec)
-    phi = constants.weighted_torsion.phi
     sub = ScalarField(grid, eps * eigen.u1.values)
-    sup_field = ScalarField(grid, (height / constants.phi_sup) * phi.values)
+    sup_field = ScalarField(grid, (height / constants.phi_sup)
+                            * constants.weighted_torsion.phi.values)
     if np.any(sub.values > sup_field.values + 1.0e-12 * max(1.0, height)):
         raise InvariantViolation(
             "lower barrier exceeds upper barrier; constants inconsistent")
@@ -484,9 +482,9 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     factor = []  # one SuperLU factor holder for every outer step of this call
     previous = None  # the last step's frozen map
     for k in range(1, max_outer + 1):
-        frozen = freeze_nonlinearity(u, lam, beta, spec, grid, weights, grad_u)
+        frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
         for cand, kind in ((sup_field, "super"), (sub, "sub")):
-            rep = verify_subsuper(cand, frozen, grid, spec.p, kind)
+            rep = verify_subsuper(cand, frozen, spec.p, kind)
             if not rep.ok:
                 raise InvariantViolation(
                     f"{kind}-solution verification failed at outer step {k}: "
@@ -497,13 +495,13 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
             u_next, started = u, "reused"
         else:
             start_field, started = ((sup_field, "sup") if previous is None else
-                                    _warm_start(u, frozen, sup_field, grid, spec.p))
-            u_next = inner_monotone_solve(frozen, sub, sup_field, grid, spec.p,
+                                    _warm_start(u, frozen, sup_field, spec.p))
+            u_next = inner_monotone_solve(frozen, sub, sup_field, spec.p,
                                           opts, start="super", khat=constants.khat,
                                           start_field=start_field, factor=factor)
         previous = frozen
         grad_next = gradient(u_next)
-        broken = verify_solution_bounds(u_next, eps, eigen.u1, height, phi,
+        broken = verify_solution_bounds(u_next, sub, sup_field, height,
                                         constants.gamma, grad=grad_next)
         if broken:
             raise InvariantViolation(
@@ -518,13 +516,13 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
         if dist < OUTER_STOP_REL * height:
             break
 
-    frozen = freeze_nonlinearity(u, lam, beta, spec, grid, weights, grad_u)
-    from_above = inner_monotone_solve(frozen, sub, sup_field, grid, spec.p,
+    frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
+    from_above = inner_monotone_solve(frozen, sub, sup_field, spec.p,
                                       opts, start="super", khat=constants.khat)
-    from_below = inner_monotone_solve(frozen, sub, sup_field, grid, spec.p,
+    from_below = inner_monotone_solve(frozen, sub, sup_field, spec.p,
                                       opts, start="sub", khat=constants.khat)
     two_sided_gap = float(np.max(np.abs(from_above.values - from_below.values)))
-    picone_gap = picone_diagnostic(from_above, from_below, frozen, grid, spec.p)
+    picone_gap = picone_diagnostic(from_above, from_below, frozen, spec.p)
 
     # the residual is checked against the raw lambda*h + beta*f at u, which
     # the freeze above already evaluated

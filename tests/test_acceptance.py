@@ -245,11 +245,10 @@ def test_c7_uniqueness_surrogate(name):
         assert certs.picone_gap <= 1e-8 * scale * height * volume
         # recompute the Picone integrand nodewise: it must be nonpositive
         sub, sup_field = barriers(grid, report, bundle, eigen)
-        frozen = freeze_nonlinearity(report.solution, lam, beta, spec, grid,
-                                     weights)
-        upper = inner_monotone_solve(frozen, sub, sup_field, grid, spec.p,
+        frozen = freeze_nonlinearity(report.solution, lam, beta, spec)
+        upper = inner_monotone_solve(frozen, sub, sup_field, spec.p,
                                      start="super", khat=bundle.khat)
-        lower = inner_monotone_solve(frozen, sub, sup_field, grid, spec.p,
+        lower = inner_monotone_solve(frozen, sub, sup_field, spec.p,
                                      start="sub", khat=bundle.khat)
         interior = grid.interior
         p = spec.p
@@ -276,8 +275,8 @@ def test_c8_gradient_free_nonlinearity_freezes_after_one_step():
         # with h proportional to the frozen growth and f absent, the frozen
         # map never changes, so a single direct inner solve gives the limit
         sub, sup_field = barriers(grid, report, bundle, eigen)
-        frozen = freeze_nonlinearity(sub, 1.0, 1.0, spec, grid, weights)
-        direct = inner_monotone_solve(frozen, sub, sup_field, grid, spec.p,
+        frozen = freeze_nonlinearity(sub, 1.0, 1.0, spec)
+        direct = inner_monotone_solve(frozen, sub, sup_field, spec.p,
                                       start="super", khat=bundle.khat)
         gap = float(np.max(np.abs(direct.values - report.solution.values)))
         assert gap <= 1e-6 * report.height

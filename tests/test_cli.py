@@ -139,7 +139,7 @@ def test_outer_budget_below_one_exits_two(capsys, tmp_path):
     out = tmp_path / "s.csv"
     assert main(["sweep", "--spec", SUB, "--n", "17", "--max-outer", "0",
                  "--out", str(out)]) == 2
-    assert "--max-outer" in capsys.readouterr().err
+    assert "max_outer" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -263,6 +263,20 @@ def test_bad_sample_arguments_exit_before_the_set_up(command, bad, monkeypatch,
     assert main([command, "--spec", SUB, "--n", "17", *bad,
                  "--out", str(out)]) == 2
     assert set_ups == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "region"])
+@pytest.mark.parametrize("flag, bounds", [("--lambda-range", "0.1:inf"),
+                                          ("--beta-range", "1:inf")])
+def test_an_infinite_range_bound_exits_before_the_set_up(command, flag, bounds,
+                                                         monkeypatch, capsys):
+    set_ups = []
+    monkeypatch.setattr(cli, "compute_constants",
+                        lambda *args, **kwargs: set_ups.append(args))
+    assert main([command, "--spec", SUB, "--samples", "3",
+                 f"{flag}={bounds}"]) == 2
+    assert f"{flag} needs finite" in capsys.readouterr().err
+    assert set_ups == []
 
 
 # outer_iters of each row of `sweep --samples 3` on the bundled problems at

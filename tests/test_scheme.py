@@ -86,7 +86,7 @@ def test_freeze_agrees_with_direct_evaluation(scale, lam, beta):
     spec = make_spec()
     g = spec.build_grid()
     u = parabola(g, scale)
-    F = freeze_nonlinearity(u, lam, beta, spec, g)
+    F = freeze_nonlinearity(u, lam, beta, spec)
     frozen_at_u = F.evaluate(u.values)
     gn = gradient(u).magnitude().values
     bindings = spec.coordinate_bindings(g)
@@ -104,7 +104,7 @@ def test_freeze_flags_hypothesis_violation_at_iterate():
     g = spec.build_grid()
     u = parabola(g)
     with pytest.raises(HypothesisViolationError) as err:
-        freeze_nonlinearity(u, 1.0, 1.0, spec, g)
+        freeze_nonlinearity(u, 1.0, 1.0, spec)
     assert err.value.node is not None
     assert err.value.values["u"] > 0.0
 
@@ -115,17 +115,10 @@ def test_freeze_and_validation_name_the_same_violated_bound():
     spec = make_spec(h="0.99 * u ^ (q - 1)", f="2 * u ^ a * gnorm ^ b")
     g = spec.build_grid()
     with pytest.raises(HypothesisViolationError) as err:
-        freeze_nonlinearity(parabola(g), 1.0, 1.0, spec, g)
+        freeze_nonlinearity(parabola(g), 1.0, 1.0, spec)
     check = validate_hypotheses(spec).check
     assert "omega3" in check
     assert f"'{check}'" in str(err.value)
-
-
-def test_freeze_rejects_foreign_grid():
-    spec = make_spec()
-    with pytest.raises(ConfigurationError):
-        freeze_nonlinearity(parabola(build_grid(((0.0, 1.0),), 17)),
-                            1.0, 1.0, spec, spec.build_grid())
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +158,14 @@ def test_verify_subsuper_accepts_the_barriers(sub_stage):
     eps = make_epsilon(lam, eig.lambda1, m, c.phi_sup, spec)
     sub = ScalarField(g, eps * eig.u1.values)
     sup = ScalarField(g, (m / c.phi_sup) * c.weighted_torsion.phi.values)
-    F = freeze_nonlinearity(sub, lam, beta, spec, g)
-    rep_sup = verify_subsuper(sup, F, g, spec.p, "super")
-    rep_sub = verify_subsuper(sub, F, g, spec.p, "sub")
+    F = freeze_nonlinearity(sub, lam, beta, spec)
+    rep_sup = verify_subsuper(sup, F, spec.p, "super")
+    rep_sub = verify_subsuper(sub, F, spec.p, "sub")
     assert rep_sup.ok, rep_sup
     assert rep_sub.ok, rep_sub
     # the super-solution check must fail for a barrier that is far too low
     shrunk = ScalarField(g, 1e-3 * sup.values)
-    assert not verify_subsuper(shrunk, F, g, spec.p, "super").ok
+    assert not verify_subsuper(shrunk, F, spec.p, "super").ok
 
 
 def test_verify_subsuper_rejects_a_small_violation_on_a_small_problem():
@@ -189,8 +182,8 @@ def test_verify_subsuper_rejects_a_small_violation_on_a_small_problem():
     eps = make_epsilon(lam, eig.lambda1, m, c.phi_sup, spec)
     sub = ScalarField(g, eps * eig.u1.values)
     sup = ScalarField(g, (m / c.phi_sup) * c.weighted_torsion.phi.values)
-    F = freeze_nonlinearity(sub, lam, beta, spec, g)
-    assert verify_subsuper(sup, F, g, spec.p, "super").ok
+    F = freeze_nonlinearity(sub, lam, beta, spec)
+    assert verify_subsuper(sup, F, spec.p, "super").ok
 
     def shrunk(s):
         return sup.with_values(s * sup.values)
@@ -199,13 +192,13 @@ def test_verify_subsuper_rejects_a_small_violation_on_a_small_problem():
     lo, hi = 0.5, 1.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        rep = verify_subsuper(shrunk(mid), F, g, spec.p, "super")
+        rep = verify_subsuper(shrunk(mid), F, spec.p, "super")
         if rep.worst_violation > 2e-8:
             lo = mid
         else:
             hi = mid
     v = shrunk(lo)
-    rep = verify_subsuper(v, F, g, spec.p, "super")
+    rep = verify_subsuper(v, F, spec.p, "super")
     assert 1e-8 <= rep.worst_violation <= 3e-8
     assert not rep.ok
     assert rep.tol == scheme.SUBSUPER_TOL_REL * sup_norm(
@@ -214,9 +207,9 @@ def test_verify_subsuper_rejects_a_small_violation_on_a_small_problem():
 
 def test_verify_subsuper_validates_kind(sub_stage):
     spec, g, c, eig = sub_stage
-    F = freeze_nonlinearity(zero_field(g), 1.0, 1.0, spec, g)
+    F = freeze_nonlinearity(zero_field(g), 1.0, 1.0, spec)
     with pytest.raises(ConfigurationError):
-        verify_subsuper(zero_field(g), F, g, spec.p, "upper")
+        verify_subsuper(zero_field(g), F, spec.p, "upper")
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +224,10 @@ def test_inner_iteration_is_monotone_from_both_ends(sub_stage):
     eps = make_epsilon(lam, eig.lambda1, m, c.phi_sup, spec)
     sub = ScalarField(g, eps * eig.u1.values)
     sup = ScalarField(g, (m / c.phi_sup) * c.weighted_torsion.phi.values)
-    F = freeze_nonlinearity(sub, lam, beta, spec, g)
+    F = freeze_nonlinearity(sub, lam, beta, spec)
 
-    down = inner_monotone_solve(F, sub, sup, g, spec.p, khat=c.khat)
-    up = inner_monotone_solve(F, sub, sup, g, spec.p, start="sub",
+    down = inner_monotone_solve(F, sub, sup, spec.p, khat=c.khat)
+    up = inner_monotone_solve(F, sub, sup, spec.p, start="sub",
                               khat=c.khat)
     slack = 1e-9 * sup_norm(sup)
     for u in (down, up):
@@ -245,13 +238,13 @@ def test_inner_iteration_is_monotone_from_both_ends(sub_stage):
 
 def test_inner_iteration_rejects_crossed_barriers(sub_stage):
     spec, g, c, eig = sub_stage
-    F = freeze_nonlinearity(zero_field(g), 1.0, 1.0, spec, g)
+    F = freeze_nonlinearity(zero_field(g), 1.0, 1.0, spec)
     lo = parabola(g, 2.0)
     hi = parabola(g, 1.0)
     with pytest.raises(ConfigurationError):
-        inner_monotone_solve(F, lo, hi, g, spec.p)
+        inner_monotone_solve(F, lo, hi, spec.p)
     with pytest.raises(ConfigurationError):
-        inner_monotone_solve(F, hi, lo, g, spec.p, start="middle")
+        inner_monotone_solve(F, hi, lo, spec.p, start="middle")
 
 
 def test_inner_iteration_detects_band_escape(sub_stage):
@@ -261,7 +254,7 @@ def test_inner_iteration_detects_band_escape(sub_stage):
     F = FrozenNonlinearity(grid=g, coeff=np.zeros(g.shape),
                            base=np.full(g.shape, 50.0), q=spec.q)
     with pytest.raises(MonotonicityError):
-        inner_monotone_solve(F, zero_field(g), sup, g, spec.p)
+        inner_monotone_solve(F, zero_field(g), sup, spec.p)
 
 
 def test_inner_iteration_raises_when_sweep_budget_runs_out(sub_stage,
@@ -272,10 +265,10 @@ def test_inner_iteration_raises_when_sweep_budget_runs_out(sub_stage,
     eps = make_epsilon(1.0, eig.lambda1, m, c.phi_sup, spec)
     sub = ScalarField(g, eps * eig.u1.values)
     sup = ScalarField(g, (m / c.phi_sup) * c.weighted_torsion.phi.values)
-    F = freeze_nonlinearity(sub, 1.0, 1.0, spec, g)
+    F = freeze_nonlinearity(sub, 1.0, 1.0, spec)
     monkeypatch.setattr(scheme, "INNER_MAX_SWEEPS", 1)
     with pytest.raises(IterationFailure, match="in 1 sweeps"):
-        inner_monotone_solve(F, sub, sup, g, spec.p)
+        inner_monotone_solve(F, sub, sup, spec.p)
 
 
 def sub_weight(grid):
@@ -288,9 +281,9 @@ def sub_weight(grid):
 
 def test_picone_gap_vanishes_for_identical_states(sub_stage):
     spec, g, c, eig = sub_stage
-    F = freeze_nonlinearity(parabola(g), 1.0, 1.0, spec, g)
+    F = freeze_nonlinearity(parabola(g), 1.0, 1.0, spec)
     u = parabola(g, 0.5)
-    assert picone_diagnostic(u, u, F, g, spec.p) == 0.0
+    assert picone_diagnostic(u, u, F, spec.p) == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -301,17 +294,17 @@ def test_picone_gap_is_nonpositive_for_frozen_maps(s1, s2):
     so the integrand (and the gap) cannot be positive for any pair."""
     spec = make_spec()
     g = spec.build_grid()
-    F = freeze_nonlinearity(parabola(g), 1.0, 1.0, spec, g)
+    F = freeze_nonlinearity(parabola(g), 1.0, 1.0, spec)
     U = parabola(g, s1)
     V = field_from_function(g, lambda x: s2 * np.sin(np.pi * x))
-    assert picone_diagnostic(U, V, F, g, spec.p) <= 1e-15
+    assert picone_diagnostic(U, V, F, spec.p) <= 1e-15
 
 
 def test_picone_requires_interior_positivity(sub_stage):
     spec, g, c, eig = sub_stage
-    F = freeze_nonlinearity(parabola(g), 1.0, 1.0, spec, g)
+    F = freeze_nonlinearity(parabola(g), 1.0, 1.0, spec)
     with pytest.raises(ConfigurationError):
-        picone_diagnostic(zero_field(g), parabola(g), F, g, spec.p)
+        picone_diagnostic(zero_field(g), parabola(g), F, spec.p)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +316,12 @@ def test_verify_solution_bounds_reports_gaps(sub_stage):
     phi = c.weighted_torsion.phi
     m = 0.2
     eps = 0.05
-    good = ScalarField(g, 0.5 * (eps * eig.u1.values
-                                 + (m / c.phi_sup) * phi.values))
-    assert verify_solution_bounds(good, eps, eig.u1, m, phi, c.gamma) == []
-    too_big = ScalarField(g, 2.0 * (m / c.phi_sup) * phi.values)
-    bad = verify_solution_bounds(too_big, eps, eig.u1, m, phi, c.gamma)
+    sub = ScalarField(g, eps * eig.u1.values)
+    sup = ScalarField(g, (m / c.phi_sup) * phi.values)
+    good = ScalarField(g, 0.5 * (sub.values + sup.values))
+    assert verify_solution_bounds(good, sub, sup, m, c.gamma) == []
+    too_big = ScalarField(g, 2.0 * sup.values)
+    bad = verify_solution_bounds(too_big, sub, sup, m, c.gamma)
     allowed = scheme.MEMBERSHIP_SLACK_REL * m
     assert f"upper barrier gap {m:.3e} over allowed {allowed:.1e}" in bad
     assert not any(v.startswith("lower barrier") for v in bad)
@@ -381,8 +375,8 @@ def test_outer_detects_stale_gradient_constant(sub_stage):
 def test_outer_step_leaving_the_invariant_set_raises(sub_stage, monkeypatch):
     spec, g, c, eig = sub_stage
 
-    def overshoot(F, sub, sup_field, grid, p, *args, **kwargs):
-        return ScalarField(grid, 1.5 * sup_field.values)
+    def overshoot(F, sub, sup_field, p, *args, **kwargs):
+        return sup_field.with_values(1.5 * sup_field.values)
 
     monkeypatch.setattr(scheme, "inner_monotone_solve", overshoot)
     height = region_classify(1.0, 1.0, c, spec).height
@@ -527,10 +521,10 @@ def recording_starts(monkeypatch):
     (F, sub, sup, start, start_field)."""
     calls = []
 
-    def wrapper(F, sub, sup, grid, p, opts=None, start="super", khat=None,
+    def wrapper(F, sub, sup, p, opts=None, start="super", khat=None,
                 start_field=None, factor=None):
         calls.append((F, sub, sup, start, start_field))
-        return inner_monotone_solve(F, sub, sup, grid, p, opts, start, khat,
+        return inner_monotone_solve(F, sub, sup, p, opts, start, khat,
                                     start_field=start_field, factor=factor)
 
     monkeypatch.setattr(scheme, "inner_monotone_solve", wrapper)
@@ -551,12 +545,12 @@ def test_every_warm_start_is_a_verified_supersolution_in_the_band(
     assert warm  # later steps start below the upper barrier
     for F, sub, sup, start, v in warm:
         assert start == "super"
-        assert verify_subsuper(v, F, g, spec.p, "super").ok
+        assert verify_subsuper(v, F, spec.p, "super").ok
         assert np.all(sub.values <= v.values) and np.all(v.values <= sup.values)
     # a previous iterate at the upper barrier: the scaled-up start is cut
     # back to it
     F = steps[1][0]
-    v, started = scheme._warm_start(sup, F, sup, g, spec.p)
+    v, started = scheme._warm_start(sup, F, sup, spec.p)
     assert started == "t=0.0001" and v.values.tobytes() == sup.values.tobytes()
 
 
@@ -582,8 +576,8 @@ def test_a_failing_ladder_falls_back_to_the_upper_barrier(sub_stage,
     verify = scheme.verify_subsuper
     barrier = []  # the upper barrier: the first field verified as "super"
 
-    def failing_rungs(candidate, F, grid, p, kind):
-        rep = verify(candidate, F, grid, p, kind)
+    def failing_rungs(candidate, F, p, kind):
+        rep = verify(candidate, F, p, kind)
         if kind == "super":
             if not barrier:
                 barrier.append(candidate)
@@ -658,7 +652,7 @@ def test_1d_inner_iteration_keeps_no_factor(sub_stage, monkeypatch):
     eps = make_epsilon(1.0, eig.lambda1, m, c.phi_sup, spec)
     sub = ScalarField(g, eps * eig.u1.values)
     sup = ScalarField(g, (m / c.phi_sup) * c.weighted_torsion.phi.values)
-    F = freeze_nonlinearity(sub, 1.0, 1.0, spec, g)
+    F = freeze_nonlinearity(sub, 1.0, 1.0, spec)
     holders = []
 
     def recording(*args, factor, **kwargs):
@@ -667,12 +661,12 @@ def test_1d_inner_iteration_keeps_no_factor(sub_stage, monkeypatch):
         return u
 
     monkeypatch.setattr(scheme, "solve_plap_dirichlet", recording)
-    kept = inner_monotone_solve(F, sub, sup, g, spec.p, khat=c.khat)
+    kept = inner_monotone_solve(F, sub, sup, spec.p, khat=c.khat)
     assert holders and all(h == [] for h in holders)
     monkeypatch.setattr(scheme, "solve_plap_dirichlet",
                         lambda *args, factor, **kwargs:
                         solve_plap_dirichlet(*args, **kwargs))
-    without = inner_monotone_solve(F, sub, sup, g, spec.p, khat=c.khat)
+    without = inner_monotone_solve(F, sub, sup, spec.p, khat=c.khat)
     assert kept.values.tobytes() == without.values.tobytes()
 
 
