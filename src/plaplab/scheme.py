@@ -224,7 +224,7 @@ def _support_tolerance(opts: SolveOptions, stop: float) -> SolveOptions:
 
 def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
                          sup_field: ScalarField, p: float,
-                         opts: SolveOptions | None = None,
+                         opts: SolveOptions | None = None, *,
                          start: str = "super",
                          khat: float | None = None,
                          start_field: ScalarField | None = None,
@@ -246,6 +246,7 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
     computations.  No factor outlives an outer_fixed_point call.
 
     Args:
+        start: the barrier to start from; keyword-only, as are the rest.
         khat: when given, every solve is checked against the empirical
             gradient bound (StaleGradConstantError on violation).
         start_field: with start="super", a supersolution of F inside the

@@ -279,8 +279,11 @@ def test_an_infinite_range_bound_exits_before_the_set_up(command, flag, bounds,
     assert set_ups == []
 
 
-# outer_iters of each row of `sweep --samples 3` on the bundled problems at
-# their own resolution, lambda-major; every row converges
+# (lambda, beta) of each row of `sweep --samples 3` at the default ranges,
+# lambda-major, and outer_iters of those rows on the bundled problems at
+# their own resolution; every row converges
+SWEEP_POINTS = [(lam, beta) for lam in (0.1, 1.05, 2.0)
+                for beta in (0.1, 1.05, 2.0)]
 SWEEP_OUTER_ITERS = {
     "sub": (12, 15, 15, 7, 11, 12, 6, 10, 11),
     "super": (2, 3, 3, 3, 4, 5, 4, 5, 6),
@@ -295,9 +298,10 @@ def test_bundled_sweeps_keep_their_outcomes(name, tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--spec", str(bundled_problem_path(name)),
                  "--samples", "3", "--out", str(out)]) == 0
-    assert [(row.status, row.converged, row.outer_iters)
+    assert [(row.lam, row.beta, row.status, row.converged, row.outer_iters)
             for row in SweepResult.read(out).rows] \
-        == [("converged", True, k) for k in SWEEP_OUTER_ITERS[name]]
+        == [(lam, beta, "converged", True, k) for (lam, beta), k
+            in zip(SWEEP_POINTS, SWEEP_OUTER_ITERS[name], strict=True)]
 
 
 def test_sweep_timings_go_to_stdout_not_csv(tmp_path, capsys):

@@ -521,11 +521,12 @@ def recording_starts(monkeypatch):
     (F, sub, sup, start, start_field)."""
     calls = []
 
-    def wrapper(F, sub, sup, p, opts=None, start="super", khat=None,
+    def wrapper(F, sub, sup, p, opts=None, *, start="super", khat=None,
                 start_field=None, factor=None):
         calls.append((F, sub, sup, start, start_field))
-        return inner_monotone_solve(F, sub, sup, p, opts, start, khat,
-                                    start_field=start_field, factor=factor)
+        return inner_monotone_solve(F, sub, sup, p, opts, start=start,
+                                    khat=khat, start_field=start_field,
+                                    factor=factor)
 
     monkeypatch.setattr(scheme, "inner_monotone_solve", wrapper)
     return calls
