@@ -59,7 +59,8 @@ def main():
     print("== the runtime check the pipeline applies to every solve ==")
     fresh = ScalarField(grid, 2.0 + np.sin(4.0 * x))
     u = solve_plap_dirichlet(grid, 2.5, fresh)
-    assert_gradient_bound(est.khat, u, fresh, 2.5, context="demo solve")
+    assert_gradient_bound(est.khat, u, sup_norm(fresh), 2.5,
+                          context="demo solve")
     print("a fresh right-hand side passes assert_gradient_bound; a stale "
           "constant would raise StaleGradConstantError here")
 

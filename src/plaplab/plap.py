@@ -47,6 +47,18 @@ the inverse iteration of ``spectral`` makes one per call.  No factor
 outlives such a call.  One axis keeps no factor: LAPACK factors and solves
 in one O(n) call.
 
+A run of warm solves starts each one at the field where the last one
+stopped, and every solve's first residual needs -Lap_p at its start.  The
+``held`` one-slot list hands that value across: a solve leaves there the
+``OperatorValue`` of its own result (the -Lap_p its last residual computed,
+with that residual's delta and face arrays), and a warm solve whose
+``initial_guess`` is that very field object, at the same p, takes its first
+residual from it instead of applying the operator again.  The value is
+exactly the one a fresh apply gives, so the hand-over changes no bit of any
+result.  A flat guess (cold fallback) and a guess whose boundary the solve
+has to zero never read it.  ``operator_value`` computes the value of a field
+that no solve returned, such as a barrier of ``scheme``.
+
 Contracts the rest of the package relies on:
 
 * residual: ||(-Lap_p u) - g||_inf <= max(tol_residual * max(1, ||g||_inf),
@@ -129,6 +141,54 @@ class SolveOptions:
             raise ConfigurationError(
                 "tol_residual must be finite and positive, got "
                 f"{self.tol_residual!r}")
+
+
+class OperatorValue(NamedTuple):
+    """-Lap_p of ``field`` at ``p`` and at the field's own delta (``lap``, a
+    nodal array, zero on the boundary), with that ``delta`` and the face
+    arrays ``faces`` it was read from: all a warm solve's first residual and
+    first Jacobian need of their start."""
+
+    field: ScalarField
+    p: float
+    lap: np.ndarray
+    delta: float
+    faces: list
+
+
+def _held_value(held, u, p):
+    """The OperatorValue in the one-slot list ``held`` when it is that of the
+    field object ``u`` itself at ``p``; None otherwise."""
+    if held and held[0].field is u and held[0].p == p:
+        return held[0]
+    return None
+
+
+def operator_value(u: ScalarField, p: float,
+                   held: list | None = None) -> OperatorValue:
+    """The OperatorValue of ``u`` at ``p``: read from the one-slot list
+    ``held`` when that holds u's own (see solve_plap_dirichlet), computed
+    otherwise.  ``lap`` equals ``p_laplacian_apply(u, p).values`` bit for
+    bit."""
+    value = _held_value(held, u, p)
+    if value is None:
+        spacing = u.grid.spacing
+        faces = _faces(u.values, spacing)
+        lap, delta = _plap_own_delta(u.values, spacing, p, faces)
+        value = OperatorValue(u, p, lap, delta, faces)
+    return value
+
+
+class _Residual(NamedTuple):
+    """The residual of -Lap_p u = g at one field u: its interior values ``r``
+    and their max ``norm``, with u's ``delta``, ``faces`` and -Lap_p u
+    (``lap``), which the next Jacobian and a held OperatorValue read."""
+
+    r: np.ndarray
+    norm: float
+    delta: float
+    faces: list
+    lap: np.ndarray
 
 
 class _Tridiagonal(NamedTuple):
@@ -377,7 +437,8 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
                          opts: SolveOptions | None = None,
                          initial_guess: ScalarField | None = None,
                          trace: list | None = None,
-                         factor: list | None = None) -> ScalarField:
+                         factor: list | None = None, *,
+                         held: list | None = None) -> ScalarField:
     """Solve the discrete Dirichlet problem -Lap_p u = g, u = 0 on the boundary.
 
     Args:
@@ -403,6 +464,16 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             its factors in a fresh list of its own, so it takes chord steps
             all the same, also across retreats in p, and leaves no factor
             behind.
+        held: optional one-slot list for the OperatorValue of a field;
+            keyword-only.  When it holds that of ``initial_guess`` itself
+            (the same object, not an equal copy) at this p, the first
+            residual reads it instead of applying the operator.  It is not
+            read on the cold path, on the cold fallback from a flat guess,
+            or when the guess has a boundary value other than +0.0, which
+            the solve zeroes.  On return it holds the OperatorValue of the
+            returned field, from the last residual, so a run of solves that
+            each start at the last one's result applies the operator once
+            less per solve; a solve that raises leaves it empty.
 
     Returns:
         The solution as a Dirichlet-zero field, with sup-norm residual at most
@@ -425,17 +496,25 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
     gsup = float(np.max(np.abs(gv)))
     tol = opts.tol_residual * max(1.0, gsup)
 
+    start = None  # the OperatorValue of the start u, when held
     if initial_guess is not None:
         if initial_guess.grid != grid:
             raise GridMismatchError("initial guess lives on a different grid")
         u = initial_guess.values.copy()
-        u[grid.boundary_mask()] = 0.0
+        mask = grid.boundary_mask()
+        boundary = u[mask]
+        if not (boundary.any() or np.signbit(boundary).any()):
+            start = _held_value(held, initial_guess, p)  # u is the guess
+        u[mask] = 0.0
         reached = p
         # a flat warm start cannot seed the Jacobian; fall back to cold start
-        if _gradient_scale(u, grid.spacing) == 0.0 and gsup > 0.0:
-            u, reached = _cold_start(grid, p, gv), 2.0
+        faces = start.faces if start is not None else None
+        if _gradient_scale(u, grid.spacing, faces) == 0.0 and gsup > 0.0:
+            u, reached, start = _cold_start(grid, p, gv), 2.0, None
     else:
         u, reached = _cold_start(grid, p, gv), 2.0
+    if held is not None:
+        held.clear()
 
     if factor is None:
         factor = []
@@ -443,16 +522,20 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
     pk = p
     while True:
         try:
-            u_pk = _newton_loop(grid, pk, gv, u, tol, history,
-                                trace if pk == p else None, factor)
+            u_pk, res = _newton_loop(grid, pk, gv, u, tol, history,
+                                     trace if pk == p else None, start, factor)
         except SolveFailure:
             if abs(pk - reached) <= CONTINUATION_STEP:
                 raise
             pk = 0.5 * (reached + pk)  # retreat from the same u
             continue
         if pk == p:
-            return ScalarField(grid, u_pk)
-        u, reached, pk = u_pk, pk, p
+            result = ScalarField(grid, u_pk)
+            if held is not None:
+                held.append(OperatorValue(result, p, res.lap, res.delta,
+                                          res.faces))
+            return result
+        u, reached, pk, start = u_pk, pk, p, None
 
 
 def _cold_solve(grid, p, g, opts, solved):
@@ -468,71 +551,75 @@ def _cold_solve(grid, p, g, opts, solved):
     return solved[key]
 
 
-def _newton_loop(grid, p, gv, u, tol, history, trace, factor=None):
+def _newton_loop(grid, p, gv, u, tol, history, trace, start, factor=None):
+    """Newton iteration at p from u: (the solution, its _Residual).  The
+    first residual reads ``start``, the OperatorValue of u at p, when it is
+    not None."""
     interior = grid.interior
     spacing = grid.spacing
     inner_shape = tuple(n - 2 for n in grid.shape)
 
-    def residual(vals):
-        faces = _faces(vals, spacing)  # shared with the next _assemble
-        out, delta = _plap_own_delta(vals, spacing, p, faces)
-        r = (out - gv)[interior]
-        return r, delta, float(np.max(np.abs(r))), faces
+    def residual(vals, lap=None, delta=None, faces=None):
+        if lap is None:
+            faces = _faces(vals, spacing)  # shared with the next _assemble
+            lap, delta = _plap_own_delta(vals, spacing, p, faces)
+        r = (lap - gv)[interior]
+        return _Residual(r, float(np.max(np.abs(r))), delta, faces, lap)
 
-    r_int, delta, rn, faces = residual(u)
+    res = (residual(u) if start is None
+           else residual(u, start.lap, start.delta, start.faces))
     for _ in range(NEWTON_MAX_ITER):
-        if rn <= tol:
-            return u
+        if res.norm <= tol:
+            return u, res
         accepted = None
         if factor:
             # chord step: the kept factor's full step, while it contracts
             cand = u.copy()
-            cand[interior] += factor[0](-r_int.ravel()).reshape(inner_shape)
-            c_int, c_delta, cn, c_faces = residual(cand)
-            if cn <= tol or cn <= CHORD_CONTRACTION * rn:
-                accepted = cand, c_int, c_delta, cn, c_faces, 1.0
+            cand[interior] += factor[0](-res.r.ravel()).reshape(inner_shape)
+            c_res = residual(cand)
+            if c_res.norm <= tol or c_res.norm <= CHORD_CONTRACTION * res.norm:
+                accepted = cand, c_res, 1.0
             else:
                 factor.clear()
         if accepted is None:
             # a fresh Jacobian at u: the rounding floor below reads it too
-            jac = _assemble(u, spacing, p, delta, faces=faces)
-            step = _try_solve(jac, -r_int.ravel(), factor)
+            jac = _assemble(u, spacing, p, res.delta, faces=res.faces)
+            step = _try_solve(jac, -res.r.ravel(), factor)
             if step is not None:
                 accepted = _backtrack(u, step.reshape(inner_shape), interior,
-                                      residual, rn, tol)
+                                      residual, res.norm, tol)
         if accepted is None:
             # no step lowers the residual: accept u if the residual is at the
             # rounding level of evaluating the operator at u
             floor = _rounding_floor(jac, u[interior])
-            if rn <= floor:
-                return u
+            if res.norm <= floor:
+                return u, res
             raise SolveFailure(
-                f"p-Laplacian solve stalled at residual {rn:.3e} above the "
-                f"rounding floor {floor:.3e} (p={p})", history)
-        u, r_int, delta, rn, faces, alpha = accepted
-        history.append(rn)
+                f"p-Laplacian solve stalled at residual {res.norm:.3e} above "
+                f"the rounding floor {floor:.3e} (p={p})", history)
+        u, res, alpha = accepted
+        history.append(res.norm)
         if trace is not None:
-            trace.append((len(history), rn, alpha))
+            trace.append((len(history), res.norm, alpha))
         log.debug("p=%.3g iter=%d residual=%.3e damping=%.3g",
-                  p, len(history), rn, alpha)
-    if rn <= tol:
-        return u
+                  p, len(history), res.norm, alpha)
+    if res.norm <= tol:
+        return u, res
     raise SolveFailure(
         f"no convergence in {NEWTON_MAX_ITER} iterations "
-        f"(residual {rn:.3e}, p={p})", history)
+        f"(residual {res.norm:.3e}, p={p})", history)
 
 
 def _backtrack(u, direction, interior, residual, rn, tol):
     """Halve the step, from the full step, until the residual drops:
-    (candidate, its residual, delta, residual norm, faces, alpha), or None if
-    it never does."""
+    (candidate, its _Residual, alpha), or None if it never does."""
     alpha = 1.0
     while alpha > 1.0e-8:
         cand = u.copy()
         cand[interior] += alpha * direction
-        r_int, delta, cn, faces = residual(cand)
-        if cn <= tol or cn < rn * (1.0 - 1.0e-4 * alpha):
-            return cand, r_int, delta, cn, faces, alpha
+        res = residual(cand)
+        if res.norm <= tol or res.norm < rn * (1.0 - 1.0e-4 * alpha):
+            return cand, res, alpha
         alpha /= 2.0
     return None
 
@@ -631,14 +718,14 @@ def estimate_grad_constant(grid: Grid, p: float, probes=None,
                                 ratios=ratios)
 
 
-def assert_gradient_bound(khat: float, u: ScalarField, g: ScalarField, p: float,
+def assert_gradient_bound(khat: float, u: ScalarField, gsup: float, p: float,
                           context: str = "") -> None:
-    """Enforce ||grad u||_inf <= khat ||g||_inf^(1/(p-1)) for a later solve.
+    """Enforce ||grad u||_inf <= khat ||g||_inf^(1/(p-1)) for a later solve
+    u of -Lap_p u = g, given ``gsup`` = ||g||_inf, which the caller holds.
 
     A violation means the empirical constant is stale for this problem family
     and the run must not be trusted; fails loudly rather than silently.
     """
-    gsup = sup_norm(g)
     if gsup == 0.0:
         return
     observed = sup_norm(gradient(u))

@@ -36,6 +36,15 @@ falsifies the implementation or a stale constant, never the underlying
 analysis -- so a returned report always lies in the set.  Functions other
 than outer_fixed_point take their grid from the fields they are given.
 
+No field's Lap_p is computed twice in a run.  The barriers are fixed for the
+run, so outer_fixed_point computes their Lap_p once (plap.operator_value);
+every barrier check and every inner iteration started at a barrier reads
+it.  A warm start hands the Lap_p its check computed to the first inner
+solve, each inner solve hands its result's to the next (the ``held`` holder
+of plap.solve_plap_dirichlet), and the residual certificate reads the last
+solve's at the final iterate.  The values are those a fresh apply gives, so
+no result changes by a bit.
+
 Convergence of the outer map is monitored in C^1 (sup distance of values plus
 gradients); the fixed-point argument behind it is nonconstructive, so
 non-convergence within the budget is reported as inconclusive rather than as
@@ -71,7 +80,13 @@ from .errors import (
 )
 from .expr import ProblemSpec, check_growth, evaluate_on, sample_weights
 from .grid import Grid, ScalarField, gradient, integrate, p_laplacian_apply, sup_norm
-from .plap import SolveOptions, assert_gradient_bound, solve_plap_dirichlet
+from .plap import (
+    OperatorValue,
+    SolveOptions,
+    assert_gradient_bound,
+    operator_value,
+    solve_plap_dirichlet,
+)
 from .spectral import EigenPair, first_eigenpair
 
 log = logging.getLogger(__name__)
@@ -188,17 +203,19 @@ class SubSuperReport:
 
 
 def verify_subsuper(candidate: ScalarField, F: FrozenNonlinearity, p: float,
-                    kind: str) -> SubSuperReport:
+                    kind: str, *, lap: np.ndarray | None = None) -> SubSuperReport:
     """Check the defect d = (-Lap_p candidate) - F(x, candidate) pointwise.
 
     A super-solution needs d >= -tol, a sub-solution d <= tol, over interior
     nodes, with tol = SUBSUPER_TOL_REL * ||Lap_p candidate||_inf for the
     barriers and the warm starts alike: relative, so it means the same on a
-    small right-hand side as on a large one.
+    small right-hand side as on a large one.  ``lap`` (keyword-only) is
+    -Lap_p candidate at p, when the caller holds it.
     """
     if kind not in ("sub", "super"):
         raise ConfigurationError(f"kind must be 'sub' or 'super', got {kind!r}")
-    lap = p_laplacian_apply(candidate, p).values
+    if lap is None:
+        lap = p_laplacian_apply(candidate, p).values
     defect = (lap - F.evaluate(candidate.values))[candidate.grid.interior]
     tol = SUBSUPER_TOL_REL * float(np.max(np.abs(lap)))
     signed = -defect if kind == "super" else defect
@@ -228,7 +245,8 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
                          start: str = "super",
                          khat: float | None = None,
                          start_field: ScalarField | None = None,
-                         factor: list | None = None) -> ScalarField:
+                         factor: list | None = None,
+                         held: list | None = None) -> ScalarField:
     """Monotone iteration U_{n+1} = solve(F(x, U_n)) between the barriers.
 
     Started from the upper barrier the sequence is nonincreasing (from the
@@ -255,6 +273,11 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
             the maximal solution below start_field.
         factor: the SuperLU factor holder the solves share; None makes a
             fresh one for this call.
+        held: the one-slot OperatorValue holder of
+            plap.solve_plap_dirichlet the solves share, so each reads
+            Lap_p of its start from the last one; None makes a fresh one.
+            Seeded with the start field's value, it spares the first solve
+            its operator apply; on return it holds the limit's.
 
     Raises:
         IterationFailure: no convergence within INNER_MAX_SWEEPS sweeps.
@@ -280,15 +303,18 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
         u = sup_field if start == "super" else sub
     if factor is None:
         factor = []
+    if held is None:
+        held = []
     solve_opts = _support_tolerance(opts, stop)
     for sweep in range(1, INNER_MAX_SWEEPS + 1):
         rhs = F.as_field(u.values)
         u_next = solve_plap_dirichlet(grid, p, rhs, solve_opts, initial_guess=u,
-                                      factor=factor)
+                                      factor=factor, held=held)
+        rhs_sup = sup_norm(rhs)
         if khat is not None:
-            assert_gradient_bound(khat, u_next, rhs, p,
+            assert_gradient_bound(khat, u_next, rhs_sup, p,
                                   context=f"inner sweep {sweep}")
-        slack = 10.0 * solve_opts.tol_residual * max(1.0, sup_norm(rhs))
+        slack = 10.0 * solve_opts.tol_residual * max(1.0, rhs_sup)
         step = u_next.values - u.values
         drift = float(np.max(step if start == "super" else -step))
         if drift > slack:
@@ -317,21 +343,23 @@ def _same_map(F: FrozenNonlinearity, G: FrozenNonlinearity) -> bool:
             and F.base.tobytes() == G.base.tobytes())
 
 
-def _warm_start(u: ScalarField, F: FrozenNonlinearity, sup_field: ScalarField,
+def _warm_start(u: ScalarField, F: FrozenNonlinearity, sup: OperatorValue,
                 p: float):
-    """Start of an outer step's inner iteration, with its label: the first
-    v = min(sup, (1 + t) u) over WARM_START_LADDER that verifies as a
-    supersolution of F, else the upper barrier itself.
+    """Start of an outer step's inner iteration, as its OperatorValue, with
+    its label: the first v = min(sup, (1 + t) u) over WARM_START_LADDER
+    that verifies as a supersolution of F, else ``sup``, the upper barrier's
+    OperatorValue, itself.  The value is the one the check computed.
 
     Since q < p, a slightly scaled-up limit of the previous frozen map is a
     supersolution of the next one whenever that map moved little, and the
     minimum of two supersolutions is again one.
     """
     for t in WARM_START_LADDER:
-        v = u.with_values(np.minimum(sup_field.values, (1.0 + t) * u.values))
-        if verify_subsuper(v, F, p, "super").ok:
+        v = operator_value(u.with_values(
+            np.minimum(sup.field.values, (1.0 + t) * u.values)), p)
+        if verify_subsuper(v.field, F, p, "super", lap=v.lap).ok:
             return v, f"t={t:g}"
-    return sup_field, "sup"
+    return sup, "sup"
 
 
 def picone_diagnostic(U: ScalarField, V: ScalarField, F: FrozenNonlinearity,
@@ -477,15 +505,21 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
         raise InvariantViolation(
             "lower barrier exceeds upper barrier; constants inconsistent")
 
+    # the barriers' Lap_p, fixed for the run
+    sub_value = operator_value(sub, spec.p)
+    sup_value = operator_value(sup_field, spec.p)
+
     u = sub
     grad_u = gradient(u)
     trace = []
     factor = []  # one SuperLU factor holder for every outer step of this call
+    held = []  # Lap_p of the inner iteration's current guess, then of u
     previous = None  # the last step's frozen map
     for k in range(1, max_outer + 1):
         frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
-        for cand, kind in ((sup_field, "super"), (sub, "sub")):
-            rep = verify_subsuper(cand, frozen, spec.p, kind)
+        for value, kind in ((sup_value, "super"), (sub_value, "sub")):
+            rep = verify_subsuper(value.field, frozen, spec.p, kind,
+                                  lap=value.lap)
             if not rep.ok:
                 raise InvariantViolation(
                     f"{kind}-solution verification failed at outer step {k}: "
@@ -495,11 +529,13 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
             # u is already the limit of this very map
             u_next, started = u, "reused"
         else:
-            start_field, started = ((sup_field, "sup") if previous is None else
-                                    _warm_start(u, frozen, sup_field, spec.p))
+            start, started = ((sup_value, "sup") if previous is None else
+                              _warm_start(u, frozen, sup_value, spec.p))
+            held[:] = [start]
             u_next = inner_monotone_solve(frozen, sub, sup_field, spec.p,
                                           opts, start="super", khat=constants.khat,
-                                          start_field=start_field, factor=factor)
+                                          start_field=start.field, factor=factor,
+                                          held=held)
         previous = frozen
         grad_next = gradient(u_next)
         broken = verify_solution_bounds(u_next, sub, sup_field, height,
@@ -519,15 +555,19 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
 
     frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
     from_above = inner_monotone_solve(frozen, sub, sup_field, spec.p,
-                                      opts, start="super", khat=constants.khat)
+                                      opts, start="super", khat=constants.khat,
+                                      held=[sup_value])
     from_below = inner_monotone_solve(frozen, sub, sup_field, spec.p,
-                                      opts, start="sub", khat=constants.khat)
+                                      opts, start="sub", khat=constants.khat,
+                                      held=[sub_value])
     two_sided_gap = float(np.max(np.abs(from_above.values - from_below.values)))
     picone_gap = picone_diagnostic(from_above, from_below, frozen, spec.p)
 
     # the residual is checked against the raw lambda*h + beta*f at u, which
-    # the freeze above already evaluated
-    defect = (p_laplacian_apply(u, spec.p).values - frozen.source)[grid.interior]
+    # the freeze above already evaluated, and Lap_p u, which the last inner
+    # solve computed
+    defect = (operator_value(u, spec.p, held).lap
+              - frozen.source)[grid.interior]
     pde_residual = float(np.max(np.abs(defect)))
     scale = natural_residual_scale(lam, beta, constants, spec, height)
     volume = math.prod(hi - lo for lo, hi in grid.extents)

@@ -116,7 +116,9 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
     plap.solve_plap_dirichlet): successive right-hand sides differ little,
     so one factor stays a good linear model for many sweeps.  The factor
     lives for this call only, so the pair never depends on what was solved
-    before it.
+    before it.  Each sweep starts at the last one's solution and reads its
+    Lap_p from that solve (the ``held`` holder), bit for bit the value it
+    would compute.
 
     Stops when successive eigenvalue estimates agree to 1e-8 relative and the
     sup-normalized field moves less than 1e-8.  The returned pair satisfies
@@ -134,10 +136,11 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
     guess = start.phi
     lam = None
     factor = []  # the sweeps' shared SuperLU factor, for this call only
+    held = []  # Lap_p of the last sweep's solution, the next one's guess
     for sweep in range(1, EIGEN_MAX_SWEEPS + 1):
         rhs = ScalarField(grid, wv * u ** (p - 1.0))
         v = solve_plap_dirichlet(grid, p, rhs, opts, initial_guess=guess,
-                                 factor=factor)
+                                 factor=factor, held=held)
         scale = sup_norm(v)
         if scale == 0.0:
             raise EigenFailure("inverse iteration collapsed to zero")

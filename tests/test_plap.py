@@ -16,6 +16,7 @@ from plaplab.errors import (
     SolveFailure,
     StaleGradConstantError,
 )
+import plaplab.grid as grid_module
 import plaplab.plap as plap
 from plaplab.grid import (
     DELTA_RELATIVE,
@@ -43,6 +44,7 @@ from plaplab.plap import (
     check_comparison,
     default_probes,
     estimate_grad_constant,
+    operator_value,
     solve_plap_dirichlet,
 )
 
@@ -561,6 +563,109 @@ def test_flat_warm_start_falls_back_to_cold_start():
     assert sup_norm(u) > 0.1
 
 
+# ---------------------------------------------------------------------------
+# the held operator value of a warm solve's start
+
+
+def _count_applies(monkeypatch):
+    """Route grid._plap_raw, the operator apply, through a wrapper; returns
+    a list that gains one entry per call."""
+    calls = []
+    raw = grid_module._plap_raw
+
+    def counted(values, *args, **kwargs):
+        calls.append(None)
+        return raw(values, *args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "_plap_raw", counted)
+    return calls
+
+
+def _warm_solve(g, p, load, guess, held, applies):
+    """A warm solve with its trace and its number of operator applies."""
+    applies.clear()
+    trace = []
+    u = solve_plap_dirichlet(g, p, load, initial_guess=guess, trace=trace,
+                             held=held)
+    return u, trace, len(applies)
+
+
+@pytest.mark.parametrize("shape", [(2049,), (33, 33)])
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
+def test_a_held_start_value_changes_no_bit(shape, p, monkeypatch):
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    held = []
+    guess = solve_plap_dirichlet(g, p, const_field(g), held=held)
+    # a solve leaves the value of its own result, bit for bit a fresh apply
+    assert len(held) == 1 and held[0].field is guess and held[0].p == p
+    assert held[0].lap.tobytes() == p_laplacian_apply(guess, p).values.tobytes()
+    assert held[0].delta == flux_delta(guess)
+    load = field_from_function(g, lambda *x: 1.0 + 0.01 * x[0])
+    applies = _count_applies(monkeypatch)
+    kept = list(held)
+    u, trace, calls = _warm_solve(g, p, load, guess, kept, applies)
+    u_plain, trace_plain, calls_plain = _warm_solve(g, p, load, guess, None,
+                                                    applies)
+    assert u.values.tobytes() == u_plain.values.tobytes()
+    assert trace == trace_plain and len(trace) >= 1
+    assert calls == calls_plain - 1
+    assert kept[0].field is u
+    assert kept[0].lap.tobytes() == p_laplacian_apply(u, p).values.tobytes()
+
+
+def _poisoned(value):
+    """The OperatorValue with a wrong Lap_p: a solve that read it would take
+    a wrong first residual."""
+    return value._replace(lap=value.lap + 1.0)
+
+
+def _unheld_case(case, g, p, solution):
+    """(guess, held value) pairs whose held value a solve must ignore."""
+    if case == "equal copy":
+        twin = ScalarField(g, solution.values)
+        return solution, _poisoned(operator_value(twin, p))
+    if case == "other p":
+        return solution, _poisoned(operator_value(solution, p + 0.5))
+    if case in ("nonzero boundary", "negative zero boundary"):
+        values = solution.values.copy()
+        values[g.boundary_mask()] = 0.25 if case == "nonzero boundary" else -0.0
+        guess = ScalarField(g, values)
+        return guess, _poisoned(operator_value(guess, p))
+    flat = zero_field(g)  # falls back to the cold start
+    return flat, _poisoned(operator_value(flat, p))
+
+
+@pytest.mark.parametrize("shape", [(129,), (17, 17)])
+@pytest.mark.parametrize("case", ["equal copy", "other p", "nonzero boundary",
+                                  "negative zero boundary", "flat"])
+def test_a_held_value_of_another_start_is_ignored(shape, case, monkeypatch):
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    p = 2.5
+    solution = solve_plap_dirichlet(g, p, const_field(g))
+    guess, value = _unheld_case(case, g, p, solution)
+    load = field_from_function(g, lambda *x: 1.0 + 0.01 * x[0])
+    applies = _count_applies(monkeypatch)
+    kept = [value]
+    u, trace, calls = _warm_solve(g, p, load, guess, kept, applies)
+    u_plain, trace_plain, calls_plain = _warm_solve(g, p, load, guess, None,
+                                                    applies)
+    assert u.values.tobytes() == u_plain.values.tobytes()
+    assert trace == trace_plain and calls == calls_plain
+    assert kept[0].field is u
+    _assert_residual_contract(u, p, load)
+
+
+def test_a_failed_solve_leaves_no_held_value(monkeypatch):
+    monkeypatch.setattr(plap, "_backtrack", lambda *args: None)
+    g = grid_1d(65)
+    guess = field_from_function(g, lambda x: np.sin(np.pi * x))
+    held = [operator_value(guess, 2.0)]
+    with pytest.raises(SolveFailure):
+        solve_plap_dirichlet(g, 2.0, const_field(g), initial_guess=guess,
+                             held=held)
+    assert held == []
+
+
 def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):
     monkeypatch.setattr(plap, "NEWTON_MAX_ITER", 1)
     g = grid_1d(65)
@@ -817,10 +922,10 @@ def test_gradient_bound_enforcement():
     est = estimate_grad_constant(g, p)
     load = field_from_function(g, lambda x: 1.0 + 0.5 * np.cos(3.0 * x))
     u = solve_plap_dirichlet(g, p, load)
-    assert_gradient_bound(est.khat, u, load, p)  # must hold for a fresh solve
+    assert_gradient_bound(est.khat, u, sup_norm(load), p)  # holds when fresh
     tiny = sup_norm(gradient(u)) / sup_norm(load) ** (1.0 / (p - 1.0)) * 0.5
     with pytest.raises(StaleGradConstantError):
-        assert_gradient_bound(tiny, u, load, p, context="forced")
+        assert_gradient_bound(tiny, u, sup_norm(load), p, context="forced")
 
 
 def test_estimate_rejects_zero_probe():

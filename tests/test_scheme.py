@@ -17,7 +17,7 @@ from plaplab.errors import (
     OutOfRegionError,
     StaleGradConstantError,
 )
-from plaplab import plap, scheme
+from plaplab import grid as grid_module, plap, scheme
 from plaplab.expr import (
     ProblemSpec,
     bundled_problem_path,
@@ -35,7 +35,12 @@ from plaplab.grid import (
     sup_norm,
     zero_field,
 )
-from plaplab.plap import SolveOptions, check_comparison, solve_plap_dirichlet
+from plaplab.plap import (
+    SolveOptions,
+    check_comparison,
+    operator_value,
+    solve_plap_dirichlet,
+)
 from plaplab.scheme import (
     FrozenNonlinearity,
     freeze_nonlinearity,
@@ -163,6 +168,10 @@ def test_verify_subsuper_accepts_the_barriers(sub_stage):
     rep_sub = verify_subsuper(sub, F, spec.p, "sub")
     assert rep_sup.ok, rep_sup
     assert rep_sub.ok, rep_sub
+    # a held Lap_p gives the same report
+    for cand, kind, rep in ((sup, "super", rep_sup), (sub, "sub", rep_sub)):
+        lap = operator_value(cand, spec.p).lap
+        assert verify_subsuper(cand, F, spec.p, kind, lap=lap) == rep
     # the super-solution check must fail for a barrier that is far too low
     shrunk = ScalarField(g, 1e-3 * sup.values)
     assert not verify_subsuper(shrunk, F, spec.p, "super").ok
@@ -512,6 +521,29 @@ def test_no_factor_outlives_an_outer_fixed_point_call(square2d_stage,
     assert report_bytes(runs[2]) == report_bytes(runs[0])
 
 
+def test_no_field_meets_the_operator_twice_in_a_run(monkeypatch):
+    # the barriers, each warm start and each solve's result: the operator
+    # is applied to each field once, and its value handed on from there
+    spec = dataclasses.replace(load_problem(bundled_problem_path("sub")),
+                               resolution=129)
+    g = spec.build_grid()
+    c = compute_constants(spec, g)
+    eig = first_eigenpair(g, spec.p, sample_weights(spec, g)[0])
+    applies = {}  # bytes of each input of the operator -> its calls
+    raw = grid_module._plap_raw
+
+    def keyed(values, *args, **kwargs):
+        key = values.tobytes()
+        applies[key] = applies.get(key, 0) + 1
+        return raw(values, *args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "_plap_raw", keyed)
+    report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    assert report.converged and report.outer_iters > 2
+    assert len(applies) > 100
+    assert max(applies.values()) == 1
+
+
 # ---------------------------------------------------------------------------
 # warm starts of the outer steps
 
@@ -522,11 +554,11 @@ def recording_starts(monkeypatch):
     calls = []
 
     def wrapper(F, sub, sup, p, opts=None, *, start="super", khat=None,
-                start_field=None, factor=None):
+                start_field=None, factor=None, held=None):
         calls.append((F, sub, sup, start, start_field))
         return inner_monotone_solve(F, sub, sup, p, opts, start=start,
                                     khat=khat, start_field=start_field,
-                                    factor=factor)
+                                    factor=factor, held=held)
 
     monkeypatch.setattr(scheme, "inner_monotone_solve", wrapper)
     return calls
@@ -551,7 +583,9 @@ def test_every_warm_start_is_a_verified_supersolution_in_the_band(
     # a previous iterate at the upper barrier: the scaled-up start is cut
     # back to it
     F = steps[1][0]
-    v, started = scheme._warm_start(sup, F, sup, spec.p)
+    start, started = scheme._warm_start(sup, F, operator_value(sup, spec.p),
+                                        spec.p)
+    v = start.field
     assert started == "t=0.0001" and v.values.tobytes() == sup.values.tobytes()
 
 
@@ -577,8 +611,8 @@ def test_a_failing_ladder_falls_back_to_the_upper_barrier(sub_stage,
     verify = scheme.verify_subsuper
     barrier = []  # the upper barrier: the first field verified as "super"
 
-    def failing_rungs(candidate, F, p, kind):
-        rep = verify(candidate, F, p, kind)
+    def failing_rungs(candidate, F, p, kind, *, lap=None):
+        rep = verify(candidate, F, p, kind, lap=lap)
         if kind == "super":
             if not barrier:
                 barrier.append(candidate)
