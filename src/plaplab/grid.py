@@ -7,15 +7,21 @@ means exact zeros on every boundary node.
 
 Two operators matter:
 
-* ``gradient`` -- second-order nodal gradient: central differences at interior
-  nodes, one-sided three-point stencils on the boundary (exact for
-  quadratics); components at the rounding level of max|u| read as zero.
+* ``gradient`` -- second-order nodal gradient, the uniform-spacing stencil of
+  ``np.gradient(v, *spacing, edge_order=2)`` formed by slices: central
+  differences ``(v[i+1] - v[i-1]) / (2 h)`` at interior nodes, one-sided
+  three-point stencils ``(-1.5/h) v0 + (2/h) v1 + (-0.5/h) v2`` (mirrored at
+  the far end) on the boundary, exact for quadratics; components at the
+  rounding level of max|u| read as zero.
 * ``p_laplacian_apply`` -- the conservative discrete p-Laplacian.  Fluxes
 
       F = (|Du|^2 + delta^2)^((p-2)/2) * Du
 
   are formed at cell-face midpoints and differenced back onto interior nodes.
   Output is zero on boundary nodes.
+
+A grid computes its ``spacing`` and its (read-only) boundary mask once, when
+it is built; the solvers read both on every call.
 
 Face families.  Every face quantity -- the flux, the gradient scale, the
 Newton Jacobian's conductances, the discrete energy -- is read from one pair
@@ -72,6 +78,19 @@ class Grid:
             if n < 3:
                 raise ConfigurationError(
                     f"need at least 3 nodes per axis (one interior), got {n}")
+        # geometry the solvers read on every call, computed once; not fields,
+        # so equality and hashing still see extents and shape only
+        mask = np.ones(self.shape, dtype=bool)
+        mask[self.interior] = False
+        mask.setflags(write=False)
+        object.__setattr__(self, "_spacing", tuple(
+            (hi - lo) / (n - 1) for (lo, hi), n in zip(self.extents, self.shape)))
+        object.__setattr__(self, "_boundary_mask", mask)
+
+    def __reduce__(self):
+        # rebuilt by the constructor: numpy does not keep the read-only flag
+        # of a pickled array, so the mask must not travel in the state
+        return type(self), (self.extents, self.shape)
 
     @property
     def dimension(self) -> int:
@@ -79,8 +98,7 @@ class Grid:
 
     @property
     def spacing(self) -> tuple[float, ...]:
-        return tuple((hi - lo) / (n - 1)
-                     for (lo, hi), n in zip(self.extents, self.shape))
+        return self._spacing
 
     def axis(self, k: int) -> np.ndarray:
         """Node coordinates along axis ``k``."""
@@ -98,10 +116,9 @@ class Grid:
         return (slice(1, -1),) * self.dimension
 
     def boundary_mask(self) -> np.ndarray:
-        """Boolean array, True exactly on boundary nodes."""
-        mask = np.ones(self.shape, dtype=bool)
-        mask[self.interior] = False
-        return mask
+        """Boolean array, True exactly on boundary nodes; read-only, shared
+        by every caller."""
+        return self._boundary_mask
 
     def node_count(self) -> int:
         return int(np.prod(self.shape))
@@ -182,21 +199,31 @@ def is_dirichlet_zero(u: ScalarField, tol: float = 0.0) -> bool:
 def sup_norm(field) -> float:
     """Sup norm of a field: max |value|, euclidean length for vector fields."""
     if isinstance(field, VectorField):
-        return float(np.max(np.sqrt(np.sum(field.components ** 2, axis=0))))
-    return float(np.max(np.abs(field.values)))
+        return float(np.sqrt((field.components ** 2).sum(axis=0)).max())
+    return float(np.abs(field.values).max())
 
 
 def gradient(u: ScalarField) -> VectorField:
     """Second-order nodal gradient (central interior, one-sided boundary).
 
-    Components up to GRADIENT_ULPS * eps * max|u| / h_k, the rounding of a
-    difference of equal values, are set to exactly zero."""
+    Along axis k with spacing h: ``(v[i+1] - v[i-1]) / (2 h)`` at interior
+    nodes, ``(-1.5/h) v[0] + (2/h) v[1] + (-0.5/h) v[2]`` at the first node
+    and ``(0.5/h) v[-3] + (-2/h) v[-2] + (1.5/h) v[-1]`` at the last, the
+    same operations in the same order as ``np.gradient(v, *spacing,
+    edge_order=2)``, so the result is bit-identical to it.  Components up to
+    GRADIENT_ULPS * eps * max|u| / h_k, the rounding of a difference of equal
+    values, are set to exactly zero."""
     g = u.grid
-    comps = np.reshape(np.gradient(u.values, *g.spacing, edge_order=2),
-                       (g.dimension,) + g.shape)
-    floor = (GRADIENT_ULPS * np.finfo(float).eps * float(np.max(np.abs(u.values)))
-             / np.reshape(g.spacing, (-1,) + (1,) * g.dimension))
-    comps[np.abs(comps) <= floor] = 0.0
+    v = u.values
+    comps = np.empty((g.dimension,) + g.shape)
+    scale = GRADIENT_ULPS * np.finfo(float).eps * float(np.abs(v).max())
+    for k, h in enumerate(g.spacing):
+        a, out = v.swapaxes(0, k), comps[k].swapaxes(0, k)  # views, axis k first
+        np.subtract(a[2:], a[:-2], out=out[1:-1])
+        out[1:-1] /= 2.0 * h
+        out[0] = (-1.5 / h) * a[0] + (2.0 / h) * a[1] + (-0.5 / h) * a[2]
+        out[-1] = (0.5 / h) * a[-3] + (-2.0 / h) * a[-2] + (1.5 / h) * a[-1]
+        out[np.abs(out) <= scale / h] = 0.0
     return VectorField(g, comps)
 
 
@@ -261,7 +288,7 @@ def _gradient_scale(values: np.ndarray, spacing, faces=None) -> float:
     ``faces`` is ``_faces(values, spacing)`` when the caller has built it."""
     if faces is None:
         faces = _faces(values, spacing)
-    return float(np.sqrt(max(np.max(_slope2(s, t)) for s, t in faces)))
+    return float(np.sqrt(max(_slope2(s, t).max() for s, t in faces)))
 
 
 def flux_delta(u: ScalarField) -> float:
@@ -280,7 +307,8 @@ def _plap_raw(values: np.ndarray, spacing, p: float, delta: float,
     div = None
     for axis, ((s, t), h) in enumerate(zip(faces, spacing)):
         flux = _masked_power(_slope2(s, t) + d2, (p - 2.0) / 2.0) * s
-        term = np.diff(flux, axis=axis) / h
+        f = flux.swapaxes(0, axis)  # a view, this family's axis first
+        term = ((f[1:] - f[:-1]) / h).swapaxes(0, axis)
         div = term if div is None else div + term
     out = np.zeros_like(values)
     out[(slice(1, -1),) * len(spacing)] = -div

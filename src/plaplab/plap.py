@@ -493,7 +493,7 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
     if g.grid != grid:
         raise GridMismatchError("right-hand side lives on a different grid")
     gv = g.values
-    gsup = float(np.max(np.abs(gv)))
+    gsup = float(np.abs(gv).max())
     tol = opts.tol_residual * max(1.0, gsup)
 
     start = None  # the OperatorValue of the start u, when held
@@ -564,7 +564,7 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, factor=None):
             faces = _faces(vals, spacing)  # shared with the next _assemble
             lap, delta = _plap_own_delta(vals, spacing, p, faces)
         r = (lap - gv)[interior]
-        return _Residual(r, float(np.max(np.abs(r))), delta, faces, lap)
+        return _Residual(r, float(np.abs(r).max()), delta, faces, lap)
 
     res = (residual(u) if start is None
            else residual(u, start.lap, start.delta, start.faces))

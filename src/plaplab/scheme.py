@@ -316,18 +316,18 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
                                   context=f"inner sweep {sweep}")
         slack = 10.0 * solve_opts.tol_residual * max(1.0, rhs_sup)
         step = u_next.values - u.values
-        drift = float(np.max(step if start == "super" else -step))
+        drift = float((step if start == "super" else -step).max())
         if drift > slack:
             raise MonotonicityError(
                 f"inner iterate moved {drift:.3e} against the monotone "
                 f"direction (allowed {slack:.3e}) at sweep {sweep}")
-        below = float(np.max(sub.values - u_next.values))
-        above = float(np.max(u_next.values - sup_field.values))
+        below = float((sub.values - u_next.values).max())
+        above = float((u_next.values - sup_field.values).max())
         if max(below, above) > slack:
             raise MonotonicityError(
                 f"inner iterate left the barrier band by "
                 f"{max(below, above):.3e} at sweep {sweep}")
-        move = float(np.max(np.abs(step)))
+        move = float(np.abs(step).max())
         u = u_next
         log.debug("inner sweep %d (%s start): move %.3e", sweep, start, move)
         if move < stop:

@@ -291,6 +291,36 @@ SWEEP_OUTER_ITERS = {
     "degenerate": (2, 2, 2, 2, 2, 2, 2, 2, 2),
     "square2d": (11, 14, 14, 8, 11, 12, 7, 9, 10),
 }
+# pde_residual of the same rows, as recorded; a change that only makes the
+# solver faster may move each by at most PDE_RESIDUAL_MOVE (absolute)
+SWEEP_PDE_RESIDUAL = {
+    "sub": (4.8216555748048506e-11, 1.5735945324557576e-09,
+            6.28946206226999e-09, 5.875570030511312e-10,
+            3.0078388668641765e-09, 1.079626166244907e-08,
+            2.4214829030810847e-09, 2.3737204424278957e-09,
+            5.024900939787358e-09),
+    "super": (7.940136221911906e-09, 1.8011181437353058e-09,
+              8.973778567022278e-10, 4.839490166941296e-08,
+              5.95436844275099e-09, 5.8861562707290815e-09,
+              4.3683344441713956e-08, 1.034624397266981e-08,
+              9.822988533692012e-09),
+    "critical": (6.041648735119476e-12, 9.037496445651882e-12,
+                 2.0044617875247805e-11, 6.660271500980031e-10,
+                 9.96390220331378e-10, 2.2099017893406625e-09,
+                 2.416389532911012e-09, 3.614941901375346e-09,
+                 8.018102959361784e-09),
+    "degenerate": (2.0714849974234895e-11, 1.1715980789694935e-10,
+                   5.501556883669156e-10, 1.307240149461819e-09,
+                   1.5625151172926621e-09, 2.619156669325662e-09,
+                   3.175159912771619e-09, 3.218863287024476e-09,
+                   5.304316541554499e-09),
+    "square2d": (3.898162695414875e-11, 1.5675837017337102e-09,
+                 6.71867761425915e-09, 1.1365902663484917e-09,
+                 1.8052562777981507e-09, 1.8011744318258138e-09,
+                 3.1862001925730965e-09, 2.243397023704574e-09,
+                 5.7566270639242134e-09),
+}
+PDE_RESIDUAL_MOVE = 1.0e-9
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_OUTER_ITERS))
@@ -298,10 +328,14 @@ def test_bundled_sweeps_keep_their_outcomes(name, tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--spec", str(bundled_problem_path(name)),
                  "--samples", "3", "--out", str(out)]) == 0
+    rows = SweepResult.read(out).rows
     assert [(row.lam, row.beta, row.status, row.converged, row.outer_iters)
-            for row in SweepResult.read(out).rows] \
+            for row in rows] \
         == [(lam, beta, "converged", True, k) for (lam, beta), k
             in zip(SWEEP_POINTS, SWEEP_OUTER_ITERS[name], strict=True)]
+    for row, recorded in zip(rows, SWEEP_PDE_RESIDUAL[name], strict=True):
+        assert abs(row.pde_residual - recorded) <= PDE_RESIDUAL_MOVE, \
+            (row.lam, row.beta)
 
 
 def test_sweep_timings_go_to_stdout_not_csv(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Grid, field, and discrete operator tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from plaplab.errors import ConfigurationError
 from plaplab.grid import (
+    GRADIENT_ULPS,
     Grid,
     ScalarField,
     VectorField,
@@ -90,6 +93,25 @@ def test_interior_and_boundary_partition_nodes():
     assert np.all(inner | mask)
 
 
+@pytest.mark.parametrize("extents, shape", [
+    (((0.0, 1.3),), (17,)),
+    (((0.0, 1.3), (-0.4, 2.1)), (9, 5)),
+    (((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)), (5, 9, 3)),
+])
+def test_grid_geometry_is_read_only_and_survives_pickling(extents, shape):
+    g = build_grid(extents, shape)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and hash(copy) == hash(g)
+    for grid in (g, copy):
+        assert grid.spacing == tuple((hi - lo) / (n - 1)
+                                     for (lo, hi), n in zip(extents, shape))
+        mask = grid.boundary_mask()
+        assert mask is grid.boundary_mask()  # computed once per grid
+        with pytest.raises(ValueError):
+            mask[(0,) * len(shape)] = False
+        assert mask.sum() == g.node_count() - int(np.prod([n - 2 for n in shape]))
+
+
 def test_scalar_field_values_are_read_only():
     g = unit_grid_1d(9)
     u = zero_field(g)
@@ -169,6 +191,49 @@ def test_gradient_reads_one_ulp_of_asymmetry_as_zero(shape):
     # a resolved slope is untouched
     near_corner = (slice(None),) + (1,) * len(shape)
     assert np.array_equal(grad.components[near_corner], raw[near_corner])
+
+
+def numpy_gradient(g, values):
+    """``np.gradient`` at the grid's spacing, and the floor of ``gradient``."""
+    raw = np.reshape(np.gradient(values, *g.spacing, edge_order=2),
+                     (g.dimension,) + g.shape)
+    floor = (GRADIENT_ULPS * np.finfo(float).eps * float(np.max(np.abs(values)))
+             / np.reshape(g.spacing, (-1,) + (1,) * g.dimension))
+    return raw, floor
+
+
+# spacings off the powers of two, so that a reordered stencil rounds otherwise
+GRADIENT_GRIDS = {
+    "1d 2049": (((0.0, 1.3),), (2049,)),
+    "1d 3": (((0.0, 1.3),), (3,)),
+    "2d 33x17": (((0.0, 1.3), (-0.4, 2.1)), (33, 17)),
+    "3d 9^3": (((0.0, 1.3), (0.0, 0.7), (-1.0, 1.1)), (9, 9, 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_GRIDS))
+def test_gradient_is_numpy_gradient_bit_for_bit(name):
+    g = build_grid(*GRADIENT_GRIDS[name])
+    rng = np.random.default_rng(11)
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        for _ in range(4):
+            values = scale * rng.standard_normal(g.shape)
+            expected, floor = numpy_gradient(g, values)
+            expected[np.abs(expected) <= floor] = 0.0
+            got = gradient(ScalarField(g, values)).components
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_GRIDS))
+def test_gradient_below_the_floor_everywhere_is_zero(name):
+    g = build_grid(*GRADIENT_GRIDS[name])
+    rng = np.random.default_rng(5)
+    flat = np.full(g.shape, 0.7)
+    values = np.where(rng.random(g.shape) < 0.5, flat, np.nextafter(flat, 1.0))
+    raw, floor = numpy_gradient(g, values)
+    assert np.any(raw != 0.0) and np.all(np.abs(raw) <= floor)
+    got = gradient(ScalarField(g, values)).components
+    assert got.tobytes() == np.zeros_like(raw).tobytes()
 
 
 def test_integrate_matches_closed_forms():
