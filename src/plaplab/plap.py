@@ -21,18 +21,26 @@ one and the last one it reached, and from there it comes back to p
 (adaptive step control of continuation methods; Allgower & Georg,
 *Introduction to Numerical Continuation Methods*, SIAM 2003).  Newton steps
 start at the full step and are halved until the residual drops.  The linear
-systems are solved directly, and their storage follows the number of axes:
-with one, the matrix is kept as its three diagonals (``_Tridiagonal``) and
-LAPACK ``dgtsv`` solves it, with no sparse matrix built; with more, the
-9-point (2D) or 19-point (3D) matrix is stored as CSC with its unknowns
-numbered by nested dissection, a numbering and pattern computed once per
-grid shape (``_stencil``), and SuperLU factors it in that numbering.  The
-CSC matrix carries its numbering as ``order``, and every solve takes and
-returns vectors in grid (C) order: ``_in_grid_order`` alone translates a
-solve between the two.
+systems are solved directly, and their storage follows the number of axes.
+With one, the matrix is kept as its three diagonals (``_Tridiagonal``) and
+LAPACK ``dgtsv`` solves it, with no sparse matrix built.  With two, the
+unknowns are numbered in grid (C) order, so the 9-point matrix is a band
+matrix with kl = ku = n_y - 1 (n_y the nodes along the last axis); it is kept
+in LAPACK general-band storage (``_Banded``), filled through an index map
+computed once per grid shape (``_band``), and LAPACK ``dgbtrf`` factors it in
+place by banded LU with partial pivoting (Golub & Van Loan, *Matrix
+Computations*, sec. 4.3).  With three, the 19-point matrix is stored as CSC
+with its unknowns numbered by nested dissection, a numbering and pattern
+computed once per grid shape (``_csc``), and SuperLU factors it in that
+numbering.  There the band is about n_y n_z wide and outgrows the fill of
+nested dissection: at 17^3 it takes 19.5 MB against 8.5 MB for SuperLU's L
+and U, at 25^3 162 MB against 55 MB, and a chord solve with it is the slower
+one from 17^3 on.  The CSC matrix carries its numbering as ``order``, and
+every solve takes and returns vectors in grid (C) order: ``_in_grid_order``
+alone translates a three-axis solve between the two.
 
 With more than one axis, each Newton iteration first tries the chord step
-u - J_old^-1 r with the last SuperLU factor (modified Newton; Kelley,
+u - J_old^-1 r with the last kept LU factor (modified Newton; Kelley,
 *Solving Nonlinear Equations with Newton's Method*, SIAM 2003).  The step
 is taken when it brings the residual below tol or to at most
 CHORD_CONTRACTION times the old residual; otherwise the factor is dropped
@@ -88,7 +96,7 @@ import numpy as np
 import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
 
 from .errors import (
     ConfigurationError,
@@ -206,10 +214,29 @@ class _Tridiagonal(NamedTuple):
         return 3 * self.diag.size - 2
 
 
+class _Banded(NamedTuple):
+    """The Newton Jacobian of two axes in LAPACK general-band storage, its
+    unknowns numbered in grid (C) order: ``ab`` is the Fortran-ordered
+    (2 kl + ku + 1, n) array, kl = ku, with entry (r, c) of the matrix at
+    ``ab[kl + ku + r - c, c]`` and its first kl rows left to the fill of
+    ``dgbtrf``, which factors ``ab`` in place.  ``coef`` is what _assemble
+    filled it from, which the rounding floor reads once ``ab`` holds the
+    factor.  ``nnz`` counts the entries a sparse matrix of this pattern
+    stores."""
+
+    ab: np.ndarray
+    coef: np.ndarray
+    nnz: int
+
+    @property
+    def kl(self):
+        return (self.ab.shape[0] - 1) // 3
+
+
 def _assemble(values, spacing, p, delta, *, faces=None):
     """Interior-by-interior Newton Jacobian of the operator at delta,
     including the transverse coupling: a ``_Tridiagonal`` with one axis, a
-    sparse CSC matrix with more.
+    ``_Banded`` with two, a sparse CSC matrix with three.
 
     The conductances of each face family come from the same face arrays as
     the residual: ``faces`` is ``_faces(values, spacing)`` when the caller
@@ -217,14 +244,15 @@ def _assemble(values, spacing, p, delta, *, faces=None):
     row of its hi node, v = (1/h_k) dF/du_c, for every node c its flux F
     reads.
 
-    The CSC matrix numbers its unknowns as ``_stencil`` does: its attribute
+    The CSC matrix numbers its unknowns as ``_csc`` does: its attribute
     ``order`` holds the C-order interior index of each unknown, so it is
     P A P^T for the nested-dissection permutation P.
     """
     if faces is None:
         faces = _faces(values, spacing)
-    offsets, plans, csc, order = _stencil(values.shape)
-    coef = np.zeros((len(offsets),) + values.shape)
+    shape = values.shape
+    offsets, plans = _stencil(shape)
+    coef = np.zeros((len(offsets),) + shape)
     d2 = delta * delta
     for k, ((s, t), (s_plan, t_plan)) in enumerate(zip(faces, plans)):
         w = _masked_power(_slope2(s, t) + d2, (p - 4.0) / 2.0)
@@ -236,10 +264,15 @@ def _assemble(values, spacing, p, delta, *, faces=None):
         for op, index, m in s_plan + t_plan:
             target = coef[index]
             op(target, vals[m], out=target)
-    if csc is None:  # one axis: coef[q, c] is row c - offsets[q], column c
+    if len(shape) == 1:  # coef[q, c] is row c - offsets[q], column c
         return _Tridiagonal(coef[2, 1:-2], coef[1, 1:-1], coef[0, 2:-1])
-    n = math.prod(size - 2 for size in values.shape)
-    gather, indices, indptr = csc
+    n = math.prod(size - 2 for size in shape)
+    if len(shape) == 2:
+        kl, sources, slots = _band(shape)
+        store = np.zeros((n, 3 * kl + 1))  # C order: its transpose is ab
+        np.put(store, slots, coef.take(sources))
+        return _Banded(store.T, coef, sources.size)
+    gather, indices, indptr, order = _csc(shape)
     matrix = sp.csc_matrix((coef.ravel()[gather], indices, indptr),
                            shape=(n, n))
     matrix.order = order
@@ -248,20 +281,13 @@ def _assemble(values, spacing, p, delta, *, faces=None):
 
 @functools.lru_cache(maxsize=8)
 def _stencil(shape):
-    """Index work of _assemble, once per grid shape:
-    (offsets, plans, csc, order).
+    """Index work of _assemble, once per grid shape: (offsets, plans).
 
     ``coef[q, c]`` sums the entry of column node c and row node c - offsets[q]
     (offsets descend: 1, 0, -1 with one axis; 9 with two, 19 with three).  Per
     family, ``plans`` holds the couplings through s, then through t, as
     (op, index, m): add or subtract value m (0: s, i: the i-th t) into
-    ``coef[index]``, lo rows first.  ``order`` numbers the unknowns: unknown
-    i is the interior node with C-order index order[i].  With one axis it is
-    the identity (the tridiagonal numbering) and ``csc`` is None; with more it
-    is ``_dissection``, and ``csc`` is the read-only (gather, indices,
-    indptr) of the CSC pattern whose rows and columns both follow it, gather
-    picking the entries of the flattened coef in CSC order.  So SuperLU
-    factors the matrix in nested-dissection order as it stands.
+    ``coef[index]``, lo rows first.
     """
     d = len(shape)
 
@@ -283,33 +309,80 @@ def _stencil(shape):
                                   (number[tuple(start(w) - start(row))],) + w, m)
                                  for row, row_sign in ((lo, -1.0), (hi, 1.0))
                                  for w, sign, m in cols) for cols in (s_cols, t_cols)))
-    inner = tuple(n - 2 for n in shape)
-    order = _dissection(inner) if d > 1 else np.arange(inner[0])
-    order.setflags(write=False)
-    if d == 1:
-        return offsets, tuple(plans), None, order
+    return offsets, tuple(plans)
+
+
+def _couplings(shape, unknown):
+    """Every entry of the Jacobian of a grid of ``shape`` between two
+    interior nodes, whose unknowns are ``unknown`` (the unknown of each
+    interior node, in C order): (rows, cols, sources), the row and column
+    unknowns of each entry and the index of its value in the flattened
+    ``coef`` of _assemble, in (offset, row node) order."""
+    offsets = _stencil(shape)[0]
     ids = np.full(shape, -1)
-    ids[(slice(1, -1),) * d] = np.argsort(order).reshape(inner)  # unknown per node
+    ids[(slice(1, -1),) * len(shape)] = unknown.reshape(tuple(n - 2 for n in shape))
     steps = np.array(offsets) @ (np.array(ids.strides) // ids.itemsize)
     row_nodes = np.flatnonzero(ids >= 0)
     nodes = row_nodes + steps[:, None]  # column node per (q, row)
     keep = ids.ravel()[nodes] >= 0
     rows = np.broadcast_to(ids.ravel()[row_nodes], nodes.shape)[keep]
     cols = ids.ravel()[nodes][keep]
-    csc_order = np.lexsort((rows, cols))
-    gather = (nodes + ids.size * np.arange(len(offsets))[:, None])[keep][csc_order]
-    # indptr: where each column starts in CSC order
-    csc = (gather, rows[csc_order].astype(np.int32),
-           np.searchsorted(cols[csc_order],
-                           np.arange(len(row_nodes) + 1)).astype(np.int32))
-    for arr in csc:
+    sources = (nodes + ids.size * np.arange(len(offsets))[:, None])[keep]
+    return rows, cols, sources
+
+
+@functools.lru_cache(maxsize=8)
+def _band(shape):
+    """Index map of a two-axis _Banded, once per grid shape:
+    (kl, sources, slots).
+
+    The unknowns are the interior nodes in C order, so the couplings of a
+    node reach at most m + 1 unknowns either way, m = shape[1] - 2: kl = ku =
+    m + 1.  The storage is the C-ordered (n, 2 kl + ku + 1) array whose
+    transpose is ``ab``; entry (r, c) goes to its flat index
+    c (2 kl + ku + 1) + kl + ku + r - c, ``slots``, from the flattened coef at
+    ``sources``, both read-only and in storage order.  Every other slot
+    stays zero.
+    """
+    n = math.prod(size - 2 for size in shape)
+    kl = shape[1] - 1
+    rows, cols, sources = _couplings(shape, np.arange(n))
+    slots = cols * (3 * kl + 1) + 2 * kl + rows - cols
+    in_order = np.argsort(slots)
+    sources, slots = sources[in_order], slots[in_order]
+    for arr in (sources, slots):
         arr.setflags(write=False)
-    return offsets, tuple(plans), csc, order
+    return kl, sources, slots
+
+
+@functools.lru_cache(maxsize=8)
+def _csc(shape):
+    """The CSC pattern of a three-axis Jacobian, once per grid shape:
+    (gather, indices, indptr, order), all read-only.
+
+    ``order`` numbers the unknowns by ``_dissection``: unknown i is the
+    interior node with C-order index order[i].  The rows and columns of the
+    pattern both follow it, and gather picks the entries of the flattened
+    coef in CSC order.  So SuperLU factors the matrix in nested-dissection
+    order as it stands.
+    """
+    order = _dissection(tuple(n - 2 for n in shape))
+    rows, cols, sources = _couplings(shape, np.argsort(order))
+    csc_order = np.lexsort((rows, cols))
+    # indptr: where each column starts in CSC order
+    pattern = (sources[csc_order], rows[csc_order].astype(np.int32),
+               np.searchsorted(cols[csc_order],
+                               np.arange(order.size + 1)).astype(np.int32),
+               order)
+    for arr in pattern:
+        arr.setflags(write=False)
+    return pattern
 
 
 def _dissection(inner):
     """Nested-dissection numbering of a box of nodes with sizes ``inner``:
-    the C-order index of each node, in the order the unknowns take.
+    the C-order index of each node, in the order the unknowns of a
+    three-axis Jacobian take.
 
     A box is cut across its longest axis by the plane through its middle;
     the nodes below the plane come first, then those above, each numbered
@@ -343,15 +416,17 @@ def _try_solve(matrix, rhs, factor=None):
 
     ``rhs`` and the solution are in grid (C) order.  A ``_Tridiagonal``
     (one axis) goes to LAPACK ``dgtsv``, which reports a singular matrix by
-    a positive ``info``; a CSC matrix (more axes) is factored by SuperLU as
-    it is numbered, with no column permutation of its own ("NATURAL"):
-    ``_assemble`` numbers it by nested dissection and records that in its
-    ``order``, and a matrix without one is solved in its own numbering.  A
-    singular CSC matrix raises RuntimeError (SuperLU).  Anything else, such
-    as a right-hand side of the wrong length (ValueError), propagates.
-    ``factor``, a one-slot list, receives the grid-order ``solve`` of a
-    SuperLU factor whose solution is finite; ``dgtsv`` factors and solves in
-    one call and leaves it as it is.
+    a positive ``info``.  A ``_Banded`` (two axes) is factored in place by
+    LAPACK ``dgbtrf``, which reports a singular matrix the same way, and
+    ``dgbtrs`` solves with the factor.  A CSC matrix (three axes) is
+    factored by SuperLU as it is numbered, with no column permutation of its
+    own ("NATURAL"): ``_assemble`` numbers it by nested dissection and
+    records that in its ``order``, and a matrix without one is solved in its
+    own numbering.  A singular CSC matrix raises RuntimeError (SuperLU).
+    Anything else, such as a right-hand side of the wrong length
+    (ValueError), propagates.  ``factor``, a one-slot list, receives the
+    grid-order ``solve`` of the kept LU factor when the solution is finite;
+    ``dgtsv`` factors and solves in one call and leaves it as it is.
     """
     solve = None
     if isinstance(matrix, _Tridiagonal):
@@ -363,6 +438,14 @@ def _try_solve(matrix, rhs, factor=None):
         *_, sol, info = dgtsv(lower, matrix.diag, upper, rhs)
         if info > 0:
             return None
+    elif isinstance(matrix, _Banded):
+        # the factor overwrites ab; a stalled solve reads coef instead
+        kl = matrix.kl
+        lu, pivots, info = dgbtrf(matrix.ab, kl, kl, overwrite_ab=1)
+        if info > 0:
+            return None
+        solve = _band_solve(lu, pivots, kl)
+        sol = solve(rhs)
     else:
         try:
             solve = _in_grid_order(spla.splu(matrix, permc_spec="NATURAL").solve,
@@ -375,6 +458,21 @@ def _try_solve(matrix, rhs, factor=None):
     if factor is not None and solve is not None:
         factor[:] = [solve]
     return sol
+
+
+def _band_solve(lu, pivots, kl):
+    """The solve of the ``dgbtrf`` factor (lu, pivots) of a _Banded with kl
+    = ku = ``kl``; LAPACK checks no length, so a right-hand side of the
+    wrong one raises ValueError here."""
+    n = lu.shape[1]
+
+    def solve(rhs):
+        if rhs.shape != (n,):
+            raise ValueError(f"right-hand side of shape {rhs.shape} for {n} "
+                             "unknowns")
+        return dgbtrs(lu, kl, kl, rhs, pivots)[0]
+
+    return solve
 
 
 def _in_grid_order(solve, order):
@@ -453,7 +551,7 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             only on a stall.
         trace: optional list that receives (iteration, residual, damping)
             triples as the solve progresses.
-        factor: optional one-slot list for the solve of the last SuperLU
+        factor: optional one-slot list for the solve of the last kept LU
             factor (grids with more than one axis).  A factor found there is
             tried first for chord steps, and the newest factor is left there
             for the next solve.  Pass one only across solves of nearby
@@ -582,7 +680,10 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, factor=None):
             else:
                 factor.clear()
         if accepted is None:
-            # a fresh Jacobian at u: the rounding floor below reads it too
+            # a fresh Jacobian at u: the rounding floor below reads it too.
+            # The last one goes first: a _Banded's storage holds its factor,
+            # and two alive at once would double the solve's peak memory
+            jac = None
             jac = _assemble(u, spacing, p, res.delta, faces=res.faces)
             step = _try_solve(jac, -res.r.ravel(), factor)
             if step is not None:
@@ -633,6 +734,15 @@ def _rounding_floor(jac, u_interior):
         ju = np.abs(jac.diag) * au
         ju[:-1] += np.abs(jac.upper) * au[1:]
         ju[1:] += np.abs(jac.lower) * au[:-1]
+    elif isinstance(jac, _Banded):
+        # from coef, as ab may hold the factor: row node r meets column node
+        # r + offsets[q] through coef[q] there, and u is zero on the boundary
+        shape = jac.coef.shape[1:]
+        au = np.zeros(shape)
+        au[1:-1, 1:-1] = np.abs(u_interior)
+        weighted = np.abs(jac.coef) * au
+        ju = sum(w[1 + a:shape[0] - 1 + a, 1 + b:shape[1] - 1 + b]
+                 for w, (a, b) in zip(weighted, _stencil(shape)[0]))
     else:
         ju = abs(jac) @ np.abs(u_interior.ravel())[jac.order]
     return ROUNDING_ULPS * np.finfo(float).eps * float(np.max(ju))

@@ -254,7 +254,7 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
     to 10x the solver tolerance, else MonotonicityError.  Stops when the sup
     move drops below 1e-8 * ||super||_inf.
 
-    The warm-started solves share one kept SuperLU factor (the chord steps
+    The warm-started solves share one kept LU factor (the chord steps
     of plap.solve_plap_dirichlet): successive sweeps differ little, so one
     factor stays a good linear model for many of them.  ``factor`` is the
     one-slot holder of plap.solve_plap_dirichlet; without one the call makes
@@ -271,7 +271,7 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
             band to start the nonincreasing iteration from instead of the
             upper barrier; the caller has verified it.  The limit is then
             the maximal solution below start_field.
-        factor: the SuperLU factor holder the solves share; None makes a
+        factor: the kept LU factor holder the solves share; None makes a
             fresh one for this call.
         held: the one-slot OperatorValue holder of
             plap.solve_plap_dirichlet the solves share, so each reads
@@ -512,7 +512,7 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     u = sub
     grad_u = gradient(u)
     trace = []
-    factor = []  # one SuperLU factor holder for every outer step of this call
+    factor = []  # one kept LU factor holder for every outer step of this call
     held = []  # Lap_p of the inner iteration's current guess, then of u
     previous = None  # the last step's frozen map
     for k in range(1, max_outer + 1):

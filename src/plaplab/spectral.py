@@ -112,7 +112,7 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
 
     The start is the torsion function of omega1, solved here afresh even
     when compute_constants has solved the same field for the same grid.
-    The sweeps share one kept SuperLU factor (the chord steps of
+    The sweeps share one kept LU factor (the chord steps of
     plap.solve_plap_dirichlet): successive right-hand sides differ little,
     so one factor stays a good linear model for many sweeps.  The factor
     lives for this call only, so the pair never depends on what was solved
@@ -135,7 +135,7 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
     u = start.phi.values / start.phi_sup
     guess = start.phi
     lam = None
-    factor = []  # the sweeps' shared SuperLU factor, for this call only
+    factor = []  # the sweeps' shared kept LU factor, for this call only
     held = []  # Lap_p of the last sweep's solution, the next one's guess
     for sweep in range(1, EIGEN_MAX_SWEEPS + 1):
         rhs = ScalarField(grid, wv * u ** (p - 1.0))

@@ -1,6 +1,7 @@
 """Nonlinear solver tests: correctness, contracts, and the gradient constant."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,9 +37,10 @@ from plaplab.grid import (
 from plaplab.plap import (
     ROUNDING_ULPS,
     SolveOptions,
+    _Banded,
     _Tridiagonal,
     _assemble,
-    _stencil,
+    _csc,
     _try_solve,
     assert_gradient_bound,
     check_comparison,
@@ -147,22 +149,35 @@ def _jacobian_test_field(dimension):
                             * (1.0 + 0.3 * x + 0.2 * y * y - 0.1 * z)))
 
 
-def grid_order(matrix, shape):
-    """An _assemble matrix as CSC with its rows and columns in grid (C) order
-    of the interior nodes: a _Tridiagonal from its three diagonals, a CSC
-    matrix through the stencil's numbering."""
+def grid_order(matrix):
+    """An _assemble matrix as a dense array with its rows and columns in grid
+    (C) order of the interior nodes: a _Tridiagonal from its three
+    diagonals, a _Banded (not yet factored) from its band, a CSC matrix
+    through its numbering ``order``, when it has one."""
     if isinstance(matrix, _Tridiagonal):
         n = matrix.diag.size
         return sp.diags([matrix.lower, matrix.diag, matrix.upper], [-1, 0, 1],
-                        shape=(n, n), format="csc")
-    unknown = np.argsort(_stencil(shape)[3])  # the unknown of each node
-    return matrix.tocsr()[unknown][:, unknown].tocsc()
+                        shape=(n, n)).toarray()
+    if isinstance(matrix, _Banded):
+        # row b of the band holds the diagonal c - r = 2 kl - b, as a
+        # dia_matrix stores it: indexed by column
+        kl, n = matrix.kl, matrix.ab.shape[1]
+        return sp.dia_matrix((matrix.ab, 2 * kl - np.arange(3 * kl + 1)),
+                             shape=(n, n)).toarray()
+    dense = matrix.toarray()
+    order = getattr(matrix, "order", None)
+    if order is None:
+        return dense
+    unknown = np.argsort(order)  # the unknown of each node
+    return dense[np.ix_(unknown, unknown)]
 
 
 def stored(matrix):
     """The bytes of the entries an _assemble matrix stores."""
     if isinstance(matrix, _Tridiagonal):
         return np.concatenate(matrix).tobytes()
+    if isinstance(matrix, _Banded):
+        return matrix.ab.tobytes()
     return matrix.data.tobytes()
 
 
@@ -172,8 +187,7 @@ def test_newton_jacobian_matches_central_differences(p, dimension):
     u = _jacobian_test_field(dimension)
     g = u.grid
     delta = flux_delta(u)  # held fixed: the Jacobian is taken at fixed delta
-    jac = grid_order(_assemble(u.values, g.spacing, p, delta),
-                     g.shape).toarray()
+    jac = grid_order(_assemble(u.values, g.spacing, p, delta))
     eps = 1.0e-6 * sup_norm(u)
     nodes = np.argwhere(np.ones(tuple(n - 2 for n in g.shape), dtype=bool)) + 1
     fd = np.empty_like(jac)
@@ -247,8 +261,7 @@ def test_frozen_matrix_at_p2_is_the_standard_laplacian(dimension):
     g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:dimension], shape)
     rng = np.random.default_rng(3)
     values = rng.standard_normal(g.shape)
-    mat = grid_order(_assemble(values, g.spacing, 2.0, 1.0e-3),
-                     g.shape).toarray()
+    mat = grid_order(_assemble(values, g.spacing, 2.0, 1.0e-3))
     assert np.allclose(mat, kron_laplacian(g).toarray(), rtol=1e-14, atol=0.0)
 
 
@@ -320,12 +333,26 @@ def test_try_solve_returns_none_on_singular_matrix():
     singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert _try_solve(singular, np.array([1.0, 2.0])) is None
     assert _try_solve(sp.csc_matrix((2, 2)), np.array([1.0, 2.0])) is None
+    # the Jacobian of the zero field at delta = 0 is zero
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (6, 5))
+    zero = _assemble(np.zeros(g.shape), g.spacing, 2.5, 0.0)
+    assert isinstance(zero, _Banded)
+    factor = []
+    assert _try_solve(zero, np.ones(12), factor) is None and factor == []
 
 
 def test_try_solve_keeps_programming_errors_loud():
     mat = sp.identity(3, format="csc")
     with pytest.raises(ValueError):
         _try_solve(mat, np.ones(4))
+    # LAPACK's dgbtrs checks no length: a longer right-hand side would pass
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (6, 5))
+    values = np.zeros(g.shape)
+    values[g.interior] = np.random.default_rng(6).standard_normal((4, 3))
+    for length in (11, 13):
+        band = _assemble(values, g.spacing, 2.5, 1.0e-3)
+        with pytest.raises(ValueError):
+            _try_solve(band, np.ones(length))
 
 
 @pytest.mark.parametrize("frozen", [False])
@@ -335,7 +362,7 @@ def test_banded_solve_matches_sparse_lu(p, frozen):
     mat = _assemble(u.values, u.grid.spacing, p, flux_delta(u))
     assert isinstance(mat, _Tridiagonal)
     rhs = np.random.default_rng(5).standard_normal(mat.diag.size)
-    expected = spla.spsolve(grid_order(mat, u.grid.shape), rhs)
+    expected = spla.spsolve(sp.csc_matrix(grid_order(mat)), rhs)
     got = _try_solve(mat, rhs)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -383,47 +410,63 @@ def _loop_jacobian(values, spacing, p, delta):
 
 @pytest.mark.parametrize("frozen", [False])
 def test_assembly_pattern_follows_the_grid_shape(frozen):
-    # one axis stores the three diagonals, more axes CSC; (7, 9) twice
-    # checks the per-shape cache
+    # one axis stores the three diagonals, two a LAPACK band in grid order,
+    # three CSC; (7, 9) twice checks the per-shape cache
     rng = np.random.default_rng(11)
     for shape in ((17,), (7, 9), (9, 7), (33, 33), (7, 9), (5, 6, 7)):
         g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
         values = rng.standard_normal(shape)
         mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
+        expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3)
         if len(shape) == 1:
             assert isinstance(mat, _Tridiagonal) and mat.nnz == 3 * 15 - 2
+        elif len(shape) == 2:
+            kl, n = shape[1] - 1, expected.shape[0]
+            assert isinstance(mat, _Banded) and mat.kl == kl
+            assert mat.ab.shape == (3 * kl + 1, n) and mat.ab.flags.f_contiguous
+            assert not mat.ab[:kl].any()  # the rows dgbtrf fills
+            # the entries a CSC matrix of the pattern stores: every coupling
+            # of two interior nodes
+            assert mat.nnz == np.count_nonzero(expected)
         else:
             assert mat.format == "csc" and mat.has_canonical_format
-        expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3)
-        assert np.allclose(grid_order(mat, shape).toarray(), expected, rtol=0.0,
+            assert mat.nnz == np.count_nonzero(expected)
+        assert np.allclose(grid_order(mat), expected, rtol=0.0,
                            atol=1e-13 * np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("shape", [(3,), (3, 3), (3, 4), (3, 3, 3), (7, 9),
-                                   (9, 7), (33, 33), (5, 6, 7)])
+# three axes only: two number their unknowns in grid order; the longest
+# axis takes each position
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4), (5, 6, 7), (7, 6, 5),
+                                   (6, 7, 5), (9, 5, 5), (5, 9, 5),
+                                   (17, 17, 17)])
 def test_stencil_numbering_is_a_permutation_of_the_interior(shape):
-    order = _stencil(shape)[3]
+    order = _csc(shape)[3]
     inner = tuple(n - 2 for n in shape)
     assert np.array_equal(np.sort(order), np.arange(np.prod(inner)))
-    if len(shape) > 1:
-        # nested dissection: the plane through the middle of the longest
-        # axis comes last
-        k = int(np.argmax(inner))
-        index = np.arange(np.prod(inner)).reshape(inner)
-        plane = np.take(index, inner[k] // 2, axis=k).ravel()
-        assert np.array_equal(order[-plane.size:], plane)
+    # nested dissection: the plane through the middle of the longest axis
+    # comes last
+    k = int(np.argmax(inner))
+    index = np.arange(np.prod(inner)).reshape(inner)
+    plane = np.take(index, inner[k] // 2, axis=k).ravel()
+    assert np.array_equal(order[-plane.size:], plane)
 
 
-@pytest.mark.parametrize("shape", [(7, 9), (5, 6, 7)])
+# two axes from one unknown up, where the band is wider than the matrix
+# (kl >= n - 1), and three
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4), (7, 9), (9, 7), (4, 3),
+                                   (5, 6, 7)])
 @pytest.mark.parametrize("frozen", [False])
 def test_try_solve_answers_in_grid_order(shape, frozen):
     g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
     rng = np.random.default_rng(9)
+    inner = tuple(n - 2 for n in shape)
     values = np.zeros(shape)
-    values[g.interior] = rng.standard_normal(tuple(n - 2 for n in shape))
+    values[g.interior] = rng.standard_normal(inner)
     mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
-    rhs = rng.standard_normal(mat.shape[0])
-    expected = spla.spsolve(grid_order(mat, shape), rhs)
+    dense = grid_order(mat)  # before the band factor overwrites it
+    rhs = rng.standard_normal(np.prod(inner))
+    expected = np.linalg.solve(dense, rhs)
     factor = []
     got = _try_solve(mat, rhs, factor)
     scale = np.max(np.abs(expected))
@@ -432,20 +475,41 @@ def test_try_solve_answers_in_grid_order(shape, frozen):
     assert np.max(np.abs(factor[0](rhs) - expected)) <= 1e-12 * scale
 
 
+def test_only_three_axes_factor_through_superlu(monkeypatch):
+    calls = []
+    dgbtrf, splu = plap.dgbtrf, plap.spla.splu
+    monkeypatch.setattr(plap, "dgbtrf", lambda *args, **kwargs:
+                        calls.append("dgbtrf") or dgbtrf(*args, **kwargs))
+    monkeypatch.setattr(plap.spla, "splu", lambda *args, **kwargs:
+                        calls.append("splu") or splu(*args, **kwargs))
+    for shape, through in (((7, 9), "dgbtrf"), ((5, 6, 7), "splu")):
+        g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+        values = np.zeros(shape)
+        values[g.interior] = np.random.default_rng(10).standard_normal(
+            tuple(n - 2 for n in shape))
+        mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
+        calls.clear()
+        assert _try_solve(mat, np.ones(values[g.interior].size)) is not None
+        assert calls == [through]
+
+
 def _lu_fill(matrix, permc_spec):
     lu = spla.splu(matrix, permc_spec=permc_spec)
     return lu.L.nnz + lu.U.nnz
 
 
-@pytest.mark.parametrize("shape, bound", [((33, 33), 1.01), ((65, 65), 1.01),
+# three axes only: two number their unknowns in grid order
+@pytest.mark.parametrize("shape, bound", [((9, 9, 9), 0.8), ((13, 13, 13), 0.7),
                                           ((17, 17, 17), 0.6)])
 def test_nested_dissection_fill_against_minimum_degree(shape, bound):
     g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
     u = field_from_function(g, lambda *xs: np.prod(
         [np.sin(np.pi * x) for x in xs], axis=0) * (1.0 + 0.3 * xs[0]))
     mat = _assemble(u.values, g.spacing, 2.5, flux_delta(u))
+    unknown = np.argsort(mat.order)  # sparse: 17^3 is too large dense
+    in_grid_order = mat.tocsr()[unknown][:, unknown].tocsc()
     assert (_lu_fill(mat, "NATURAL")
-            <= bound * _lu_fill(grid_order(mat, shape), "MMD_AT_PLUS_A"))
+            <= bound * _lu_fill(in_grid_order, "MMD_AT_PLUS_A"))
 
 
 def test_banded_try_solve_singular_and_wrong_length():
@@ -496,7 +560,7 @@ def test_tridiagonal_rounding_floor_matches_the_sparse_product(p):
     for values, jac in _one_axis_jacobians(p):
         u_int = values[1:-1]
         expected = ROUNDING_ULPS * np.finfo(float).eps * np.max(
-            abs(grid_order(jac, values.shape)) @ np.abs(u_int))
+            abs(grid_order(jac)) @ np.abs(u_int))
         got = plap._rounding_floor(jac, u_int)
         assert abs(got - expected) <= 1e-15 * expected
 
@@ -678,7 +742,7 @@ def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):
 
 def _rounding_floor(u, p):
     delta = flux_delta(u)
-    jac = grid_order(_assemble(u.values, u.grid.spacing, p, delta), u.grid.shape)
+    jac = grid_order(_assemble(u.values, u.grid.spacing, p, delta))
     return ROUNDING_ULPS * np.finfo(float).eps * np.max(
         abs(jac) @ np.abs(u.values[u.grid.interior].ravel()))
 
@@ -771,6 +835,29 @@ def test_a_cold_2d_solve_takes_chord_steps(monkeypatch):
     u = solve_plap_dirichlet(g, 4.0, load, trace=trace)
     monkeypatch.undo()
     assert 0 < len(factorizations) < len(trace)
+    _assert_residual_contract(u, 4.0, load)
+
+
+def test_a_cold_2d_solve_keeps_one_jacobian_alive(monkeypatch):
+    # a 65x65 band is 193 x 3969 doubles, and dgbtrf turns it into the kept
+    # factor in place: a copy, or the last Jacobian held while the next one
+    # is assembled, would put two alive at once
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (65, 65))
+    load = dict(default_probes(g))["const1"]
+    band_bytes = (3 * 64 + 1) * 63 * 63 * 8
+    factored = []
+    dgbtrf = plap.dgbtrf
+    monkeypatch.setattr(plap, "dgbtrf", lambda *args, **kwargs:
+                        factored.append(args[0].nbytes) or dgbtrf(*args, **kwargs))
+    tracemalloc.start()
+    try:
+        u = solve_plap_dirichlet(g, 4.0, load)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert len(factored) > 1 and set(factored) == {band_bytes}
+    assert peak < 2 * band_bytes
     _assert_residual_contract(u, 4.0, load)
 
 

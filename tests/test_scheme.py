@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -404,14 +405,24 @@ def test_square2d_outcome_does_not_hang_on_the_lu_ordering(monkeypatch):
     spec = load_problem(bundled_problem_path("square2d"))
     grid = spec.build_grid()
     constants = compute_constants(spec, grid)
-    mmd = outer_fixed_point(spec, 2.0, 0.1, grid, constants)
-    splu = plap.spla.splu
+    band = outer_fixed_point(spec, 2.0, 0.1, grid, constants)
+    # the same run with every Jacobian factored by SuperLU in COLAMD order,
+    # not by the band LU in grid order
+    try_solve, splu = plap._try_solve, plap.spla.splu
+
+    def through_superlu(matrix, rhs, factor=None):
+        kl, n = matrix.kl, matrix.ab.shape[1]
+        csc = sp.dia_matrix((matrix.ab, 2 * kl - np.arange(3 * kl + 1)),
+                            shape=(n, n)).tocsc()
+        return try_solve(csc, rhs, factor)
+
+    monkeypatch.setattr(plap, "_try_solve", through_superlu)
     monkeypatch.setattr(plap.spla, "splu", lambda matrix, permc_spec=None:
                         splu(matrix, permc_spec="COLAMD"))
     colamd = outer_fixed_point(spec, 2.0, 0.1, grid, constants)
-    assert mmd.converged and colamd.converged
+    assert band.converged and colamd.converged
     assert colamd.certificates.pde_residual == pytest.approx(
-        mmd.certificates.pde_residual, rel=1e-9)
+        band.certificates.pde_residual, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +467,10 @@ def test_every_factorization_goes_through_try_solve(square2d_stage,
                                                     monkeypatch):
     # the benchmark's tracer counts factorizations as _try_solve calls
     spec, g, c, eig = square2d_stage
-    splu = counting(monkeypatch, plap.spla, "splu")
+    band = counting(monkeypatch, plap, "dgbtrf")  # two axes: LAPACK band LU
     factors = counting(monkeypatch, plap, "_try_solve")
     outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
-    assert len(splu) == len(factors) > 0
+    assert len(band) == len(factors) > 0
 
 
 def test_every_set_up_factorization_goes_through_try_solve(monkeypatch):
@@ -467,11 +478,11 @@ def test_every_set_up_factorization_goes_through_try_solve(monkeypatch):
     spec = dataclasses.replace(load_problem(bundled_problem_path("square2d")),
                                resolution=(9, 9))
     g = spec.build_grid()
-    splu = counting(monkeypatch, plap.spla, "splu")
+    band = counting(monkeypatch, plap, "dgbtrf")
     factors = counting(monkeypatch, plap, "_try_solve")
     compute_constants(spec, g)
     first_eigenpair(g, spec.p, sample_weights(spec, g)[0])
-    assert len(splu) == len(factors) > 0
+    assert len(band) == len(factors) > 0
 
 
 def report_bytes(report):
