@@ -441,8 +441,10 @@ def cmd_sweep(args) -> int:
     opts = _solve_options(args)
     spec = _load_spec(args)
     grid = spec.build_grid()
-    constants = compute_constants(spec, grid, opts)
-    eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0], opts)
+    solved = {}  # the set-up's cold solves: the eigen start reads omega1's
+    constants = compute_constants(spec, grid, opts, solved)
+    eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0], opts,
+                            solved)
     points = [(float(lam), float(beta)) for lam in lams for beta in betas]
 
     times = [0.0] * len(points)

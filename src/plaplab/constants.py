@@ -107,7 +107,8 @@ def combined_weight(weights) -> ScalarField:
 
 
 def compute_constants(spec: ProblemSpec, grid: Grid | None = None,
-                      opts: SolveOptions | None = None) -> ConstantsBundle:
+                      opts: SolveOptions | None = None,
+                      solved: dict | None = None) -> ConstantsBundle:
     """Run the three computed stages and assemble the bundle.
 
     Assumes the growth hypotheses have already been validated for this spec
@@ -119,8 +120,12 @@ def compute_constants(spec: ProblemSpec, grid: Grid | None = None,
     The torsion weights and the probes often coincide (where every weight
     is 1, seven of the eleven fields are the ones field).  Each distinct
     field is solved once per call; with grid, p and opts fixed this gives
-    the bits a repeated solve would.  Nothing is reused across calls: each
-    call stands for a separate run and pays for its own solves.
+    the bits a repeated solve would.  ``solved`` is an optional map from the
+    bytes of a field to its solution on this grid with this p and opts, as
+    in torsion_function: a field found there is not solved again, and each
+    new solution is added, so a caller that hands the same map to
+    first_eigenpair spares it the torsion of omega1.  Without one the call
+    keeps a map of its own, and nothing is reused across calls.
     """
     if grid is None:
         grid = spec.build_grid()
@@ -133,7 +138,8 @@ def compute_constants(spec: ProblemSpec, grid: Grid | None = None,
              if np.any(w.values > 0.0)]
     extra.append(("omega_max", omega))
 
-    solved = {}  # bytes of a field -> its solution, for this call only
+    if solved is None:
+        solved = {}  # bytes of a field -> its solution, for this call only
     weighted = torsion_function(grid, spec.p, omega, opts, solved)
     unit = torsion_function(grid, spec.p,
                             ScalarField(grid, np.ones(grid.shape)), opts,

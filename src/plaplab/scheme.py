@@ -45,6 +45,16 @@ of plap.solve_plap_dirichlet), and the residual certificate reads the last
 solve's at the final iterate.  The values are those a fresh apply gives, so
 no result changes by a bit.
 
+An inner sweep after the first is solved only as far as it needs to be.
+Its Dirichlet solve stops at INNER_FORCING times the change of the
+right-hand side since the last sweep, which is about the residual it starts
+from, or at the full tolerance when that is larger: the forcing term of
+inexact Newton methods (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19
+(1982); Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996)).  The sweeps
+and their stop test are those of exact solves; a sweep that passes the stop
+test at a forced tolerance is solved again at the full one, so every inner
+limit meets the full residual contract against its frozen map.
+
 Convergence of the outer map is monitored in C^1 (sup distance of values plus
 gradients); the fixed-point argument behind it is nonconstructive, so
 non-convergence within the budget is reported as inconclusive rather than as
@@ -101,6 +111,10 @@ WARM_START_LADDER = (1.0e-4, 1.0e-3, 1.0e-2, 3.0e-2, 1.0e-1)
 # this fraction of the upper barrier's sup norm, within this many sweeps.
 INNER_STOP_REL = 1.0e-8
 INNER_MAX_SWEEPS = 500
+# Forcing fraction of an inner sweep after the first: its solve stops at this
+# fraction of the change of the right-hand side since the last sweep, which
+# is about the sweep's starting residual, or at the full tolerance if larger.
+INNER_FORCING = 1.0e-3
 # Defect tolerance of every sub/super-solution check, relative to the
 # candidate's ||Lap_p v||_inf.
 SUBSUPER_TOL_REL = 1.0e-7
@@ -254,6 +268,15 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
     to 10x the solver tolerance, else MonotonicityError.  Stops when the sup
     move drops below 1e-8 * ||super||_inf.
 
+    Each sweep after the first stops its solve at INNER_FORCING times the
+    sup change of the right-hand side since the last sweep, or at the full
+    tolerance when that is larger (see the module docstring).  That change
+    is the sweep's starting residual up to the last solve's own, so early
+    sweeps, which move the iterate far, stop after a few Newton or chord
+    steps, and the last ones fall back to the full tolerance by themselves.
+    A sweep solved at a forced tolerance that passes the stop test is solved
+    again, warm, at the full tolerance before it is returned.
+
     The warm-started solves share one kept LU factor (the chord steps
     of plap.solve_plap_dirichlet): successive sweeps differ little, so one
     factor stays a good linear model for many of them.  ``factor`` is the
@@ -306,11 +329,21 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
     if held is None:
         held = []
     solve_opts = _support_tolerance(opts, stop)
+    interior = grid.interior
+    last_rhs = None  # the last sweep's right-hand side, interior values
     for sweep in range(1, INNER_MAX_SWEEPS + 1):
         rhs = F.as_field(u.values)
-        u_next = solve_plap_dirichlet(grid, p, rhs, solve_opts, initial_guess=u,
-                                      factor=factor, held=held)
         rhs_sup = sup_norm(rhs)
+        sweep_opts = solve_opts
+        if last_rhs is not None:
+            change = float(np.abs(rhs.values[interior] - last_rhs).max())
+            forced = INNER_FORCING * change / max(1.0, rhs_sup)
+            if forced > solve_opts.tol_residual:
+                sweep_opts = dataclasses.replace(solve_opts,
+                                                 tol_residual=forced)
+        last_rhs = rhs.values[interior]
+        u_next = solve_plap_dirichlet(grid, p, rhs, sweep_opts, initial_guess=u,
+                                      factor=factor, held=held)
         if khat is not None:
             assert_gradient_bound(khat, u_next, rhs_sup, p,
                                   context=f"inner sweep {sweep}")
@@ -331,6 +364,14 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
         u = u_next
         log.debug("inner sweep %d (%s start): move %.3e", sweep, start, move)
         if move < stop:
+            if sweep_opts is not solve_opts:
+                # never return a limit solved at a forced tolerance
+                u = solve_plap_dirichlet(grid, p, rhs, solve_opts,
+                                         initial_guess=u, factor=factor,
+                                         held=held)
+                if khat is not None:
+                    assert_gradient_bound(khat, u, rhs_sup, p,
+                                          context=f"inner sweep {sweep}")
             return u
     raise IterationFailure(
         f"inner monotone iteration made no C0 limit in {INNER_MAX_SWEEPS} "

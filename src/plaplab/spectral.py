@@ -106,13 +106,17 @@ def torsion_function(grid: Grid, p: float, w: ScalarField,
 
 
 def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
-                    opts: SolveOptions | None = None) -> EigenPair:
+                    opts: SolveOptions | None = None,
+                    solved: dict | None = None) -> EigenPair:
     """First eigenpair of -Lap_p u = lambda * omega1 * u^(p-1) by inverse
     power iteration.
 
-    The start is the torsion function of omega1, solved here afresh even
-    when compute_constants has solved the same field for the same grid.
-    The sweeps share one kept LU factor (the chord steps of
+    The start is the torsion function of omega1.  ``solved`` is an optional
+    map from the bytes of a field to its solution on this grid with this p
+    and opts, as in torsion_function: the start is read from it when
+    compute_constants has put omega1 there, as a probe, and solved afresh
+    otherwise; a cold solve gives the same bits either way.  The sweeps
+    share one kept LU factor (the chord steps of
     plap.solve_plap_dirichlet): successive right-hand sides differ little,
     so one factor stays a good linear model for many sweeps.  The factor
     lives for this call only, so the pair never depends on what was solved
@@ -131,7 +135,7 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
     """
     _check_weight(omega1, grid, "omega1")
     wv = omega1.values
-    start = torsion_function(grid, p, omega1, opts)
+    start = torsion_function(grid, p, omega1, opts, solved)
     u = start.phi.values / start.phi_sup
     guess = start.phi
     lam = None

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import plaplab.cli as cli
+import plaplab.plap as plap
 from plaplab.cli import (
     REGION_HEADER,
     SWEEP_HEADER,
@@ -336,6 +337,22 @@ def test_bundled_sweeps_keep_their_outcomes(name, tmp_path):
     for row, recorded in zip(rows, SWEEP_PDE_RESIDUAL[name], strict=True):
         assert abs(row.pde_residual - recorded) <= PDE_RESIDUAL_MOVE, \
             (row.lam, row.beta)
+
+
+def test_sweep_set_up_solves_each_distinct_field_once(monkeypatch, tmp_path):
+    # sub's weights are all 1, so its nine probes and two torsion weights are
+    # five distinct fields; the eigen start, omega1's torsion, is one of them
+    cold = []
+    original = plap.solve_plap_dirichlet
+
+    def counted(grid, p, g, *args, **kwargs):
+        cold.append(g.values.tobytes())
+        return original(grid, p, g, *args, **kwargs)
+
+    monkeypatch.setattr(plap, "solve_plap_dirichlet", counted)
+    assert main(["sweep", "--spec", SUB, "--n", "17", "--samples", "2",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(cold) == len(set(cold)) == 5
 
 
 def test_sweep_timings_go_to_stdout_not_csv(tmp_path, capsys):

@@ -145,6 +145,44 @@ def test_shared_solves_give_the_bundle_of_separate_solves(monkeypatch, name,
     assert (a.worst_probe, a.probe_count) == (b.worst_probe, b.probe_count)
 
 
+@pytest.mark.parametrize("name, resolution", [("sub", 65), ("square2d", (9, 9))])
+def test_a_shared_map_spares_the_eigen_start_its_solve(monkeypatch, name,
+                                                       resolution):
+    spec = bundled_spec(name, resolution)
+    grid = spec.build_grid()
+    omega1 = constants.sample_weights(spec, grid)[0]
+    calls = count_solves(monkeypatch)
+    solved = {}
+    compute_constants(spec, grid, None, solved)
+    set_up = len(calls)
+    shared = spectral.first_eigenpair(grid, spec.p, omega1, None, solved)
+    sweeps = len(calls) - set_up
+    assert omega1.values.tobytes() in calls[:set_up]
+    fresh = spectral.first_eigenpair(grid, spec.p, omega1)
+    # the fresh pair solves its start, then the same sweeps
+    assert calls[set_up + sweeps] == omega1.values.tobytes()
+    assert calls[set_up + sweeps + 1:] == calls[set_up:set_up + sweeps]
+    assert shared.lambda1 == fresh.lambda1
+    assert shared.u1.values.tobytes() == fresh.u1.values.tobytes()
+
+
+def test_a_checkerboard_sets_khat_on_the_coarsest_grid():
+    # on square2d at (p, q) = (4, 1.5) the rough probes set khat only at 9x9:
+    # checker0's ratio 0.8366 beats const1's 0.7295, and without the
+    # checkerboards khat would fall from 0.9202 to 0.8025.  The benchmark's
+    # cold2d smoke case pins that khat, so the probe family cannot shrink
+    # without a change of its reference values
+    spec = bundled_spec("square2d", (9, 9), p=4.0, q=1.5)
+    estimate = compute_constants(spec).grad_estimate
+    assert estimate.worst_probe == "checker0"
+    assert estimate.ratios["checker0"] == pytest.approx(0.8366, abs=1e-4)
+    assert estimate.ratios["const1"] == pytest.approx(0.7295, abs=1e-4)
+    assert estimate.khat == pytest.approx(0.9202, abs=1e-4)
+    for resolution in ((17, 17), (33, 33)):
+        spec = dataclasses.replace(spec, resolution=resolution)
+        assert compute_constants(spec).grad_estimate.worst_probe == "const1"
+
+
 def test_a_failing_probe_only_field_is_named(monkeypatch):
     spec = bundled_spec("square2d", (9, 9))
     checker0 = dict(default_probes(spec.build_grid()))["checker0"]

@@ -281,6 +281,83 @@ def test_inner_iteration_raises_when_sweep_budget_runs_out(sub_stage,
         inner_monotone_solve(F, sub, sup, spec.p)
 
 
+def sub_inner_problem(sub_stage, lam=1.0, beta=1.0):
+    """The barriers and the frozen map of the first outer step at a point."""
+    spec, g, c, eig = sub_stage
+    m = region_classify(lam, beta, c, spec).height
+    eps = make_epsilon(lam, eig.lambda1, m, c.phi_sup, spec)
+    sub = ScalarField(g, eps * eig.u1.values)
+    sup = ScalarField(g, (m / c.phi_sup) * c.weighted_torsion.phi.values)
+    return freeze_nonlinearity(sub, lam, beta, spec), sub, sup
+
+
+def recording_sweeps(monkeypatch):
+    """Route the inner sweeps' solves through a recorder; returns a list of
+    (right-hand side, tol_residual, initial guess, result) per solve."""
+    sweeps = []
+
+    def recorded(grid, p, g, opts, **kwargs):
+        u = solve_plap_dirichlet(grid, p, g, opts, **kwargs)
+        sweeps.append((g, opts.tol_residual, kwargs["initial_guess"], u))
+        return u
+
+    monkeypatch.setattr(scheme, "solve_plap_dirichlet", recorded)
+    return sweeps
+
+
+def full_tolerance(sup):
+    return scheme._support_tolerance(
+        SolveOptions(), scheme.INNER_STOP_REL * sup_norm(sup)).tol_residual
+
+
+def assert_full_contract(limit, sweeps, p, tol):
+    """The limit is the last solve's result, solved at the full tolerance
+    against F at the previous iterate, and meets that residual contract."""
+    g, last_tol, _, u = sweeps[-1]
+    assert u is limit and last_tol == tol
+    residual = np.abs(p_laplacian_apply(limit, p).values
+                      - g.values)[limit.grid.interior].max()
+    assert residual <= tol * max(1.0, sup_norm(g))
+
+
+@pytest.mark.parametrize("lam, beta", [(1.0, 1.0), (2.0, 0.1), (0.1, 2.0)])
+def test_forced_sweeps_keep_the_sweeps_and_the_limit(sub_stage, monkeypatch,
+                                                     lam, beta):
+    spec, g, c, eig = sub_stage
+    F, sub, sup = sub_inner_problem(sub_stage, lam, beta)
+    tol = full_tolerance(sup)
+    sweeps = recording_sweeps(monkeypatch)
+    forced = inner_monotone_solve(F, sub, sup, spec.p, khat=c.khat)
+    tols = [t for _, t, _, _ in sweeps]
+    assert tols[0] == tol and max(tols) > tol  # the forcing is on
+    assert_full_contract(forced, sweeps, spec.p, tol)
+
+    count = len(sweeps)
+    sweeps.clear()
+    monkeypatch.setattr(scheme, "INNER_FORCING", 0.0)
+    exact = inner_monotone_solve(F, sub, sup, spec.p, khat=c.khat)
+    assert all(t == tol for _, t, _, _ in sweeps)
+    assert len(sweeps) == count
+    stop = scheme.INNER_STOP_REL * sup_norm(sup)
+    assert np.abs(forced.values - exact.values).max() < stop
+
+
+def test_a_forced_stopping_sweep_is_solved_again_at_full_tolerance(
+        sub_stage, monkeypatch):
+    # so large a forcing fraction lets the second sweep return its start,
+    # which passes the stop test at once
+    spec, g, c, eig = sub_stage
+    F, sub, sup = sub_inner_problem(sub_stage)
+    tol = full_tolerance(sup)
+    monkeypatch.setattr(scheme, "INNER_FORCING", 1.0e3)
+    sweeps = recording_sweeps(monkeypatch)
+    limit = inner_monotone_solve(F, sub, sup, spec.p, khat=c.khat)
+    (g1, t1, _, u1), (g2, t2, guess, _) = sweeps[-2:]
+    assert t1 > tol  # the stopping sweep was forced
+    assert g2.values.tobytes() == g1.values.tobytes() and guess is u1
+    assert_full_contract(limit, sweeps, spec.p, tol)
+
+
 def sub_weight(grid):
     return field_from_function(grid, lambda x: np.ones_like(x))
 

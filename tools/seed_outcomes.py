@@ -1,0 +1,114 @@
+"""Outcomes of the benchmark's seeds 0-2 sweep points, for checking that a
+change keeps them.
+
+Usage, from the repository root:
+
+    python3 tools/seed_outcomes.py [--against tools/seed_outcomes.json]
+
+Runs the distinct points of ``perfbench`` seeds 0, 1 and 2 of the sweep1d
+and sweep2d workloads (the range corners, then each seed's drawn points: 40
+and 7 points) through ``harness.run_point``, on one ``harness.set_up`` per
+workload, serially, with BLAS at one thread.  Prints one JSON object: per
+workload, the rows ``[lambda, beta, status, outer_iters, pde_residual]``.
+
+With ``--against FILE`` the rows are compared with a table this script
+printed before: the script exits 1 when a point is missing or new, a
+``status`` or ``outer_iters`` changed, or a ``pde_residual`` moved by more
+than RESIDUAL_MOVE absolute, and 0 otherwise; each difference goes to
+stderr, with the largest residual move.  The script only reads
+``perfbench/``.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # leave no cache behind in perfbench/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import harness  # noqa: E402
+
+WORKLOADS = ("sweep1d", "sweep2d")
+SEEDS = (0, 1, 2)
+# Largest absolute pde_residual move a change that keeps the outcomes may
+# make; tests/test_cli.py holds the bundled sweeps to the same bound.
+RESIDUAL_MOVE = 1.0e-9
+
+
+def distinct_points(name):
+    """The corners, then each seed's drawn points, each point once."""
+    count = harness.WORKLOADS[name].seeded_points
+    points = []
+    for seed in SEEDS:
+        points += [pt for pt in harness.sweep_points(seed, count)
+                   if pt not in points]
+    return points
+
+
+def outcomes(name):
+    """[lambda, beta, status, outer_iters, pde_residual] per point."""
+    (case,) = harness.workload_cases(name)
+    setup = harness.set_up(case)
+    rows = []
+    for lam, beta in distinct_points(name):
+        pt = harness.run_point(setup, lam, beta)
+        r = pt.report
+        rows.append([lam, beta, pt.status,
+                     None if r is None else r.outer_iters,
+                     None if r is None else r.certificates.pde_residual])
+    return rows
+
+
+def differences(table, recorded):
+    """Each kept outcome the table breaks, and the largest residual move."""
+    found, worst = [], 0.0
+    for name in WORKLOADS:
+        got = {(r[0], r[1]): r for r in table[name]}
+        want = {(r[0], r[1]): r for r in recorded[name]}
+        if got.keys() != want.keys():
+            found.append(f"{name}: the points differ from the table's")
+        for point in got.keys() & want.keys():
+            (*_, status, iters, res), (*_, status0, iters0, res0) = \
+                got[point], want[point]
+            if (status, iters) != (status0, iters0):
+                found.append(f"{name} {point}: {status}/{iters}, "
+                             f"table {status0}/{iters0}")
+            elif res is not None:
+                move = abs(res - res0)
+                worst = max(worst, move)
+                if not move <= RESIDUAL_MOVE:
+                    found.append(f"{name} {point}: pde_residual {res!r} "
+                                 f"moved {move:.3e} from {res0!r}")
+    return found, worst
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path,
+                        help="a table this script printed before")
+    args = parser.parse_args(argv)
+    table = {name: outcomes(name) for name in WORKLOADS}
+    print("{\n" + ",\n".join(
+        f" {json.dumps(name)}: [\n"
+        + ",\n".join(f"  {json.dumps(row)}" for row in rows) + "\n ]"
+        for name, rows in table.items()) + "\n}")
+    if args.against is None:
+        return 0
+    found, worst = differences(table, json.loads(args.against.read_text()))
+    for line in found:
+        print(f"changed: {line}", file=sys.stderr)
+    print(f"largest pde_residual move {worst:.3e} (allowed "
+          f"{RESIDUAL_MOVE:.0e})", file=sys.stderr)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
