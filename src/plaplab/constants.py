@@ -29,9 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IterationFailure
 from .expr import ProblemSpec, sample_weights
 from .grid import Grid, ScalarField, sup_norm
 from .plap import (
@@ -49,6 +48,10 @@ _THRESHOLD_GUARD = 1.0 + 1.0e-12
 
 # Slack accepted when double-checking Phi(M) <= 1 numerically.
 _BARRIER_SLACK = 1.0e-10
+
+# Iteration budget of the Brent root of Phi(M) = 1 (SciPy's brentq default);
+# a sub-case height takes about ten evaluations.
+_BRENT_MAXITER = 100
 
 SUPER, CRITICAL, SUB = "super", "critical", "sub"
 
@@ -198,6 +201,83 @@ def super_threshold(c: ConstantsBundle, spec: ProblemSpec) -> float:
             / (r - q) ** (r - q))
 
 
+def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4,
+    written operation for operation like SciPy's C ``brentq``: the same
+    bracket swap, the same interpolation or extrapolation trial, kept when
+    2|s| < min(|s_prev|, 3|s_bisect| - delta), the same step floor
+    delta = (xtol + rtol |x|) / 2 and 100 iterations.  The root therefore
+    equals ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)`` bit for
+    bit.  Where the C trial step divides by zero it is an infinity or a NaN,
+    which the test rejects; here the ZeroDivisionError bisects alike.
+
+    Raises:
+        ConfigurationError: f is NaN at a trial point, or f(a) and f(b)
+            have the same sign.
+        IterationFailure: no convergence within _BRENT_MAXITER iterations.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConfigurationError(f"root finder: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ConfigurationError(
+            f"root finder: f({a!r}) and f({b!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect unless a trial step is accepted
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise IterationFailure(
+        f"root finder: no convergence in {_BRENT_MAXITER} iterations, "
+        f"last x = {xcur!r}")
+
+
+def _out_of_range(lam: float, beta: float, case: str) -> ConfigurationError:
+    return ConfigurationError(
+        f"(lambda, beta) = ({lam:.6g}, {beta:.6g}) is beyond the "
+        f"floating-point range of the {case}-case barrier function")
+
+
 def barrier_height(lam: float, beta: float, c: ConstantsBundle,
                    spec: ProblemSpec) -> float | None:
     """Smallest certified barrier height M with Phi(M) <= 1, or None.
@@ -206,46 +286,82 @@ def barrier_height(lam: float, beta: float, c: ConstantsBundle,
     (a numerical double check of the threshold test, guarding against
     cancellation near the region boundary).  Critical case: closed form,
     requiring beta * coeff_grad < 1 strictly.  Sub case: the unique root of
-    Phi(M) = 1, bracketed by doubling/halving from t = 1 and solved to
-    near machine precision; Phi(M) lands in [1 - 1e-10, 1 + 1e-10].
+    Phi(M) = 1, bracketed by doubling/halving from t = 1 and solved by
+    Brent's method (Brent 1973, ch. 4) to rtol 1e-13; the root equals
+    SciPy's ``brentq`` at the same tolerances bit for bit, and Phi(M) lands
+    in [1 - 1e-10, 1 + 1e-10].
+
+    Raises:
+        ConfigurationError: the point is not positive and finite, or its
+            height, or in the sub case its bracket, leaves the float range
+            (Phi overflows, a bracket end reaches 0 or inf, or M is 0 or
+            inf), as at (1e-310, 1e-310) on the bundled ``sub``.
     """
     _check_point(lam, beta)
     p, q, r = spec.p, spec.q, spec.r
     case = growth_case(spec)
+
+    def phi(t):
+        """Phi(t), for t and Phi(t) inside the float range."""
+        value = math.nan
+        if 0.0 < t < math.inf:
+            try:
+                value = barrier_value(t, lam, beta, c, spec)
+            except OverflowError:
+                pass
+        if math.isnan(value):
+            raise _out_of_range(lam, beta, case)
+        return value
+
     if case == SUPER:
-        m = (lam * c.coeff_sub * (p - q)
-             / (beta * c.coeff_grad * (r - p))) ** (1.0 / (r - q))
-        if not math.isfinite(m) or m <= 0.0:
-            return None
-        if barrier_value(m, lam, beta, c, spec) > 1.0 + _BARRIER_SLACK:
+        try:
+            m = (lam * c.coeff_sub * (p - q)
+                 / (beta * c.coeff_grad * (r - p))) ** (1.0 / (r - q))
+        except (OverflowError, ZeroDivisionError):
+            m = math.nan  # phi rejects it
+        if phi(m) > 1.0 + _BARRIER_SLACK:
             return None
         return m
     if case == CRITICAL:
         load = beta * c.coeff_grad
         if load >= 1.0:
             return None
-        return (lam * c.coeff_sub / (1.0 - load)) ** (1.0 / (p - q))
+        try:
+            m = (lam * c.coeff_sub / (1.0 - load)) ** (1.0 / (p - q))
+        except OverflowError:
+            m = math.inf
+        if not 0.0 < m < math.inf:
+            raise _out_of_range(lam, beta, case)
+        return m
     # sub case: Phi is strictly decreasing from +inf to 0
     lo = hi = 1.0
-    while barrier_value(hi, lam, beta, c, spec) > 1.0:
+    while phi(hi) > 1.0:
         hi *= 2.0
-    while barrier_value(lo, lam, beta, c, spec) < 1.0:
+    while phi(lo) < 1.0:
         lo /= 2.0
     if lo == hi:
         return lo
-    return float(brentq(lambda t: barrier_value(t, lam, beta, c, spec) - 1.0,
-                        lo, hi, rtol=1.0e-13, xtol=1.0e-30))
+    return _brent_root(lambda t: phi(t) - 1.0, lo, hi,
+                       xtol=1.0e-30, rtol=1.0e-13)
 
 
 def region_classify(lam: float, beta: float, c: ConstantsBundle,
                     spec: ProblemSpec) -> RegionVerdict:
-    """Classify a parameter point against the existence region."""
+    """Classify a parameter point against the existence region.
+
+    Raises:
+        ConfigurationError: as barrier_height, or where the super-case
+            product lambda^(r-p) * beta^(p-q) overflows.
+    """
     _check_point(lam, beta)
     p, q, r = spec.p, spec.q, spec.r
     case = growth_case(spec)
     if case == SUPER:
         k = super_threshold(c, spec)
-        value = lam ** (r - p) * beta ** (p - q)
+        try:
+            value = lam ** (r - p) * beta ** (p - q)
+        except OverflowError:
+            raise _out_of_range(lam, beta, case) from None
         inside = value <= k * _THRESHOLD_GUARD
         height = barrier_height(lam, beta, c, spec) if inside else None
         if inside and height is None:

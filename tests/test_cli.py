@@ -77,6 +77,14 @@ def test_solve_exit_codes(capsys, tmp_path):
                  str(tmp_path / "s.csv")]) == 2
 
 
+def test_solve_beyond_the_float_range_exits_2(capsys):
+    # the sub-case bracket for Phi(M) = 1 would need Phi beyond 1.8e308
+    assert main(["solve", "--spec", SUB, "--n", "33", "--lambda", "1e-310",
+                 "--beta", "1e-310"]) == 2
+    err = capsys.readouterr().err
+    assert "(1e-310, 1e-310)" in err and "floating-point range" in err
+
+
 def _library_errors(cls=PlapLabError):
     for sub in cls.__subclasses__():
         yield sub

@@ -2,9 +2,14 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import plaplab.constants as constants
 import plaplab.plap as plap
@@ -21,11 +26,18 @@ from plaplab.constants import (
     region_classify,
     super_threshold,
 )
-from plaplab.errors import ConfigurationError, EstimateFailure, SolveFailure
+from plaplab.errors import (
+    ConfigurationError,
+    EstimateFailure,
+    IterationFailure,
+    SolveFailure,
+)
 from plaplab.expr import ProblemSpec, bundled_problem_path, load_problem
 from plaplab.plap import default_probes
 
 from oracles import barrier_min, torsion_sup_1d
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_spec(p, q, a, b, n=17):
@@ -345,3 +357,160 @@ def test_critical_and_sub_boundaries(unit_bundle):
     assert all(beta == 2.0 for _, beta in curve)
     sub = make_spec(2.5, 1.5, 0.2, 0.2)
     assert region_boundary([1.0, 2.0], c, sub) == []
+
+
+# ---------------------------------------------------------------------------
+# the sub-case root: Brent's method, bit for bit SciPy's brentq
+
+
+@pytest.fixture(scope="module")
+def bundled_constants():
+    """(spec, bundle) of a bundled problem at its own resolution, once."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            spec = load_problem(bundled_problem_path(name))
+            cache[name] = (spec, compute_constants(spec))
+        return cache[name]
+    return get
+
+
+def scipy_root(f, a, b, xtol, rtol):
+    return float(brentq(f, a, b, xtol=xtol, rtol=rtol))
+
+
+def recorded(f, points):
+    """f, appending each point it is evaluated at to ``points``."""
+    def g(t):
+        points.append(t)
+        return f(t)
+    return g
+
+
+@pytest.mark.parametrize("name", ["sub", "degenerate"])
+def test_sub_heights_equal_scipy_brentq_bit_for_bit(monkeypatch,
+                                                    bundled_constants, name):
+    spec, c = bundled_constants(name)
+    axis = np.linspace(0.1, 2.0, 8)  # the CLI's default region lattice
+    lattice = [(float(lam), float(beta)) for lam in axis for beta in axis]
+
+    def heights(root):
+        points = []
+        monkeypatch.setattr(constants, "_brent_root",
+                            lambda f, a, b, xtol, rtol:
+                            root(recorded(f, points), a, b, xtol, rtol))
+        found = [barrier_height(lam, beta, c, spec).hex()
+                 for lam, beta in lattice]
+        return found, points
+
+    ours, our_points = heights(constants._brent_root)
+    theirs, their_points = heights(scipy_root)
+    assert ours == theirs
+    assert our_points == their_points  # the same trial points, in order
+    assert len(our_points) > 2 * len(lattice)
+
+
+def test_brent_root_equals_scipy_brentq_on_two_power_functions():
+    rng = np.random.default_rng(22)
+    compared = 0
+    for _ in range(2000):
+        a, b = (float(v) for v in 10.0 ** rng.uniform(-6.0, 6.0, 2))
+        alpha, gamma = (float(v) for v in -rng.uniform(0.1, 4.0, 2))
+
+        def f(t, a=a, b=b, alpha=alpha, gamma=gamma):
+            return a * t ** alpha + b * t ** gamma - 1.0
+
+        lo = hi = 1.0  # bracketed as barrier_height brackets Phi(t) = 1
+        while f(hi) > 0.0:
+            hi *= 2.0
+        while f(lo) < 0.0:
+            lo /= 2.0
+        if lo == hi:
+            continue
+        our_points, their_points = [], []
+        ours = constants._brent_root(recorded(f, our_points), lo, hi,
+                                     1.0e-30, 1.0e-13)
+        theirs = scipy_root(recorded(f, their_points), lo, hi,
+                            1.0e-30, 1.0e-13)
+        assert ours.hex() == theirs.hex(), (a, b, alpha, gamma)
+        assert our_points == their_points, (a, b, alpha, gamma)
+        compared += 1
+    assert compared >= 1900
+
+
+def test_brent_root_takes_scipys_steps_on_a_steep_tanh():
+    # one of the rare brackets where the "- delta" in the trial-step test
+    # 2|s| < min(|s_prev|, 3|s_bisect| - delta) decides a step
+    def f(t):
+        return math.tanh(7403.473575299956 * (t + 0.6719973093269465)) + 1e-3
+
+    a, b = -1.3700375066321164, 2.3370721742297347
+    xtol, rtol = 4.451541715355522e-20, 0.00047050166417208643
+    our_points, their_points = [], []
+    ours = constants._brent_root(recorded(f, our_points), a, b, xtol, rtol)
+    theirs = scipy_root(recorded(f, their_points), a, b, xtol, rtol)
+    assert ours.hex() == theirs.hex()
+    assert our_points == their_points
+
+
+def test_brent_root_failures_are_typed():
+    root = constants._brent_root
+    with pytest.raises(ConfigurationError, match="NaN"):
+        # the first interpolation lands on t = 1, where f is NaN
+        root(lambda t: math.nan if 0.5 < t < 1.5 else 1.0 - t, 0.0, 2.0,
+             1.0e-30, 1.0e-13)
+    with pytest.raises(ConfigurationError, match="same sign"):
+        root(lambda t: t + 1.0, 0.0, 2.0, 1.0e-30, 1.0e-13)
+
+    def step(t):
+        return 1.0 if t > 1.0e-200 else -1.0
+
+    # a step has no secant to follow: about 1700 bisections reach the
+    # tolerance from this bracket, against a budget of 100 iterations
+    with pytest.raises(IterationFailure):
+        root(step, -1.0e300, 1.0e300, 1.0e-300, 1.0e-15)
+    with pytest.raises(RuntimeError):
+        brentq(step, -1.0e300, 1.0e300, xtol=1.0e-300, rtol=1.0e-15)
+
+
+@pytest.mark.parametrize("name, lam, beta", [
+    ("sub", 5e-324, 5e-324), ("sub", 1e-310, 1e-310),
+    ("degenerate", 5e-324, 5e-324), ("degenerate", 1e-310, 1e-310),
+    ("degenerate", 1e308, 1e308), ("critical", 1e308, 1e-308),
+    ("super", 1.0, 5e-324)])
+def test_heights_beyond_the_float_range_are_named_configuration_errors(
+        bundled_constants, name, lam, beta):
+    spec, c = bundled_constants(name)
+    with pytest.raises(ConfigurationError, match="floating-point range") as err:
+        region_classify(lam, beta, c, spec)
+    assert f"({lam:.6g}, {beta:.6g})" in str(err.value)
+
+
+def test_an_overflowing_super_threshold_product_is_a_configuration_error(
+        unit_bundle):
+    spec = make_spec(2.0, 1.5, 2.0, 1.0)  # r - p = 2: 1e200^2 overflows
+    with pytest.raises(ConfigurationError, match="floating-point range"):
+        region_classify(1e200, 1.0, unit_bundle, spec)
+
+
+def test_the_package_does_not_import_scipy_optimize():
+    # run apart: the suite itself imports scipy.optimize for its oracles
+    script = "\n".join([
+        "import dataclasses, sys",
+        "import plaplab",
+        "spec = dataclasses.replace(",
+        "    plaplab.load_problem(plaplab.bundled_problem_path('sub')),",
+        "    resolution=17)",
+        "c = plaplab.compute_constants(spec)",
+        "assert plaplab.region_classify(1.0, 1.0, c, spec).in_region",
+        "assert plaplab.outer_fixed_point(spec, 1.0, 1.0, constants=c).converged",
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.optimize'))",
+        "assert not loaded, loaded",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
