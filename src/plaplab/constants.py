@@ -182,13 +182,23 @@ def _check_point(lam, beta):
 
 def barrier_value(t: float, lam: float, beta: float, c: ConstantsBundle,
                   spec: ProblemSpec) -> float:
-    """Evaluate the barrier function Phi at height t > 0."""
+    """Evaluate the barrier function Phi at height t > 0.
+
+    Raises:
+        ConfigurationError: the point is not positive and finite, t is not
+            positive, or a power of t leaves the floating-point range.
+    """
     _check_point(lam, beta)
     if not t > 0.0:
         raise ConfigurationError(f"barrier height must be positive, got {t}")
     p, q, r = spec.p, spec.q, spec.r
-    return (lam * c.coeff_sub * t ** (q - p)
-            + beta * c.coeff_grad * t ** (r - p))
+    try:
+        return (lam * c.coeff_sub * t ** (q - p)
+                + beta * c.coeff_grad * t ** (r - p))
+    except OverflowError:
+        raise ConfigurationError(
+            f"(lambda, beta, t) = ({lam:.6g}, {beta:.6g}, {t:.6g}) is beyond "
+            "the floating-point range of the barrier function") from None
 
 
 def super_threshold(c: ConstantsBundle, spec: ProblemSpec) -> float:
@@ -307,7 +317,7 @@ def barrier_height(lam: float, beta: float, c: ConstantsBundle,
         if 0.0 < t < math.inf:
             try:
                 value = barrier_value(t, lam, beta, c, spec)
-            except OverflowError:
+            except ConfigurationError:  # a power of t overflowed
                 pass
         if math.isnan(value):
             raise _out_of_range(lam, beta, case)

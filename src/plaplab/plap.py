@@ -39,6 +39,14 @@ one from 17^3 on.  The CSC matrix carries its numbering as ``order``, and
 every solve takes and returns vectors in grid (C) order: ``_in_grid_order``
 alone translates a three-axis solve between the two.
 
+A solve takes an optional reaction term: with ``reaction = (coeff, q)`` it
+solves -Lap_p u = coeff * max(u, 0)^(q-1) + g, the frozen problem of an
+outer step of ``scheme``, by Newton on G(u) = -Lap_p u - F(u).  The Jacobian
+of G is the Newton Jacobian above less diag((q-1) coeff u^(q-2)) at the
+nodes where u > 0 (``_reaction_slope``), shifted in ``_assemble`` before the
+matrix is stored, and a residual stops at tol_residual * max(1,
+||F(u)||_inf), the load taken at its own field.
+
 With more than one axis, each Newton iteration first tries the chord step
 u - J_old^-1 r with the last kept LU factor (modified Newton; Kelley,
 *Solving Nonlinear Equations with Newton's Method*, SIAM 2003).  The step
@@ -49,8 +57,8 @@ a one-slot ``factor`` list.  A solve makes its own, so a cold solve keeps
 one across its Newton iterations and its retreats in p; a caller that
 solves a run of nearby problems hands one list to all of them.  The outer
 iteration of ``scheme`` makes one per ``outer_fixed_point`` call and shares
-it across all its outer steps, whose inner iterations start next to the last
-limit; the two inner limits of its certificate stage get a fresh one each;
+it across all its outer steps, whose solves start next to the last limit;
+the two inner limits of its certificate stage get a fresh one each;
 the inverse iteration of ``spectral`` makes one per call.  No factor
 outlives such a call.  One axis keeps no factor: LAPACK factors and solves
 in one O(n) call.
@@ -189,11 +197,13 @@ def operator_value(u: ScalarField, p: float,
 
 class _Residual(NamedTuple):
     """The residual of -Lap_p u = g at one field u: its interior values ``r``
-    and their max ``norm``, with u's ``delta``, ``faces`` and -Lap_p u
-    (``lap``), which the next Jacobian and a held OperatorValue read."""
+    and their max ``norm``, the stop ``tol`` that norm is held to, with u's
+    ``delta``, ``faces`` and -Lap_p u (``lap``), which the next Jacobian and
+    a held OperatorValue read."""
 
     r: np.ndarray
     norm: float
+    tol: float
     delta: float
     faces: list
     lap: np.ndarray
@@ -233,7 +243,7 @@ class _Banded(NamedTuple):
         return (self.ab.shape[0] - 1) // 3
 
 
-def _assemble(values, spacing, p, delta, *, faces=None):
+def _assemble(values, spacing, p, delta, *, faces=None, shift=None):
     """Interior-by-interior Newton Jacobian of the operator at delta,
     including the transverse coupling: a ``_Tridiagonal`` with one axis, a
     ``_Banded`` with two, a sparse CSC matrix with three.
@@ -242,7 +252,10 @@ def _assemble(values, spacing, p, delta, *, faces=None):
     the residual: ``faces`` is ``_faces(values, spacing)`` when the caller
     has built it.  Each face adds -v to the row of its lo node and +v to the
     row of its hi node, v = (1/h_k) dF/du_c, for every node c its flux F
-    reads.
+    reads.  ``shift``, a nodal array, is subtracted from the diagonal: the
+    Jacobian of -Lap_p u - F(u) for a reaction F with F'(u) = shift (see
+    ``_reaction_slope``).  It goes into ``coef`` before the matrix is packed,
+    so every storage and the rounding floor read the shifted matrix.
 
     The CSC matrix numbers its unknowns as ``_csc`` does: its attribute
     ``order`` holds the C-order interior index of each unknown, so it is
@@ -264,6 +277,9 @@ def _assemble(values, spacing, p, delta, *, faces=None):
         for op, index, m in s_plan + t_plan:
             target = coef[index]
             op(target, vals[m], out=target)
+    if shift is not None:
+        centre = coef[offsets.index((0,) * len(shape))]
+        centre -= shift
     if len(shape) == 1:  # coef[q, c] is row c - offsets[q], column c
         return _Tridiagonal(coef[2, 1:-2], coef[1, 1:-1], coef[0, 2:-1])
     n = math.prod(size - 2 for size in shape)
@@ -536,8 +552,15 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
                          initial_guess: ScalarField | None = None,
                          trace: list | None = None,
                          factor: list | None = None, *,
-                         held: list | None = None) -> ScalarField:
+                         held: list | None = None,
+                         reaction: tuple | None = None) -> ScalarField:
     """Solve the discrete Dirichlet problem -Lap_p u = g, u = 0 on the boundary.
+
+    With ``reaction = (coeff, q)`` it solves -Lap_p u = F(u) instead, F(u) =
+    coeff * max(u, 0)^(q-1) + g, by Newton on G(u) = -Lap_p u - F(u): the
+    Jacobian is that of -Lap_p less diag(F'(u)) (``_reaction_slope``), and
+    the residual contract below holds with F(u) for g, ||F(u)||_inf taken at
+    the returned u.
 
     Args:
         grid: the grid both g and the solution live on.
@@ -572,6 +595,8 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             returned field, from the last residual, so a run of solves that
             each start at the last one's result applies the operator once
             less per solve; a solve that raises leaves it empty.
+        reaction: optional (coeff, q), coeff a nodal array >= 0 and q > 1;
+            keyword-only.  Adds the reaction term above.
 
     Returns:
         The solution as a Dirichlet-zero field, with sup-norm residual at most
@@ -592,7 +617,6 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         raise GridMismatchError("right-hand side lives on a different grid")
     gv = g.values
     gsup = float(np.abs(gv).max())
-    tol = opts.tol_residual * max(1.0, gsup)
 
     start = None  # the OperatorValue of the start u, when held
     if initial_guess is not None:
@@ -620,8 +644,9 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
     pk = p
     while True:
         try:
-            u_pk, res = _newton_loop(grid, pk, gv, u, tol, history,
-                                     trace if pk == p else None, start, factor)
+            u_pk, res = _newton_loop(grid, pk, gv, u, opts.tol_residual,
+                                     history, trace if pk == p else None,
+                                     start, reaction, factor)
         except SolveFailure:
             if abs(pk - reached) <= CONTINUATION_STEP:
                 raise
@@ -649,25 +674,37 @@ def _cold_solve(grid, p, g, opts, solved):
     return solved[key]
 
 
-def _newton_loop(grid, p, gv, u, tol, history, trace, start, factor=None):
-    """Newton iteration at p from u: (the solution, its _Residual).  The
-    first residual reads ``start``, the OperatorValue of u at p, when it is
-    not None."""
+def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
+                 factor=None):
+    """Newton iteration at p from u: (the solution, its _Residual).  ``tol``
+    is the relative tolerance: a residual stops at tol * max(1, ||g||_inf),
+    g the load ``gv`` plus the ``reaction`` term at the residual's own
+    field.  The first residual reads ``start``, the OperatorValue of u at p,
+    when it is not None."""
     interior = grid.interior
     spacing = grid.spacing
     inner_shape = tuple(n - 2 for n in grid.shape)
+    if reaction is None:
+        stop = tol * max(1.0, float(np.abs(gv).max()))
+    else:
+        coeff, q = reaction
 
     def residual(vals, lap=None, delta=None, faces=None):
         if lap is None:
             faces = _faces(vals, spacing)  # shared with the next _assemble
             lap, delta = _plap_own_delta(vals, spacing, p, faces)
-        r = (lap - gv)[interior]
-        return _Residual(r, float(np.abs(r).max()), delta, faces, lap)
+        if reaction is None:
+            g, g_stop = gv, stop
+        else:  # the order of scheme.FrozenNonlinearity.evaluate
+            g = coeff * np.power(np.maximum(vals, 0.0), q - 1.0) + gv
+            g_stop = tol * max(1.0, float(np.abs(g).max()))
+        r = (lap - g)[interior]
+        return _Residual(r, float(np.abs(r).max()), g_stop, delta, faces, lap)
 
     res = (residual(u) if start is None
            else residual(u, start.lap, start.delta, start.faces))
     for _ in range(NEWTON_MAX_ITER):
-        if res.norm <= tol:
+        if res.norm <= res.tol:
             return u, res
         accepted = None
         if factor:
@@ -675,7 +712,8 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, factor=None):
             cand = u.copy()
             cand[interior] += factor[0](-res.r.ravel()).reshape(inner_shape)
             c_res = residual(cand)
-            if c_res.norm <= tol or c_res.norm <= CHORD_CONTRACTION * res.norm:
+            if (c_res.norm <= c_res.tol
+                    or c_res.norm <= CHORD_CONTRACTION * res.norm):
                 accepted = cand, c_res, 1.0
             else:
                 factor.clear()
@@ -684,11 +722,13 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, factor=None):
             # The last one goes first: a _Banded's storage holds its factor,
             # and two alive at once would double the solve's peak memory
             jac = None
-            jac = _assemble(u, spacing, p, res.delta, faces=res.faces)
+            shift = None if reaction is None else _reaction_slope(u, coeff, q)
+            jac = _assemble(u, spacing, p, res.delta, faces=res.faces,
+                            shift=shift)
             step = _try_solve(jac, -res.r.ravel(), factor)
             if step is not None:
                 accepted = _backtrack(u, step.reshape(inner_shape), interior,
-                                      residual, res.norm, tol)
+                                      residual, res.norm)
         if accepted is None:
             # no step lowers the residual: accept u if the residual is at the
             # rounding level of evaluating the operator at u
@@ -704,25 +744,37 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, factor=None):
             trace.append((len(history), res.norm, alpha))
         log.debug("p=%.3g iter=%d residual=%.3e damping=%.3g",
                   p, len(history), res.norm, alpha)
-    if res.norm <= tol:
+    if res.norm <= res.tol:
         return u, res
     raise SolveFailure(
         f"no convergence in {NEWTON_MAX_ITER} iterations "
         f"(residual {res.norm:.3e}, p={p})", history)
 
 
-def _backtrack(u, direction, interior, residual, rn, tol):
-    """Halve the step, from the full step, until the residual drops:
-    (candidate, its _Residual, alpha), or None if it never does."""
+def _backtrack(u, direction, interior, residual, rn):
+    """Halve the step, from the full step, until the residual drops below
+    ``rn``, the norm at u, or meets its stop: (candidate, its _Residual,
+    alpha), or None if it never does."""
     alpha = 1.0
     while alpha > 1.0e-8:
         cand = u.copy()
         cand[interior] += alpha * direction
         res = residual(cand)
-        if res.norm <= tol or res.norm < rn * (1.0 - 1.0e-4 * alpha):
+        if res.norm <= res.tol or res.norm < rn * (1.0 - 1.0e-4 * alpha):
             return cand, res, alpha
         alpha /= 2.0
     return None
+
+
+def _reaction_slope(values, coeff, q):
+    """F'(u) = (q-1) coeff u^(q-2) of the reaction F(u) = coeff u^(q-1)
+    where u > 0, and 0 where u <= 0, where F is flat (and, for q < 2, its
+    slope at 0 infinite): the diagonal shift of the Jacobian of
+    -Lap_p u - F(u)."""
+    slope = np.power(values, q - 2.0, out=np.zeros_like(values),
+                     where=values > 0.0)
+    slope *= (q - 1.0) * coeff
+    return slope
 
 
 def _rounding_floor(jac, u_interior):

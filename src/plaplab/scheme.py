@@ -12,25 +12,29 @@ which is nondecreasing in xi with nonnegative frozen part, then solve
 -Lap_p U = F_u(x, U) between the fixed barriers
 
     lower:  eps * u1          (scaled first eigenfunction),
-    upper:  (M / ||phi||_inf) * phi   (scaled torsion function),
+    upper:  (M / ||phi||_inf) * phi   (scaled torsion function).
 
-by monotone iteration down from a verified supersolution: the upper barrier
-at the first outer step, and after it min(upper, (1 + t) u) for the previous
-iterate u and the smallest t of WARM_START_LADDER that verifies, or the upper
-barrier when none does.  A step whose frozen map equals the previous one
-bit for bit keeps the previous limit.  The price: an outer iterate is the
-maximal solution below the start, not below the upper barrier.  The two
-differ only if the frozen problem has more than one solution in the band, and
-the certificates at the final map, computed from both barriers, catch that
-case.
+An outer step solves that frozen problem directly: one Newton solve of
+G(U) = -Lap_p U - F_u(x, U) = 0 from the previous iterate (solve_frozen),
+whose Jacobian is that of -Lap_p less diag((q-1)*lambda*omega1*U^(q-2)).
+Since q < p and the frozen part is nonnegative, F_u(x, xi)/xi^(p-1) is
+decreasing in xi, so the frozen problem has exactly one positive solution
+(Diaz & Saa, C. R. Acad. Sci. Paris 305, 1987): the limit that monotone
+iteration down from the upper barrier approaches.  The monotone sweeps stay
+as the fallback: a step whose Newton solve raises SolveFailure, or whose
+result is not positive inside the barrier band (a zero or a wrong root),
+runs them from the upper barrier instead (inner_monotone_solve).  A step
+whose frozen map equals the previous one bit for bit keeps the previous
+limit.  The certificates at the final map are computed apart from the
+outer steps, by monotone iteration from both barriers.
 
 Every stage is checked at run time, each check under one rule.  The
-barriers, and every warm start, must verify as sub/super-solutions of each
-frozen F with a defect tolerance of SUBSUPER_TOL_REL times the candidate's
-own ||Lap_p v||_inf.  Each outer iterate must stay in the invariant set
-(between the barriers, which outer_fixed_point builds once per run, with
-gradient below gamma*M) up to MEMBERSHIP_SLACK_REL * M, checked at every step
-by verify_solution_bounds.  Each solve must respect the empirical gradient
+barriers must verify as sub/super-solutions of each frozen F with a defect
+tolerance of SUBSUPER_TOL_REL times the candidate's own ||Lap_p v||_inf.
+Each outer iterate must stay in the invariant set (between the barriers,
+which outer_fixed_point builds once per run, with gradient below gamma*M) up
+to MEMBERSHIP_SLACK_REL * M, checked at every step by
+verify_solution_bounds.  Each solve must respect the empirical gradient
 constant.  A violation of any of these raises InvariantViolation -- it
 falsifies the implementation or a stale constant, never the underlying
 analysis -- so a returned report always lies in the set.  Functions other
@@ -38,22 +42,23 @@ than outer_fixed_point take their grid from the fields they are given.
 
 No field's Lap_p is computed twice in a run.  The barriers are fixed for the
 run, so outer_fixed_point computes their Lap_p once (plap.operator_value);
-every barrier check and every inner iteration started at a barrier reads
-it.  A warm start hands the Lap_p its check computed to the first inner
-solve, each inner solve hands its result's to the next (the ``held`` holder
-of plap.solve_plap_dirichlet), and the residual certificate reads the last
-solve's at the final iterate.  The values are those a fresh apply gives, so
-no result changes by a bit.
+every barrier check and every monotone iteration started at a barrier reads
+it.  Each solve hands its result's to the next (the ``held`` holder of
+plap.solve_plap_dirichlet): an outer step's Newton solve reads the previous
+iterate's, each sweep the last sweep's, and the residual certificate the
+last solve's at the final iterate.  The values are those a fresh apply
+gives, so no result changes by a bit.
 
-An inner sweep after the first is solved only as far as it needs to be.
-Its Dirichlet solve stops at INNER_FORCING times the change of the
-right-hand side since the last sweep, which is about the residual it starts
-from, or at the full tolerance when that is larger: the forcing term of
-inexact Newton methods (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19
-(1982); Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996)).  The sweeps
-and their stop test are those of exact solves; a sweep that passes the stop
-test at a forced tolerance is solved again at the full one, so every inner
-limit meets the full residual contract against its frozen map.
+A monotone sweep after the first, of a fallback or of the certificate
+stage, is solved only as far as it needs to be.  Its Dirichlet solve stops
+at INNER_FORCING times the change of the right-hand side since the last
+sweep, which is about the residual it starts from, or at the full tolerance
+when that is larger: the forcing term of inexact Newton methods (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982); Eisenstat & Walker,
+SIAM J. Sci. Comput. 17 (1996)).  The sweeps and their stop test are those
+of exact solves; a sweep that passes the stop test at a forced tolerance is
+solved again at the full one, so every inner limit meets the full residual
+contract against its frozen map.
 
 Convergence of the outer map is monitored in C^1 (sup distance of values plus
 gradients); the fixed-point argument behind it is nonconstructive, so
@@ -87,6 +92,7 @@ from .errors import (
     IterationFailure,
     MonotonicityError,
     OutOfRegionError,
+    SolveFailure,
 )
 from .expr import ProblemSpec, check_growth, evaluate_on, sample_weights
 from .grid import Grid, ScalarField, gradient, integrate, p_laplacian_apply, sup_norm
@@ -103,10 +109,6 @@ log = logging.getLogger(__name__)
 
 # Relative C^1 stopping threshold of the outer iteration, in units of M.
 OUTER_STOP_REL = 1.0e-7
-# An outer step after the first starts its inner iteration from the first
-# min(sup, (1 + t) u_prev), t on this ladder, that verifies as a supersolution
-# of the step's frozen map; from the upper barrier if none does.
-WARM_START_LADDER = (1.0e-4, 1.0e-3, 1.0e-2, 3.0e-2, 1.0e-1)
 # Inner monotone iteration stops when successive iterates move less than
 # this fraction of the upper barrier's sup norm, within this many sweeps.
 INNER_STOP_REL = 1.0e-8
@@ -221,9 +223,8 @@ def verify_subsuper(candidate: ScalarField, F: FrozenNonlinearity, p: float,
     """Check the defect d = (-Lap_p candidate) - F(x, candidate) pointwise.
 
     A super-solution needs d >= -tol, a sub-solution d <= tol, over interior
-    nodes, with tol = SUBSUPER_TOL_REL * ||Lap_p candidate||_inf for the
-    barriers and the warm starts alike: relative, so it means the same on a
-    small right-hand side as on a large one.  ``lap`` (keyword-only) is
+    nodes, with tol = SUBSUPER_TOL_REL * ||Lap_p candidate||_inf: relative,
+    so it means the same on a small right-hand side as on a large one.  ``lap`` (keyword-only) is
     -Lap_p candidate at p, when the caller holds it.
     """
     if kind not in ("sub", "super"):
@@ -253,15 +254,60 @@ def _support_tolerance(opts: SolveOptions, stop: float) -> SolveOptions:
     return dataclasses.replace(opts, tol_residual=target)
 
 
+def solve_frozen(F: FrozenNonlinearity, start: ScalarField, p: float,
+                 opts: SolveOptions | None = None, *,
+                 factor: list | None = None,
+                 held: list | None = None) -> ScalarField:
+    """Solve the frozen problem -Lap_p U = F(x, U) by one Newton solve from
+    ``start``: plap.solve_plap_dirichlet with the load F.base and the
+    reaction F.coeff * U^(q-1).  It stops at
+    ||-Lap_p U - F(U)||_inf <= tol_residual * max(1, ||F(U)||_inf), the
+    quantity the residual certificate checks.  ``factor`` and ``held`` are
+    the one-slot holders of solve_plap_dirichlet.
+
+    Raises:
+        SolveFailure: the Newton solve stalled (a warm solve has no retreat).
+    """
+    return solve_plap_dirichlet(F.grid, p, ScalarField(F.grid, F.base), opts,
+                                initial_guess=start, factor=factor, held=held,
+                                reaction=(F.coeff, F.q))
+
+
+def _off_band(u: ScalarField, sub: ScalarField, sup_field: ScalarField,
+              allowed: float) -> str | None:
+    """Why u is not positive at the interior nodes and inside the band
+    [sub, sup_field] up to ``allowed``; None when it is."""
+    if not float(u.values[u.grid.interior].min()) > 0.0:
+        return "not positive"
+    if not (float(np.max(sub.values - u.values)) <= allowed
+            and float(np.max(u.values - sup_field.values)) <= allowed):
+        return "outside the band"
+    return None
+
+
 def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
                          sup_field: ScalarField, p: float,
                          opts: SolveOptions | None = None, *,
                          start: str = "super",
                          khat: float | None = None,
-                         start_field: ScalarField | None = None,
+                         guess: OperatorValue | None = None,
                          factor: list | None = None,
-                         held: list | None = None) -> ScalarField:
-    """Monotone iteration U_{n+1} = solve(F(x, U_n)) between the barriers.
+                         held: list | None = None,
+                         path: list | None = None) -> ScalarField:
+    """The limit of the frozen problem -Lap_p U = F(x, U) between the
+    barriers: by one Newton solve from ``guess`` when one is given, else,
+    or when that fails, by the monotone iteration U_{n+1} = solve(F(x, U_n))
+    from a barrier.
+
+    With ``guess``, as an outer step of outer_fixed_point calls it, the
+    frozen problem is solved directly from the guess's field (solve_frozen),
+    to the full tolerance below.  Its result is the limit when it is
+    positive at the interior nodes and inside the band up to
+    MEMBERSHIP_SLACK_REL * ||super||_inf, and then meets the gradient bound
+    if ``khat`` is given.  Otherwise (a SolveFailure, a zero or a wrong
+    root) the call runs the monotone iteration from ``start``.  The frozen
+    problem has one positive solution (see the module docstring), so both
+    ways reach the same limit up to the solver tolerance.
 
     Started from the upper barrier the sequence is nonincreasing (from the
     lower, nondecreasing); each iterate must stay inside the barrier band up
@@ -278,29 +324,33 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
     again, warm, at the full tolerance before it is returned.
 
     The warm-started solves share one kept LU factor (the chord steps
-    of plap.solve_plap_dirichlet): successive sweeps differ little, so one
-    factor stays a good linear model for many of them.  ``factor`` is the
-    one-slot holder of plap.solve_plap_dirichlet; without one the call makes
-    its own, and its factor lives for this call only.  The outer iteration
-    hands one holder to all its steps, and the certificate stage gives each
-    of its two inner limits a fresh one, so they stay independent
-    computations.  No factor outlives an outer_fixed_point call.
+    of plap.solve_plap_dirichlet): successive sweeps, and successive outer
+    steps' Newton solves, differ little, so one factor stays a good linear
+    model for many of them; a factor that does not contract is dropped
+    after one trial step.  ``factor`` is the one-slot holder of
+    plap.solve_plap_dirichlet; without one the call makes its own, and its
+    factor lives for this call only.  The outer iteration hands one holder
+    to all its steps, and the certificate stage gives each of its two inner
+    limits a fresh one, so they stay independent computations.  No factor
+    outlives an outer_fixed_point call.
 
     Args:
         start: the barrier to start from; keyword-only, as are the rest.
         khat: when given, every solve is checked against the empirical
             gradient bound (StaleGradConstantError on violation).
-        start_field: with start="super", a supersolution of F inside the
-            band to start the nonincreasing iteration from instead of the
-            upper barrier; the caller has verified it.  The limit is then
-            the maximal solution below start_field.
+        guess: the OperatorValue of a field to start a Newton solve of the
+            frozen problem from (the previous outer iterate); None runs
+            the monotone iteration at once.
         factor: the kept LU factor holder the solves share; None makes a
             fresh one for this call.
         held: the one-slot OperatorValue holder of
             plap.solve_plap_dirichlet the solves share, so each reads
             Lap_p of its start from the last one; None makes a fresh one.
-            Seeded with the start field's value, it spares the first solve
-            its operator apply; on return it holds the limit's.
+            Seeded with the start barrier's value, it spares the first
+            sweep its operator apply; on return it holds the limit's.
+        path: an optional one-slot list that receives how the limit was
+            found when ``guess`` is given: "newton", or "sweeps (...)" with
+            the reason the Newton result was not taken.
 
     Raises:
         IterationFailure: no convergence within INNER_MAX_SWEEPS sweeps.
@@ -312,23 +362,38 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
     grid = sub.grid
     if sup_field.grid != grid:
         raise ConfigurationError("barriers live on different grids")
-    if start_field is not None and (start != "super" or start_field.grid != grid):
-        raise ConfigurationError(
-            "a start field needs start='super' and the barriers' grid")
     sup_size = sup_norm(sup_field)
     if np.any(sub.values > sup_field.values + 1.0e-12 * max(1.0, sup_size)):
         raise ConfigurationError("lower barrier exceeds upper barrier")
 
     stop = INNER_STOP_REL * sup_size
-    if start_field is not None:
-        u = start_field
-    else:
-        u = sup_field if start == "super" else sub
+    u = sup_field if start == "super" else sub
     if factor is None:
         factor = []
     if held is None:
         held = []
     solve_opts = _support_tolerance(opts, stop)
+    if guess is not None:
+        barrier = held[:]  # the start barrier's value, for the sweeps
+        held[:] = [guess]
+        try:
+            u_next = solve_frozen(F, guess.field, p, solve_opts, factor=factor,
+                                  held=held)
+            miss = _off_band(u_next, sub, sup_field,
+                             MEMBERSHIP_SLACK_REL * sup_size)
+        except SolveFailure as exc:
+            miss = f"failed: {exc}"
+        if miss is None:
+            if khat is not None:
+                assert_gradient_bound(
+                    khat, u_next, float(F.evaluate(u_next.values).max()), p,
+                    context="Newton limit")
+            if path is not None:
+                path[:] = ["newton"]
+            return u_next
+        if path is not None:
+            path[:] = [f"sweeps (Newton limit {miss})"]
+        held[:] = barrier
     interior = grid.interior
     last_rhs = None  # the last sweep's right-hand side, interior values
     for sweep in range(1, INNER_MAX_SWEEPS + 1):
@@ -382,25 +447,6 @@ def _same_map(F: FrozenNonlinearity, G: FrozenNonlinearity) -> bool:
     """True when two frozen maps are bitwise equal."""
     return (F.coeff.tobytes() == G.coeff.tobytes()
             and F.base.tobytes() == G.base.tobytes())
-
-
-def _warm_start(u: ScalarField, F: FrozenNonlinearity, sup: OperatorValue,
-                p: float):
-    """Start of an outer step's inner iteration, as its OperatorValue, with
-    its label: the first v = min(sup, (1 + t) u) over WARM_START_LADDER
-    that verifies as a supersolution of F, else ``sup``, the upper barrier's
-    OperatorValue, itself.  The value is the one the check computed.
-
-    Since q < p, a slightly scaled-up limit of the previous frozen map is a
-    supersolution of the next one whenever that map moved little, and the
-    minimum of two supersolutions is again one.
-    """
-    for t in WARM_START_LADDER:
-        v = operator_value(u.with_values(
-            np.minimum(sup.field.values, (1.0 + t) * u.values)), p)
-        if verify_subsuper(v.field, F, p, "super", lap=v.lap).ok:
-            return v, f"t={t:g}"
-    return sup, "sup"
 
 
 def picone_diagnostic(U: ScalarField, V: ScalarField, F: FrozenNonlinearity,
@@ -554,7 +600,7 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     grad_u = gradient(u)
     trace = []
     factor = []  # one kept LU factor holder for every outer step of this call
-    held = []  # Lap_p of the inner iteration's current guess, then of u
+    held = [sub_value]  # Lap_p of u, which the next Newton solve starts from
     previous = None  # the last step's frozen map
     for k in range(1, max_outer + 1):
         frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
@@ -568,15 +614,17 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                     f"at node {rep.node}")
         if previous is not None and _same_map(frozen, previous):
             # u is already the limit of this very map
-            u_next, started = u, "reused"
+            u_next, solved = u, ["reuse"]
         else:
-            start, started = ((sup_value, "sup") if previous is None else
-                              _warm_start(u, frozen, sup_value, spec.p))
-            held[:] = [start]
-            u_next = inner_monotone_solve(frozen, sub, sup_field, spec.p,
-                                          opts, start="super", khat=constants.khat,
-                                          start_field=start.field, factor=factor,
-                                          held=held)
+            # Newton from u, whose Lap_p the last solve left in held; the
+            # fallback sweeps start from the upper barrier
+            guess = operator_value(u, spec.p, held)
+            held[:] = [sup_value]
+            solved = []
+            u_next = inner_monotone_solve(
+                frozen, sub, sup_field, spec.p, opts, start="super",
+                khat=constants.khat, guess=guess, factor=factor, held=held,
+                path=solved)
         previous = frozen
         grad_next = gradient(u_next)
         broken = verify_solution_bounds(u_next, sub, sup_field, height,
@@ -589,8 +637,8 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                     (grad_next.components - grad_u.components) ** 2, axis=0)))))
         trace.append(dist)
         u, grad_u = u_next, grad_next
-        log.info("outer step %d from %s: C1 move %.3e (target %.1e)",
-                 k, started, dist, OUTER_STOP_REL * height)
+        log.info("outer step %d by %s: C1 move %.3e (target %.1e)",
+                 k, solved[0], dist, OUTER_STOP_REL * height)
         if dist < OUTER_STOP_REL * height:
             break
 

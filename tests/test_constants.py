@@ -487,6 +487,16 @@ def test_heights_beyond_the_float_range_are_named_configuration_errors(
     assert f"({lam:.6g}, {beta:.6g})" in str(err.value)
 
 
+def test_an_overflowing_barrier_value_is_a_named_configuration_error(
+        bundled_constants):
+    # sub has r - p = -1.1: t = 1e-300 takes t^(r-p) past the float range
+    spec, c = bundled_constants("sub")
+    with pytest.raises(ConfigurationError, match="floating-point range") as err:
+        barrier_value(1e-300, 1.0, 1.0, c, spec)
+    assert "(lambda, beta, t) = (1, 1, 1e-300)" in str(err.value)
+    assert barrier_value(1e-3, 1.0, 1.0, c, spec) > 1.0
+
+
 def test_an_overflowing_super_threshold_product_is_a_configuration_error(
         unit_bundle):
     spec = make_spec(2.0, 1.5, 2.0, 1.0)  # r - p = 2: 1e200^2 overflows

@@ -201,6 +201,90 @@ def test_newton_jacobian_matches_central_differences(p, dimension):
     assert np.max(np.abs(jac - fd)) <= 1.0e-6 * np.max(np.abs(jac))
 
 
+def _reaction_problem(dimension, seed=11):
+    """A random positive field on the Jacobian test grid, with a random
+    coefficient >= 0.5 and load >= 0 of a reaction term."""
+    g = _jacobian_test_field(dimension).grid
+    rng = np.random.default_rng(seed)
+    values = np.zeros(g.shape)
+    values[g.interior] = rng.uniform(0.1, 1.0,
+                                     size=tuple(n - 2 for n in g.shape))
+    return (g, values, rng.uniform(0.5, 2.0, size=g.shape),
+            rng.uniform(0.0, 1.0, size=g.shape))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("p, q", [(1.5, 1.2), (2.5, 1.5), (4.0, 3.5)])
+def test_shifted_jacobian_matches_central_differences_of_g(p, q, dimension):
+    # G(u) = -Lap_p u - coeff u^(q-1) - base, at fixed delta
+    g, values, coeff, base = _reaction_problem(dimension)
+    delta = DELTA_RELATIVE * _gradient_scale(values, g.spacing)
+
+    def G(v):
+        return (_plap_raw(v, g.spacing, p, delta)
+                - coeff * np.power(np.maximum(v, 0.0), q - 1.0) - base)
+
+    jac = grid_order(_assemble(values, g.spacing, p, delta,
+                               shift=plap._reaction_slope(values, coeff, q)))
+    eps = 1.0e-6 * values.max()
+    nodes = np.argwhere(np.ones(tuple(n - 2 for n in g.shape), dtype=bool)) + 1
+    fd = np.empty_like(jac)
+    for col, node in enumerate(map(tuple, nodes)):
+        up, down = values.copy(), values.copy()
+        up[node] += eps
+        down[node] -= eps
+        fd[:, col] = (G(up) - G(down))[g.interior].ravel() / (2.0 * eps)
+    assert np.max(np.abs(jac - fd)) <= 1.0e-6 * np.max(np.abs(jac))
+    # the reaction pulls the diagonal down, nothing else
+    plain = grid_order(_assemble(values, g.spacing, p, delta))
+    assert np.all(np.diag(jac) < np.diag(plain))
+    assert np.array_equal(jac - np.diag(np.diag(jac)),
+                          plain - np.diag(np.diag(plain)))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_the_shift_is_zero_where_the_field_vanishes(dimension):
+    # for q < 2 the slope of u^(q-1) at 0 is infinite; where u <= 0 the
+    # reaction max(u, 0)^(q-1) is flat and shifts nothing
+    g, values, coeff, _ = _reaction_problem(dimension)
+    inner = tuple(n - 2 for n in g.shape)
+    zero = (1,) * dimension
+    negative = tuple(n - 2 for n in g.shape)
+    values[zero], values[negative] = 0.0, -0.1
+    shift = plap._reaction_slope(values, coeff, 1.5)
+    assert shift[zero] == 0.0 and shift[negative] == 0.0
+    assert not shift[g.boundary_mask()].any()
+    assert np.count_nonzero(shift) == np.prod(inner) - 2
+    delta = DELTA_RELATIVE * _gradient_scale(values, g.spacing)
+    shifted = grid_order(_assemble(values, g.spacing, 2.5, delta, shift=shift))
+    plain = grid_order(_assemble(values, g.spacing, 2.5, delta))
+    for node in (zero, negative):
+        col = np.ravel_multi_index(tuple(i - 1 for i in node), inner)
+        assert np.array_equal(shifted[:, col], plain[:, col])
+    assert np.allclose(plain - shifted, np.diag(shift[g.interior].ravel()),
+                       rtol=1e-12, atol=1e-12 * np.abs(plain).max())
+
+
+@pytest.mark.parametrize("shape", [(129,), (17, 17)])
+def test_a_reaction_solve_meets_its_residual_contract(shape):
+    # -Lap_p u = coeff u^(q-1) + base from a warm start, the frozen problem
+    # of an outer step: the stop reads the load at the returned u
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    p, q = 2.5, 1.5
+    coeff = np.full(g.shape, 2.0)
+    base = np.ones(g.shape)
+    guess = solve_plap_dirichlet(g, p, ScalarField(g, base))
+    opts = SolveOptions(tol_residual=1.0e-10)
+    u = solve_plap_dirichlet(g, p, ScalarField(g, base), opts,
+                             initial_guess=guess, reaction=(coeff, q))
+    load = coeff * np.power(np.maximum(u.values, 0.0), q - 1.0) + base
+    residual = np.abs(p_laplacian_apply(u, p).values - load)[g.interior].max()
+    assert residual <= 1.0e-10 * max(1.0, load.max())
+    assert u.values[g.interior].min() > 0.0
+    # the reaction adds to the load, so u lies above the plain solution
+    assert np.all(u.values >= guess.values)
+
+
 @pytest.mark.parametrize("shape", [(17,), (7, 9), (5, 6, 7)])
 @pytest.mark.parametrize("zero", [False, True])
 def test_newton_residual_reads_delta_and_flux_from_one_face_build(shape, zero):

@@ -16,6 +16,7 @@ from plaplab.errors import (
     IterationFailure,
     MonotonicityError,
     OutOfRegionError,
+    SolveFailure,
     StaleGradConstantError,
 )
 from plaplab import grid as grid_module, plap, scheme
@@ -610,8 +611,9 @@ def test_no_factor_outlives_an_outer_fixed_point_call(square2d_stage,
 
 
 def test_no_field_meets_the_operator_twice_in_a_run(monkeypatch):
-    # the barriers, each warm start and each solve's result: the operator
-    # is applied to each field once, and its value handed on from there
+    # the barriers, each Newton iterate and each solve's result: the
+    # operator is applied to each field once, and its value handed on from
+    # there
     spec = dataclasses.replace(load_problem(bundled_problem_path("sub")),
                                resolution=129)
     g = spec.build_grid()
@@ -626,96 +628,108 @@ def test_no_field_meets_the_operator_twice_in_a_run(monkeypatch):
         return raw(values, *args, **kwargs)
 
     monkeypatch.setattr(grid_module, "_plap_raw", keyed)
+    results = []  # every solve's result
+    monkeypatch.setattr(scheme, "solve_plap_dirichlet",
+                        lambda *args, **kwargs: results.append(
+                            solve_plap_dirichlet(*args, **kwargs))
+                        or results[-1])
     report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
     assert report.converged and report.outer_iters > 2
-    assert len(applies) > 100
+    assert len(results) > report.outer_iters
+    assert all(u.values.tobytes() in applies for u in results)
+    assert len(applies) > len(results)
     assert max(applies.values()) == 1
 
 
 # ---------------------------------------------------------------------------
-# warm starts of the outer steps
+# the outer steps' Newton solves
 
 
-def recording_starts(monkeypatch):
+def recording_inner(monkeypatch):
     """Route scheme.inner_monotone_solve through a wrapper; returns per call
-    (F, sub, sup, start, start_field)."""
+    (F, start, guess, path), path the label the call left (None when the
+    caller passed no holder)."""
     calls = []
 
-    def wrapper(F, sub, sup, p, opts=None, *, start="super", khat=None,
-                start_field=None, factor=None, held=None):
-        calls.append((F, sub, sup, start, start_field))
-        return inner_monotone_solve(F, sub, sup, p, opts, start=start,
-                                    khat=khat, start_field=start_field,
-                                    factor=factor, held=held)
+    def wrapper(F, sub, sup, p, opts=None, *, start="super", guess=None,
+                path=None, **kwargs):
+        label = [None] if path is None else path
+        u = inner_monotone_solve(F, sub, sup, p, opts, start=start,
+                                 guess=guess, path=label, **kwargs)
+        calls.append((F, start, guess, label[0]))
+        return u
 
     monkeypatch.setattr(scheme, "inner_monotone_solve", wrapper)
     return calls
 
 
 @pytest.mark.parametrize("stage", ["sub_stage", "square2d_stage"])
-def test_every_warm_start_is_a_verified_supersolution_in_the_band(
-        stage, request, monkeypatch):
+def test_newton_limit_agrees_with_the_monotone_limit(stage, request):
+    # the first outer step's frozen map at (1, 1), solved both ways
     spec, g, c, eig = request.getfixturevalue(stage)
-    calls = recording_starts(monkeypatch)
-    report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
-    assert report.converged
-    *steps, _, _ = calls  # the last two make the certificates
-    sup = steps[0][2]
-    assert steps[0][4] is sup  # the first step starts from the upper barrier
-    warm = [call for call in steps[1:] if call[4] is not sup]
-    assert warm  # later steps start below the upper barrier
-    for F, sub, sup, start, v in warm:
-        assert start == "super"
-        assert verify_subsuper(v, F, spec.p, "super").ok
-        assert np.all(sub.values <= v.values) and np.all(v.values <= sup.values)
-    # a previous iterate at the upper barrier: the scaled-up start is cut
-    # back to it
-    F = steps[1][0]
-    start, started = scheme._warm_start(sup, F, operator_value(sup, spec.p),
-                                        spec.p)
-    v = start.field
-    assert started == "t=0.0001" and v.values.tobytes() == sup.values.tobytes()
+    m = region_classify(1.0, 1.0, c, spec).height
+    eps = make_epsilon(1.0, eig.lambda1, m, c.phi_sup, spec)
+    sub = ScalarField(g, eps * eig.u1.values)
+    sup = ScalarField(g, (m / c.phi_sup) * c.weighted_torsion.phi.values)
+    F = freeze_nonlinearity(sub, 1.0, 1.0, spec)
+    path = []
+    newton = inner_monotone_solve(F, sub, sup, spec.p, khat=c.khat,
+                                  guess=operator_value(sub, spec.p),
+                                  path=path)
+    sweeps = inner_monotone_solve(F, sub, sup, spec.p, khat=c.khat)
+    assert path == ["newton"]
+    stop = scheme.INNER_STOP_REL * sup_norm(sup)
+    assert np.abs(newton.values - sweeps.values).max() <= stop
+    # the frozen residual contract, at the full inner tolerance
+    load = F.evaluate(newton.values)
+    residual = np.abs(p_laplacian_apply(newton, spec.p).values
+                      - load)[g.interior].max()
+    assert residual <= full_tolerance(sup) * max(1.0, load.max())
 
 
-@pytest.mark.parametrize("beta", [0.1, 2.0])
-def test_warm_starts_keep_the_monotone_check_on_a_small_right_hand_side(
-        beta, monkeypatch):
-    # critical at lambda = 0.1 has M of about 1.6e-4, so its defects sit far
-    # below 1e-7: only a tolerance relative to ||Lap_p v|| keeps the rung
-    # check meaningful
-    spec = dataclasses.replace(load_problem(bundled_problem_path("critical")),
-                               resolution=33)
-    calls = recording_starts(monkeypatch)
-    report = outer_fixed_point(spec, 0.1, beta)
-    assert report.converged and report.certificates.all_ok
-    sup = calls[0][2]
-    assert any(call[4] is not sup for call in calls[1:-2])
-
-
-def test_a_failing_ladder_falls_back_to_the_upper_barrier(sub_stage,
-                                                          monkeypatch):
+@pytest.mark.parametrize("failure", ["stall", "zero"])
+def test_a_failed_newton_solve_falls_back_to_the_sweeps(sub_stage,
+                                                        monkeypatch, caplog,
+                                                        failure):
     spec, g, c, eig = sub_stage
     plain = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
-    verify = scheme.verify_subsuper
-    barrier = []  # the upper barrier: the first field verified as "super"
 
-    def failing_rungs(candidate, F, p, kind, *, lap=None):
-        rep = verify(candidate, F, p, kind, lap=lap)
-        if kind == "super":
-            if not barrier:
-                barrier.append(candidate)
-            if candidate is not barrier[0]:
-                return dataclasses.replace(rep, ok=False)
-        return rep
+    def failing(F, start, p, opts=None, **kwargs):
+        if failure == "stall":
+            raise SolveFailure("forced stall")
+        return zero_field(F.grid)  # the zero root of a vanishing frozen part
 
-    monkeypatch.setattr(scheme, "verify_subsuper", failing_rungs)
-    calls = recording_starts(monkeypatch)
-    forced = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    monkeypatch.setattr(scheme, "solve_frozen", failing)
+    calls = recording_inner(monkeypatch)
+    with caplog.at_level("INFO", logger="plaplab.scheme"):
+        forced = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
     assert forced.converged and forced.certificates.all_ok
     assert forced.outer_iters == plain.outer_iters
     *steps, _, _ = calls
+    reason = "failed: forced stall" if failure == "stall" else "not positive"
     assert len(steps) == forced.outer_iters
-    assert all(call[4] is barrier[0] for call in steps)
+    assert all(label == f"sweeps (Newton limit {reason})"
+               for *_, label in steps)
+    assert sum(f"by sweeps (Newton limit {reason}):" in r.getMessage()
+               for r in caplog.records) == forced.outer_iters
+    stop = scheme.INNER_STOP_REL * forced.height
+    assert np.abs(forced.solution.values
+                  - plain.solution.values).max() <= stop
+
+
+@pytest.mark.parametrize("beta", [0.1, 2.0])
+def test_newton_steps_certify_on_a_small_right_hand_side(beta, monkeypatch):
+    # critical at lambda = 0.1 has M of about 1.6e-4: the Newton stop, at
+    # tol_residual * max(1, ||F(U)||_inf) with tol_residual = 1e-9 M, must
+    # still meet the residual certificate there
+    spec = dataclasses.replace(load_problem(bundled_problem_path("critical")),
+                               resolution=33)
+    calls = recording_inner(monkeypatch)
+    report = outer_fixed_point(spec, 0.1, beta)
+    assert report.converged and report.certificates.all_ok
+    assert report.height < 1.0e-3
+    *steps, _, _ = calls
+    assert steps and all(label == "newton" for *_, label in steps)
 
 
 def test_an_unchanged_frozen_map_reuses_the_last_limit(monkeypatch, caplog):
@@ -725,14 +739,15 @@ def test_an_unchanged_frozen_map_reuses_the_last_limit(monkeypatch, caplog):
     g = spec.build_grid()
     c = compute_constants(spec, g)
     eig = first_eigenpair(g, spec.p, sample_weights(spec, g)[0])
-    calls = recording_starts(monkeypatch)
+    calls = recording_inner(monkeypatch)
     with caplog.at_level("INFO", logger="plaplab.scheme"):
         report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
     assert report.converged and report.outer_iters == 2
     assert report.outer_trace[1] == 0.0
     # step 1, then the two certificate iterations: step 2 solves nothing
-    assert [call[3] for call in calls] == ["super", "super", "sub"]
-    assert "outer step 2 from reused:" in caplog.text
+    assert [call[1] for call in calls] == ["super", "super", "sub"]
+    assert calls[0][2] is not None and calls[1][2] is None is calls[2][2]
+    assert "outer step 2 by reuse:" in caplog.text
 
 
 def test_outer_steps_log_the_start_they_used(sub_stage, caplog):
@@ -742,20 +757,20 @@ def test_outer_steps_log_the_start_they_used(sub_stage, caplog):
     steps = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("outer step ")]
     assert len(steps) == report.outer_iters
-    assert steps[0].startswith("outer step 1 from sup:")
-    rungs = {f"t={t:g}" for t in scheme.WARM_START_LADDER}
-    started = [m.split(" from ", 1)[1].split(":", 1)[0] for m in steps[1:]]
-    assert set(started) <= rungs | {"sup", "reused"}
-    assert rungs & set(started)
+    assert steps[0].startswith("outer step 1 by newton:")
+    solved = [m.split(" by ", 1)[1].split(":", 1)[0] for m in steps]
+    assert all(how in ("newton", "reuse") or
+               how.startswith("sweeps (Newton limit ") for how in solved)
+    assert "newton" in solved
 
 
 # _try_solve calls (factorizations) of outer_fixed_point(square2d at 33x33,
-# lambda = beta = 1) when every outer step started from the upper barrier
-# with a holder of its own
+# lambda = beta = 1) when every outer step started its monotone iteration
+# from the upper barrier with a holder of its own
 COLD_START_FACTORIZATIONS = 52
 
 
-def test_warm_starts_halve_the_factorizations_on_square2d(monkeypatch):
+def test_newton_steps_cut_the_factorizations_on_square2d(monkeypatch):
     spec = load_problem(bundled_problem_path("square2d"))
     g = spec.build_grid()
     assert g.shape == (33, 33)
@@ -764,7 +779,7 @@ def test_warm_starts_halve_the_factorizations_on_square2d(monkeypatch):
     factors = counting(monkeypatch, plap, "_try_solve")
     report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
     assert report.converged
-    assert 0 < len(factors) <= COLD_START_FACTORIZATIONS // 2
+    assert 0 < len(factors) <= COLD_START_FACTORIZATIONS // 4
 
 
 def test_1d_inner_iteration_keeps_no_factor(sub_stage, monkeypatch):

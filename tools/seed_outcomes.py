@@ -15,8 +15,10 @@ With ``--against FILE`` the rows are compared with a table this script
 printed before: the script exits 1 when a point is missing or new, a
 ``status`` or ``outer_iters`` changed, or a ``pde_residual`` moved by more
 than RESIDUAL_MOVE absolute, and 0 otherwise; each difference goes to
-stderr, with the largest residual move.  The script only reads
-``perfbench/``.
+stderr, with the largest residual move.  It also prints to stderr, per
+workload, the certificate's headroom: the largest ratio of ``pde_residual``
+to the value the residual certificate allows, RESIDUAL_CERT_REL times the
+report's ``residual_scale``.  The script only reads ``perfbench/``.
 """
 
 import os
@@ -35,6 +37,7 @@ sys.dont_write_bytecode = True  # leave no cache behind in perfbench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import harness  # noqa: E402
+from plaplab.scheme import RESIDUAL_CERT_REL  # noqa: E402
 
 WORKLOADS = ("sweep1d", "sweep2d")
 SEEDS = (0, 1, 2)
@@ -54,17 +57,22 @@ def distinct_points(name):
 
 
 def outcomes(name):
-    """[lambda, beta, status, outer_iters, pde_residual] per point."""
+    """[lambda, beta, status, outer_iters, pde_residual] per point, and the
+    largest pde_residual over its allowed value."""
     (case,) = harness.workload_cases(name)
     setup = harness.set_up(case)
-    rows = []
+    rows, headroom = [], 0.0
     for lam, beta in distinct_points(name):
         pt = harness.run_point(setup, lam, beta)
         r = pt.report
         rows.append([lam, beta, pt.status,
                      None if r is None else r.outer_iters,
                      None if r is None else r.certificates.pde_residual])
-    return rows
+        if r is not None:
+            cert = r.certificates
+            headroom = max(headroom, cert.pde_residual
+                           / (RESIDUAL_CERT_REL * cert.residual_scale))
+    return rows, headroom
 
 
 def differences(table, recorded):
@@ -95,7 +103,9 @@ def main(argv=None):
     parser.add_argument("--against", type=Path,
                         help="a table this script printed before")
     args = parser.parse_args(argv)
-    table = {name: outcomes(name) for name in WORKLOADS}
+    table, headroom = {}, {}
+    for name in WORKLOADS:
+        table[name], headroom[name] = outcomes(name)
     print("{\n" + ",\n".join(
         f" {json.dumps(name)}: [\n"
         + ",\n".join(f"  {json.dumps(row)}" for row in rows) + "\n ]"
@@ -107,6 +117,9 @@ def main(argv=None):
         print(f"changed: {line}", file=sys.stderr)
     print(f"largest pde_residual move {worst:.3e} (allowed "
           f"{RESIDUAL_MOVE:.0e})", file=sys.stderr)
+    for name in WORKLOADS:
+        print(f"{name}: largest pde_residual / (RESIDUAL_CERT_REL * "
+              f"residual_scale) {headroom[name]:.3e}", file=sys.stderr)
     return 1 if found else 0
 
 
