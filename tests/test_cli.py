@@ -303,31 +303,31 @@ SWEEP_OUTER_ITERS = {
 # pde_residual of the same rows, as recorded; a change that only makes the
 # solver faster may move each by at most PDE_RESIDUAL_MOVE (absolute)
 SWEEP_PDE_RESIDUAL = {
-    "sub": (4.8216555748048506e-11, 1.5735945324557576e-09,
-            6.28946206226999e-09, 5.875570030511312e-10,
-            3.0078388668641765e-09, 1.079626166244907e-08,
-            2.4214829030810847e-09, 2.3737204424278957e-09,
-            5.024900939787358e-09),
-    "super": (7.940136221911906e-09, 1.8011181437353058e-09,
-              8.973778567022278e-10, 4.839490166941296e-08,
-              5.95436844275099e-09, 5.8861562707290815e-09,
-              4.3683344441713956e-08, 1.034624397266981e-08,
-              9.822988533692012e-09),
-    "critical": (6.041648735119476e-12, 9.037496445651882e-12,
-                 2.0044617875247805e-11, 6.660271500980031e-10,
-                 9.96390220331378e-10, 2.2099017893406625e-09,
-                 2.416389532911012e-09, 3.614941901375346e-09,
-                 8.018102959361784e-09),
-    "degenerate": (2.0714849974234895e-11, 1.1715980789694935e-10,
-                   5.501556883669156e-10, 1.307240149461819e-09,
-                   1.5625151172926621e-09, 2.619156669325662e-09,
-                   3.175159912771619e-09, 3.218863287024476e-09,
-                   5.304316541554499e-09),
-    "square2d": (3.898162695414875e-11, 1.5675837017337102e-09,
-                 6.71867761425915e-09, 1.1365902663484917e-09,
-                 1.8052562777981507e-09, 1.8011744318258138e-09,
-                 3.1862001925730965e-09, 2.243397023704574e-09,
-                 5.7566270639242134e-09),
+    "sub": (6.077142955529524e-11, 1.5860540658607647e-09,
+            6.292567800159077e-09, 3.1890878826601465e-11,
+            3.766130962645775e-09, 1.2320817699418285e-08,
+            3.639921697384807e-11, 1.4185301822067231e-09,
+            7.189124406892233e-09),
+    "super": (4.94320296501316e-15, 5.36114447106939e-13,
+              1.945150746203439e-12, 4.323097435587897e-12,
+              3.7155320486981225e-11, 6.694103604765189e-12,
+              7.813712454840527e-10, 6.302252608669789e-10,
+              8.294492870319914e-10),
+    "critical": (1.93421667571414e-14, 2.5572749213359502e-12,
+                 1.743325145700525e-11, 2.1391777238477516e-12,
+                 2.819489086647309e-10, 1.9219618119237225e-09,
+                 7.677247726434189e-12, 1.0229383451410001e-09,
+                 6.973130073362199e-09),
+    "degenerate": (3.757411048965764e-15, 3.757411048965764e-15,
+                   3.757411048965764e-15, 1.0913492332065289e-13,
+                   1.0913492332065289e-13, 1.0913492332065289e-13,
+                   5.153655280309977e-13, 5.153655280309977e-13,
+                   5.153655280309977e-13),
+    "square2d": (5.687224996497875e-11, 1.6044142958637764e-09,
+                 6.783104578023114e-09, 3.863059871989094e-11,
+                 6.846391786829997e-10, 1.94062099723169e-09,
+                 8.149335650742273e-10, 4.36144320659082e-09,
+                 9.357224994843705e-09),
 }
 PDE_RESIDUAL_MOVE = 1.0e-9
 
