@@ -629,10 +629,12 @@ def test_no_field_meets_the_operator_twice_in_a_run(monkeypatch):
 
     monkeypatch.setattr(grid_module, "_plap_raw", keyed)
     results = []  # every solve's result
-    monkeypatch.setattr(scheme, "solve_plap_dirichlet",
-                        lambda *args, **kwargs: results.append(
-                            solve_plap_dirichlet(*args, **kwargs))
-                        or results[-1])
+
+    def recorded(*args, **kwargs):
+        results.append(solve_plap_dirichlet(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(scheme, "solve_plap_dirichlet", recorded)
     report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
     assert report.converged and report.outer_iters > 2
     assert len(results) > report.outer_iters
