@@ -121,7 +121,7 @@ def compute_constants(spec: ProblemSpec, grid: Grid | None = None,
     hold by construction.
 
     The torsion weights and the probes often coincide (where every weight
-    is 1, seven of the eleven fields are the ones field).  Each distinct
+    is 1, seven of the ten fields are the ones field).  Each distinct
     field is solved once per call; with grid, p and opts fixed this gives
     the bits a repeated solve would.  ``solved`` is an optional map from the
     bytes of a field to its solution on this grid with this p and opts, as

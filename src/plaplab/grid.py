@@ -106,9 +106,9 @@ class Grid:
         return np.linspace(lo, hi, self.shape[k])
 
     def meshes(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays of full grid shape, one per axis ('ij' indexing)."""
-        return tuple(np.meshgrid(*(self.axis(k) for k in range(self.dimension)),
-                                 indexing="ij"))
+        """Coordinate arrays of full grid shape, one per axis ('ij' indexing);
+        read-only, shared by every grid of the same box and shape."""
+        return _meshes(self.extents, self.shape)
 
     @property
     def interior(self) -> tuple[slice, ...]:
@@ -122,6 +122,19 @@ class Grid:
 
     def node_count(self) -> int:
         return int(np.prod(self.shape))
+
+
+@functools.lru_cache(maxsize=4)
+def _meshes(extents, shape):
+    # keyed by geometry, not held by each Grid: a sweep builds a grid per
+    # set-up and its results keep those grids alive, so meshes on every
+    # grid would be kept once per set-up
+    meshes = np.meshgrid(*(np.linspace(lo, hi, n)
+                           for (lo, hi), n in zip(extents, shape)),
+                         indexing="ij")
+    for mesh in meshes:
+        mesh.setflags(write=False)
+    return tuple(meshes)
 
 
 def build_grid(extents, resolution) -> Grid:

@@ -11,6 +11,8 @@ from scipy.integrate import cumulative_trapezoid, quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq, minimize_scalar
 
+from plaplab.grid import ScalarField
+
 
 def torsion_sup_1d(p, length):
     """Sup norm of the solution of -(|u'|^(p-2)u')' = 1 on (0, L), zero ends.
@@ -19,6 +21,24 @@ def torsion_sup_1d(p, length):
     the maximum sits at the midpoint: ((p-1)/p) (L/2)^(p/(p-1)).
     """
     return (p - 1.0) / p * (length / 2.0) ** (p / (p - 1.0))
+
+
+def one_node_bump(grid):
+    """Load 1 at the center node (index n // 2 on each axis), 0 elsewhere."""
+    bump = np.zeros(grid.shape)
+    bump[tuple(n // 2 for n in grid.shape)] = 1.0
+    return ScalarField(grid, bump)
+
+
+def bump_ratio_1d(h, p):
+    """Gradient ratio ||u'||_inf / ||g||_inf^(1/(p-1)) of the one-node bump.
+
+    On an odd number of nodes the discrete equation at the peak balances a
+    unit load against the two face fluxes, which are equal by symmetry and
+    constant elsewhere: h/2 each.  So u is piecewise linear with slope
+    (h/2)^(1/(p-1)), and g has sup 1.
+    """
+    return (h / 2.0) ** (1.0 / (p - 1.0))
 
 
 def pi_p(p):

@@ -348,8 +348,9 @@ def test_bundled_sweeps_keep_their_outcomes(name, tmp_path):
 
 
 def test_sweep_set_up_solves_each_distinct_field_once(monkeypatch, tmp_path):
-    # sub's weights are all 1, so its nine probes and two torsion weights are
-    # five distinct fields; the eigen start, omega1's torsion, is one of them
+    # sub's weights are all 1, so its eight probes and two torsion weights
+    # are four distinct fields; the eigen start, omega1's torsion, is one of
+    # them
     cold = []
     original = plap.solve_plap_dirichlet
 
@@ -360,7 +361,7 @@ def test_sweep_set_up_solves_each_distinct_field_once(monkeypatch, tmp_path):
     monkeypatch.setattr(plap, "solve_plap_dirichlet", counted)
     assert main(["sweep", "--spec", SUB, "--n", "17", "--samples", "2",
                  "--out", str(tmp_path / "sweep.csv")]) == 0
-    assert len(cold) == len(set(cold)) == 5
+    assert len(cold) == len(set(cold)) == 4
 
 
 def test_sweep_timings_go_to_stdout_not_csv(tmp_path, capsys):

@@ -33,6 +33,7 @@ from plaplab.errors import (
     SolveFailure,
 )
 from plaplab.expr import ProblemSpec, bundled_problem_path, load_problem
+from plaplab.grid import build_grid
 from plaplab.plap import default_probes
 
 from oracles import barrier_min, torsion_sup_1d
@@ -125,10 +126,10 @@ def count_solves(monkeypatch, fail_on=None):
 
 
 @pytest.mark.parametrize("name, resolution, distinct", [
-    ("sub", 65, 5), ("square2d", (9, 9), 6)])
+    ("sub", 65, 4), ("square2d", (9, 9), 5)])
 def test_each_distinct_field_is_solved_once_per_call(monkeypatch, name,
                                                      resolution, distinct):
-    # 11 fields: the two torsion weights and nine probes
+    # 10 fields: the two torsion weights and eight probes
     spec = bundled_spec(name, resolution)
     calls = count_solves(monkeypatch)
     compute_constants(spec)
@@ -193,6 +194,17 @@ def test_a_checkerboard_sets_khat_on_the_coarsest_grid():
     for resolution in ((17, 17), (33, 33)):
         spec = dataclasses.replace(spec, resolution=resolution)
         assert compute_constants(spec).grad_estimate.worst_probe == "const1"
+
+
+def test_a_checkerboard_sets_khat_at_large_p():
+    # at p >= 6 the rough probes set khat on finer grids too: on 33x33 at
+    # p = 6 checker2's ratio is 0.8958 against const1's 0.8345, so dropping
+    # the checkerboards would lower khat there
+    grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+    estimate = plap.estimate_grad_constant(grid, 6.0)
+    assert estimate.worst_probe == "checker2"
+    assert estimate.ratios["checker2"] == pytest.approx(0.8958, abs=1e-4)
+    assert estimate.ratios["const1"] == pytest.approx(0.8345, abs=1e-4)
 
 
 def test_a_failing_probe_only_field_is_named(monkeypatch):

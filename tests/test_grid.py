@@ -59,6 +59,12 @@ def test_build_grid_2d_shapes_and_axes():
     xs, ys = g.meshes()
     assert xs.shape == (11, 21) and ys.shape == (11, 21)
     assert np.all(xs[:, 0] == g.axis(0))
+    fresh = np.meshgrid(g.axis(0), g.axis(1), indexing="ij")
+    assert all(m.tobytes() == f.tobytes() for m, f in zip((xs, ys), fresh))
+    # computed once per box and shape, and shared read-only
+    again = build_grid(((0.0, 1.0), (-1.0, 1.0)), (11, 21)).meshes()
+    assert all(a is m for a, m in zip(again, (xs, ys)))
+    assert not xs.flags.writeable and not ys.flags.writeable
 
 
 @pytest.mark.parametrize("extents,resolution", [

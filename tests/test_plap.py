@@ -50,7 +50,8 @@ from plaplab.plap import (
     solve_plap_dirichlet,
 )
 
-from oracles import solve_two_point, torsion_sup_1d
+from oracles import (bump_ratio_1d, one_node_bump, solve_two_point,
+                     torsion_sup_1d)
 
 
 def grid_1d(n=129, length=1.0):
@@ -389,7 +390,7 @@ def test_the_cold_start_is_rescaled_only_above_p2(shape, p):
         return np.linalg.norm((_plap_own_delta(u, g.spacing, p)[0]
                                - load)[g.interior])
 
-    for label, load in default_probes(g):
+    for label, load in default_probes(g) + [("bump", one_node_bump(g))]:
         linear = plap._linear_poisson(g, load.values)
         start = plap._cold_start(g, p, load.values)
         if p <= 2.0:
@@ -408,7 +409,7 @@ def test_cold_probe_solves_stay_within_their_factorization_budget(
     try_solve = plap._try_solve
     monkeypatch.setattr(plap, "_try_solve", lambda *args: factorizations.append(
         args) or try_solve(*args))
-    for _, load in default_probes(g):
+    for _, load in default_probes(g) + [("bump", one_node_bump(g))]:
         solve_plap_dirichlet(g, p, load)
     assert len(factorizations) <= budget
 
@@ -1061,11 +1062,31 @@ def test_probe_family_contents():
     g = grid_1d(33)
     probes = default_probes(g)
     labels = [label for label, _ in probes]
-    assert "const1" in labels
-    assert any("checker" in label for label in labels)
-    assert len(probes) >= 5
+    assert labels == ["const1", "checker0", "checker1", "checker2"]
     extra = default_probes(g, extra=[("mine", const_field(g, 2.0))])
     assert extra[-1][0] == "mine"
+
+
+def test_a_one_node_bump_cannot_set_khat():
+    # why the family has no point load: the bump's ratio falls with h.  In
+    # 1D it is the closed form (h/2)^(1/(p-1)), below const1's; in 2D at
+    # most 0.436 of the best default probe's, at p = 8 on both grids
+    exponents = (1.25, 2.0, 4.0, 8.0)
+    for n, p in itertools.product((9, 33, 129), exponents):
+        g = grid_1d(n)
+        ratios = estimate_grad_constant(
+            g, p, probes=[("bump", one_node_bump(g)),
+                          ("const1", const_field(g))]).ratios
+        assert ratios["bump"] == pytest.approx(bump_ratio_1d(g.spacing[0], p),
+                                               rel=1e-6), (n, p)
+        assert ratios["bump"] < ratios["const1"], (n, p)
+    for n, p in itertools.product((9, 17), exponents):
+        g = build_grid(((0.0, 1.0), (0.0, 1.0)), (n, n))
+        ratios = estimate_grad_constant(
+            g, p, probes=default_probes(g) + [("bump", one_node_bump(g))]
+        ).ratios
+        best = max(ratio for label, ratio in ratios.items() if label != "bump")
+        assert ratios["bump"] <= 0.5 * best, (n, p)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

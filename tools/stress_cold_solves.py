@@ -1,16 +1,21 @@
-"""Solve every default probe cold over a grid of resolutions and exponents.
+"""Solve every default probe and a one-node bump cold over a grid of
+resolutions and exponents.
 
 Usage, from the repository root:
 
     python3 tools/stress_cold_solves.py
 
-The stress set is every ``plap.default_probes`` field on the unit box, solved
-cold by ``solve_plap_dirichlet`` on 1D 2049, 2D 33x33 and 2D 65x65 at each p
-in {1.1, 1.25, 1.5, 1.75, 2.5, 3, 4, 5, 6, 8}: 150 solves.  Each solution is
-checked against the solver's residual contract.  Prints one JSON object:
-the failures (grid, p, probe, reason), the direct solves (``_try_solve``
-calls, one factorization each) per grid and p, and their total.  Exits 1
-when any solve fails or misses the contract, 0 otherwise.
+The stress set is every ``plap.default_probes`` field on the unit box plus
+a one-node center bump, a point load the probe family leaves out that is
+among the hardest cold solves (20 factorizations at p = 1.25 on 65x65).
+Each is solved cold by ``solve_plap_dirichlet`` on 1D 2049, 2D 33x33 and 2D
+65x65 at each p in {1.1, 1.25, 1.5, 1.75, 2.5, 3, 4, 5, 6, 8}: 150 solves.
+Each solution is checked against the solver's residual contract.  Prints
+one JSON object: the failures (grid, p, probe, reason), the direct solves
+(``_try_solve`` calls, one factorization each) per grid and p, their total
+and the number of loads solved.  Exits 1 when any solve fails or misses the
+contract, or when the set is not exactly ``LOADS_PER_CELL`` loads per grid
+and p, 0 otherwise.
 """
 
 import json
@@ -23,10 +28,21 @@ import numpy as np  # noqa: E402
 
 import plaplab.plap as plap  # noqa: E402
 from plaplab.errors import SolveFailure  # noqa: E402
-from plaplab.grid import build_grid, p_laplacian_apply, sup_norm  # noqa: E402
+from plaplab.grid import (  # noqa: E402
+    ScalarField, build_grid, p_laplacian_apply, sup_norm)
 
 SHAPES = ((2049,), (33, 33), (65, 65))
 EXPONENTS = (1.1, 1.25, 1.5, 1.75, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
+# const1, three checkerboards and the bump; a change to the probe family
+# must not shrink the set unnoticed
+LOADS_PER_CELL = 5
+
+
+def stress_loads(grid):
+    """The default probes and a one-node center bump, as (label, field)."""
+    bump = np.zeros(grid.shape)
+    bump[tuple(n // 2 for n in grid.shape)] = 1.0
+    return plap.default_probes(grid) + [("bump", ScalarField(grid, bump))]
 
 
 def contract_gap(u, p, load, opts):
@@ -49,7 +65,7 @@ def main():
         solves.append(1)
         return try_solve(*args, **kwargs)
 
-    failures, counts = [], {}
+    failures, counts, loads = [], {}, 0
     plap._try_solve = counted
     try:
         for shape in SHAPES:
@@ -58,7 +74,8 @@ def main():
             counts[name] = {}
             for p in EXPONENTS:
                 solves.clear()
-                for label, load in plap.default_probes(grid):
+                for label, load in stress_loads(grid):
+                    loads += 1
                     try:
                         u = plap.solve_plap_dirichlet(grid, p, load, opts)
                     except SolveFailure as exc:
@@ -72,8 +89,12 @@ def main():
     finally:
         plap._try_solve = try_solve
     total = sum(sum(per_p.values()) for per_p in counts.values())
+    expected = len(SHAPES) * len(EXPONENTS) * LOADS_PER_CELL
     print(json.dumps({"failures": failures, "factorizations": counts,
-                      "total": total}, indent=1))
+                      "total": total, "loads": loads}, indent=1))
+    if loads != expected:
+        print(f"solved {loads} loads, expected {expected}", file=sys.stderr)
+        return 1
     return 1 if failures else 0
 
 
