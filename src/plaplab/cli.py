@@ -397,9 +397,12 @@ def cmd_solve(args) -> int:
     spec = _load_spec(args)
     grid = spec.build_grid()
     opts = _solve_options(args)
-    constants = compute_constants(spec, grid, opts)
+    solved = {}  # the set-up's cold solves: the eigen start reads omega1's
+    constants = compute_constants(spec, grid, opts, solved)
+    eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0], opts,
+                            solved)
     report = outer_fixed_point(spec, args.lam, args.beta, grid, constants,
-                               opts=opts, max_outer=args.max_outer)
+                               eigen, opts, args.max_outer)
     text = "\n".join(_report_lines(report, args.trace))
     print(text)
     if args.out is not None:

@@ -13,12 +13,13 @@ t_j and m2 = s^2 + |t|^2 + delta^2,
 both strictly positive / well defined for p > 1 once delta > 0; with one
 axis t is empty and only dF/ds is assembled.  A cold solve starts from the
 p = 2 solution, which the discrete sine transform gives with no matrix and
-no factorization (``_linear_poisson``); above p = 2 that start is rescaled
-to the size of the solution at p, using that the operator is
-(p-1)-homogeneous (``_cold_start``).  Newton then runs at p itself.  Only
-when that stalls does it retreat to the exponent halfway between the failed
-one and the last one it reached, and from there it comes back to p
-(adaptive step control of continuation methods; Allgower & Georg,
+no factorization (``_linear_poisson``; the transform is numpy's real FFT of
+an odd extension, ``_dst1``, so no SciPy FFT module is imported); above
+p = 2 that start is rescaled to the size of the solution at p, using that
+the operator is (p-1)-homogeneous (``_cold_start``).  Newton then runs at p
+itself.  Only when that stalls does it retreat to the exponent halfway
+between the failed one and the last one it reached, and from there it comes
+back to p (adaptive step control of continuation methods; Allgower & Georg,
 *Introduction to Numerical Continuation Methods*, SIAM 2003).  Newton steps
 start at the full step and are halved until the residual drops.  The linear
 systems are solved directly, and their storage follows the number of axes.
@@ -101,7 +102,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
@@ -509,6 +509,31 @@ def _in_grid_order(solve, order):
     return grid_solve
 
 
+def _dst1(x, fct=1.0):
+    """The unnormalized type-I sine transform of x along every axis,
+    y_j = 2 sum_i x_i sin(pi (i + 1) (j + 1) / (N + 1)) along an axis of
+    length N, with the first axis's spectrum scaled by ``fct``.
+
+    Along one axis it is minus the imaginary part of entries 1 .. N of the
+    real FFT of the odd extension [0, x, 0, -x reversed], of length 2(N+1).
+    That is how pocketfft computes its DST-I, and from numpy 2.0 on numpy's
+    rfft runs the same pocketfft real FFT as SciPy's dstn, so the result
+    equals scipy.fft.dstn(x, type=1) bit for bit; with fct = 1 / prod
+    2(N_k + 1), rounded from long double as pocketfft rounds it, it equals
+    scipy.fft.idstn(x, type=1), which applies its one factor on the first
+    axis too.
+    """
+    for axis in range(x.ndim):
+        n = x.shape[axis]
+        x = np.moveaxis(x, axis, 0)
+        ext = np.zeros((2 * (n + 1),) + x.shape[1:])
+        ext[1:n + 1] = x
+        ext[n + 2:] = -x[::-1]
+        spectrum = np.fft.rfft(ext, axis=0)[1:n + 1].imag
+        x = np.moveaxis(spectrum * (-fct if axis == 0 else -1.0), 0, axis)
+    return x
+
+
 def _linear_poisson(grid, gv):
     """Solve -Lap u = g (the p = 2 problem) with the discrete sine transform.
 
@@ -517,15 +542,19 @@ def _linear_poisson(grid, gv):
     sum_k (4 / h_k^2) sin^2(pi j_k / (2 (n_k - 1))), j_k = 1 .. n_k - 2
     (Buzbee, Golub & Nielson, "On direct methods for solving Poisson's
     equations", SIAM J. Numer. Anal. 7, 1970): no matrix, no factorization.
+    The transform is ``_dst1``, and its inverse is ``_dst1`` scaled by
+    1 / prod 2(n_k - 1), so u is what scipy.fft's idstn(dstn(...)) gives,
+    bit for bit.
     """
     eigen = 0.0
     for k, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
         j = np.arange(1, n - 1)
         axis = (4.0 / (h * h)) * np.sin(0.5 * np.pi * j / (n - 1)) ** 2
         eigen = eigen + axis.reshape((-1,) + (1,) * (grid.dimension - 1 - k))
+    # pocketfft's inverse factor, 1 / N rounded from long double
+    fct = float(1 / np.longdouble(math.prod(2 * (n - 1) for n in grid.shape)))
     u = np.zeros(grid.shape)
-    u[grid.interior] = sfft.idstn(sfft.dstn(gv[grid.interior], type=1) / eigen,
-                                  type=1)
+    u[grid.interior] = _dst1(_dst1(gv[grid.interior]) / eigen, fct)
     return u
 
 
@@ -892,16 +921,17 @@ def estimate_grad_constant(grid: Grid, p: float, probes=None,
 
 
 def assert_gradient_bound(khat: float, u: ScalarField, gsup: float, p: float,
-                          context: str = "") -> None:
+                          context: str = "", grad=None) -> None:
     """Enforce ||grad u||_inf <= khat ||g||_inf^(1/(p-1)) for a later solve
-    u of -Lap_p u = g, given ``gsup`` = ||g||_inf, which the caller holds.
+    u of -Lap_p u = g, given ``gsup`` = ||g||_inf, which the caller holds;
+    ``grad`` is gradient(u), if held.
 
     A violation means the empirical constant is stale for this problem family
     and the run must not be trusted; fails loudly rather than silently.
     """
     if gsup == 0.0:
         return
-    observed = sup_norm(gradient(u))
+    observed = sup_norm(gradient(u) if grad is None else grad)
     bound = khat * gsup ** (1.0 / (p - 1.0))
     if observed > bound * (1.0 + 1.0e-12):
         where = f" ({context})" if context else ""

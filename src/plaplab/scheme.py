@@ -293,7 +293,8 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
                          guess: OperatorValue | None = None,
                          factor: list | None = None,
                          held: list | None = None,
-                         path: list | None = None) -> ScalarField:
+                         path: list | None = None,
+                         grad: list | None = None) -> ScalarField:
     """The limit of the frozen problem -Lap_p U = F(x, U) between the
     barriers: by one Newton solve from ``guess`` when one is given, else,
     or when that fails, by the monotone iteration U_{n+1} = solve(F(x, U_n))
@@ -351,6 +352,9 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
         path: an optional one-slot list that receives how the limit was
             found when ``guess`` is given: "newton", or "sweeps (...)" with
             the reason the Newton result was not taken.
+        grad: an optional one-slot list that receives gradient(limit) when
+            the limit is the Newton one and ``khat`` is given: its gradient
+            check computed it, and the caller need not compute it again.
 
     Raises:
         IterationFailure: no convergence within INNER_MAX_SWEEPS sweeps.
@@ -385,9 +389,12 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
             miss = f"failed: {exc}"
         if miss is None:
             if khat is not None:
+                grad_next = gradient(u_next)
                 assert_gradient_bound(
                     khat, u_next, float(F.evaluate(u_next.values).max()), p,
-                    context="Newton limit")
+                    context="Newton limit", grad=grad_next)
+                if grad is not None:
+                    grad[:] = [grad_next]
             if path is not None:
                 path[:] = ["newton"]
             return u_next
@@ -560,7 +567,9 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     barrier, and certifies the limit.  ``converged`` in the report is true
     only when the C^1 trace dropped below 1e-7*M within ``max_outer`` steps
     AND every certificate holds; a run that merely ran out of budget is
-    reported unconverged (inconclusive), not raised.
+    reported unconverged (inconclusive), not raised.  ``constants`` and
+    ``eigen`` are computed when not given, with one map of cold solves, so
+    the eigen start reads omega1's torsion from the constants' solves.
 
     Raises:
         ConfigurationError: max_outer below 1.
@@ -573,8 +582,9 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
         grid = spec.build_grid()
     if opts is None:
         opts = SolveOptions()
+    solved = {}  # the cold solves of a set-up made here
     if constants is None:
-        constants = compute_constants(spec, grid, opts)
+        constants = compute_constants(spec, grid, opts, solved)
     verdict = region_classify(lam, beta, constants, spec)
     if not verdict.in_region:
         raise OutOfRegionError(
@@ -583,7 +593,7 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     height = verdict.height
     if eigen is None:
         eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0],
-                                opts)
+                                opts, solved)
     eps = make_epsilon(lam, eigen.lambda1, height, constants.phi_sup, spec)
     sub = ScalarField(grid, eps * eigen.u1.values)
     sup_field = ScalarField(grid, (height / constants.phi_sup)
@@ -614,19 +624,20 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                     f"at node {rep.node}")
         if previous is not None and _same_map(frozen, previous):
             # u is already the limit of this very map
-            u_next, solved = u, ["reuse"]
+            u_next, path, grads = u, ["reuse"], [grad_u]
         else:
             # Newton from u, whose Lap_p the last solve left in held; the
-            # fallback sweeps start from the upper barrier
+            # fallback sweeps start from the upper barrier; a Newton limit
+            # comes with the gradient its khat check computed
             guess = operator_value(u, spec.p, held)
             held[:] = [sup_value]
-            solved = []
+            path, grads = [], []
             u_next = inner_monotone_solve(
                 frozen, sub, sup_field, spec.p, opts, start="super",
                 khat=constants.khat, guess=guess, factor=factor, held=held,
-                path=solved)
+                path=path, grad=grads)
         previous = frozen
-        grad_next = gradient(u_next)
+        grad_next = grads[0] if grads else gradient(u_next)
         broken = verify_solution_bounds(u_next, sub, sup_field, height,
                                         constants.gamma, grad=grad_next)
         if broken:
@@ -638,7 +649,7 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
         trace.append(dist)
         u, grad_u = u_next, grad_next
         log.info("outer step %d by %s: C1 move %.3e (target %.1e)",
-                 k, solved[0], dist, OUTER_STOP_REL * height)
+                 k, path[0], dist, OUTER_STOP_REL * height)
         if dist < OUTER_STOP_REL * height:
             break
 

@@ -364,6 +364,22 @@ def test_sweep_set_up_solves_each_distinct_field_once(monkeypatch, tmp_path):
     assert len(cold) == len(set(cold)) == 4
 
 
+def test_solve_set_up_solves_each_distinct_field_once(monkeypatch):
+    # as for sweep: the eigen start reads omega1's torsion from the
+    # constants' map, and outer_fixed_point makes no cold solve of its own
+    cold = []
+    original = plap.solve_plap_dirichlet
+
+    def counted(grid, p, g, *args, **kwargs):
+        cold.append(g.values.tobytes())
+        return original(grid, p, g, *args, **kwargs)
+
+    monkeypatch.setattr(plap, "solve_plap_dirichlet", counted)
+    assert main(["solve", "--spec", SUB, "--n", "17", "--lambda", "1",
+                 "--beta", "1"]) == 0
+    assert len(cold) == len(set(cold)) == 4
+
+
 def test_sweep_timings_go_to_stdout_not_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--spec", SUB, "--n", "17", "--samples", "2",

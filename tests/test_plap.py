@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
+import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -366,6 +368,57 @@ def test_linear_poisson_matches_the_kronecker_sum_laplacian(dimension,
     assert np.all(u[g.boundary_mask()] == 0.0)
     assert np.max(np.abs(u[g.interior].ravel() - expected)) \
         <= 1e-11 * np.max(np.abs(expected))
+
+
+def assert_as_scipy(actual, expected):
+    # numpy's rfft and SciPy's DST-I run one pocketfft real FFT from numpy
+    # 2.0 on; numpy 1.x has its own C pocketfft, which may round otherwise
+    versions = f"numpy {np.__version__}, scipy {scipy.__version__}"
+    assert actual.shape == expected.shape
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert actual.tobytes() == expected.tobytes(), versions
+    else:
+        assert np.all(np.abs(actual - expected)
+                      <= 4 * np.spacing(np.abs(expected))), versions
+
+
+# N + 1 = 2731 is prime, and 1 / (2 * 2731) rounded from long double is not
+# 1 / (2 * 2731) in double; 2039 and the sides 7, 13, 5 and 3 are prime
+DST_SHAPES = [(1,), (2,), (7,), (2039,), (2047,), (2730,),
+              (7, 13), (31, 17), (63, 63), (3, 5, 7), (7, 9, 5)]
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+@pytest.mark.parametrize("shape", DST_SHAPES, ids=shape_id)
+def test_dst1_is_scipys_type_one_sine_transform(shape):
+    x = np.random.default_rng(len(shape) * 1000 + shape[0]).standard_normal(shape)
+    assert_as_scipy(plap._dst1(x), scipy.fft.dstn(x, type=1))
+    # the inverse: one factor 1 / prod 2(N_k + 1), rounded from long double
+    fct = float(1 / np.longdouble(np.prod([2 * (n + 1) for n in shape])))
+    assert_as_scipy(plap._dst1(x, fct), scipy.fft.idstn(x, type=1))
+
+
+@pytest.mark.parametrize("shape",
+                         [tuple(n + 2 for n in s) for s in DST_SHAPES],
+                         ids=shape_id)
+def test_linear_poisson_is_scipys_sine_transform_solve(shape):
+    g = build_grid(tuple((0.0, 1.0 + 0.5 * k) for k in range(len(shape))),
+                   shape)
+    eigen = 0.0
+    for k, (n, h) in enumerate(zip(g.shape, g.spacing)):
+        j = np.arange(1, n - 1)
+        axis = (4.0 / (h * h)) * np.sin(0.5 * np.pi * j / (n - 1)) ** 2
+        eigen = eigen + axis.reshape((-1,) + (1,) * (len(shape) - 1 - k))
+    for seed in range(3):
+        load = np.random.default_rng(seed).standard_normal(g.shape)
+        expected = scipy.fft.idstn(
+            scipy.fft.dstn(load[g.interior], type=1) / eigen, type=1)
+        u = plap._linear_poisson(g, load)
+        assert np.all(u[g.boundary_mask()] == 0.0)
+        assert_as_scipy(u[g.interior], expected)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])

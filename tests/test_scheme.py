@@ -460,6 +460,38 @@ def test_outer_detects_stale_gradient_constant(sub_stage):
         outer_fixed_point(spec, 1.0, 1.0, g, doctored, eig)
 
 
+def test_outer_takes_the_gradient_of_each_field_once(sub_stage, monkeypatch):
+    # a Newton limit's gradient check, its invariant-set check and the C1
+    # move of its step read one gradient
+    spec, g, c, eig = sub_stage
+    seen = []
+
+    def recorded(u):
+        seen.append(u.values.tobytes())
+        return gradient(u)
+
+    for module in (plap, scheme):
+        monkeypatch.setattr(module, "gradient", recorded)
+    report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    assert report.converged and report.outer_iters > 1
+    assert len(seen) == len(set(seen))
+
+
+def test_a_bare_outer_run_solves_each_distinct_field_once(monkeypatch):
+    # the run computes its constants and its eigenpair itself; the eigen
+    # start reads omega1's torsion from the constants' map
+    cold = []
+    original = plap.solve_plap_dirichlet
+
+    def counted(grid, p, g, *args, **kwargs):
+        cold.append(g.values.tobytes())
+        return original(grid, p, g, *args, **kwargs)
+
+    monkeypatch.setattr(plap, "solve_plap_dirichlet", counted)
+    assert outer_fixed_point(make_spec(n=17), 1.0, 1.0).converged
+    assert len(cold) == len(set(cold)) == 4
+
+
 def test_outer_step_leaving_the_invariant_set_raises(sub_stage, monkeypatch):
     spec, g, c, eig = sub_stage
 
