@@ -22,23 +22,24 @@ between the failed one and the last one it reached, and from there it comes
 back to p (adaptive step control of continuation methods; Allgower & Georg,
 *Introduction to Numerical Continuation Methods*, SIAM 2003).  Newton steps
 start at the full step and are halved until the residual drops.  The linear
-systems are solved directly, and their storage follows the number of axes.
-With one, the matrix is kept as its three diagonals (``_Tridiagonal``) and
-LAPACK ``dgtsv`` solves it, with no sparse matrix built.  With two, the
-unknowns are numbered in grid (C) order, so the 9-point matrix is a band
-matrix with kl = ku = n_y - 1 (n_y the nodes along the last axis); it is kept
-in LAPACK general-band storage (``_Banded``), filled through an index map
+systems are solved directly.  The Jacobian has one form, its stencil
+coefficients ``coef`` (see ``_assemble``), and every storage keeps it; the
+storages differ only in how they factor it, and which one a grid gets
+follows its number of axes.  With one, LAPACK ``dgtsv`` solves the three
+diagonals of ``coef`` (``_Tridiagonal``), with no sparse matrix built.  With
+two, the unknowns are numbered in grid (C) order, so the 9-point matrix is a
+band matrix with kl = ku = n_y - 1 (n_y the nodes along the last axis); it is
+packed into LAPACK general-band storage (``_Banded``) through an index map
 computed once per grid shape (``_band``), and LAPACK ``dgbtrf`` factors it in
 place by banded LU with partial pivoting (Golub & Van Loan, *Matrix
-Computations*, sec. 4.3).  With three, the 19-point matrix is stored as CSC
+Computations*, sec. 4.3).  With three, the 19-point matrix is packed as CSC
 with its unknowns numbered by nested dissection, a numbering and pattern
 computed once per grid shape (``_csc``), and SuperLU factors it in that
-numbering.  There the band is about n_y n_z wide and outgrows the fill of
-nested dissection: at 17^3 it takes 19.5 MB against 8.5 MB for SuperLU's L
-and U, at 25^3 162 MB against 55 MB, and a chord solve with it is the slower
-one from 17^3 on.  The CSC matrix carries its numbering as ``order``, and
-every solve takes and returns vectors in grid (C) order: ``_in_grid_order``
-alone translates a three-axis solve between the two.
+numbering (``_Sparse``).  There the band is about n_y n_z wide and outgrows
+the fill of nested dissection: at 17^3 it takes 19.5 MB against 8.5 MB for
+SuperLU's L and U, at 25^3 162 MB against 55 MB, and a chord solve with it is
+the slower one from 17^3 on.  Every solve takes and returns vectors in grid
+(C) order.
 
 A solve takes an optional reaction term: with ``reaction = (coeff, q)`` it
 solves -Lap_p u = coeff * max(u, 0)^(q-1) + g, the frozen problem of an
@@ -209,44 +210,114 @@ class _Residual(NamedTuple):
     lap: np.ndarray
 
 
-class _Tridiagonal(NamedTuple):
-    """The Newton Jacobian of one axis as its three diagonals, in grid order:
-    ``lower[i]`` is the entry of row i + 1 and column i, ``upper[i]`` that of
-    row i and column i + 1.  ``nnz`` counts the entries a sparse matrix of
-    this pattern stores."""
+def _require_length(rhs, n):
+    """Raise ValueError unless ``rhs`` is a vector of ``n`` entries, which
+    LAPACK's ``dgbtrs`` and a gather by a numbering do not check."""
+    if rhs.shape != (n,):
+        raise ValueError(f"right-hand side of shape {rhs.shape} for {n} "
+                         "unknowns")
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
+
+class _Tridiagonal(NamedTuple):
+    """The Newton Jacobian of one axis: rows 0, 1 and 2 of ``coef`` hold its
+    upper, main and lower diagonals, and LAPACK ``dgtsv`` factors and solves
+    in one call, so no factor is kept."""
+
+    coef: np.ndarray
 
     @property
     def nnz(self):
-        return 3 * self.diag.size - 2
+        return 3 * (self.coef.shape[1] - 2) - 2
+
+    def factor_solve(self, rhs):
+        coef = self.coef  # coef[q, c] is row c - offsets[q], column c
+        upper, diag, lower = coef[0, 2:-1], coef[1, 1:-1], coef[2, 1:-2]
+        if diag.size == 1:
+            # the wrapper takes no empty off-diagonal; LAPACK reads none here
+            lower = upper = np.zeros(1)
+        # no overwrite flags: a stalled solve's rounding floor reads coef
+        *_, sol, info = dgtsv(lower, diag, upper, rhs)
+        return (None if info > 0 else sol), None
 
 
 class _Banded(NamedTuple):
-    """The Newton Jacobian of two axes in LAPACK general-band storage, its
-    unknowns numbered in grid (C) order: ``ab`` is the Fortran-ordered
-    (2 kl + ku + 1, n) array, kl = ku, with entry (r, c) of the matrix at
-    ``ab[kl + ku + r - c, c]`` and its first kl rows left to the fill of
-    ``dgbtrf``, which factors ``ab`` in place.  ``coef`` is what _assemble
-    filled it from, which the rounding floor reads once ``ab`` holds the
-    factor.  ``nnz`` counts the entries a sparse matrix of this pattern
-    stores."""
+    """The Newton Jacobian of two axes, its unknowns numbered in grid (C)
+    order.  Each factor packs ``coef`` afresh into LAPACK general-band
+    storage (see _band), which ``dgbtrf`` factors in place, so a second
+    factor of the same matrix is the first one again."""
 
-    ab: np.ndarray
     coef: np.ndarray
-    nnz: int
 
     @property
-    def kl(self):
-        return (self.ab.shape[0] - 1) // 3
+    def nnz(self):
+        return _band(self.coef.shape[1:])[1].size
+
+    def factor_solve(self, rhs):
+        shape = self.coef.shape[1:]
+        kl, sources, slots = _band(shape)
+        store = np.zeros((math.prod(size - 2 for size in shape), 3 * kl + 1))
+        np.put(store, slots, self.coef.take(sources))
+        # store is C-ordered, so its transpose is the Fortran-ordered ab
+        lu, pivots, info = dgbtrf(store.T, kl, kl, overwrite_ab=1)
+        if info > 0:
+            return None, None
+
+        def solve(rhs):
+            _require_length(rhs, lu.shape[1])
+            return dgbtrs(lu, kl, kl, rhs, pivots)[0]
+
+        return solve(rhs), solve
+
+
+class _Sparse(NamedTuple):
+    """The Newton Jacobian as the CSC ``matrix`` whose unknown i is the
+    interior node with C-order index ``order[i]`` (packed in the
+    nested-dissection numbering of ``_csc``).  SuperLU factors it as it is
+    numbered, with no column permutation of its own ("NATURAL"), leaves it as
+    it is, and reports a singular matrix by RuntimeError."""
+
+    matrix: sp.csc_matrix
+    order: np.ndarray
+    coef: np.ndarray
+
+    @classmethod
+    def pack(cls, coef):
+        gather, indices, indptr, order = _csc(coef.shape[1:])
+        matrix = sp.csc_matrix((coef.ravel()[gather], indices, indptr),
+                               shape=(order.size, order.size))
+        return cls(matrix, order, coef)
+
+    @property
+    def nnz(self):
+        return self.matrix.nnz
+
+    def factor_solve(self, rhs):
+        try:
+            lu = spla.splu(self.matrix, permc_spec="NATURAL")
+        except RuntimeError:
+            return None, None
+        order = self.order
+
+        def solve(rhs):
+            _require_length(rhs, order.size)
+            sol = np.empty_like(rhs)
+            sol[order] = lu.solve(rhs[order])
+            return sol
+
+        return solve(rhs), solve
 
 
 def _assemble(values, spacing, p, delta, *, faces=None, shift=None):
     """Interior-by-interior Newton Jacobian of the operator at delta,
-    including the transverse coupling: a ``_Tridiagonal`` with one axis, a
-    ``_Banded`` with two, a sparse CSC matrix with three.
+    including the transverse coupling, as ``coef`` (see _stencil) kept in
+    the storage of its number of axes: a ``_Tridiagonal`` with one, a
+    ``_Banded`` with two, a ``_Sparse`` with three or more.
+
+    ``coef`` is the one form of the matrix: every storage keeps it as it
+    is, the rounding floor reads it, and the storages differ only in how they
+    factor it.  Each has ``factor_solve(rhs)``, which returns (the solution,
+    or None when the matrix is singular; the grid-order solve of the kept
+    factor, or None), and ``nnz``, the entries a sparse matrix stores.
 
     The conductances of each face family come from the same face arrays as
     the residual: ``faces`` is ``_faces(values, spacing)`` when the caller
@@ -254,12 +325,8 @@ def _assemble(values, spacing, p, delta, *, faces=None, shift=None):
     row of its hi node, v = (1/h_k) dF/du_c, for every node c its flux F
     reads.  ``shift``, a nodal array, is subtracted from the diagonal: the
     Jacobian of -Lap_p u - F(u) for a reaction F with F'(u) = shift (see
-    ``_reaction_slope``).  It goes into ``coef`` before the matrix is packed,
-    so every storage and the rounding floor read the shifted matrix.
-
-    The CSC matrix numbers its unknowns as ``_csc`` does: its attribute
-    ``order`` holds the C-order interior index of each unknown, so it is
-    P A P^T for the nested-dissection permutation P.
+    ``_reaction_slope``).  It goes into ``coef`` before any storage is
+    packed, so every storage and the rounding floor read the shifted matrix.
     """
     if faces is None:
         faces = _faces(values, spacing)
@@ -280,19 +347,14 @@ def _assemble(values, spacing, p, delta, *, faces=None, shift=None):
     if shift is not None:
         centre = coef[offsets.index((0,) * len(shape))]
         centre -= shift
-    if len(shape) == 1:  # coef[q, c] is row c - offsets[q], column c
-        return _Tridiagonal(coef[2, 1:-2], coef[1, 1:-1], coef[0, 2:-1])
-    n = math.prod(size - 2 for size in shape)
-    if len(shape) == 2:
-        kl, sources, slots = _band(shape)
-        store = np.zeros((n, 3 * kl + 1))  # C order: its transpose is ab
-        np.put(store, slots, coef.take(sources))
-        return _Banded(store.T, coef, sources.size)
-    gather, indices, indptr, order = _csc(shape)
-    matrix = sp.csc_matrix((coef.ravel()[gather], indices, indptr),
-                           shape=(n, n))
-    matrix.order = order
-    return matrix
+    return _pack(coef)
+
+
+def _pack(coef):
+    """``coef`` in the storage of its number of axes (see _assemble)."""
+    if coef.ndim == 2:
+        return _Tridiagonal(coef)
+    return _Banded(coef) if coef.ndim == 3 else _Sparse.pack(coef)
 
 
 @functools.lru_cache(maxsize=8)
@@ -355,7 +417,9 @@ def _band(shape):
     The unknowns are the interior nodes in C order, so the couplings of a
     node reach at most m + 1 unknowns either way, m = shape[1] - 2: kl = ku =
     m + 1.  The storage is the C-ordered (n, 2 kl + ku + 1) array whose
-    transpose is ``ab``; entry (r, c) goes to its flat index
+    transpose is LAPACK's Fortran-ordered ``ab``, with entry (r, c) of the
+    matrix at ab[kl + ku + r - c, c] and its first kl rows left to the fill
+    of ``dgbtrf``.  So entry (r, c) goes to the flat index
     c (2 kl + ku + 1) + kl + ku + r - c, ``slots``, from the flattened coef at
     ``sources``, both read-only and in storage order.  Every other slot
     stays zero.
@@ -427,86 +491,22 @@ def _dissection(inner):
 
 
 def _try_solve(matrix, rhs, factor=None):
-    """Direct solve; None when the matrix is singular or the result is not
+    """Direct solve of an ``_assemble`` storage ``matrix`` by its
+    ``factor_solve``; None when the matrix is singular or the result is not
     finite.
 
-    ``rhs`` and the solution are in grid (C) order.  A ``_Tridiagonal``
-    (one axis) goes to LAPACK ``dgtsv``, which reports a singular matrix by
-    a positive ``info``.  A ``_Banded`` (two axes) is factored in place by
-    LAPACK ``dgbtrf``, which reports a singular matrix the same way, and
-    ``dgbtrs`` solves with the factor.  A CSC matrix (three axes) is
-    factored by SuperLU as it is numbered, with no column permutation of its
-    own ("NATURAL"): ``_assemble`` numbers it by nested dissection and
-    records that in its ``order``, and a matrix without one is solved in its
-    own numbering.  A singular CSC matrix raises RuntimeError (SuperLU).
-    Anything else, such as a right-hand side of the wrong length
+    ``rhs`` and the solution are in grid (C) order.  Anything other than a
+    singular matrix, such as a right-hand side of the wrong length
     (ValueError), propagates.  ``factor``, a one-slot list, receives the
-    grid-order ``solve`` of the kept LU factor when the solution is finite;
-    ``dgtsv`` factors and solves in one call and leaves it as it is.
+    grid-order solve of the kept LU factor when the solution is finite; a
+    storage that keeps no factor (``_Tridiagonal``) leaves it as it is.
     """
-    solve = None
-    if isinstance(matrix, _Tridiagonal):
-        lower, upper = matrix.lower, matrix.upper
-        if matrix.diag.size == 1:
-            # the wrapper takes no empty off-diagonal; LAPACK reads none here
-            lower = upper = np.zeros(1)
-        # no overwrite flags: a stalled solve reads the Jacobian afterwards
-        *_, sol, info = dgtsv(lower, matrix.diag, upper, rhs)
-        if info > 0:
-            return None
-    elif isinstance(matrix, _Banded):
-        # the factor overwrites ab; a stalled solve reads coef instead
-        kl = matrix.kl
-        lu, pivots, info = dgbtrf(matrix.ab, kl, kl, overwrite_ab=1)
-        if info > 0:
-            return None
-        solve = _band_solve(lu, pivots, kl)
-        sol = solve(rhs)
-    else:
-        try:
-            solve = _in_grid_order(spla.splu(matrix, permc_spec="NATURAL").solve,
-                                   getattr(matrix, "order", None))
-            sol = solve(rhs)
-        except RuntimeError:
-            return None
-    if not np.all(np.isfinite(sol)):
+    sol, solve = matrix.factor_solve(rhs)
+    if sol is None or not np.all(np.isfinite(sol)):
         return None
     if factor is not None and solve is not None:
         factor[:] = [solve]
     return sol
-
-
-def _band_solve(lu, pivots, kl):
-    """The solve of the ``dgbtrf`` factor (lu, pivots) of a _Banded with kl
-    = ku = ``kl``; LAPACK checks no length, so a right-hand side of the
-    wrong one raises ValueError here."""
-    n = lu.shape[1]
-
-    def solve(rhs):
-        if rhs.shape != (n,):
-            raise ValueError(f"right-hand side of shape {rhs.shape} for {n} "
-                             "unknowns")
-        return dgbtrs(lu, kl, kl, rhs, pivots)[0]
-
-    return solve
-
-
-def _in_grid_order(solve, order):
-    """``solve`` of the unknowns numbered by ``order`` (unknown i is the
-    interior node with C-order index order[i]) as a solve with right-hand
-    side and solution in grid (C) order; ``order`` None keeps ``solve``."""
-    if order is None:
-        return solve
-
-    def grid_solve(rhs):
-        if rhs.shape != order.shape:
-            raise ValueError(f"right-hand side of shape {rhs.shape} for "
-                             f"{order.size} unknowns")
-        sol = np.empty_like(rhs)
-        sol[order] = solve(rhs[order])
-        return sol
-
-    return grid_solve
 
 
 def _dst1(x, fct=1.0):
@@ -526,7 +526,8 @@ def _dst1(x, fct=1.0):
     for axis in range(x.ndim):
         n = x.shape[axis]
         x = np.moveaxis(x, axis, 0)
-        ext = np.zeros((2 * (n + 1),) + x.shape[1:])
+        ext = np.empty((2 * (n + 1),) + x.shape[1:])
+        ext[0] = ext[n + 1] = 0.0
         ext[1:n + 1] = x
         ext[n + 2:] = -x[::-1]
         spectrum = np.fft.rfft(ext, axis=0)[1:n + 1].imag
@@ -748,8 +749,7 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
                 factor.clear()
         if accepted is None:
             # a fresh Jacobian at u: the rounding floor below reads it too.
-            # The last one goes first: a _Banded's storage holds its factor,
-            # and two alive at once would double the solve's peak memory
+            # The last one goes first, so that two are never alive at once
             jac = None
             shift = None if reaction is None else _reaction_slope(u, coeff, q)
             jac = _assemble(u, spacing, p, res.delta, faces=res.faces,
@@ -809,23 +809,18 @@ def _reaction_slope(values, coeff, q):
 def _rounding_floor(jac, u_interior):
     """ROUNDING_ULPS * eps * max(|J| |u|): the rounding level of evaluating
     the operator at u, for the Jacobian ``jac`` assembled at u and the
-    interior nodal values ``u_interior``."""
-    if isinstance(jac, _Tridiagonal):
-        au = np.abs(u_interior)
-        ju = np.abs(jac.diag) * au
-        ju[:-1] += np.abs(jac.upper) * au[1:]
-        ju[1:] += np.abs(jac.lower) * au[:-1]
-    elif isinstance(jac, _Banded):
-        # from coef, as ab may hold the factor: row node r meets column node
-        # r + offsets[q] through coef[q] there, and u is zero on the boundary
-        shape = jac.coef.shape[1:]
-        au = np.zeros(shape)
-        au[1:-1, 1:-1] = np.abs(u_interior)
-        weighted = np.abs(jac.coef) * au
-        ju = sum(w[1 + a:shape[0] - 1 + a, 1 + b:shape[1] - 1 + b]
-                 for w, (a, b) in zip(weighted, _stencil(shape)[0]))
-    else:
-        ju = abs(jac) @ np.abs(u_interior.ravel())[jac.order]
+    interior nodal values ``u_interior``.
+
+    It reads ``jac.coef``, which no factor overwrites: row node r meets
+    column node r + offsets[q] through coef[q] there, and u is zero on the
+    boundary.
+    """
+    shape = jac.coef.shape[1:]
+    au = np.zeros(shape)
+    au[(slice(1, -1),) * len(shape)] = np.abs(u_interior)
+    weighted = np.abs(jac.coef) * au
+    ju = sum(w[tuple(slice(1 + o, n - 1 + o) for o, n in zip(offset, shape))]
+             for w, offset in zip(weighted, _stencil(shape)[0]))
     return ROUNDING_ULPS * np.finfo(float).eps * float(np.max(ju))
 
 

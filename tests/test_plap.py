@@ -40,9 +40,13 @@ from plaplab.plap import (
     ROUNDING_ULPS,
     SolveOptions,
     _Banded,
+    _Sparse,
     _Tridiagonal,
     _assemble,
+    _couplings,
     _csc,
+    _pack,
+    _stencil,
     _try_solve,
     assert_gradient_bound,
     check_comparison,
@@ -152,36 +156,26 @@ def _jacobian_test_field(dimension):
                             * (1.0 + 0.3 * x + 0.2 * y * y - 0.1 * z)))
 
 
+def grid_order_csc(matrix, unknown=None):
+    """The matrix of an _assemble storage as CSC, with its rows and columns in
+    grid (C) order of the interior nodes, built from its ``coef``; or
+    numbered by ``unknown``, the unknown of each interior node in C order."""
+    shape = matrix.coef.shape[1:]
+    n = int(np.prod([size - 2 for size in shape]))
+    rows, cols, sources = _couplings(
+        shape, np.arange(n) if unknown is None else unknown)
+    return sp.csc_matrix((matrix.coef.ravel()[sources], (rows, cols)),
+                         shape=(n, n))
+
+
 def grid_order(matrix):
-    """An _assemble matrix as a dense array with its rows and columns in grid
-    (C) order of the interior nodes: a _Tridiagonal from its three
-    diagonals, a _Banded (not yet factored) from its band, a CSC matrix
-    through its numbering ``order``, when it has one."""
-    if isinstance(matrix, _Tridiagonal):
-        n = matrix.diag.size
-        return sp.diags([matrix.lower, matrix.diag, matrix.upper], [-1, 0, 1],
-                        shape=(n, n)).toarray()
-    if isinstance(matrix, _Banded):
-        # row b of the band holds the diagonal c - r = 2 kl - b, as a
-        # dia_matrix stores it: indexed by column
-        kl, n = matrix.kl, matrix.ab.shape[1]
-        return sp.dia_matrix((matrix.ab, 2 * kl - np.arange(3 * kl + 1)),
-                             shape=(n, n)).toarray()
-    dense = matrix.toarray()
-    order = getattr(matrix, "order", None)
-    if order is None:
-        return dense
-    unknown = np.argsort(order)  # the unknown of each node
-    return dense[np.ix_(unknown, unknown)]
+    """The matrix of an _assemble storage as a dense array in grid order."""
+    return grid_order_csc(matrix).toarray()
 
 
 def stored(matrix):
-    """The bytes of the entries an _assemble matrix stores."""
-    if isinstance(matrix, _Tridiagonal):
-        return np.concatenate(matrix).tobytes()
-    if isinstance(matrix, _Banded):
-        return matrix.ab.tobytes()
-    return matrix.data.tobytes()
+    """The bytes of the matrix an _assemble storage keeps, its ``coef``."""
+    return matrix.coef.tobytes()
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -467,30 +461,51 @@ def test_cold_probe_solves_stay_within_their_factorization_budget(
     assert len(factorizations) <= budget
 
 
-def test_try_solve_returns_none_on_singular_matrix():
-    singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert _try_solve(singular, np.array([1.0, 2.0])) is None
-    assert _try_solve(sp.csc_matrix((2, 2)), np.array([1.0, 2.0])) is None
-    # the Jacobian of the zero field at delta = 0 is zero
-    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (6, 5))
-    zero = _assemble(np.zeros(g.shape), g.spacing, 2.5, 0.0)
-    assert isinstance(zero, _Banded)
+# every storage: a singular matrix, the zero matrix, one unknown, and a
+# right-hand side of the wrong length, also for a kept solve
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_try_solve_refuses_singular_matrices_and_wrong_lengths(dimension):
+    def stencil(unknowns, centre=0.0, coupling=0.0):
+        # ``unknowns`` along the last axis, one along any other
+        shape = (3,) * (dimension - 1) + (unknowns + 2,)
+        offsets = _stencil(shape)[0]
+        coef = np.full((len(offsets),) + shape, coupling)
+        coef[offsets.index((0,) * dimension)] = centre
+        return _pack(coef)
+
     factor = []
-    assert _try_solve(zero, np.ones(12), factor) is None and factor == []
-
-
-def test_try_solve_keeps_programming_errors_loud():
-    mat = sp.identity(3, format="csc")
+    # [[1, 1], [1, 1]] and the zero matrix
+    assert _try_solve(stencil(2, 1.0, 1.0), np.array([1.0, 2.0]), factor) is None
+    assert _try_solve(stencil(2), np.array([1.0, 2.0]), factor) is None
+    # the Jacobian of the zero field at delta = 0 is zero
+    shape = {1: (7,), 2: (6, 5), 3: (5, 4, 5)}[dimension]
+    g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:dimension], shape)
+    values = np.zeros(shape)
+    values[g.interior] = np.random.default_rng(6).standard_normal(
+        tuple(n - 2 for n in shape))
+    n = values[g.interior].size
+    zero = _assemble(np.zeros(shape), g.spacing, 2.5, 0.0)
+    assert _try_solve(zero, np.ones(n), factor) is None and factor == []
+    # one unknown: no off-diagonal entries
+    assert _try_solve(stencil(1), np.ones(1)) is None
+    assert _try_solve(stencil(1, 4.0), np.ones(1)).tolist() == [0.25]
+    # a pivot so small that the solution overflows
+    assert _try_solve(stencil(1, 1e-310), np.ones(1), factor) is None
+    assert factor == []
     with pytest.raises(ValueError):
-        _try_solve(mat, np.ones(4))
+        _try_solve(stencil(1, 1.0), np.ones(2))
     # LAPACK's dgbtrs checks no length: a longer right-hand side would pass
-    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (6, 5))
-    values = np.zeros(g.shape)
-    values[g.interior] = np.random.default_rng(6).standard_normal((4, 3))
-    for length in (11, 13):
-        band = _assemble(values, g.spacing, 2.5, 1.0e-3)
+    jac = _assemble(values, g.spacing, 2.5, 1.0e-3)
+    for length in (n - 1, n + 1):
         with pytest.raises(ValueError):
-            _try_solve(band, np.ones(length))
+            _try_solve(jac, np.ones(length))
+    factor = []
+    assert _try_solve(jac, np.ones(n), factor) is not None
+    assert len(factor) == (dimension > 1)
+    for solve in factor:
+        for length in (n - 1, n + 1):
+            with pytest.raises(ValueError):
+                solve(np.ones(length))
 
 
 @pytest.mark.parametrize("frozen", [False])
@@ -499,7 +514,7 @@ def test_banded_solve_matches_sparse_lu(p, frozen):
     u = _jacobian_test_field(1)
     mat = _assemble(u.values, u.grid.spacing, p, flux_delta(u))
     assert isinstance(mat, _Tridiagonal)
-    rhs = np.random.default_rng(5).standard_normal(mat.diag.size)
+    rhs = np.random.default_rng(5).standard_normal(u.grid.shape[0] - 2)
     expected = spla.spsolve(sp.csc_matrix(grid_order(mat)), rhs)
     got = _try_solve(mat, rhs)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -548,29 +563,26 @@ def _loop_jacobian(values, spacing, p, delta):
 
 @pytest.mark.parametrize("frozen", [False])
 def test_assembly_pattern_follows_the_grid_shape(frozen):
-    # one axis stores the three diagonals, two a LAPACK band in grid order,
+    # one axis keeps the three diagonals, two a LAPACK band in grid order,
     # three CSC; (7, 9) twice checks the per-shape cache
     rng = np.random.default_rng(11)
+    storage = {1: _Tridiagonal, 2: _Banded, 3: _Sparse}
     for shape in ((17,), (7, 9), (9, 7), (33, 33), (7, 9), (5, 6, 7)):
         g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
         values = rng.standard_normal(shape)
         mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
         expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3)
-        if len(shape) == 1:
-            assert isinstance(mat, _Tridiagonal) and mat.nnz == 3 * 15 - 2
-        elif len(shape) == 2:
-            kl, n = shape[1] - 1, expected.shape[0]
-            assert isinstance(mat, _Banded) and mat.kl == kl
-            assert mat.ab.shape == (3 * kl + 1, n) and mat.ab.flags.f_contiguous
-            assert not mat.ab[:kl].any()  # the rows dgbtrf fills
-            # the entries a CSC matrix of the pattern stores: every coupling
-            # of two interior nodes
-            assert mat.nnz == np.count_nonzero(expected)
-        else:
-            assert mat.format == "csc" and mat.has_canonical_format
-            assert mat.nnz == np.count_nonzero(expected)
+        assert isinstance(mat, storage[len(shape)])
+        # the entries a CSC matrix of the pattern stores: every coupling of
+        # two interior nodes
+        assert mat.nnz == np.count_nonzero(expected)
         assert np.allclose(grid_order(mat), expected, rtol=0.0,
                            atol=1e-13 * np.max(np.abs(expected)))
+        # and the storage packs that matrix: its solve is expected's
+        rhs = np.random.default_rng(len(shape)).standard_normal(len(expected))
+        sol = np.linalg.solve(expected, rhs)
+        assert np.max(np.abs(_try_solve(mat, rhs) - sol)) \
+            <= 1e-10 * np.max(np.abs(sol))
 
 
 # three axes only: two number their unknowns in grid order; the longest
@@ -602,13 +614,14 @@ def test_try_solve_answers_in_grid_order(shape, frozen):
     values = np.zeros(shape)
     values[g.interior] = rng.standard_normal(inner)
     mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
-    dense = grid_order(mat)  # before the band factor overwrites it
     rhs = rng.standard_normal(np.prod(inner))
-    expected = np.linalg.solve(dense, rhs)
+    expected = np.linalg.solve(grid_order(mat), rhs)
     factor = []
     got = _try_solve(mat, rhs, factor)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+    # no factor overwrites coef: a second one solves the same matrix
+    assert _try_solve(mat, rhs).tobytes() == got.tobytes()
     # the kept solve answers in grid order too
     assert np.max(np.abs(factor[0](rhs) - expected)) <= 1e-12 * scale
 
@@ -644,50 +657,41 @@ def test_nested_dissection_fill_against_minimum_degree(shape, bound):
     u = field_from_function(g, lambda *xs: np.prod(
         [np.sin(np.pi * x) for x in xs], axis=0) * (1.0 + 0.3 * xs[0]))
     mat = _assemble(u.values, g.spacing, 2.5, flux_delta(u))
-    unknown = np.argsort(mat.order)  # sparse: 17^3 is too large dense
-    in_grid_order = mat.tocsr()[unknown][:, unknown].tocsc()
-    assert (_lu_fill(mat, "NATURAL")
-            <= bound * _lu_fill(in_grid_order, "MMD_AT_PLUS_A"))
+    assert isinstance(mat, _Sparse)  # 17^3 is too large dense
+    assert (_lu_fill(mat.matrix, "NATURAL")
+            <= bound * _lu_fill(grid_order_csc(mat), "MMD_AT_PLUS_A"))
 
 
-def test_banded_try_solve_singular_and_wrong_length():
-    singular = _Tridiagonal(np.ones(1), np.ones(2), np.ones(1))
-    assert _try_solve(singular, np.array([1.0, 2.0])) is None
-    band = _Tridiagonal(np.ones(2), np.ones(3), np.ones(2))
-    with pytest.raises(ValueError):
-        _try_solve(band, np.ones(4))
-    # one unknown: no off-diagonal entries
-    empty = np.empty(0)
-    assert _try_solve(_Tridiagonal(empty, np.zeros(1), empty), np.ones(1)) is None
-    assert _try_solve(_Tridiagonal(empty, np.full(1, 4.0), empty),
-                      np.ones(1)).tolist() == [0.25]
-    with pytest.raises(ValueError):
-        _try_solve(_Tridiagonal(empty, np.ones(1), empty), np.ones(2))
-
-
-def _one_axis_jacobians(p):
-    """(u, Newton Jacobian at u) on 2049 nodes: a smooth field, the cold
-    start at p, and seeded random fields."""
-    g = grid_1d(2049)
-    fields = [np.sin(np.pi * g.axis(0)) * (1.2 + np.sin(3.0 * g.axis(0))),
-              plap._cold_start(g, p, np.ones(g.shape))]
+def _jacobians(p, shape=(2049,)):
+    """(u, Newton Jacobian at u) on a box of ``shape``: a smooth field, the
+    cold start at p, and seeded random fields."""
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    x = [g.axis(k).reshape((-1,) + (1,) * (len(shape) - 1 - k))
+         for k in range(len(shape))]
+    smooth = np.sin(np.pi * x[0]) * (1.2 + np.sin(3.0 * x[0]))
+    for xk in x[1:]:
+        smooth = smooth * np.sin(np.pi * xk)
+    fields = [smooth, plap._cold_start(g, p, np.ones(g.shape))]
     rng = np.random.default_rng(12)
     for _ in range(3):
         values = np.zeros(g.shape)
-        values[g.interior] = rng.standard_normal(2047)
+        values[g.interior] = rng.standard_normal(tuple(n - 2 for n in shape))
         fields.append(values)
     for values in fields:
         delta = _plap_own_delta(values, g.spacing, p)[1]
-        yield values, _assemble(values, g.spacing, p, delta)
+        yield values[g.interior], _assemble(values, g.spacing, p, delta)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
 def test_tridiagonal_solve_is_bit_equal_to_solve_banded(p):
     rng = np.random.default_rng(13)
-    for _, jac in _one_axis_jacobians(p):
+    for _, jac in _jacobians(p):
         before = stored(jac)
-        band = np.array([np.r_[0.0, jac.upper], jac.diag, np.r_[jac.lower, 0.0]])
-        rhs = rng.standard_normal(jac.diag.size)
+        # coef[q, c] is row c - offsets[q], column c: solve_banded's layout,
+        # but for its two corners, which lie off the matrix
+        band = jac.coef[:, 1:-1].copy()
+        band[0, 0] = band[2, -1] = 0.0
+        rhs = rng.standard_normal(band.shape[1])
         expected = scipy.linalg.solve_banded((1, 1), band, rhs)
         assert _try_solve(jac, rhs).tobytes() == expected.tobytes()
         assert stored(jac) == before  # a stalled solve reads jac afterwards
@@ -695,12 +699,20 @@ def test_tridiagonal_solve_is_bit_equal_to_solve_banded(p):
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
 def test_tridiagonal_rounding_floor_matches_the_sparse_product(p):
-    for values, jac in _one_axis_jacobians(p):
-        u_int = values[1:-1]
-        expected = ROUNDING_ULPS * np.finfo(float).eps * np.max(
-            abs(grid_order(jac)) @ np.abs(u_int))
-        got = plap._rounding_floor(jac, u_int)
-        assert abs(got - expected) <= 1e-15 * expected
+    # the floor reads coef with any number of axes.  It sums each row of
+    # |J| |u| by descending column, and a sparse product by ascending column:
+    # numbered backwards, the two are bit-equal; BLAS sums the dense product
+    # in an order of its own
+    scale = ROUNDING_ULPS * np.finfo(float).eps
+    for shape in ((2049,), (33, 17), (9, 7, 5)):
+        for u_int, jac in _jacobians(p, shape):
+            au = np.abs(u_int.ravel())
+            backwards = np.arange(au.size)[::-1]
+            got = plap._rounding_floor(jac, u_int)
+            assert got == scale * np.max(
+                abs(grid_order_csc(jac, backwards)) @ au[::-1]), shape
+            dense = scale * np.max(abs(grid_order(jac)) @ au)
+            assert abs(got - dense) <= 1e-15 * dense, shape
 
 
 def test_one_axis_solve_builds_no_sparse_matrix(monkeypatch):

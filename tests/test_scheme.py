@@ -521,10 +521,12 @@ def test_square2d_outcome_does_not_hang_on_the_lu_ordering(monkeypatch):
     try_solve, splu = plap._try_solve, plap.spla.splu
 
     def through_superlu(matrix, rhs, factor=None):
-        kl, n = matrix.kl, matrix.ab.shape[1]
-        csc = sp.dia_matrix((matrix.ab, 2 * kl - np.arange(3 * kl + 1)),
-                            shape=(n, n)).tocsc()
-        return try_solve(csc, rhs, factor)
+        shape = matrix.coef.shape[1:]
+        identity = np.arange(np.prod([size - 2 for size in shape]))
+        rows, cols, sources = plap._couplings(shape, identity)
+        csc = sp.csc_matrix((matrix.coef.ravel()[sources], (rows, cols)),
+                            shape=(identity.size, identity.size))
+        return try_solve(plap._Sparse(csc, identity, matrix.coef), rhs, factor)
 
     monkeypatch.setattr(plap, "_try_solve", through_superlu)
     monkeypatch.setattr(plap.spla, "splu", lambda matrix, permc_spec=None:
