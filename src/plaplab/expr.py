@@ -20,6 +20,11 @@ so ``-x^2`` is ``-(x^2)`` and ``2^3^2`` is ``2^(3^2)``.  Functions: abs, exp,
 sin, cos (one argument) and min, max (two).  Unknown identifiers are rejected
 at parse time with a position; runtime problems (division by zero, fractional
 powers of negatives, overflow to non-finite values) raise EvalError.
+Each expression is compiled once per problem, with its parameters
+substituted and its constant subtrees folded, and keeps every guard that can
+fire: the finite check and the division test always, and a power's
+zero-base test unless its exponent is a constant of at least 0, its
+negative-base test unless the exponent is an integer constant.
 
 A problem file is flat ``key = value`` text with keys p, q, a, b, omega1,
 omega2, omega3, h, f, domain, resolution; expressions are double-quoted,
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -327,6 +333,19 @@ def parse(source: str) -> Expr:
 
 # --------------------------------------------------------------------------
 # Evaluation
+#
+# An expression is compiled, once per set of numeric parameter values, into
+# nested closures of the bindings, one per node.  Every subtree that reads no
+# other variable is folded to the value a plain tree walk gives it, so what
+# is left to run are the numpy calls on varying operands, in the walk's
+# order.  A constant subtree that raises is left unfolded, to raise when it
+# is evaluated.
+
+
+_FUNCTIONS = {"abs": np.abs, "exp": np.exp, "sin": np.sin, "cos": np.cos,
+              "min": np.minimum, "max": np.maximum}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_VARIES = object()  # stands for the value of a subtree that is not constant
 
 
 def evaluate_on(expr: Expr, bindings) -> np.ndarray:
@@ -337,8 +356,8 @@ def evaluate_on(expr: Expr, bindings) -> np.ndarray:
     subexpression.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        result = _eval(expr, bindings)
-    if not np.all(np.isfinite(result)):
+        result = _program(expr, bindings)(bindings)
+    if not np.isfinite(result).all():
         raise EvalError(f"non-finite value while evaluating '{expr}'")
     return np.asarray(result, dtype=float)
 
@@ -348,39 +367,106 @@ def evaluate(expr: Expr, bindings) -> float:
     return float(evaluate_on(expr, {k: float(v) for k, v in bindings.items()}))
 
 
-def _eval(node, bindings):
+def _program(expr, bindings):
+    """expr compiled with the parameters that bindings binds to numbers."""
+    # hex keeps -0.0 and 0.0 apart, which compare equal
+    params = []
+    for name in PARAMETER_NAMES:
+        value = bindings.get(name)
+        if isinstance(value, float):
+            params.append((name, value.hex()))
+    return _compiled(expr, tuple(params))
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(expr, params):
+    """The program of expr for the parameter values given as (name,
+    float.hex()) pairs.  Equal trees share one, so a problem loaded again
+    compiles nothing (Num(-0.0) equals Num(0.0), but the parser never builds
+    a negative Num)."""
+    return _compile(expr, {name: np.float64(float.fromhex(value))
+                           for name, value in params})[0]
+
+
+def _constant(value):
+    return (lambda b: value), value
+
+
+def _folded(run, *values):
+    """(run, _VARIES), or (a closure returning it, run's value) when every
+    operand is constant and run does not raise on them."""
+    if any(value is _VARIES for value in values):
+        return run, _VARIES
+    try:
+        return _constant(run({}))
+    except EvalError:
+        return run, _VARIES
+
+
+def _compile(node, params):
+    """(closure of the bindings, its constant value or _VARIES) of a node;
+    params maps the substituted parameter names to their values."""
     if isinstance(node, Num):
-        return np.float64(node.value)
+        return _constant(np.float64(node.value))
     if isinstance(node, Var):
-        try:
-            return np.asarray(bindings[node.name], dtype=float)
-        except KeyError:
-            raise EvalError(f"variable '{node.name}' is not bound here") from None
+        if node.name in params:
+            return _constant(params[node.name])
+        name = node.name
+
+        def variable(b):
+            try:
+                return np.asarray(b[name], dtype=float)
+            except KeyError:
+                raise EvalError(f"variable '{name}' is not bound here") from None
+        return variable, _VARIES
     if isinstance(node, Neg):
-        return -_eval(node.operand, bindings)
+        operand, value = _compile(node.operand, params)
+        return _folded(lambda b: -operand(b), value)
     if isinstance(node, Call):
-        args = [_eval(a, bindings) for a in node.args]
-        fn = {"abs": np.abs, "exp": np.exp, "sin": np.sin, "cos": np.cos,
-              "min": np.minimum, "max": np.maximum}[node.func]
-        return fn(*args)
-    left = _eval(node.left, bindings)
-    right = _eval(node.right, bindings)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        if np.any(right == 0.0):
-            raise EvalError(f"division by zero in '{node}'")
-        return left / right
-    # power
-    if np.any((left == 0.0) & (right < 0.0)):
+        fn = _FUNCTIONS[node.func]
+        runs, values = zip(*(_compile(a, params) for a in node.args))
+        return _folded(lambda b: fn(*[run(b) for run in runs]), *values)
+    left, lval = _compile(node.left, params)
+    right, rval = _compile(node.right, params)
+    if node.op in _ARITHMETIC:
+        op = _ARITHMETIC[node.op]
+        run = lambda b: op(left(b), right(b))  # noqa: E731
+    elif node.op == "/":
+        def run(b):
+            num, den = left(b), right(b)
+            if (den == 0.0).any():
+                raise EvalError(f"division by zero in '{node}'")
+            return num / den
+    else:
+        run = _power(node, left, right, rval)
+    return _folded(run, lval, rval)
+
+
+def _power(node, left, right, rval):
+    if rval is _VARIES:
+        def power(b):
+            base, exponent = left(b), right(b)
+            _domain(node, ((base == 0.0) & (exponent < 0.0)).any(),
+                    ((base < 0.0) & (np.floor(exponent) != exponent)).any())
+            return np.power(base, exponent)
+        return power
+    # a folded exponent runs only the tests it can fail: a zero base fails a
+    # negative one, a negative base one that is not an integer (or is a nan)
+    zero_test, sign_test = bool(rval < 0.0), bool(np.floor(rval) != rval)
+
+    def power_folded(b):
+        base = left(b)
+        _domain(node, zero_test and (base == 0.0).any(),
+                sign_test and (base < 0.0).any())
+        return np.power(base, rval)
+    return power_folded
+
+
+def _domain(node, zero_base, negative_base):
+    if zero_base:
         raise EvalError(f"zero raised to a negative power in '{node}'")
-    if np.any((left < 0.0) & (np.floor(right) != right)):
+    if negative_base:
         raise EvalError(f"negative base with fractional exponent in '{node}'")
-    return np.power(left, right)
 
 
 # --------------------------------------------------------------------------
@@ -521,8 +607,10 @@ class GrowthViolation:
 
 
 def _worst_excess(check, lhs, rhs) -> GrowthViolation | None:
+    diff = np.subtract(lhs, rhs)
+    if diff.max() <= 1.0e-12:  # within every slack below; a nan goes on
+        return None
     lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    diff = lhs - rhs
     # slack scaled to the size of the quantities compared, not of their
     # difference
     bad = diff > 1.0e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
@@ -540,21 +628,25 @@ def _worst(violations) -> GrowthViolation | None:
                key=lambda v: v.excess, default=None)
 
 
-def check_growth(spec: ProblemSpec, weights, u, gnorm, h, f
+def check_growth(spec: ProblemSpec, weights, u, gnorm, h, f, growth
                  ) -> GrowthViolation | None:
     """Largest failure of the growth hypotheses, or None when they hold:
 
         omega1 u^(q-1) <= h <= omega2 u^(q-1),   0 <= f <= omega3 u^a gnorm^b,
 
     each with 1e-12 relative slack.  h and f are h(x, u) and f(x, u, gnorm)
-    as the caller evaluated them; weights is sample_weights(spec, grid).
-    Arrays broadcast against the grid, leading sample axes allowed; the
-    result's index is into the broadcast shape of the failing check (gnorm
-    takes part in the f checks only).
+    as the caller evaluated them, growth is np.power(u, q - 1) and weights
+    is sample_weights(spec, grid).  Arrays broadcast against the grid,
+    leading sample axes allowed; the result's index is into the broadcast
+    shape of the failing check (gnorm takes part in the f checks only).
+
+    A check fails where lhs - rhs exceeds 1e-12 * max(1, |lhs|, |rhs|), a
+    slack never below 1e-12.  So a check whose largest lhs - rhs is at most
+    1e-12 cannot fail, and it returns at once, without the slack array;
+    only the others compute it, and the result is the same bit for bit.
     """
     w1, w2, w3 = (w.values for w in weights)
     f = np.broadcast_to(f, np.broadcast_shapes(np.shape(f), np.shape(gnorm)))
-    growth = np.power(u, spec.q - 1.0)
     f_bound = w3 * np.power(u, spec.a) * np.power(gnorm, spec.b)
     return _worst((
         _worst_excess("omega1*u^(q-1) <= h", w1 * growth, h),
@@ -586,7 +678,8 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
             f = evaluate_on(spec.f, {**bindings, "u": u, "gnorm": gnorm})
         except EvalError as exc:
             raise EvalError(f"evaluating h and f at u={u:.6g}: {exc}") from exc
-        found = check_growth(spec, weights, u, gnorm, h, f)
+        found = check_growth(spec, weights, u, gnorm, h, f,
+                             np.power(u, spec.q - 1.0))
         if found is not None and (worst is None or found.excess > worst.excess):
             worst, worst_u = found, float(u)
 

@@ -190,7 +190,11 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
     f_vals = np.broadcast_to(
         evaluate_on(spec.f, {**bindings, "u": uv, "gnorm": gn}), grid.shape)
 
-    violation = check_growth(spec, weights, uv, gn, h_vals, f_vals)
+    # np.power matches the expression evaluator bitwise; ** would take
+    # numpy's sqrt fast path for half-integer exponents and differ by an ulp,
+    # leaving roundoff residue in ``base`` where h equals its growth bound
+    growth = np.power(uv, spec.q - 1.0)
+    violation = check_growth(spec, weights, uv, gn, h_vals, f_vals, growth)
     if violation is not None:
         node = violation.index
         raise HypothesisViolationError(
@@ -198,10 +202,6 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
             values={"u": float(uv[node]), "gnorm": float(gn[node]),
                     "lhs": violation.lhs, "rhs": violation.rhs})
 
-    # np.power matches the expression evaluator bitwise; ** would take
-    # numpy's sqrt fast path for half-integer exponents and differ by an ulp,
-    # leaving roundoff residue in ``base`` where h equals its growth bound
-    growth = np.power(uv, spec.q - 1.0)
     base = lam * (h_vals - w1.values * growth) + beta * f_vals
     base = np.maximum(base, 0.0)  # roundoff only; real negatives raised above
     return FrozenNonlinearity(grid=grid, coeff=lam * w1.values, base=base,

@@ -2,7 +2,8 @@
 
 Everything here is computed by a route unrelated to the package's own
 machinery: closed forms, adaptive quadrature, banded symmetric eigensolves,
-flux integration of the 1D two-point problem, and brute-force minimization.
+flux integration of the 1D two-point problem, brute-force minimization, and
+a plain tree walk of the expression language.
 Tests freeze values from these, never from the code under test.
 """
 
@@ -11,6 +12,7 @@ from scipy.integrate import cumulative_trapezoid, quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq, minimize_scalar
 
+from plaplab.expr import BinOp, Call, EvalError, Neg, Num, Var
 from plaplab.grid import ScalarField
 
 
@@ -148,3 +150,49 @@ def poisson_2d_direct(rhs_fn, extents, shape):
     full = np.zeros((nx, ny))
     full[1:-1, 1:-1] = interior
     return full
+
+
+def evaluate_tree(expr, bindings):
+    """An expression's value by walking its tree on every call, each domain
+    test on every power and quotient: what ``expr.evaluate_on`` must return,
+    bit for bit, and the EvalError messages it must raise, in order."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = _walk(expr, bindings)
+    if not np.all(np.isfinite(result)):
+        raise EvalError(f"non-finite value while evaluating '{expr}'")
+    return np.asarray(result, dtype=float)
+
+
+def _walk(node, bindings):
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        try:
+            return np.asarray(bindings[node.name], dtype=float)
+        except KeyError:
+            raise EvalError(f"variable '{node.name}' is not bound here") from None
+    if isinstance(node, Neg):
+        return -_walk(node.operand, bindings)
+    if isinstance(node, Call):
+        args = [_walk(a, bindings) for a in node.args]
+        fn = {"abs": np.abs, "exp": np.exp, "sin": np.sin, "cos": np.cos,
+              "min": np.minimum, "max": np.maximum}[node.func]
+        return fn(*args)
+    assert isinstance(node, BinOp)
+    left = _walk(node.left, bindings)
+    right = _walk(node.right, bindings)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        if np.any(right == 0.0):
+            raise EvalError(f"division by zero in '{node}'")
+        return left / right
+    if np.any((left == 0.0) & (right < 0.0)):
+        raise EvalError(f"zero raised to a negative power in '{node}'")
+    if np.any((left < 0.0) & (np.floor(right) != right)):
+        raise EvalError(f"negative base with fractional exponent in '{node}'")
+    return np.power(left, right)

@@ -5,17 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plaplab.errors import ConfigurationError, ProblemFileError
+from plaplab.errors import (
+    ConfigurationError,
+    HypothesisViolationError,
+    ProblemFileError,
+)
 from plaplab.expr import (
+    PARAMETER_NAMES,
     BinOp,
     Call,
     EvalError,
+    GrowthViolation,
     Neg,
     Num,
     ParseError,
     ProblemSpec,
     Var,
     bundled_problem_path,
+    check_growth,
     evaluate,
     evaluate_on,
     list_bundled_problems,
@@ -24,7 +31,10 @@ from plaplab.expr import (
     sample_weights,
     validate_hypotheses,
 )
-from plaplab.grid import build_grid
+from plaplab.grid import build_grid, field_from_function
+from plaplab.scheme import freeze_nonlinearity
+
+from oracles import evaluate_tree
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +105,13 @@ def test_printer_emits_minimal_parentheses(src):
 _leaf = st.one_of(
     st.floats(min_value=0.0, max_value=100.0,
               allow_nan=False, allow_infinity=False).map(Num),
-    st.sampled_from(["x1", "x2", "u", "gnorm", "p", "q"]).map(Var),
+    st.sampled_from(["x1", "x2", "u", "gnorm", *PARAMETER_NAMES]).map(Var),
 )
 
 
 def _combine(children):
     return st.one_of(
-        st.tuples(st.sampled_from("+-*"), children, children).map(
+        st.tuples(st.sampled_from("+-*/^"), children, children).map(
             lambda t: BinOp(t[0], t[1], t[2])),
         children.map(Neg),
         st.tuples(st.sampled_from(["abs", "sin", "cos"]), children).map(
@@ -142,6 +152,86 @@ def test_evaluation_guards_name_the_subexpression(src, bindings, fragment):
 def test_evaluate_requires_bindings():
     with pytest.raises(EvalError):
         evaluate(parse("x1 + 1"), {})
+
+
+# values that make every domain test fire somewhere: zeros of both signs,
+# negatives, fractions and integers
+_value = st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, -2.5, 3.0, 1.0e-3])
+_array = st.one_of(
+    st.lists(_value, min_size=3, max_size=3).map(np.array),
+    st.lists(_value, min_size=2, max_size=2).map(
+        lambda v: np.array(v).reshape(2, 1)))
+# parameters bound to numbers are folded; to arrays, or unbound, they are not
+_bindings = st.tuples(
+    st.fixed_dictionaries({name: st.one_of(_value, _array)
+                           for name in ("x1", "x2", "u", "gnorm")}),
+    st.fixed_dictionaries({name: st.one_of(_value, _value, _array)
+                           for name in PARAMETER_NAMES}),
+    st.sets(st.sampled_from(["x1", "u", "q"]), max_size=1),
+).map(lambda t: {k: v for k, v in {**t[0], **t[1]}.items() if k not in t[2]})
+
+
+def _outcome(evaluator, expr, bindings):
+    """The value, or the EvalError message."""
+    try:
+        return evaluator(expr, bindings)
+    except EvalError as exc:
+        return str(exc)
+
+
+# half of the trees are a power of two small ones, so that folded exponents
+# often meet zero and negative bases
+_small = st.recursive(_leaf, _combine, max_leaves=3)
+_trees = st.one_of(
+    st.recursive(_leaf, _combine, max_leaves=12),
+    st.tuples(_small, _small).map(lambda t: BinOp("^", t[0], t[1])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees, _bindings, _bindings)
+def test_compiled_evaluation_is_the_tree_walk_bit_for_bit(tree, first, second):
+    # first again, after second: a cached program must not keep the
+    # parameters of the last call
+    for bindings in (first, second, first):
+        want = _outcome(evaluate_tree, tree, bindings)
+        got = _outcome(evaluate_on, tree, bindings)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # the signs of zeros too
+
+
+@pytest.mark.parametrize("source,message", [
+    ("u + 1 / 0", "division by zero in '1 / 0'"),
+    ("u + 0 ^ -1", "zero raised to a negative power in '0 ^ -1'"),
+    ("u + (0 - 8) ^ (1 / 3)",
+     "negative base with fractional exponent in '(0 - 8) ^ (1 / 3)'"),
+    ("u / (q - 1.5)", "division by zero in 'u / (q - 1.5)'"),
+    ("u * (2.5 - p) ^ (0 - a)",
+     "zero raised to a negative power in '(2.5 - p) ^ (0 - a)'"),
+    ("u ^ (q - 1) * (b - a - 1) ^ (q - 1)",
+     "negative base with fractional exponent in '(b - a - 1) ^ (q - 1)'"),
+])
+def test_a_folded_subtree_raises_only_when_evaluated(source, message):
+    spec = make_spec(h=source)  # parsing and the spec raise nothing
+    bindings = {**spec.coordinate_bindings(spec.build_grid()),
+                "u": np.linspace(0.5, 1.0, 65)}
+    assert _outcome(evaluate_tree, spec.h, bindings) == message
+    for _ in range(2):  # and it raises on every call, not only the first
+        with pytest.raises(EvalError) as err:
+            evaluate_on(spec.h, bindings)
+        assert str(err.value) == message
+
+
+def test_a_folded_result_belongs_to_the_caller():
+    expr = parse("q")
+    out = evaluate_on(expr, {"q": 1.5})
+    out[...] = 7.0
+    assert evaluate_on(expr, {"q": 1.5}) == 1.5
+    assert evaluate_on(expr, {"q": -0.0}).tobytes() == np.float64(-0.0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +326,66 @@ def test_validate_hypotheses_finds_a_violation_at_one_gnorm_sample():
     assert not report.passed
     assert "omega3" in report.check
     assert report.gnorm == 10.0
+
+
+def _growth_case(u, **overrides):
+    """check_growth's inputs on a 9-node grid: weights 1, the state u
+    everywhere, gnorm 0, and h and f on their bounds u^(q-1) and 0."""
+    spec = make_spec(resolution=9, **overrides)
+    grid = spec.build_grid()
+    u = np.full(grid.shape, u)
+    growth = np.power(u, spec.q - 1.0)
+    return (spec, sample_weights(spec, grid), u, np.zeros(grid.shape),
+            growth.copy(), np.zeros(grid.shape), growth)
+
+
+@pytest.mark.parametrize("u,excess,reported", [
+    (1.0e4, 5.0e-11, False),  # over 1e-12, within the slack 1e-12 * 100
+    (1.0e4, 2.0e-10, True),
+    (0.0625, 2.0e-12, True),  # the slack of values below 1 is 1e-12
+])
+def test_growth_slack_is_relative_to_the_values(u, excess, reported):
+    spec, weights, u, gnorm, h, f, growth = _growth_case(u)
+    h[4] += excess
+    found = check_growth(spec, weights, u, gnorm, h, f, growth)
+    if not reported:
+        assert found is None
+    else:
+        assert found.check == "h <= omega2*u^(q-1)"
+        assert found.index == (4,)
+        assert found.excess == pytest.approx(excess, rel=1e-3)
+
+
+@pytest.mark.parametrize("broken,want", [
+    ("hHfF", GrowthViolation("omega1*u^(q-1) <= h", 0.5, (6,), 1.0, 0.5)),
+    ("HfF", GrowthViolation("h <= omega2*u^(q-1)", 0.5, (2,), 1.5, 1.0)),
+    ("fF", GrowthViolation("f >= 0", 0.5, (1,), 0.5, 0.0)),
+    ("F", GrowthViolation("f <= omega3*u^a*gnorm^b", 0.5, (3,), 0.5, 0.0)),
+])
+def test_growth_tie_reports_the_first_check_in_order(broken, want):
+    # each broken check fails by exactly 0.5, at nodes out of the checks'
+    # order; F fails at two nodes by as much, and names the first
+    spec, weights, u, gnorm, h, f, growth = _growth_case(1.0)
+    if "h" in broken:
+        h[6] = 0.5
+    if "H" in broken:
+        h[2] = 1.5
+    if "f" in broken:
+        f[1] = -0.5
+    if "F" in broken:
+        f[3] = f[7] = 0.5
+    assert check_growth(spec, weights, u, gnorm, h, f, growth) == want
+
+
+def test_freeze_raises_where_h_breaks_its_upper_bound_at_one_node():
+    # h exceeds omega2 u^(q-1) only where u > 0.99: the center node, u = 1
+    spec = make_spec(h="u ^ (q - 1) * (1 + max(0, u - 0.99))", resolution=17)
+    u = field_from_function(spec.build_grid(), lambda x: 4.0 * x * (1.0 - x))
+    with pytest.raises(HypothesisViolationError) as err:
+        freeze_nonlinearity(u, 1.0, 0.5, spec)
+    assert "h <= omega2*u^(q-1)" in str(err.value)
+    assert err.value.node == (8,)
+    assert err.value.values == {"u": 1.0, "gnorm": 0.0, "lhs": 1.01, "rhs": 1.0}
 
 
 # ---------------------------------------------------------------------------
