@@ -24,22 +24,23 @@ back to p (adaptive step control of continuation methods; Allgower & Georg,
 start at the full step and are halved until the residual drops.  The linear
 systems are solved directly.  The Jacobian has one form, its stencil
 coefficients ``coef`` (see ``_assemble``), and every storage keeps it; the
-storages differ only in how they factor it, and which one a grid gets
-follows its number of axes.  With one, LAPACK ``dgtsv`` solves the three
-diagonals of ``coef`` (``_Tridiagonal``), with no sparse matrix built.  With
-two, the unknowns are numbered in grid (C) order, so the 9-point matrix is a
-band matrix with kl = ku = n_y - 1 (n_y the nodes along the last axis); it is
-packed into LAPACK general-band storage (``_Banded``) through an index map
-computed once per grid shape (``_band``), and LAPACK ``dgbtrf`` factors it in
-place by banded LU with partial pivoting (Golub & Van Loan, *Matrix
-Computations*, sec. 4.3).  With three, the 19-point matrix is packed as CSC
-with its unknowns numbered by nested dissection, a numbering and pattern
-computed once per grid shape (``_csc``), and SuperLU factors it in that
-numbering (``_Sparse``).  There the band is about n_y n_z wide and outgrows
-the fill of nested dissection: at 17^3 it takes 19.5 MB against 8.5 MB for
-SuperLU's L and U, at 25^3 162 MB against 55 MB, and a chord solve with it is
-the slower one from 17^3 on.  Every solve takes and returns vectors in grid
-(C) order.
+storages differ only in how they factor it, and there are two, chosen by the
+number of axes alone.  With one, LAPACK ``dgtsv`` solves the three diagonals
+of ``coef`` (``_Tridiagonal``), with no sparse matrix built.  With two or
+more, the unknowns are numbered in grid (C) order, so the stencil matrix (9
+points with two axes, 19 with three) is a band matrix.  Its widest coupling
+joins a node to the one a step further along each of the first two axes,
+and kl = ku is their distance in that numbering (n_y - 1 with two axes, n_y
+the nodes along the last).  It is packed into LAPACK general-band storage
+(``_Banded``) through an index map computed once per grid shape
+(``_band``), and LAPACK ``dgbtrf`` factors it in place by banded LU with
+partial pivoting (Golub & Van Loan, *Matrix Computations*, sec. 4.3).  With
+three axes the band is about n_y n_z wide, so its storage grows as n^5:
+19.5 MB at 17^3.  Against SuperLU in nested-dissection order, with BLAS on
+one thread, it took the same Newton steps from 9^3 to 25^3 and was as fast
+or faster, but from about 21^3 its memory is the larger by far (a cold
+solve at 25^3 peaked at 229 MB against 126 MB), at sizes no problem file
+reaches.  Every solve takes and returns vectors in grid (C) order.
 
 A solve takes an optional reaction term: with ``reaction = (coeff, q)`` it
 solves -Lap_p u = coeff * max(u, 0)^(q-1) + g, the frozen problem of an
@@ -103,8 +104,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
 
 from .errors import (
@@ -212,7 +211,7 @@ class _Residual(NamedTuple):
 
 def _require_length(rhs, n):
     """Raise ValueError unless ``rhs`` is a vector of ``n`` entries, which
-    LAPACK's ``dgbtrs`` and a gather by a numbering do not check."""
+    LAPACK's ``dgbtrs`` does not check."""
     if rhs.shape != (n,):
         raise ValueError(f"right-hand side of shape {rhs.shape} for {n} "
                          "unknowns")
@@ -241,10 +240,10 @@ class _Tridiagonal(NamedTuple):
 
 
 class _Banded(NamedTuple):
-    """The Newton Jacobian of two axes, its unknowns numbered in grid (C)
-    order.  Each factor packs ``coef`` afresh into LAPACK general-band
-    storage (see _band), which ``dgbtrf`` factors in place, so a second
-    factor of the same matrix is the first one again."""
+    """The Newton Jacobian of two or more axes, its unknowns numbered in
+    grid (C) order.  Each factor packs ``coef`` afresh into LAPACK
+    general-band storage (see _band), which ``dgbtrf`` factors in place, so
+    a second factor of the same matrix is the first one again."""
 
     coef: np.ndarray
 
@@ -269,55 +268,17 @@ class _Banded(NamedTuple):
         return solve(rhs), solve
 
 
-class _Sparse(NamedTuple):
-    """The Newton Jacobian as the CSC ``matrix`` whose unknown i is the
-    interior node with C-order index ``order[i]`` (packed in the
-    nested-dissection numbering of ``_csc``).  SuperLU factors it as it is
-    numbered, with no column permutation of its own ("NATURAL"), leaves it as
-    it is, and reports a singular matrix by RuntimeError."""
-
-    matrix: sp.csc_matrix
-    order: np.ndarray
-    coef: np.ndarray
-
-    @classmethod
-    def pack(cls, coef):
-        gather, indices, indptr, order = _csc(coef.shape[1:])
-        matrix = sp.csc_matrix((coef.ravel()[gather], indices, indptr),
-                               shape=(order.size, order.size))
-        return cls(matrix, order, coef)
-
-    @property
-    def nnz(self):
-        return self.matrix.nnz
-
-    def factor_solve(self, rhs):
-        try:
-            lu = spla.splu(self.matrix, permc_spec="NATURAL")
-        except RuntimeError:
-            return None, None
-        order = self.order
-
-        def solve(rhs):
-            _require_length(rhs, order.size)
-            sol = np.empty_like(rhs)
-            sol[order] = lu.solve(rhs[order])
-            return sol
-
-        return solve(rhs), solve
-
-
 def _assemble(values, spacing, p, delta, *, faces=None, shift=None):
     """Interior-by-interior Newton Jacobian of the operator at delta,
     including the transverse coupling, as ``coef`` (see _stencil) kept in
-    the storage of its number of axes: a ``_Tridiagonal`` with one, a
-    ``_Banded`` with two, a ``_Sparse`` with three or more.
+    the storage of its number of axes (see _pack).
 
     ``coef`` is the one form of the matrix: every storage keeps it as it
     is, the rounding floor reads it, and the storages differ only in how they
     factor it.  Each has ``factor_solve(rhs)``, which returns (the solution,
     or None when the matrix is singular; the grid-order solve of the kept
-    factor, or None), and ``nnz``, the entries a sparse matrix stores.
+    factor, or None), and ``nnz``, the couplings between interior nodes,
+    the entries a sparse matrix would store.
 
     The conductances of each face family come from the same face arrays as
     the residual: ``faces`` is ``_faces(values, spacing)`` when the caller
@@ -351,10 +312,9 @@ def _assemble(values, spacing, p, delta, *, faces=None, shift=None):
 
 
 def _pack(coef):
-    """``coef`` in the storage of its number of axes (see _assemble)."""
-    if coef.ndim == 2:
-        return _Tridiagonal(coef)
-    return _Banded(coef) if coef.ndim == 3 else _Sparse.pack(coef)
+    """``coef`` in the storage of its number of axes (see _assemble): a
+    ``_Tridiagonal`` with one, a ``_Banded`` with two or more."""
+    return _Tridiagonal(coef) if coef.ndim == 2 else _Banded(coef)
 
 
 @functools.lru_cache(maxsize=8)
@@ -411,21 +371,26 @@ def _couplings(shape, unknown):
 
 @functools.lru_cache(maxsize=8)
 def _band(shape):
-    """Index map of a two-axis _Banded, once per grid shape:
+    """Index map of a _Banded of two or more axes, once per grid shape:
     (kl, sources, slots).
 
-    The unknowns are the interior nodes in C order, so the couplings of a
-    node reach at most m + 1 unknowns either way, m = shape[1] - 2: kl = ku =
-    m + 1.  The storage is the C-ordered (n, 2 kl + ku + 1) array whose
-    transpose is LAPACK's Fortran-ordered ``ab``, with entry (r, c) of the
-    matrix at ab[kl + ku + r - c, c] and its first kl rows left to the fill
-    of ``dgbtrf``.  So entry (r, c) goes to the flat index
-    c (2 kl + ku + 1) + kl + ku + r - c, ``slots``, from the flattened coef at
-    ``sources``, both read-only and in storage order.  Every other slot
-    stays zero.
+    The unknowns are the interior nodes in C order, and a face couples nodes
+    at most one step apart along each of two axes.  Steps along earlier
+    axes skip more unknowns, so no coupling reaches further than one step
+    along each of the first two: kl = ku = prod(inner[1:]) + prod(inner[2:])
+    (inner the interior sizes), which is n_y - 1 with two axes (n_y the
+    nodes along the last).  It equals the widest coupling when every axis
+    has at least two interior nodes.  The storage is the C-ordered
+    (n, 2 kl + ku + 1) array whose transpose is LAPACK's Fortran-ordered
+    ``ab``, with entry (r, c) of the matrix at ab[kl + ku + r - c, c] and its
+    first kl rows left to the fill of ``dgbtrf``.  So entry (r, c) goes to
+    the flat index c (2 kl + ku + 1) + kl + ku + r - c, ``slots``, from the
+    flattened coef at ``sources``, both read-only and in storage order.
+    Every other slot stays zero.
     """
-    n = math.prod(size - 2 for size in shape)
-    kl = shape[1] - 1
+    inner = tuple(size - 2 for size in shape)
+    n = math.prod(inner)
+    kl = math.prod(inner[1:]) + math.prod(inner[2:])
     rows, cols, sources = _couplings(shape, np.arange(n))
     slots = cols * (3 * kl + 1) + 2 * kl + rows - cols
     in_order = np.argsort(slots)
@@ -433,61 +398,6 @@ def _band(shape):
     for arr in (sources, slots):
         arr.setflags(write=False)
     return kl, sources, slots
-
-
-@functools.lru_cache(maxsize=8)
-def _csc(shape):
-    """The CSC pattern of a three-axis Jacobian, once per grid shape:
-    (gather, indices, indptr, order), all read-only.
-
-    ``order`` numbers the unknowns by ``_dissection``: unknown i is the
-    interior node with C-order index order[i].  The rows and columns of the
-    pattern both follow it, and gather picks the entries of the flattened
-    coef in CSC order.  So SuperLU factors the matrix in nested-dissection
-    order as it stands.
-    """
-    order = _dissection(tuple(n - 2 for n in shape))
-    rows, cols, sources = _couplings(shape, np.argsort(order))
-    csc_order = np.lexsort((rows, cols))
-    # indptr: where each column starts in CSC order
-    pattern = (sources[csc_order], rows[csc_order].astype(np.int32),
-               np.searchsorted(cols[csc_order],
-                               np.arange(order.size + 1)).astype(np.int32),
-               order)
-    for arr in pattern:
-        arr.setflags(write=False)
-    return pattern
-
-
-def _dissection(inner):
-    """Nested-dissection numbering of a box of nodes with sizes ``inner``:
-    the C-order index of each node, in the order the unknowns of a
-    three-axis Jacobian take.
-
-    A box is cut across its longest axis by the plane through its middle;
-    the nodes below the plane come first, then those above, each numbered
-    the same way, then the plane itself.  A face couples nodes at most one
-    step apart along each axis, so the plane separates the two halves, and
-    eliminating them first confines the fill to the separators (George,
-    "Nested dissection of a regular finite element mesh", SIAM J. Numer.
-    Anal. 10, 1973).  A box whose longest axis has fewer than 3 nodes is
-    numbered in C order.
-    """
-    parts = []
-
-    def visit(box):
-        k = int(np.argmax(box.shape))
-        n = box.shape[k]
-        if n < 3:
-            parts.append(box.ravel())
-            return
-        lead = (slice(None),) * k
-        visit(box[lead + (slice(None, n // 2),)])
-        visit(box[lead + (slice(n // 2 + 1, None),)])
-        parts.append(box[lead + (n // 2,)].ravel())
-
-    visit(np.arange(math.prod(inner)).reshape(inner))
-    return np.concatenate(parts)
 
 
 def _try_solve(matrix, rhs, factor=None):

@@ -517,11 +517,14 @@ def test_an_overflowing_super_threshold_product_is_a_configuration_error(
 
 
 def test_the_package_does_not_import_scipy_optimize_fft_or_special():
-    # run apart: the suite itself imports scipy.optimize and scipy.fft for
-    # its oracles; the cold solves of compute_constants start from the p = 2
-    # sine transform, which numpy's FFT computes
+    # run apart: the suite itself imports scipy.optimize, scipy.fft and
+    # scipy.sparse for its oracles; the cold solves of compute_constants
+    # start from the p = 2 sine transform, which numpy's FFT computes, and
+    # LAPACK factors every Newton step: the cold solve on the 9^3 cube runs
+    # the three-axis band too
     script = "\n".join([
         "import dataclasses, sys",
+        "import numpy",
         "import plaplab",
         "spec = dataclasses.replace(",
         "    plaplab.load_problem(plaplab.bundled_problem_path('sub')),",
@@ -529,7 +532,11 @@ def test_the_package_does_not_import_scipy_optimize_fft_or_special():
         "c = plaplab.compute_constants(spec)",
         "assert plaplab.region_classify(1.0, 1.0, c, spec).in_region",
         "assert plaplab.outer_fixed_point(spec, 1.0, 1.0, constants=c).converged",
-        "off = (['scipy', 'optimize'], ['scipy', 'fft'], ['scipy', 'special'])",
+        "cube = plaplab.build_grid(((0.0, 1.0),) * 3, (9, 9, 9))",
+        "one = plaplab.ScalarField(cube, numpy.ones(cube.shape))",
+        "assert plaplab.solve_plap_dirichlet(cube, 2.5, one).values.max() > 0.0",
+        "off = (['scipy', 'optimize'], ['scipy', 'fft'], ['scipy', 'special'],",
+        "       ['scipy', 'sparse'])",
         "loaded = sorted(m for m in sys.modules if m.split('.')[:2] in off)",
         "assert not loaded, loaded",
     ])

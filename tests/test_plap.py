@@ -40,11 +40,10 @@ from plaplab.plap import (
     ROUNDING_ULPS,
     SolveOptions,
     _Banded,
-    _Sparse,
     _Tridiagonal,
     _assemble,
+    _band,
     _couplings,
-    _csc,
     _pack,
     _stencil,
     _try_solve,
@@ -563,10 +562,10 @@ def _loop_jacobian(values, spacing, p, delta):
 
 @pytest.mark.parametrize("frozen", [False])
 def test_assembly_pattern_follows_the_grid_shape(frozen):
-    # one axis keeps the three diagonals, two a LAPACK band in grid order,
-    # three CSC; (7, 9) twice checks the per-shape cache
+    # one axis keeps the three diagonals, two and three a LAPACK band in
+    # grid order; (7, 9) twice checks the per-shape cache
     rng = np.random.default_rng(11)
-    storage = {1: _Tridiagonal, 2: _Banded, 3: _Sparse}
+    storage = {1: _Tridiagonal, 2: _Banded, 3: _Banded}
     for shape in ((17,), (7, 9), (9, 7), (33, 33), (7, 9), (5, 6, 7)):
         g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
         values = rng.standard_normal(shape)
@@ -585,21 +584,17 @@ def test_assembly_pattern_follows_the_grid_shape(frozen):
             <= 1e-10 * np.max(np.abs(sol))
 
 
-# three axes only: two number their unknowns in grid order; the longest
-# axis takes each position
-@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4), (5, 6, 7), (7, 6, 5),
-                                   (6, 7, 5), (9, 5, 5), (5, 9, 5),
-                                   (17, 17, 17)])
-def test_stencil_numbering_is_a_permutation_of_the_interior(shape):
-    order = _csc(shape)[3]
+# _band's kl reaches every coupling, and is the widest one once every axis
+# has two interior nodes
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4), (7, 9), (3, 3, 3),
+                                   (5, 6, 7), (9, 5, 5)])
+def test_band_width_is_the_widest_coupling(shape):
     inner = tuple(n - 2 for n in shape)
-    assert np.array_equal(np.sort(order), np.arange(np.prod(inner)))
-    # nested dissection: the plane through the middle of the longest axis
-    # comes last
-    k = int(np.argmax(inner))
-    index = np.arange(np.prod(inner)).reshape(inner)
-    plane = np.take(index, inner[k] // 2, axis=k).ravel()
-    assert np.array_equal(order[-plane.size:], plane)
+    rows, cols = _couplings(shape, np.arange(np.prod(inner)))[:2]
+    kl = _band(shape)[0]
+    assert np.max(np.abs(rows - cols)) <= kl
+    if min(inner) >= 2:
+        assert np.max(np.abs(rows - cols)) == kl
 
 
 # two axes from one unknown up, where the band is wider than the matrix
@@ -626,14 +621,12 @@ def test_try_solve_answers_in_grid_order(shape, frozen):
     assert np.max(np.abs(factor[0](rhs) - expected)) <= 1e-12 * scale
 
 
-def test_only_three_axes_factor_through_superlu(monkeypatch):
+def test_every_multi_axis_grid_factors_through_dgbtrf(monkeypatch):
     calls = []
-    dgbtrf, splu = plap.dgbtrf, plap.spla.splu
+    dgbtrf = plap.dgbtrf
     monkeypatch.setattr(plap, "dgbtrf", lambda *args, **kwargs:
                         calls.append("dgbtrf") or dgbtrf(*args, **kwargs))
-    monkeypatch.setattr(plap.spla, "splu", lambda *args, **kwargs:
-                        calls.append("splu") or splu(*args, **kwargs))
-    for shape, through in (((7, 9), "dgbtrf"), ((5, 6, 7), "splu")):
+    for shape in ((7, 9), (9, 7), (5, 6, 7), (9, 5, 5)):
         g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
         values = np.zeros(shape)
         values[g.interior] = np.random.default_rng(10).standard_normal(
@@ -641,25 +634,7 @@ def test_only_three_axes_factor_through_superlu(monkeypatch):
         mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
         calls.clear()
         assert _try_solve(mat, np.ones(values[g.interior].size)) is not None
-        assert calls == [through]
-
-
-def _lu_fill(matrix, permc_spec):
-    lu = spla.splu(matrix, permc_spec=permc_spec)
-    return lu.L.nnz + lu.U.nnz
-
-
-# three axes only: two number their unknowns in grid order
-@pytest.mark.parametrize("shape, bound", [((9, 9, 9), 0.8), ((13, 13, 13), 0.7),
-                                          ((17, 17, 17), 0.6)])
-def test_nested_dissection_fill_against_minimum_degree(shape, bound):
-    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
-    u = field_from_function(g, lambda *xs: np.prod(
-        [np.sin(np.pi * x) for x in xs], axis=0) * (1.0 + 0.3 * xs[0]))
-    mat = _assemble(u.values, g.spacing, 2.5, flux_delta(u))
-    assert isinstance(mat, _Sparse)  # 17^3 is too large dense
-    assert (_lu_fill(mat.matrix, "NATURAL")
-            <= bound * _lu_fill(grid_order_csc(mat), "MMD_AT_PLUS_A"))
+        assert calls == ["dgbtrf"], shape
 
 
 def _jacobians(p, shape=(2049,)):

@@ -1,10 +1,12 @@
 """Monotone scheme tests: freezing, verification, inner and outer iteration."""
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -509,6 +511,32 @@ def test_outer_step_leaving_the_invariant_set_raises(sub_stage, monkeypatch):
     assert f"over allowed {allowed:.1e}" in message
 
 
+class _ColamdLU(NamedTuple):
+    """A Newton Jacobian ``coef`` factored by SuperLU in its own COLAMD
+    column order, not by the band LU in grid order; it answers in grid
+    order all the same."""
+
+    coef: np.ndarray
+
+    def matrix(self):
+        shape = self.coef.shape[1:]
+        n = int(np.prod([size - 2 for size in shape]))
+        rows, cols, sources = plap._couplings(shape, np.arange(n))
+        return sp.csc_matrix((self.coef.ravel()[sources], (rows, cols)),
+                             shape=(n, n))
+
+    @property
+    def nnz(self):
+        return self.matrix().nnz
+
+    def factor_solve(self, rhs):
+        try:
+            lu = spla.splu(self.matrix(), permc_spec="COLAMD")
+        except RuntimeError:  # singular
+            return None, None
+        return lu.solve(rhs), lu.solve
+
+
 def test_square2d_outcome_does_not_hang_on_the_lu_ordering(monkeypatch):
     # the centre node of square2d is a symmetry point where f depends on
     # gnorm^0.2; a rounding-level gradient there must not decide the outcome
@@ -518,19 +546,9 @@ def test_square2d_outcome_does_not_hang_on_the_lu_ordering(monkeypatch):
     band = outer_fixed_point(spec, 2.0, 0.1, grid, constants)
     # the same run with every Jacobian factored by SuperLU in COLAMD order,
     # not by the band LU in grid order
-    try_solve, splu = plap._try_solve, plap.spla.splu
-
-    def through_superlu(matrix, rhs, factor=None):
-        shape = matrix.coef.shape[1:]
-        identity = np.arange(np.prod([size - 2 for size in shape]))
-        rows, cols, sources = plap._couplings(shape, identity)
-        csc = sp.csc_matrix((matrix.coef.ravel()[sources], (rows, cols)),
-                            shape=(identity.size, identity.size))
-        return try_solve(plap._Sparse(csc, identity, matrix.coef), rhs, factor)
-
-    monkeypatch.setattr(plap, "_try_solve", through_superlu)
-    monkeypatch.setattr(plap.spla, "splu", lambda matrix, permc_spec=None:
-                        splu(matrix, permc_spec="COLAMD"))
+    try_solve = plap._try_solve
+    monkeypatch.setattr(plap, "_try_solve", lambda matrix, rhs, factor=None:
+                        try_solve(_ColamdLU(matrix.coef), rhs, factor))
     colamd = outer_fixed_point(spec, 2.0, 0.1, grid, constants)
     assert band.converged and colamd.converged
     assert colamd.certificates.pde_residual == pytest.approx(

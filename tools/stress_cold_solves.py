@@ -8,8 +8,9 @@ Usage, from the repository root:
 The stress set is every ``plap.default_probes`` field on the unit box plus
 a one-node center bump, a point load the probe family leaves out that is
 among the hardest cold solves (20 factorizations at p = 1.25 on 65x65).
-Each is solved cold by ``solve_plap_dirichlet`` on 1D 2049, 2D 33x33 and 2D
-65x65 at each p in {1.1, 1.25, 1.5, 1.75, 2.5, 3, 4, 5, 6, 8}: 150 solves.
+Each is solved cold by ``solve_plap_dirichlet`` on 1D 2049, 2D 33x33, 2D
+65x65 and 3D 9x9x9 at each p in {1.1, 1.25, 1.5, 1.75, 2.5, 3, 4, 5, 6, 8}:
+200 solves.
 Each solution is checked against the solver's residual contract.  Prints
 one JSON object: the failures (grid, p, probe, reason), the direct solves
 (``_try_solve`` calls, one factorization each) per grid and p, their total
@@ -31,7 +32,7 @@ from plaplab.errors import SolveFailure  # noqa: E402
 from plaplab.grid import (  # noqa: E402
     ScalarField, build_grid, p_laplacian_apply, sup_norm)
 
-SHAPES = ((2049,), (33, 33), (65, 65))
+SHAPES = ((2049,), (33, 33), (65, 65), (9, 9, 9))
 EXPONENTS = (1.1, 1.25, 1.5, 1.75, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
 # const1, three checkerboards and the bump; a change to the probe family
 # must not shrink the set unnoticed
