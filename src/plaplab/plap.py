@@ -27,20 +27,23 @@ coefficients ``coef`` (see ``_assemble``), and every storage keeps it; the
 storages differ only in how they factor it, and there are two, chosen by the
 number of axes alone.  With one, LAPACK ``dgtsv`` solves the three diagonals
 of ``coef`` (``_Tridiagonal``), with no sparse matrix built.  With two or
-more, the unknowns are numbered in grid (C) order, so the stencil matrix (9
-points with two axes, 19 with three) is a band matrix.  Its widest coupling
-joins a node to the one a step further along each of the first two axes,
-and kl = ku is their distance in that numbering (n_y - 1 with two axes, n_y
-the nodes along the last).  It is packed into LAPACK general-band storage
-(``_Banded``) through an index map computed once per grid shape
-(``_band``), and LAPACK ``dgbtrf`` factors it in place by banded LU with
-partial pivoting (Golub & Van Loan, *Matrix Computations*, sec. 4.3).  With
-three axes the band is about n_y n_z wide, so its storage grows as n^5:
-19.5 MB at 17^3.  Against SuperLU in nested-dissection order, with BLAS on
-one thread, it took the same Newton steps from 9^3 to 25^3 and was as fast
-or faster, but from about 21^3 its memory is the larger by far (a cold
-solve at 25^3 peaked at 229 MB against 126 MB), at sizes no problem file
-reaches.  Every solve takes and returns vectors in grid (C) order.
+more, the unknowns are numbered in the C order of the grid with its axes
+sorted by interior size, longest first (a square or already sorted grid
+keeps its own C order), so the stencil matrix (9 points with two axes, 19
+with three) is a band matrix.  Its widest coupling joins a node to the one a
+step further along each of the first two axes of that order, and kl = ku is
+their distance in that numbering (m - 1 with two axes, m the nodes along the
+shorter one), the least over the orders of the axes: 16 on 17x257 as on
+257x17.  It is packed into LAPACK general-band storage (``_Banded``)
+through an index map computed once per grid shape (``_band``), and LAPACK
+``dgbtrf`` factors it in place by banded LU with partial pivoting (Golub &
+Van Loan, *Matrix Computations*, sec. 4.3).  On a cube of n nodes a side
+the band is about n^2 wide, so its storage grows as n^5: 19.5 MB at 17^3.
+Against SuperLU in nested-dissection order, with BLAS on one thread, it
+took the same Newton steps from 9^3 to 25^3 and was as fast or faster, but
+from about 21^3 its memory is the larger by far (a cold solve at 25^3
+peaked at 229 MB against 126 MB), at sizes no problem file reaches.  Every
+solve takes and returns vectors in grid (C) order.
 
 A solve takes an optional reaction term: with ``reaction = (coeff, q)`` it
 solves -Lap_p u = coeff * max(u, 0)^(q-1) + g, the frozen problem of an
@@ -55,7 +58,13 @@ u - J_old^-1 r with the last kept LU factor (modified Newton; Kelley,
 *Solving Nonlinear Equations with Newton's Method*, SIAM 2003).  The step
 is taken when it brings the residual below tol or to at most
 CHORD_CONTRACTION times the old residual; otherwise the factor is dropped
-and the iteration takes the fresh Newton step at u.  The factor is kept in
+and the iteration takes the fresh Newton step at u.  No trial is made when
+the last accepted step's contraction ratio ||r_new|| / ||r_old||, applied
+once more, would miss both tests, ratio * ||r|| > max(tol,
+CHORD_CONTRACTION ||r||): the factor is dropped untried, which saves the
+trial's solve and residual (after such a step no trial was accepted in any
+measured run).  The ratio is 0 before a Newton loop's first step, so a
+factor handed over from another solve is always tried.  The factor is kept in
 a one-slot ``factor`` list.  A solve makes its own, so a cold solve keeps
 one across its Newton iterations and its retreats in p; a caller that
 solves a run of nearby problems hands one list to all of them.  The outer
@@ -240,30 +249,37 @@ class _Tridiagonal(NamedTuple):
 
 
 class _Banded(NamedTuple):
-    """The Newton Jacobian of two or more axes, its unknowns numbered in
-    grid (C) order.  Each factor packs ``coef`` afresh into LAPACK
-    general-band storage (see _band), which ``dgbtrf`` factors in place, so
-    a second factor of the same matrix is the first one again."""
+    """The Newton Jacobian of two or more axes, its unknowns numbered in the
+    C order of the grid with its axes sorted longest first (see _band).
+    Each factor packs ``coef`` afresh into LAPACK general-band storage,
+    which ``dgbtrf`` factors in place, so a second factor of the same matrix
+    is the first one again.  Its solves permute the right-hand side into
+    that numbering and the solution back to grid order."""
 
     coef: np.ndarray
 
     @property
     def nnz(self):
-        return _band(self.coef.shape[1:])[1].size
+        return _band(self.coef.shape[1:])[2].size
 
     def factor_solve(self, rhs):
         shape = self.coef.shape[1:]
-        kl, sources, slots = _band(shape)
-        store = np.zeros((math.prod(size - 2 for size in shape), 3 * kl + 1))
+        kl, order, sources, slots = _band(shape)
+        inner = tuple(size - 2 for size in shape)
+        store = np.zeros((math.prod(inner), 3 * kl + 1))
         np.put(store, slots, self.coef.take(sources))
         # store is C-ordered, so its transpose is the Fortran-ordered ab
         lu, pivots, info = dgbtrf(store.T, kl, kl, overwrite_ab=1)
         if info > 0:
             return None, None
+        band_inner = tuple(inner[k] for k in order)
+        back = tuple(np.argsort(order))
 
         def solve(rhs):
             _require_length(rhs, lu.shape[1])
-            return dgbtrs(lu, kl, kl, rhs, pivots)[0]
+            band_rhs = rhs.reshape(inner).transpose(order).ravel()
+            sol = dgbtrs(lu, kl, kl, band_rhs, pivots)[0]
+            return sol.reshape(band_inner).transpose(back).ravel()
 
         return solve(rhs), solve
 
@@ -372,32 +388,38 @@ def _couplings(shape, unknown):
 @functools.lru_cache(maxsize=8)
 def _band(shape):
     """Index map of a _Banded of two or more axes, once per grid shape:
-    (kl, sources, slots).
+    (kl, order, sources, slots).
 
-    The unknowns are the interior nodes in C order, and a face couples nodes
-    at most one step apart along each of two axes.  Steps along earlier
-    axes skip more unknowns, so no coupling reaches further than one step
-    along each of the first two: kl = ku = prod(inner[1:]) + prod(inner[2:])
-    (inner the interior sizes), which is n_y - 1 with two axes (n_y the
-    nodes along the last).  It equals the widest coupling when every axis
-    has at least two interior nodes.  The storage is the C-ordered
-    (n, 2 kl + ku + 1) array whose transpose is LAPACK's Fortran-ordered
-    ``ab``, with entry (r, c) of the matrix at ab[kl + ku + r - c, c] and its
-    first kl rows left to the fill of ``dgbtrf``.  So entry (r, c) goes to
-    the flat index c (2 kl + ku + 1) + kl + ku + r - c, ``slots``, from the
-    flattened coef at ``sources``, both read-only and in storage order.
-    Every other slot stays zero.
+    The unknowns are the interior nodes in the C order of the grid with its
+    axes taken in ``order``: by interior size, longest first, and in grid
+    order among equal sizes, so a square or already sorted grid is numbered
+    in its own C order.  A face couples nodes at most one step apart along
+    each of two axes.  Steps along earlier axes skip more unknowns, so no
+    coupling reaches further than one step along each of the first two:
+    kl = ku = prod(band[1:]) + prod(band[2:]) (band the interior sizes in
+    ``order``), which is m - 1 with two axes (m the nodes along the
+    shorter one).  It equals the widest coupling when every axis has at least
+    two interior nodes, and the sort makes it the least over the orders of
+    the axes.  The storage is the C-ordered (n, 2 kl + ku + 1) array whose
+    transpose is LAPACK's Fortran-ordered ``ab``, with entry (r, c) of the
+    matrix at ab[kl + ku + r - c, c] and its first kl rows left to the fill
+    of ``dgbtrf``.  So entry (r, c) goes to the flat index c (2 kl + ku + 1)
+    + kl + ku + r - c, ``slots``, from the flattened coef at ``sources``,
+    both read-only and in storage order.  Every other slot stays zero.
     """
     inner = tuple(size - 2 for size in shape)
-    n = math.prod(inner)
-    kl = math.prod(inner[1:]) + math.prod(inner[2:])
-    rows, cols, sources = _couplings(shape, np.arange(n))
+    order = tuple(sorted(range(len(inner)), key=lambda k: -inner[k]))
+    band = tuple(inner[k] for k in order)
+    kl = math.prod(band[1:]) + math.prod(band[2:])
+    unknown = np.arange(math.prod(inner)).reshape(band).transpose(
+        np.argsort(order))
+    rows, cols, sources = _couplings(shape, unknown.ravel())
     slots = cols * (3 * kl + 1) + 2 * kl + rows - cols
     in_order = np.argsort(slots)
     sources, slots = sources[in_order], slots[in_order]
     for arr in (sources, slots):
         arr.setflags(write=False)
-    return kl, sources, slots
+    return kl, order, sources, slots
 
 
 def _try_solve(matrix, rhs, factor=None):
@@ -520,8 +542,9 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             for the next solve.  Pass one only across solves of nearby
             problems on one grid with one p, such as the sweeps of the outer
             steps of one outer_fixed_point call or of one eigen iteration; a
-            factor that no longer contracts is dropped, so it costs at most
-            one trial step.  Without one the solve keeps
+            factor that no longer contracts is dropped after at most one
+            trial step, and with none once the last step contracted too
+            slowly for a trial to pass.  Without one the solve keeps
             its factors in a fresh list of its own, so it takes chord steps
             all the same, also across retreats in p, and leaves no factor
             behind.
@@ -643,10 +666,16 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
 
     res = (residual(u) if start is None
            else residual(u, start.lap, start.delta, start.faces))
+    ratio = 0.0  # ||r_new|| / ||r_old|| of the last accepted step
     for _ in range(NEWTON_MAX_ITER):
         if res.norm <= res.tol:
             return u, res
         accepted = None
+        if factor and ratio * res.norm > max(res.tol,
+                                             CHORD_CONTRACTION * res.norm):
+            # one more step at the last step's rate fails the chord test:
+            # drop the factor untried, as a rejected trial would
+            factor.clear()
         if factor:
             # chord step: the kept factor's full step, while it contracts
             cand = u.copy()
@@ -677,6 +706,7 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
             raise SolveFailure(
                 f"p-Laplacian solve stalled at residual {res.norm:.3e} above "
                 f"the rounding floor {floor:.3e} (p={p})", history)
+        ratio = accepted[1].norm / res.norm
         u, res, alpha = accepted
         history.append(res.norm)
         if trace is not None:

@@ -328,7 +328,8 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
     of plap.solve_plap_dirichlet): successive sweeps, and successive outer
     steps' Newton solves, differ little, so one factor stays a good linear
     model for many of them; a factor that does not contract is dropped
-    after one trial step.  ``factor`` is the one-slot holder of
+    after one trial step, or untried when the last Newton step contracted
+    too slowly for a trial to pass.  ``factor`` is the one-slot holder of
     plap.solve_plap_dirichlet; without one the call makes its own, and its
     factor lives for this call only.  The outer iteration hands one holder
     to all its steps, and the certificate stage gives each of its two inner

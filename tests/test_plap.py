@@ -584,17 +584,42 @@ def test_assembly_pattern_follows_the_grid_shape(frozen):
             <= 1e-10 * np.max(np.abs(sol))
 
 
-# _band's kl reaches every coupling, and is the widest one once every axis
-# has two interior nodes
+def band_unknowns(shape):
+    """The unknown of each interior node, in grid (C) order, when the
+    unknowns are numbered in the C order of the interior with its axes
+    taken in _band's order."""
+    inner = tuple(n - 2 for n in shape)
+    order = _band(shape)[1]
+    return np.arange(np.prod(inner)).reshape(
+        [inner[k] for k in order]).transpose(np.argsort(order)).ravel()
+
+
+# _band's kl reaches every coupling in its numbering, and is the widest one
+# once every axis has two interior nodes
 @pytest.mark.parametrize("shape", [(3, 3), (3, 4), (7, 9), (3, 3, 3),
-                                   (5, 6, 7), (9, 5, 5)])
+                                   (5, 6, 7), (9, 5, 5), (5, 9, 7),
+                                   (17, 257)])
 def test_band_width_is_the_widest_coupling(shape):
     inner = tuple(n - 2 for n in shape)
-    rows, cols = _couplings(shape, np.arange(np.prod(inner)))[:2]
+    rows, cols = _couplings(shape, band_unknowns(shape))[:2]
     kl = _band(shape)[0]
     assert np.max(np.abs(rows - cols)) <= kl
     if min(inner) >= 2:
         assert np.max(np.abs(rows - cols)) == kl
+
+
+# the axes go longest first, ties in grid order: a square or sorted grid
+# keeps its own C order, and the band is as narrow in any order of the axes
+@pytest.mark.parametrize("shape, kl", [((17, 257), 16), ((9, 33), 8),
+                                       ((9, 9, 65), 56), ((5, 9, 7), 18),
+                                       ((65, 65), 64), ((9, 9, 9), 56)])
+def test_the_band_numbers_the_longest_axis_first(shape, kl):
+    for axes in set(itertools.permutations(shape)):
+        band = _band(axes)
+        assert band[0] == kl, axes
+        assert [axes[k] for k in band[1]] == sorted(axes, reverse=True)
+        if list(axes) == sorted(axes, reverse=True):
+            assert band[1] == tuple(range(len(axes))), axes
 
 
 # two axes from one unknown up, where the band is wider than the matrix
@@ -619,6 +644,20 @@ def test_try_solve_answers_in_grid_order(shape, frozen):
     assert _try_solve(mat, rhs).tobytes() == got.tobytes()
     # the kept solve answers in grid order too
     assert np.max(np.abs(factor[0](rhs) - expected)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_a_transposed_box_solves_to_the_transposed_solution(p):
+    # 9x33 is numbered along its longer last axis first, 33x9 in grid order;
+    # each solve answers in its own grid order
+    wide = build_grid(((0.0, 1.0), (0.0, 2.0)), (9, 33))
+    tall = build_grid(((0.0, 2.0), (0.0, 1.0)), (33, 9))
+    assert _band(wide.shape)[1] == (1, 0) and _band(tall.shape)[1] == (0, 1)
+    load = field_from_function(wide, lambda x, y: 1.0 + x * y * y)
+    u = solve_plap_dirichlet(wide, p, load)
+    v = solve_plap_dirichlet(tall, p, ScalarField(tall, load.values.T))
+    _assert_residual_contract(u, p, load)
+    _assert_residual_contract(ScalarField(wide, v.values.T), p, load)
 
 
 def test_every_multi_axis_grid_factors_through_dgbtrf(monkeypatch):
@@ -961,6 +1000,56 @@ def test_a_cold_2d_solve_takes_chord_steps(monkeypatch):
     monkeypatch.undo()
     assert 0 < len(factorizations) < len(trace)
     _assert_residual_contract(u, 4.0, load)
+
+
+# p <= 1.5, where most Newton steps are damped and cut the residual by far
+# less than CHORD_CONTRACTION
+@pytest.mark.parametrize("p", [1.1, 1.25, 1.5])
+def test_no_chord_trial_follows_a_step_too_slow_to_pass(p, monkeypatch):
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+    load = const_field(g)
+    tol = SolveOptions().tol_residual * max(1.0, sup_norm(load))
+    # ("loop", None) per Newton loop, then per factor and per kept-factor
+    # solve the norm of its right-hand side -r, the iteration's residual
+    events = []
+    newton_loop, factor_solve = plap._newton_loop, _Banded.factor_solve
+
+    def loop(*args, **kwargs):
+        events.append(("loop", None))
+        return newton_loop(*args, **kwargs)
+
+    def factored(self, rhs):
+        events.append(("factor", np.abs(rhs).max()))
+        sol, solve = factor_solve(self, rhs)
+
+        def trial(rhs):
+            events.append(("trial", np.abs(rhs).max()))
+            return solve(rhs)
+
+        return sol, solve and trial
+
+    monkeypatch.setattr(plap, "_newton_loop", loop)
+    monkeypatch.setattr(_Banded, "factor_solve", factored)
+    u = solve_plap_dirichlet(g, p, load)
+    monkeypatch.undo()
+    _assert_residual_contract(u, p, load)
+    # residuals fall strictly within a loop, so a new norm is a new
+    # iteration, and a rejected trial and its Newton step share one
+    trials = skipped = 0
+    for kind, norm in events:
+        if kind == "loop":
+            norms = []
+            continue
+        if norms and norm == norms[-1]:
+            continue
+        ratio = norm / norms[-1] if norms else 0.0
+        if kind == "trial":
+            trials += 1
+            assert ratio * norm <= max(tol, plap.CHORD_CONTRACTION * norm)
+        elif norms:  # a factor was kept, and no trial was made
+            skipped += 1
+        norms.append(norm)
+    assert trials > 0 and skipped > 0
 
 
 def test_a_cold_2d_solve_keeps_one_jacobian_alive(monkeypatch):

@@ -13,10 +13,13 @@ Each is solved cold by ``solve_plap_dirichlet`` on 1D 2049, 2D 33x33, 2D
 200 solves.
 Each solution is checked against the solver's residual contract.  Prints
 one JSON object: the failures (grid, p, probe, reason), the direct solves
-(``_try_solve`` calls, one factorization each) per grid and p, their total
-and the number of loads solved.  Exits 1 when any solve fails or misses the
-contract, or when the set is not exactly ``LOADS_PER_CELL`` loads per grid
-and p, 0 otherwise.
+(``_try_solve`` calls, one factorization each) per grid and p and their
+total, the kept-factor LU solves (chord trials, each one band solve with a
+factor kept from an earlier Newton step; none in 1D, which keeps no factor)
+per grid and p and their total, and the number of loads solved.  The counts
+are informational.  Exits 1 when any solve fails or misses the contract, or
+when the set is not exactly ``LOADS_PER_CELL`` loads per grid and p, 0
+otherwise.
 """
 
 import json
@@ -59,22 +62,35 @@ def contract_gap(u, p, load, opts):
 
 def main():
     opts = plap.SolveOptions()
-    solves = []
-    try_solve = plap._try_solve
+    solves, trials = [], []
+    try_solve, factor_solve = plap._try_solve, plap._Banded.factor_solve
 
     def counted(*args, **kwargs):
         solves.append(1)
         return try_solve(*args, **kwargs)
 
-    failures, counts, loads = [], {}, 0
+    def kept_counted(self, rhs):
+        sol, solve = factor_solve(self, rhs)
+        if solve is None:
+            return sol, None
+
+        def trial(rhs):
+            trials.append(1)
+            return solve(rhs)
+
+        return sol, trial
+
+    failures, counts, chord, loads = [], {}, {}, 0
     plap._try_solve = counted
+    plap._Banded.factor_solve = kept_counted
     try:
         for shape in SHAPES:
             grid = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
             name = "x".join(map(str, shape))
-            counts[name] = {}
+            counts[name], chord[name] = {}, {}
             for p in EXPONENTS:
                 solves.clear()
+                trials.clear()
                 for label, load in stress_loads(grid):
                     loads += 1
                     try:
@@ -87,12 +103,19 @@ def main():
                         failures.append([name, p, label,
                                          f"residual {gap:.3g} times the allowed"])
                 counts[name][str(p)] = len(solves)
+                chord[name][str(p)] = len(trials)
     finally:
         plap._try_solve = try_solve
-    total = sum(sum(per_p.values()) for per_p in counts.values())
+        plap._Banded.factor_solve = factor_solve
+
+    def total(table):
+        return sum(sum(per_p.values()) for per_p in table.values())
+
     expected = len(SHAPES) * len(EXPONENTS) * LOADS_PER_CELL
     print(json.dumps({"failures": failures, "factorizations": counts,
-                      "total": total, "loads": loads}, indent=1))
+                      "total": total(counts), "chord_trials": chord,
+                      "chord_total": total(chord), "loads": loads},
+                     indent=1))
     if loads != expected:
         print(f"solved {loads} loads, expected {expected}", file=sys.stderr)
         return 1
