@@ -85,7 +85,10 @@ residual from it instead of applying the operator again.  The value is
 exactly the one a fresh apply gives, so the hand-over changes no bit of any
 result.  A flat guess (cold fallback) and a guess whose boundary the solve
 has to zero never read it.  ``operator_value`` computes the value of a field
-that no solve returned, such as a barrier of ``scheme``.
+that no solve returned, such as a barrier of ``scheme``.  ``scheme`` passes
+every field it solves from or returns as its OperatorValue: it seeds a
+one-slot list with the start's value and hands on what the solve left there,
+so the holder lives only as long as one run of solves.
 
 Contracts the rest of the package relies on:
 
@@ -181,27 +184,13 @@ class OperatorValue(NamedTuple):
     faces: list
 
 
-def _held_value(held, u, p):
-    """The OperatorValue in the one-slot list ``held`` when it is that of the
-    field object ``u`` itself at ``p``; None otherwise."""
-    if held and held[0].field is u and held[0].p == p:
-        return held[0]
-    return None
-
-
-def operator_value(u: ScalarField, p: float,
-                   held: list | None = None) -> OperatorValue:
-    """The OperatorValue of ``u`` at ``p``: read from the one-slot list
-    ``held`` when that holds u's own (see solve_plap_dirichlet), computed
-    otherwise.  ``lap`` equals ``p_laplacian_apply(u, p).values`` bit for
-    bit."""
-    value = _held_value(held, u, p)
-    if value is None:
-        spacing = u.grid.spacing
-        faces = _faces(u.values, spacing)
-        lap, delta = _plap_own_delta(u.values, spacing, p, faces)
-        value = OperatorValue(u, p, lap, delta, faces)
-    return value
+def operator_value(u: ScalarField, p: float) -> OperatorValue:
+    """The OperatorValue of ``u`` at ``p``, computed.  ``lap`` equals
+    ``p_laplacian_apply(u, p).values`` bit for bit."""
+    spacing = u.grid.spacing
+    faces = _faces(u.values, spacing)
+    lap, delta = _plap_own_delta(u.values, spacing, p, faces)
+    return OperatorValue(u, p, lap, delta, faces)
 
 
 class _Residual(NamedTuple):
@@ -557,7 +546,10 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             the solve zeroes.  On return it holds the OperatorValue of the
             returned field, from the last residual, so a run of solves that
             each start at the last one's result applies the operator once
-            less per solve; a solve that raises leaves it empty.
+            less per solve, and a caller that passes fields on with their
+            -Lap_p takes the returned field's from there (scheme's
+            solve_frozen and monotone sweeps); a solve that raises leaves
+            it empty.
         reaction: optional (coeff, q), coeff a nodal array >= 0 and q > 1;
             keyword-only.  Adds the reaction term above.
 
@@ -588,8 +580,9 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         u = initial_guess.values.copy()
         mask = grid.boundary_mask()
         boundary = u[mask]
-        if not (boundary.any() or np.signbit(boundary).any()):
-            start = _held_value(held, initial_guess, p)  # u is the guess
+        if (held and held[0].field is initial_guess and held[0].p == p
+                and not (boundary.any() or np.signbit(boundary).any())):
+            start = held[0]  # u is the guess itself
         u[mask] = 0.0
         reached = p
         # a flat warm start cannot seed the Jacobian; fall back to cold start

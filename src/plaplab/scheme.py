@@ -23,10 +23,13 @@ decreasing in xi, so the frozen problem has exactly one positive solution
 iteration down from the upper barrier approaches.  The monotone sweeps stay
 as the fallback: a step whose Newton solve raises SolveFailure, or whose
 result is not positive inside the barrier band (a zero or a wrong root),
-runs them from the upper barrier instead (inner_monotone_solve).  A step
-whose frozen map equals the previous one bit for bit keeps the previous
-limit.  The certificates at the final map are computed apart from the
-outer steps, by monotone iteration from both barriers.
+runs them from the upper barrier instead (inner_monotone_solve), and logs
+why at INFO ("Newton limit ...: monotone sweeps from the upper barrier").
+Either way the outer step checks its limit against the gradient bound at
+F_u(x, limit).  A step whose frozen map equals the previous one bit for bit
+keeps the previous limit, and its log line says "by reuse".  The
+certificates at the final map are computed apart from the outer steps, by
+monotone iteration from both barriers.
 
 Every stage is checked at run time, each check under one rule.  The
 barriers must verify as sub/super-solutions of each frozen F with a defect
@@ -40,14 +43,17 @@ falsifies the implementation or a stale constant, never the underlying
 analysis -- so a returned report always lies in the set.  Functions other
 than outer_fixed_point take their grid from the fields they are given.
 
-No field's Lap_p is computed twice in a run.  The barriers are fixed for the
-run, so outer_fixed_point computes their Lap_p once (plap.operator_value);
-every barrier check and every monotone iteration started at a barrier reads
-it.  Each solve hands its result's to the next (the ``held`` holder of
+No field's Lap_p is computed twice in a run.  A field travels through this
+module with its -Lap_p, as a plap.OperatorValue: the barriers, the guess of
+an outer step and every limit a solve returns.  The barriers are fixed for
+the run, so outer_fixed_point computes their values once
+(plap.operator_value); every barrier check and every monotone iteration
+started at a barrier reads them.  Every other value is the one the solve
+that returned the field left behind (the ``held`` holder of
 plap.solve_plap_dirichlet): an outer step's Newton solve reads the previous
 iterate's, each sweep the last sweep's, and the residual certificate the
-last solve's at the final iterate.  The values are those a fresh apply
-gives, so no result changes by a bit.
+final iterate's.  The values are those a fresh apply gives, so no result
+changes by a bit.
 
 A monotone sweep after the first, of a fallback or of the certificate
 stage, is solved only as far as it needs to be.  Its Dirichlet solve stops
@@ -87,6 +93,7 @@ from .constants import (
 )
 from .errors import (
     ConfigurationError,
+    GridMismatchError,
     HypothesisViolationError,
     InvariantViolation,
     IterationFailure,
@@ -95,7 +102,7 @@ from .errors import (
     SolveFailure,
 )
 from .expr import ProblemSpec, check_growth, evaluate_on, sample_weights
-from .grid import Grid, ScalarField, gradient, integrate, p_laplacian_apply, sup_norm
+from .grid import Grid, ScalarField, gradient, integrate, sup_norm
 from .plap import (
     OperatorValue,
     SolveOptions,
@@ -180,6 +187,8 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
     and values.  The frozen part is clamped from roundoff-negative to zero.
     """
     grid = u.grid
+    if grad is not None and grad.grid != grid:
+        raise GridMismatchError("gradient lives on a different grid than u")
     weights = sample_weights(spec, grid)
     w1 = weights[0]
     uv = np.maximum(u.values, 0.0)
@@ -218,20 +227,22 @@ class SubSuperReport:
     node: tuple | None = None
 
 
-def verify_subsuper(candidate: ScalarField, F: FrozenNonlinearity, p: float,
-                    kind: str, *, lap: np.ndarray | None = None) -> SubSuperReport:
-    """Check the defect d = (-Lap_p candidate) - F(x, candidate) pointwise.
+def verify_subsuper(candidate: OperatorValue, F: FrozenNonlinearity,
+                    kind: str) -> SubSuperReport:
+    """Check the defect d = (-Lap_p v) - F(x, v) pointwise, for the field v
+    and its -Lap_p that ``candidate`` holds.
 
     A super-solution needs d >= -tol, a sub-solution d <= tol, over interior
-    nodes, with tol = SUBSUPER_TOL_REL * ||Lap_p candidate||_inf: relative,
-    so it means the same on a small right-hand side as on a large one.  ``lap`` (keyword-only) is
-    -Lap_p candidate at p, when the caller holds it.
+    nodes, with tol = SUBSUPER_TOL_REL * ||Lap_p v||_inf: relative, so it
+    means the same on a small right-hand side as on a large one.
     """
     if kind not in ("sub", "super"):
         raise ConfigurationError(f"kind must be 'sub' or 'super', got {kind!r}")
-    if lap is None:
-        lap = p_laplacian_apply(candidate, p).values
-    defect = (lap - F.evaluate(candidate.values))[candidate.grid.interior]
+    field, lap = candidate.field, candidate.lap
+    if F.grid != field.grid:
+        raise GridMismatchError(
+            "frozen map lives on a different grid than the candidate")
+    defect = (lap - F.evaluate(field.values))[field.grid.interior]
     tol = SUBSUPER_TOL_REL * float(np.max(np.abs(lap)))
     signed = -defect if kind == "super" else defect
     flat = int(np.argmax(signed))
@@ -254,23 +265,25 @@ def _support_tolerance(opts: SolveOptions, stop: float) -> SolveOptions:
     return dataclasses.replace(opts, tol_residual=target)
 
 
-def solve_frozen(F: FrozenNonlinearity, start: ScalarField, p: float,
+def solve_frozen(F: FrozenNonlinearity, start: OperatorValue,
                  opts: SolveOptions | None = None, *,
-                 factor: list | None = None,
-                 held: list | None = None) -> ScalarField:
-    """Solve the frozen problem -Lap_p U = F(x, U) by one Newton solve from
-    ``start``: plap.solve_plap_dirichlet with the load F.base and the
-    reaction F.coeff * U^(q-1).  It stops at
+                 factor: list | None = None) -> OperatorValue:
+    """Solve the frozen problem -Lap_p U = F(x, U) at start.p by one Newton
+    solve from the field of ``start``, whose -Lap_p its first residual
+    reads: plap.solve_plap_dirichlet with the load F.base and the reaction
+    F.coeff * U^(q-1).  It stops at
     ||-Lap_p U - F(U)||_inf <= tol_residual * max(1, ||F(U)||_inf), the
-    quantity the residual certificate checks.  ``factor`` and ``held`` are
-    the one-slot holders of solve_plap_dirichlet.
+    quantity the residual certificate checks, and returns U with its
+    -Lap_p.  ``factor`` is the one-slot holder of solve_plap_dirichlet.
 
     Raises:
         SolveFailure: the Newton solve stalled (a warm solve has no retreat).
     """
-    return solve_plap_dirichlet(F.grid, p, ScalarField(F.grid, F.base), opts,
-                                initial_guess=start, factor=factor, held=held,
-                                reaction=(F.coeff, F.q))
+    held = [start]
+    solve_plap_dirichlet(F.grid, start.p, ScalarField(F.grid, F.base), opts,
+                         initial_guess=start.field, factor=factor, held=held,
+                         reaction=(F.coeff, F.q))
+    return held[0]
 
 
 def _off_band(u: ScalarField, sub: ScalarField, sup_field: ScalarField,
@@ -285,35 +298,38 @@ def _off_band(u: ScalarField, sub: ScalarField, sup_field: ScalarField,
     return None
 
 
-def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
-                         sup_field: ScalarField, p: float,
+def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
+                         sup: OperatorValue,
                          opts: SolveOptions | None = None, *,
                          start: str = "super",
                          khat: float | None = None,
                          guess: OperatorValue | None = None,
-                         factor: list | None = None,
-                         held: list | None = None,
-                         path: list | None = None,
-                         grad: list | None = None) -> ScalarField:
+                         factor: list | None = None) -> OperatorValue:
     """The limit of the frozen problem -Lap_p U = F(x, U) between the
-    barriers: by one Newton solve from ``guess`` when one is given, else,
-    or when that fails, by the monotone iteration U_{n+1} = solve(F(x, U_n))
-    from a barrier.
+    barriers, with its -Lap_p: by one Newton solve from ``guess`` when one
+    is given, else, or when that fails, by the monotone iteration
+    U_{n+1} = solve(F(x, U_n)) from a barrier.
+
+    ``sub`` and ``sup`` are the barriers' OperatorValues, and p is theirs.
+    The value returned is the one the last solve left (see
+    plap.solve_plap_dirichlet), so the caller can hand the limit on to a
+    solve that starts there without applying the operator again.
 
     With ``guess``, as an outer step of outer_fixed_point calls it, the
     frozen problem is solved directly from the guess's field (solve_frozen),
     to the full tolerance below.  Its result is the limit when it is
     positive at the interior nodes and inside the band up to
-    MEMBERSHIP_SLACK_REL * ||super||_inf, and then meets the gradient bound
-    if ``khat`` is given.  Otherwise (a SolveFailure, a zero or a wrong
-    root) the call runs the monotone iteration from ``start``.  The frozen
-    problem has one positive solution (see the module docstring), so both
-    ways reach the same limit up to the solver tolerance.
+    MEMBERSHIP_SLACK_REL * ||super||_inf.  Otherwise (a SolveFailure, a
+    zero or a wrong root) the call logs why at INFO and runs the monotone
+    iteration from ``start``.  The frozen problem has one positive solution
+    (see the module docstring), so both ways reach the same limit up to the
+    solver tolerance.
 
     Started from the upper barrier the sequence is nonincreasing (from the
     lower, nondecreasing); each iterate must stay inside the barrier band up
     to 10x the solver tolerance, else MonotonicityError.  Stops when the sup
-    move drops below 1e-8 * ||super||_inf.
+    move drops below 1e-8 * ||super||_inf.  The first sweep reads the start
+    barrier's -Lap_p, each later one the last sweep's.
 
     Each sweep after the first stops its solve at INNER_FORCING times the
     sup change of the right-hand side since the last sweep, or at the full
@@ -338,24 +354,14 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
 
     Args:
         start: the barrier to start from; keyword-only, as are the rest.
-        khat: when given, every solve is checked against the empirical
-            gradient bound (StaleGradConstantError on violation).
+        khat: when given, every sweep is checked against the empirical
+            gradient bound (StaleGradConstantError on violation).  A Newton
+            limit is not: its caller checks it.
         guess: the OperatorValue of a field to start a Newton solve of the
             frozen problem from (the previous outer iterate); None runs
             the monotone iteration at once.
         factor: the kept LU factor holder the solves share; None makes a
             fresh one for this call.
-        held: the one-slot OperatorValue holder of
-            plap.solve_plap_dirichlet the solves share, so each reads
-            Lap_p of its start from the last one; None makes a fresh one.
-            Seeded with the start barrier's value, it spares the first
-            sweep its operator apply; on return it holds the limit's.
-        path: an optional one-slot list that receives how the limit was
-            found when ``guess`` is given: "newton", or "sweeps (...)" with
-            the reason the Newton result was not taken.
-        grad: an optional one-slot list that receives gradient(limit) when
-            the limit is the Newton one and ``khat`` is given: its gradient
-            check computed it, and the caller need not compute it again.
 
     Raises:
         IterationFailure: no convergence within INNER_MAX_SWEEPS sweeps.
@@ -364,44 +370,32 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
         opts = SolveOptions()
     if start not in ("sub", "super"):
         raise ConfigurationError(f"start must be 'sub' or 'super', got {start!r}")
-    grid = sub.grid
-    if sup_field.grid != grid:
-        raise ConfigurationError("barriers live on different grids")
-    sup_size = sup_norm(sup_field)
-    if np.any(sub.values > sup_field.values + 1.0e-12 * max(1.0, sup_size)):
+    grid, p = sub.field.grid, sub.p
+    if not sup.field.grid == F.grid == grid:
+        raise GridMismatchError("barriers and frozen map live on different grids")
+    sup_size = sup_norm(sup.field)
+    if np.any(sub.field.values > sup.field.values
+              + 1.0e-12 * max(1.0, sup_size)):
         raise ConfigurationError("lower barrier exceeds upper barrier")
 
     stop = INNER_STOP_REL * sup_size
-    u = sup_field if start == "super" else sub
     if factor is None:
         factor = []
-    if held is None:
-        held = []
     solve_opts = _support_tolerance(opts, stop)
+    barrier = sup if start == "super" else sub
     if guess is not None:
-        barrier = held[:]  # the start barrier's value, for the sweeps
-        held[:] = [guess]
         try:
-            u_next = solve_frozen(F, guess.field, p, solve_opts, factor=factor,
-                                  held=held)
-            miss = _off_band(u_next, sub, sup_field,
+            limit = solve_frozen(F, guess, solve_opts, factor=factor)
+            miss = _off_band(limit.field, sub.field, sup.field,
                              MEMBERSHIP_SLACK_REL * sup_size)
         except SolveFailure as exc:
             miss = f"failed: {exc}"
         if miss is None:
-            if khat is not None:
-                grad_next = gradient(u_next)
-                assert_gradient_bound(
-                    khat, u_next, float(F.evaluate(u_next.values).max()), p,
-                    context="Newton limit", grad=grad_next)
-                if grad is not None:
-                    grad[:] = [grad_next]
-            if path is not None:
-                path[:] = ["newton"]
-            return u_next
-        if path is not None:
-            path[:] = [f"sweeps (Newton limit {miss})"]
-        held[:] = barrier
+            return limit
+        log.info("Newton limit %s: monotone sweeps from the %s barrier", miss,
+                 "upper" if start == "super" else "lower")
+    held = [barrier]  # -Lap_p of u, which the next sweep starts from
+    u = barrier.field
     interior = grid.interior
     last_rhs = None  # the last sweep's right-hand side, interior values
     for sweep in range(1, INNER_MAX_SWEEPS + 1):
@@ -427,8 +421,8 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
             raise MonotonicityError(
                 f"inner iterate moved {drift:.3e} against the monotone "
                 f"direction (allowed {slack:.3e}) at sweep {sweep}")
-        below = float((sub.values - u_next.values).max())
-        above = float((u_next.values - sup_field.values).max())
+        below = float((sub.field.values - u_next.values).max())
+        above = float((u_next.values - sup.field.values).max())
         if max(below, above) > slack:
             raise MonotonicityError(
                 f"inner iterate left the barrier band by "
@@ -445,7 +439,7 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: ScalarField,
                 if khat is not None:
                     assert_gradient_bound(khat, u, rhs_sup, p,
                                           context=f"inner sweep {sweep}")
-            return u
+            return held[0]
     raise IterationFailure(
         f"inner monotone iteration made no C0 limit in {INNER_MAX_SWEEPS} "
         "sweeps")
@@ -468,8 +462,8 @@ def picone_diagnostic(U: ScalarField, V: ScalarField, F: FrozenNonlinearity,
     uniqueness surrogate.
     """
     grid = U.grid
-    if V.grid != grid:
-        raise ConfigurationError("states live on different grids")
+    if not V.grid == F.grid == grid:
+        raise GridMismatchError("states and frozen map live on different grids")
     interior = grid.interior
     for name, w in (("first", U), ("second", V)):
         if float(np.min(w.values[interior])) <= 0.0:
@@ -607,68 +601,64 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     sub_value = operator_value(sub, spec.p)
     sup_value = operator_value(sup_field, spec.p)
 
+    value = sub_value  # the iterate u with its Lap_p, which a solve starts from
     u = sub
     grad_u = gradient(u)
     trace = []
     factor = []  # one kept LU factor holder for every outer step of this call
-    held = [sub_value]  # Lap_p of u, which the next Newton solve starts from
     previous = None  # the last step's frozen map
     for k in range(1, max_outer + 1):
         frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
-        for value, kind in ((sup_value, "super"), (sub_value, "sub")):
-            rep = verify_subsuper(value.field, frozen, spec.p, kind,
-                                  lap=value.lap)
+        for barrier, kind in ((sup_value, "super"), (sub_value, "sub")):
+            rep = verify_subsuper(barrier, frozen, kind)
             if not rep.ok:
                 raise InvariantViolation(
                     f"{kind}-solution verification failed at outer step {k}: "
                     f"violation {rep.worst_violation:.3e} over tol {rep.tol:.1e} "
                     f"at node {rep.node}")
-        if previous is not None and _same_map(frozen, previous):
+        reused = previous is not None and _same_map(frozen, previous)
+        if reused:
             # u is already the limit of this very map
-            u_next, path, grads = u, ["reuse"], [grad_u]
+            value_next, grad_next = value, grad_u
         else:
-            # Newton from u, whose Lap_p the last solve left in held; the
-            # fallback sweeps start from the upper barrier; a Newton limit
-            # comes with the gradient its khat check computed
-            guess = operator_value(u, spec.p, held)
-            held[:] = [sup_value]
-            path, grads = [], []
-            u_next = inner_monotone_solve(
-                frozen, sub, sup_field, spec.p, opts, start="super",
-                khat=constants.khat, guess=guess, factor=factor, held=held,
-                path=path, grad=grads)
+            # Newton from u; the fallback sweeps start from the upper barrier
+            value_next = inner_monotone_solve(
+                frozen, sub_value, sup_value, opts, start="super",
+                khat=constants.khat, guess=value, factor=factor)
+            grad_next = gradient(value_next.field)
         previous = frozen
-        grad_next = grads[0] if grads else gradient(u_next)
+        u_next = value_next.field
         broken = verify_solution_bounds(u_next, sub, sup_field, height,
                                         constants.gamma, grad=grad_next)
         if broken:
             raise InvariantViolation(
                 f"outer iterate {k} left the invariant set: {'; '.join(broken)}")
+        if not reused:  # a reused limit met the bound at the same map
+            assert_gradient_bound(
+                constants.khat, u_next, float(frozen.evaluate(u_next.values).max()),
+                spec.p, context=f"outer step {k}", grad=grad_next)
         dist = (float(np.max(np.abs(u_next.values - u.values)))
                 + float(np.max(np.sqrt(np.sum(
                     (grad_next.components - grad_u.components) ** 2, axis=0)))))
         trace.append(dist)
-        u, grad_u = u_next, grad_next
-        log.info("outer step %d by %s: C1 move %.3e (target %.1e)",
-                 k, path[0], dist, OUTER_STOP_REL * height)
+        value, u, grad_u = value_next, u_next, grad_next
+        log.info("outer step %d%s: C1 move %.3e (target %.1e)",
+                 k, " by reuse" if reused else "", dist, OUTER_STOP_REL * height)
         if dist < OUTER_STOP_REL * height:
             break
 
     frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
-    from_above = inner_monotone_solve(frozen, sub, sup_field, spec.p,
-                                      opts, start="super", khat=constants.khat,
-                                      held=[sup_value])
-    from_below = inner_monotone_solve(frozen, sub, sup_field, spec.p,
-                                      opts, start="sub", khat=constants.khat,
-                                      held=[sub_value])
+    from_above = inner_monotone_solve(frozen, sub_value, sup_value, opts,
+                                      start="super", khat=constants.khat).field
+    from_below = inner_monotone_solve(frozen, sub_value, sup_value, opts,
+                                      start="sub", khat=constants.khat).field
     two_sided_gap = float(np.max(np.abs(from_above.values - from_below.values)))
     picone_gap = picone_diagnostic(from_above, from_below, frozen, spec.p)
 
     # the residual is checked against the raw lambda*h + beta*f at u, which
-    # the freeze above already evaluated, and Lap_p u, which the last inner
-    # solve computed
-    defect = (operator_value(u, spec.p, held).lap
-              - frozen.source)[grid.interior]
+    # the freeze above already evaluated, and Lap_p u, which the solve that
+    # returned u computed
+    defect = (value.lap - frozen.source)[grid.interior]
     pde_residual = float(np.max(np.abs(defect)))
     scale = natural_residual_scale(lam, beta, constants, spec, height)
     volume = math.prod(hi - lo for lo, hi in grid.extents)

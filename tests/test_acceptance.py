@@ -44,6 +44,7 @@ from plaplab.plap import (
     SolveOptions,
     assert_gradient_bound,
     estimate_grad_constant,
+    operator_value,
     solve_plap_dirichlet,
 )
 from plaplab import scheme
@@ -79,11 +80,12 @@ def load_at(name, n=None):
     return spec
 
 
-def barriers(grid, report, bundle, eigen):
+def barriers(grid, report, bundle, eigen, p):
+    """The OperatorValues of a run's lower and upper barrier at p."""
     sub = ScalarField(grid, report.epsilon * eigen.u1.values)
     scale = report.height / bundle.phi_sup
     sup_field = ScalarField(grid, scale * bundle.weighted_torsion.phi.values)
-    return sub, sup_field
+    return operator_value(sub, p), operator_value(sup_field, p)
 
 
 def test_c1_torsion_matches_closed_form():
@@ -245,12 +247,12 @@ def test_c7_uniqueness_surrogate(name):
         scale = natural_residual_scale(lam, beta, bundle, spec, height)
         assert certs.picone_gap <= 1e-8 * scale * height * volume
         # recompute the Picone integrand nodewise: it must be nonpositive
-        sub, sup_field = barriers(grid, report, bundle, eigen)
+        sub, sup_field = barriers(grid, report, bundle, eigen, spec.p)
         frozen = freeze_nonlinearity(report.solution, lam, beta, spec)
-        upper = inner_monotone_solve(frozen, sub, sup_field, spec.p,
-                                     start="super", khat=bundle.khat)
-        lower = inner_monotone_solve(frozen, sub, sup_field, spec.p,
-                                     start="sub", khat=bundle.khat)
+        upper = inner_monotone_solve(frozen, sub, sup_field, start="super",
+                                     khat=bundle.khat).field
+        lower = inner_monotone_solve(frozen, sub, sup_field, start="sub",
+                                     khat=bundle.khat).field
         interior = grid.interior
         p = spec.p
         u_vals = upper.values[interior]
@@ -275,10 +277,10 @@ def test_c8_gradient_free_nonlinearity_freezes_after_one_step():
         assert report.outer_trace[1] == 0.0
         # with h proportional to the frozen growth and f absent, the frozen
         # map never changes, so a single direct inner solve gives the limit
-        sub, sup_field = barriers(grid, report, bundle, eigen)
-        frozen = freeze_nonlinearity(sub, 1.0, 1.0, spec)
-        direct = inner_monotone_solve(frozen, sub, sup_field, spec.p,
-                                      start="super", khat=bundle.khat)
+        sub, sup_field = barriers(grid, report, bundle, eigen, spec.p)
+        frozen = freeze_nonlinearity(sub.field, 1.0, 1.0, spec)
+        direct = inner_monotone_solve(frozen, sub, sup_field, start="super",
+                                      khat=bundle.khat).field
         gap = float(np.max(np.abs(direct.values - report.solution.values)))
         assert gap <= 1e-6 * report.height
 

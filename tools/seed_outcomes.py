@@ -16,9 +16,12 @@ printed before: the script exits 1 when a point is missing or new, a
 ``status`` or ``outer_iters`` changed, or a ``pde_residual`` moved by more
 than RESIDUAL_MOVE absolute, and 0 otherwise; each difference goes to
 stderr, with the largest residual move.  It also prints to stderr, per
-workload, the certificate's headroom: the largest ratio of ``pde_residual``
-to the value the residual certificate allows, RESIDUAL_CERT_REL times the
-report's ``residual_scale``.  The script only reads ``perfbench/``.
+workload, the headroom of two certificates: the largest ratio of
+``pde_residual`` to the value the residual certificate allows,
+RESIDUAL_CERT_REL times the report's ``residual_scale``, and the largest
+ratio of ``two_sided_gap`` to the value the two-sided certificate allows,
+TWO_SIDED_CERT_REL times the report's ``height`` M.  The script only reads
+``perfbench/``.
 """
 
 import os
@@ -37,7 +40,7 @@ sys.dont_write_bytecode = True  # leave no cache behind in perfbench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import harness  # noqa: E402
-from plaplab.scheme import RESIDUAL_CERT_REL  # noqa: E402
+from plaplab.scheme import RESIDUAL_CERT_REL, TWO_SIDED_CERT_REL  # noqa: E402
 
 WORKLOADS = ("sweep1d", "sweep2d")
 SEEDS = (0, 1, 2)
@@ -58,10 +61,10 @@ def distinct_points(name):
 
 def outcomes(name):
     """[lambda, beta, status, outer_iters, pde_residual] per point, and the
-    largest pde_residual over its allowed value."""
+    largest pde_residual and two_sided_gap over their allowed values."""
     (case,) = harness.workload_cases(name)
     setup = harness.set_up(case)
-    rows, headroom = [], 0.0
+    rows, residual, two_sided = [], 0.0, 0.0
     for lam, beta in distinct_points(name):
         pt = harness.run_point(setup, lam, beta)
         r = pt.report
@@ -70,9 +73,11 @@ def outcomes(name):
                      None if r is None else r.certificates.pde_residual])
         if r is not None:
             cert = r.certificates
-            headroom = max(headroom, cert.pde_residual
+            residual = max(residual, cert.pde_residual
                            / (RESIDUAL_CERT_REL * cert.residual_scale))
-    return rows, headroom
+            two_sided = max(two_sided, cert.two_sided_gap
+                            / (TWO_SIDED_CERT_REL * r.height))
+    return rows, (residual, two_sided)
 
 
 def differences(table, recorded):
@@ -118,8 +123,11 @@ def main(argv=None):
     print(f"largest pde_residual move {worst:.3e} (allowed "
           f"{RESIDUAL_MOVE:.0e})", file=sys.stderr)
     for name in WORKLOADS:
+        residual, two_sided = headroom[name]
         print(f"{name}: largest pde_residual / (RESIDUAL_CERT_REL * "
-              f"residual_scale) {headroom[name]:.3e}", file=sys.stderr)
+              f"residual_scale) {residual:.3e}", file=sys.stderr)
+        print(f"{name}: largest two_sided_gap / (TWO_SIDED_CERT_REL * M) "
+              f"{two_sided:.3e}", file=sys.stderr)
     return 1 if found else 0
 
 
