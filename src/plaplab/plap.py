@@ -88,7 +88,11 @@ has to zero never read it.  ``operator_value`` computes the value of a field
 that no solve returned, such as a barrier of ``scheme``.  ``scheme`` passes
 every field it solves from or returns as its OperatorValue: it seeds a
 one-slot list with the start's value and hands on what the solve left there,
-so the holder lives only as long as one run of solves.
+so the holder lives only as long as one run of solves.  A run of solves may
+also start every solve at one fixed field, as the certificate chains of
+``scheme`` start each sweep at the final iterate: the caller seeds the list
+with that field's value again before each solve, so each first residual
+reads it, and keeps what the solve left there as the value of its result.
 
 Contracts the rest of the package relies on:
 

@@ -26,10 +26,8 @@ result is not positive inside the barrier band (a zero or a wrong root),
 runs them from the upper barrier instead (inner_monotone_solve), and logs
 why at INFO ("Newton limit ...: monotone sweeps from the upper barrier").
 Either way the outer step checks its limit against the gradient bound at
-F_u(x, limit).  A step whose frozen map equals the previous one bit for bit
-keeps the previous limit, and its log line says "by reuse".  The
-certificates at the final map are computed apart from the outer steps, by
-monotone iteration from both barriers.
+F_u(x, limit).  The certificates at the final map are computed apart from
+the outer steps, by monotone iteration from both barriers.
 
 Every stage is checked at run time, each check under one rule.  The
 barriers must verify as sub/super-solutions of each frozen F with a defect
@@ -51,20 +49,33 @@ the run, so outer_fixed_point computes their values once
 started at a barrier reads them.  Every other value is the one the solve
 that returned the field left behind (the ``held`` holder of
 plap.solve_plap_dirichlet): an outer step's Newton solve reads the previous
-iterate's, each sweep the last sweep's, and the residual certificate the
-final iterate's.  The values are those a fresh apply gives, so no result
-changes by a bit.
+iterate's, each sweep of a fallback the last sweep's, and every sweep of
+the certificate chains and the residual certificate the final iterate's.
+The values are those a fresh apply gives, so no result changes by a bit.
+
+The certificate chains converge to the final iterate u, so every sweep of
+both starts its Dirichlet solve at u (``warm``), not at the chain's last
+iterate.  A chain contracts by about 0.15 per sweep, so its next iterate
+lies about 0.15/0.85 = 0.18 times as far from u as from the last one.  Only
+Newton's start moves: a sweep still solves -Lap_p U_{n+1} = F(U_n), which
+has one solution, so the iterates, their number and the stop test are
+those of a chain that starts each solve at its last iterate, up to the
+solver tolerance.  Every first residual reads u's held -Lap_p, and in 2D
+the factor of a chain's first Jacobian, taken at u, stays a good chord
+model for its later sweeps.
 
 A monotone sweep after the first, of a fallback or of the certificate
 stage, is solved only as far as it needs to be.  Its Dirichlet solve stops
 at INNER_FORCING times the change of the right-hand side since the last
-sweep, which is about the residual it starts from, or at the full tolerance
-when that is larger: the forcing term of inexact Newton methods (Dembo,
-Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982); Eisenstat & Walker,
-SIAM J. Sci. Comput. 17 (1996)).  The sweeps and their stop test are those
-of exact solves; a sweep that passes the stop test at a forced tolerance is
-solved again at the full one, so every inner limit meets the full residual
-contract against its frozen map.
+sweep, or at the full tolerance when that is larger: the forcing term of
+inexact Newton methods (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+19 (1982); Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996)).  That
+change is about the residual a fallback sweep starts from, at the last
+iterate; a certificate sweep starts at u, where the residual F(u) - F(U_n)
+is smaller, by about the factor 0.18 above.  The sweeps and their stop test
+are those of exact solves; a sweep that passes the stop test at a forced
+tolerance is solved again at the full one, from where it stopped, so every
+inner limit meets the full residual contract against its frozen map.
 
 Convergence of the outer map is monitored in C^1 (sup distance of values plus
 gradients); the fixed-point argument behind it is nonconstructive, so
@@ -304,7 +315,8 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
                          start: str = "super",
                          khat: float | None = None,
                          guess: OperatorValue | None = None,
-                         factor: list | None = None) -> OperatorValue:
+                         factor: list | None = None,
+                         warm: OperatorValue | None = None) -> OperatorValue:
     """The limit of the frozen problem -Lap_p U = F(x, U) between the
     barriers, with its -Lap_p: by one Newton solve from ``guess`` when one
     is given, else, or when that fails, by the monotone iteration
@@ -328,17 +340,21 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
     Started from the upper barrier the sequence is nonincreasing (from the
     lower, nondecreasing); each iterate must stay inside the barrier band up
     to 10x the solver tolerance, else MonotonicityError.  Stops when the sup
-    move drops below 1e-8 * ||super||_inf.  The first sweep reads the start
-    barrier's -Lap_p, each later one the last sweep's.
+    move drops below 1e-8 * ||super||_inf.  Each sweep's solve starts at the
+    field of ``warm`` when one is given, and its first residual reads
+    warm's -Lap_p; otherwise it starts at the last iterate, so the first
+    sweep reads the start barrier's -Lap_p and each later one the last
+    sweep's.
 
     Each sweep after the first stops its solve at INNER_FORCING times the
     sup change of the right-hand side since the last sweep, or at the full
-    tolerance when that is larger (see the module docstring).  That change
-    is the sweep's starting residual up to the last solve's own, so early
-    sweeps, which move the iterate far, stop after a few Newton or chord
-    steps, and the last ones fall back to the full tolerance by themselves.
-    A sweep solved at a forced tolerance that passes the stop test is solved
-    again, warm, at the full tolerance before it is returned.
+    tolerance when that is larger (see the module docstring).  Without
+    ``warm`` that change is the sweep's starting residual up to the last
+    solve's own, so early sweeps, which move the iterate far, stop after a
+    few Newton or chord steps, and the last ones fall back to the full
+    tolerance by themselves.  A sweep solved at a forced tolerance that
+    passes the stop test is solved again at the full tolerance, from its
+    own result, before it is returned.
 
     The warm-started solves share one kept LU factor (the chord steps
     of plap.solve_plap_dirichlet): successive sweeps, and successive outer
@@ -362,6 +378,11 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
             the monotone iteration at once.
         factor: the kept LU factor holder the solves share; None makes a
             fresh one for this call.
+        warm: the OperatorValue every sweep's solve starts from (the final
+            iterate, for the certificate chains); None starts each at the
+            last iterate.  It must lie on the barriers' grid
+            (GridMismatchError) at their p (ConfigurationError).  The
+            iterates do not depend on it beyond the solver tolerance.
 
     Raises:
         IterationFailure: no convergence within INNER_MAX_SWEEPS sweeps.
@@ -373,6 +394,13 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
     grid, p = sub.field.grid, sub.p
     if not sup.field.grid == F.grid == grid:
         raise GridMismatchError("barriers and frozen map live on different grids")
+    if warm is not None:
+        if warm.field.grid != grid:
+            raise GridMismatchError("warm start lives on another grid than "
+                                    "the barriers")
+        if warm.p != p:
+            raise ConfigurationError(
+                f"warm start is at p = {warm.p}, the barriers at p = {p}")
     sup_size = sup_norm(sup.field)
     if np.any(sub.field.values > sup.field.values
               + 1.0e-12 * max(1.0, sup_size)):
@@ -394,7 +422,7 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
             return limit
         log.info("Newton limit %s: monotone sweeps from the %s barrier", miss,
                  "upper" if start == "super" else "lower")
-    held = [barrier]  # -Lap_p of u, which the next sweep starts from
+    held = [barrier]  # u's value, where the next sweep starts without warm
     u = barrier.field
     interior = grid.interior
     last_rhs = None  # the last sweep's right-hand side, interior values
@@ -409,7 +437,10 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
                 sweep_opts = dataclasses.replace(solve_opts,
                                                  tol_residual=forced)
         last_rhs = rhs.values[interior]
-        u_next = solve_plap_dirichlet(grid, p, rhs, sweep_opts, initial_guess=u,
+        if warm is not None:
+            held = [warm]  # the sweep's solve starts at warm, not at u
+        u_next = solve_plap_dirichlet(grid, p, rhs, sweep_opts,
+                                      initial_guess=held[0].field,
                                       factor=factor, held=held)
         if khat is not None:
             assert_gradient_bound(khat, u_next, rhs_sup, p,
@@ -443,12 +474,6 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
     raise IterationFailure(
         f"inner monotone iteration made no C0 limit in {INNER_MAX_SWEEPS} "
         "sweeps")
-
-
-def _same_map(F: FrozenNonlinearity, G: FrozenNonlinearity) -> bool:
-    """True when two frozen maps are bitwise equal."""
-    return (F.coeff.tobytes() == G.coeff.tobytes()
-            and F.base.tobytes() == G.base.tobytes())
 
 
 def picone_diagnostic(U: ScalarField, V: ScalarField, F: FrozenNonlinearity,
@@ -606,7 +631,6 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     grad_u = gradient(u)
     trace = []
     factor = []  # one kept LU factor holder for every outer step of this call
-    previous = None  # the last step's frozen map
     for k in range(1, max_outer + 1):
         frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
         for barrier, kind in ((sup_value, "super"), (sub_value, "sub")):
@@ -616,42 +640,38 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                     f"{kind}-solution verification failed at outer step {k}: "
                     f"violation {rep.worst_violation:.3e} over tol {rep.tol:.1e} "
                     f"at node {rep.node}")
-        reused = previous is not None and _same_map(frozen, previous)
-        if reused:
-            # u is already the limit of this very map
-            value_next, grad_next = value, grad_u
-        else:
-            # Newton from u; the fallback sweeps start from the upper barrier
-            value_next = inner_monotone_solve(
-                frozen, sub_value, sup_value, opts, start="super",
-                khat=constants.khat, guess=value, factor=factor)
-            grad_next = gradient(value_next.field)
-        previous = frozen
+        # Newton from u; the fallback sweeps start from the upper barrier
+        value_next = inner_monotone_solve(
+            frozen, sub_value, sup_value, opts, start="super",
+            khat=constants.khat, guess=value, factor=factor)
         u_next = value_next.field
+        grad_next = gradient(u_next)
         broken = verify_solution_bounds(u_next, sub, sup_field, height,
                                         constants.gamma, grad=grad_next)
         if broken:
             raise InvariantViolation(
                 f"outer iterate {k} left the invariant set: {'; '.join(broken)}")
-        if not reused:  # a reused limit met the bound at the same map
-            assert_gradient_bound(
-                constants.khat, u_next, float(frozen.evaluate(u_next.values).max()),
-                spec.p, context=f"outer step {k}", grad=grad_next)
+        assert_gradient_bound(
+            constants.khat, u_next, float(frozen.evaluate(u_next.values).max()),
+            spec.p, context=f"outer step {k}", grad=grad_next)
         dist = (float(np.max(np.abs(u_next.values - u.values)))
                 + float(np.max(np.sqrt(np.sum(
                     (grad_next.components - grad_u.components) ** 2, axis=0)))))
         trace.append(dist)
         value, u, grad_u = value_next, u_next, grad_next
-        log.info("outer step %d%s: C1 move %.3e (target %.1e)",
-                 k, " by reuse" if reused else "", dist, OUTER_STOP_REL * height)
+        log.info("outer step %d: C1 move %.3e (target %.1e)",
+                 k, dist, OUTER_STOP_REL * height)
         if dist < OUTER_STOP_REL * height:
             break
 
+    # both chains start every sweep's solve at u, which they converge to
     frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
     from_above = inner_monotone_solve(frozen, sub_value, sup_value, opts,
-                                      start="super", khat=constants.khat).field
+                                      start="super", khat=constants.khat,
+                                      warm=value).field
     from_below = inner_monotone_solve(frozen, sub_value, sup_value, opts,
-                                      start="sub", khat=constants.khat).field
+                                      start="sub", khat=constants.khat,
+                                      warm=value).field
     two_sided_gap = float(np.max(np.abs(from_above.values - from_below.values)))
     picone_gap = picone_diagnostic(from_above, from_below, frozen, spec.p)
 

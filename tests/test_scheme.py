@@ -847,11 +847,11 @@ def test_an_inner_limit_comes_with_its_exact_value(stage, how, request):
 
 
 @pytest.mark.parametrize("name, resolution, gradients", [
-    ("sub", 129, 12), ("square2d", (17, 17), 12), ("degenerate", 33, 2)])
+    ("sub", 129, 12), ("square2d", (17, 17), 12), ("degenerate", 33, 3)])
 def test_outer_takes_one_gradient_per_solved_step(monkeypatch, name,
                                                   resolution, gradients):
-    # the lower barrier's, then each solved step's limit's; a reused step
-    # (degenerate's second) takes none
+    # the lower barrier's, then each step's limit's, degenerate's second
+    # step too, whose frozen map equals its first
     spec = dataclasses.replace(load_problem(bundled_problem_path(name)),
                                resolution=resolution)
     g = spec.build_grid()
@@ -912,8 +912,9 @@ def test_newton_steps_certify_on_a_small_right_hand_side(beta, monkeypatch,
     assert fallbacks(caplog) == []
 
 
-def test_an_unchanged_frozen_map_reuses_the_last_limit(monkeypatch, caplog):
-    # degenerate's frozen map does not depend on the iterate (C8's case)
+def test_an_unchanged_frozen_map_keeps_its_limit(monkeypatch, caplog):
+    # degenerate's frozen map does not depend on the iterate (C8's case):
+    # step 2's Newton solve starts at that map's limit and stays there
     spec = dataclasses.replace(load_problem(bundled_problem_path("degenerate")),
                                resolution=33)
     g = spec.build_grid()
@@ -924,10 +925,11 @@ def test_an_unchanged_frozen_map_reuses_the_last_limit(monkeypatch, caplog):
         report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
     assert report.converged and report.outer_iters == 2
     assert report.outer_trace[1] == 0.0
-    # step 1, then the two certificate iterations: step 2 solves nothing
-    assert [call[1] for call in calls] == ["super", "super", "sub"]
-    assert calls[0][2] is not None and calls[1][2] is None is calls[2][2]
-    assert "outer step 2 by reuse:" in caplog.text
+    # two outer steps, then the two certificate iterations
+    assert [call[1] for call in calls] == ["super", "super", "super", "sub"]
+    assert [guess is not None for *_, guess in calls] == [True, True,
+                                                          False, False]
+    assert fallbacks(caplog) == []
 
 
 def test_outer_steps_log_one_line_each(sub_stage, caplog):
@@ -939,6 +941,107 @@ def test_outer_steps_log_one_line_each(sub_stage, caplog):
     assert [m.split(":", 1)[0] for m in steps] == [
         f"outer step {k}" for k in range(1, report.outer_iters + 1)]
     assert fallbacks(caplog) == []  # every step took its Newton limit
+
+
+# ---------------------------------------------------------------------------
+# the certificate chains, warm at the final iterate
+
+
+@pytest.mark.parametrize("stage", ["sub_stage", "square2d_stage"])
+def test_every_chain_sweep_starts_at_the_final_iterate(stage, request,
+                                                       monkeypatch):
+    # each solve of both certificate chains starts at the run's solution,
+    # the very object, and takes its first residual from the -Lap_p held
+    # with it: the operator meets that field once, in the solve returning it
+    spec, g, c, eig = request.getfixturevalue(stage)
+    calls = []  # per inner call: (warm, [(guess, held value) per solve])
+
+    def recording_inner(*args, warm=None, **kwargs):
+        calls.append((warm, []))
+        return inner_monotone_solve(*args, warm=warm, **kwargs)
+
+    def recording_solve(*args, initial_guess=None, held=None, **kwargs):
+        calls[-1][1].append((initial_guess, held[0] if held else None))
+        return solve_plap_dirichlet(*args, initial_guess=initial_guess,
+                                    held=held, **kwargs)
+
+    applies = []  # the bytes of every input of the operator
+    raw = grid_module._plap_raw
+
+    def keyed(values, *args, **kwargs):
+        applies.append(values.tobytes())
+        return raw(values, *args, **kwargs)
+
+    monkeypatch.setattr(scheme, "inner_monotone_solve", recording_inner)
+    monkeypatch.setattr(scheme, "solve_plap_dirichlet", recording_solve)
+    monkeypatch.setattr(grid_module, "_plap_raw", keyed)
+    report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    assert report.converged
+    *steps, (above, above_solves), (below, below_solves) = calls
+    assert len(steps) == report.outer_iters
+    assert all(warm is None for warm, _ in steps)
+    assert above is below and above.field is report.solution
+    assert above.p == spec.p
+    for solves in (above_solves, below_solves):
+        assert len(solves) > 1
+        assert all(guess is above.field and held is above
+                   for guess, held in solves)
+    assert applies.count(report.solution.values.tobytes()) == 1
+
+
+def test_a_warm_start_on_another_grid_or_p_is_refused(sub_stage):
+    spec, g, c, eig = sub_stage
+    F, sub, sup = sub_inner_problem(sub_stage)
+    other = parabola(build_grid(((0.0, 2.0),), g.shape[0]))
+    with pytest.raises(GridMismatchError):
+        inner_monotone_solve(F, sub, sup, warm=operator_value(other, spec.p))
+    with pytest.raises(ConfigurationError, match="warm start is at p"):
+        inner_monotone_solve(F, sub, sup,
+                             warm=operator_value(sup.field, spec.p + 0.5))
+
+
+@pytest.mark.parametrize("name, resolution", [("sub", 129),
+                                              ("square2d", (17, 17))])
+def test_warm_chains_keep_their_sweeps_and_limits(name, resolution,
+                                                  monkeypatch):
+    # each certificate chain run again without its warm start: the same
+    # number of sweeps, and a limit within the chain's stop of the other
+    spec = dataclasses.replace(load_problem(bundled_problem_path(name)),
+                               resolution=resolution)
+    g = spec.build_grid()
+    c = compute_constants(spec, g)
+    eig = first_eigenpair(g, spec.p, sample_weights(spec, g)[0])
+    loads = []  # the right-hand side of each solve
+    chains = []  # per chain: (stop, [(limit, sweeps) cold, then warm])
+
+    def recording_solve(grid, p, load, *args, **kwargs):
+        loads.append(load)
+        return solve_plap_dirichlet(grid, p, load, *args, **kwargs)
+
+    def both(F, sub, sup, opts=None, *, warm=None, **kwargs):
+        if warm is None:
+            return inner_monotone_solve(F, sub, sup, opts, **kwargs)
+        runs = []
+        for start in (None, warm):
+            loads.clear()
+            limit = inner_monotone_solve(F, sub, sup, opts, warm=start,
+                                         **kwargs)
+            # a forced stopping sweep's re-solve reads that sweep's load
+            sweeps = sum(1 for i, load in enumerate(loads)
+                         if i == 0 or load is not loads[i - 1])
+            runs.append((limit.field, sweeps))
+        chains.append((scheme.INNER_STOP_REL * sup_norm(sup.field), runs))
+        return limit
+
+    monkeypatch.setattr(scheme, "solve_plap_dirichlet", recording_solve)
+    monkeypatch.setattr(scheme, "inner_monotone_solve", both)
+    for lam, beta in ((1.0, 1.0), (2.0, 0.1), (0.1, 2.0)):
+        chains.clear()
+        report = outer_fixed_point(spec, lam, beta, g, c, eig)
+        assert report.converged and len(chains) == 2
+        for stop, ((cold, n_cold), (warm, n_warm)) in chains:
+            assert n_warm == n_cold > 1
+            assert np.abs(warm.values - cold.values).max() <= stop
 
 
 # _try_solve calls (factorizations) of outer_fixed_point(square2d at 33x33,

@@ -1,4 +1,4 @@
-"""Per-call times of the frozen map's layers.
+"""Per-call times of the frozen map's layers and of the certificate chains.
 
 Usage, from the repository root:
 
@@ -10,8 +10,11 @@ calls each, BLAS at one thread) of ``scheme.freeze_nonlinearity`` and of
 the three layers inside it: ``evaluate_on`` of h, ``evaluate_on`` of f and
 ``expr.check_growth``.  Each is called as ``freeze_nonlinearity`` calls it,
 on the positive iterate ``height * prod(sin(pi * (x_k - lo_k) / L_k))``
-with lambda = 1 and beta = 0.5.  Informational only: it exits 0 unless a
-call raises.
+with lambda = 1 and beta = 0.5.  Last comes the median time of the two
+certificate limits of one ``outer_fixed_point`` run at lambda = 1 and
+beta = 0.5 (REPEATS runs of one call): the two ``inner_monotone_solve``
+chains the run computes after its outer loop, called again with the run's
+own arguments.  Informational only: it exits 0 unless a call raises.
 """
 
 import os
@@ -31,6 +34,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from plaplab import scheme  # noqa: E402
 from plaplab.expr import (  # noqa: E402
     bundled_problem_path,
     check_growth,
@@ -46,9 +50,31 @@ LAM, BETA, HEIGHT = 1.0, 0.5, 0.3
 CALLS, REPEATS = 200, 15
 
 
-def median_us(fn):
-    runs = timeit.repeat(fn, number=CALLS, repeat=REPEATS)
-    return 1.0e6 * statistics.median(runs) / CALLS
+def median_us(fn, calls=CALLS):
+    runs = timeit.repeat(fn, number=calls, repeat=REPEATS)
+    return 1.0e6 * statistics.median(runs) / calls
+
+
+def certificate_us(spec, grid):
+    """Median time of the two certificate limits of one run."""
+    chains = []  # the arguments of the run's calls without a guess
+    inner = scheme.inner_monotone_solve
+
+    def recording(*args, **kwargs):
+        if kwargs.get("guess") is None:
+            chains.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    scheme.inner_monotone_solve = recording
+    try:
+        scheme.outer_fixed_point(spec, LAM, BETA, grid)
+    finally:
+        scheme.inner_monotone_solve = inner
+    if len(chains) != 2:
+        raise RuntimeError(f"expected two certificate limits, saw "
+                           f"{len(chains)}")
+    return median_us(lambda: [inner(*args, **kwargs)
+                              for args, kwargs in chains], calls=1)
 
 
 def layer_times(problem, resolution):
@@ -77,11 +103,13 @@ def layer_times(problem, resolution):
         "evaluate_on(f)": median_us(lambda: evaluate_on(spec.f, f_bind)),
         "check_growth": median_us(
             lambda: check_growth(spec, weights, uv, gn, h, f, growth)),
+        "certificate limits": certificate_us(spec, grid),
     }
 
 
 def main():
-    print(f"median us per call, {REPEATS} runs of {CALLS} calls")
+    print(f"median us per call, {REPEATS} runs of {CALLS} calls "
+          f"(certificate limits: {REPEATS} runs of 1 call)")
     for problem, resolution in CASES:
         label = f"{problem} {'x'.join(map(str, resolution))}"
         for layer, us in layer_times(problem, resolution).items():

@@ -16,12 +16,14 @@ printed before: the script exits 1 when a point is missing or new, a
 ``status`` or ``outer_iters`` changed, or a ``pde_residual`` moved by more
 than RESIDUAL_MOVE absolute, and 0 otherwise; each difference goes to
 stderr, with the largest residual move.  It also prints to stderr, per
-workload, the headroom of two certificates: the largest ratio of
+workload, the headroom of three certificates: the largest ratio of
 ``pde_residual`` to the value the residual certificate allows,
-RESIDUAL_CERT_REL times the report's ``residual_scale``, and the largest
-ratio of ``two_sided_gap`` to the value the two-sided certificate allows,
-TWO_SIDED_CERT_REL times the report's ``height`` M.  The script only reads
-``perfbench/``.
+RESIDUAL_CERT_REL times the report's ``residual_scale``, the largest ratio
+of ``two_sided_gap`` to the value the two-sided certificate allows,
+TWO_SIDED_CERT_REL times the report's ``height`` M, and the largest ratio
+of ``|picone_gap|`` to the value the Picone certificate allows,
+PICONE_CERT_REL times ``residual_scale``, M and the volume of the box.  The
+script only reads ``perfbench/``.
 """
 
 import os
@@ -32,6 +34,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -40,7 +43,11 @@ sys.dont_write_bytecode = True  # leave no cache behind in perfbench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import harness  # noqa: E402
-from plaplab.scheme import RESIDUAL_CERT_REL, TWO_SIDED_CERT_REL  # noqa: E402
+from plaplab.scheme import (  # noqa: E402
+    PICONE_CERT_REL,
+    RESIDUAL_CERT_REL,
+    TWO_SIDED_CERT_REL,
+)
 
 WORKLOADS = ("sweep1d", "sweep2d")
 SEEDS = (0, 1, 2)
@@ -61,10 +68,12 @@ def distinct_points(name):
 
 def outcomes(name):
     """[lambda, beta, status, outer_iters, pde_residual] per point, and the
-    largest pde_residual and two_sided_gap over their allowed values."""
+    largest pde_residual, two_sided_gap and |picone_gap| over their allowed
+    values."""
     (case,) = harness.workload_cases(name)
     setup = harness.set_up(case)
-    rows, residual, two_sided = [], 0.0, 0.0
+    volume = math.prod(hi - lo for lo, hi in setup.grid.extents)
+    rows, residual, two_sided, picone = [], 0.0, 0.0, 0.0
     for lam, beta in distinct_points(name):
         pt = harness.run_point(setup, lam, beta)
         r = pt.report
@@ -77,7 +86,10 @@ def outcomes(name):
                            / (RESIDUAL_CERT_REL * cert.residual_scale))
             two_sided = max(two_sided, cert.two_sided_gap
                             / (TWO_SIDED_CERT_REL * r.height))
-    return rows, (residual, two_sided)
+            picone = max(picone, abs(cert.picone_gap)
+                         / (PICONE_CERT_REL * cert.residual_scale
+                            * r.height * volume))
+    return rows, (residual, two_sided, picone)
 
 
 def differences(table, recorded):
@@ -123,11 +135,13 @@ def main(argv=None):
     print(f"largest pde_residual move {worst:.3e} (allowed "
           f"{RESIDUAL_MOVE:.0e})", file=sys.stderr)
     for name in WORKLOADS:
-        residual, two_sided = headroom[name]
+        residual, two_sided, picone = headroom[name]
         print(f"{name}: largest pde_residual / (RESIDUAL_CERT_REL * "
               f"residual_scale) {residual:.3e}", file=sys.stderr)
         print(f"{name}: largest two_sided_gap / (TWO_SIDED_CERT_REL * M) "
               f"{two_sided:.3e}", file=sys.stderr)
+        print(f"{name}: largest |picone_gap| / (PICONE_CERT_REL * "
+              f"residual_scale * M * volume) {picone:.3e}", file=sys.stderr)
     return 1 if found else 0
 
 
