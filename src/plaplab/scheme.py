@@ -20,22 +20,22 @@ whose Jacobian is that of -Lap_p less diag((q-1)*lambda*omega1*U^(q-2)).
 Since q < p and the frozen part is nonnegative, F_u(x, xi)/xi^(p-1) is
 decreasing in xi, so the frozen problem has exactly one positive solution
 (Diaz & Saa, C. R. Acad. Sci. Paris 305, 1987): the limit that monotone
-iteration down from the upper barrier approaches.  The monotone sweeps stay
-as the fallback: a step whose Newton solve raises SolveFailure, or whose
-result is not positive inside the barrier band (a zero or a wrong root),
-runs them from the upper barrier instead (inner_monotone_solve), and logs
-why at INFO ("Newton limit ...: monotone sweeps from the upper barrier").
-Either way the outer step checks its limit against the gradient bound at
-F_u(x, limit).  The certificates at the final map are computed apart from
-the outer steps, by monotone iteration from both barriers.
+iteration down from the upper barrier approaches.  The Newton solve is the
+step's only way to it.  A solve that stalls raises SolveFailure, and a
+result that is not positive at the interior nodes or leaves the barrier
+band (a zero or a wrong root) fails the membership check below, so a missed
+limit ends the run loudly.  The outer step also checks its limit against
+the gradient bound at F_u(x, limit).  The certificates at the final map are
+computed apart from the outer steps, by monotone iteration from both
+barriers.
 
 Every stage is checked at run time, each check under one rule.  The
 barriers must verify as sub/super-solutions of each frozen F with a defect
 tolerance of SUBSUPER_TOL_REL times the candidate's own ||Lap_p v||_inf.
 Each outer iterate must stay in the invariant set (between the barriers,
 which outer_fixed_point builds once per run, with gradient below gamma*M) up
-to MEMBERSHIP_SLACK_REL * M, checked at every step by
-verify_solution_bounds.  Each solve must respect the empirical gradient
+to MEMBERSHIP_SLACK_REL * M, and be positive at the interior nodes, checked
+at every step by verify_solution_bounds.  Each solve must respect the empirical gradient
 constant.  A violation of any of these raises InvariantViolation -- it
 falsifies the implementation or a stale constant, never the underlying
 analysis -- so a returned report always lies in the set.  Functions other
@@ -49,8 +49,8 @@ the run, so outer_fixed_point computes their values once
 started at a barrier reads them.  Every other value is the one the solve
 that returned the field left behind (the ``held`` holder of
 plap.solve_plap_dirichlet): an outer step's Newton solve reads the previous
-iterate's, each sweep of a fallback the last sweep's, and every sweep of
-the certificate chains and the residual certificate the final iterate's.
+iterate's, and every sweep of the certificate chains and the residual
+certificate the final iterate's.
 The values are those a fresh apply gives, so no result changes by a bit.
 
 The certificate chains converge to the final iterate u, so every sweep of
@@ -64,14 +64,13 @@ solver tolerance.  Every first residual reads u's held -Lap_p, and in 2D
 the factor of a chain's first Jacobian, taken at u, stays a good chord
 model for its later sweeps.
 
-A monotone sweep after the first, of a fallback or of the certificate
-stage, is solved only as far as it needs to be.  Its Dirichlet solve stops
+A monotone sweep after the first is solved only as far as it needs to be.  Its Dirichlet solve stops
 at INNER_FORCING times the change of the right-hand side since the last
 sweep, or at the full tolerance when that is larger: the forcing term of
 inexact Newton methods (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
 19 (1982); Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996)).  That
-change is about the residual a fallback sweep starts from, at the last
-iterate; a certificate sweep starts at u, where the residual F(u) - F(U_n)
+change is about the residual of a sweep that starts at the last iterate;
+a certificate sweep starts at u, where the residual F(u) - F(U_n)
 is smaller, by about the factor 0.18 above.  The sweeps and their stop test
 are those of exact solves; a sweep that passes the stop test at a forced
 tolerance is solved again at the full one, from where it stopped, so every
@@ -110,7 +109,6 @@ from .errors import (
     IterationFailure,
     MonotonicityError,
     OutOfRegionError,
-    SolveFailure,
 )
 from .expr import ProblemSpec, check_growth, evaluate_on, sample_weights
 from .grid import Grid, ScalarField, gradient, integrate, sup_norm
@@ -297,18 +295,6 @@ def solve_frozen(F: FrozenNonlinearity, start: OperatorValue,
     return held[0]
 
 
-def _off_band(u: ScalarField, sub: ScalarField, sup_field: ScalarField,
-              allowed: float) -> str | None:
-    """Why u is not positive at the interior nodes and inside the band
-    [sub, sup_field] up to ``allowed``; None when it is."""
-    if not float(u.values[u.grid.interior].min()) > 0.0:
-        return "not positive"
-    if not (float(np.max(sub.values - u.values)) <= allowed
-            and float(np.max(u.values - sup_field.values)) <= allowed):
-        return "outside the band"
-    return None
-
-
 def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
                          sup: OperatorValue,
                          opts: SolveOptions | None = None, *,
@@ -319,8 +305,8 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
                          warm: OperatorValue | None = None) -> OperatorValue:
     """The limit of the frozen problem -Lap_p U = F(x, U) between the
     barriers, with its -Lap_p: by one Newton solve from ``guess`` when one
-    is given, else, or when that fails, by the monotone iteration
-    U_{n+1} = solve(F(x, U_n)) from a barrier.
+    is given, else by the monotone iteration U_{n+1} = solve(F(x, U_n))
+    from a barrier.
 
     ``sub`` and ``sup`` are the barriers' OperatorValues, and p is theirs.
     The value returned is the one the last solve left (see
@@ -329,13 +315,12 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
 
     With ``guess``, as an outer step of outer_fixed_point calls it, the
     frozen problem is solved directly from the guess's field (solve_frozen),
-    to the full tolerance below.  Its result is the limit when it is
-    positive at the interior nodes and inside the band up to
-    MEMBERSHIP_SLACK_REL * ||super||_inf.  Otherwise (a SolveFailure, a
-    zero or a wrong root) the call logs why at INFO and runs the monotone
-    iteration from ``start``.  The frozen problem has one positive solution
-    (see the module docstring), so both ways reach the same limit up to the
-    solver tolerance.
+    to the full tolerance below, and its result is returned as it is, with
+    neither ``start`` nor ``khat`` read: a stalled solve raises
+    SolveFailure, and the caller checks the result's positivity, band and
+    gradient.  The frozen problem has one positive solution (see the module
+    docstring), so the Newton solve and the monotone iteration reach the
+    same limit up to the solver tolerance.
 
     Started from the upper barrier the sequence is nonincreasing (from the
     lower, nondecreasing); each iterate must stay inside the barrier band up
@@ -375,7 +360,7 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
             limit is not: its caller checks it.
         guess: the OperatorValue of a field to start a Newton solve of the
             frozen problem from (the previous outer iterate); None runs
-            the monotone iteration at once.
+            the monotone iteration.
         factor: the kept LU factor holder the solves share; None makes a
             fresh one for this call.
         warm: the OperatorValue every sweep's solve starts from (the final
@@ -385,6 +370,7 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
             iterates do not depend on it beyond the solver tolerance.
 
     Raises:
+        SolveFailure: the Newton solve from ``guess`` stalled.
         IterationFailure: no convergence within INNER_MAX_SWEEPS sweeps.
     """
     if opts is None:
@@ -410,18 +396,9 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
     if factor is None:
         factor = []
     solve_opts = _support_tolerance(opts, stop)
-    barrier = sup if start == "super" else sub
     if guess is not None:
-        try:
-            limit = solve_frozen(F, guess, solve_opts, factor=factor)
-            miss = _off_band(limit.field, sub.field, sup.field,
-                             MEMBERSHIP_SLACK_REL * sup_size)
-        except SolveFailure as exc:
-            miss = f"failed: {exc}"
-        if miss is None:
-            return limit
-        log.info("Newton limit %s: monotone sweeps from the %s barrier", miss,
-                 "upper" if start == "super" else "lower")
+        return solve_frozen(F, guess, solve_opts, factor=factor)
+    barrier = sup if start == "super" else sub
     held = [barrier]  # u's value, where the next sweep starts without warm
     u = barrier.field
     interior = grid.interior
@@ -508,18 +485,23 @@ def verify_solution_bounds(u: ScalarField, sub: ScalarField,
                            grad=None) -> list:
     """Check sub <= u <= sup_field and ||grad u|| <= gamma*height, each up to
     MEMBERSHIP_SLACK_REL * height, for the run's barriers sub = eps*u1 and
-    sup_field = (height/||phi||)*phi; ``grad`` is gradient(u), if held.
+    sup_field = (height/||phi||)*phi, and u > 0 at the interior nodes, with
+    no slack; ``grad`` is gradient(u), if held.
 
     Returns each broken bound, named, with its gap over the allowed value
-    (a NaN gap counts as broken); an empty list when all three hold.
+    (a NaN gap counts as broken); an empty list when all four hold.
     """
     allowed = MEMBERSHIP_SLACK_REL * height
     gaps = (("lower barrier", float(np.max(sub.values - u.values))),
             ("upper barrier", float(np.max(u.values - sup_field.values))),
             ("gradient bound",
              sup_norm(gradient(u) if grad is None else grad) - gamma * height))
-    return [f"{name} gap {gap:.3e} over allowed {allowed:.1e}"
-            for name, gap in gaps if not gap <= allowed]
+    broken = [f"{name} gap {gap:.3e} over allowed {allowed:.1e}"
+              for name, gap in gaps if not gap <= allowed]
+    least = float(u.values[u.grid.interior].min())
+    if not least > 0.0:
+        broken.append(f"positivity: interior minimum {least:.3e} is not above 0")
+    return broken
 
 
 @dataclass(frozen=True)
@@ -594,8 +576,10 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     Raises:
         ConfigurationError: max_outer below 1.
         OutOfRegionError: point outside the region (no solve attempted).
+        SolveFailure: an outer step's Newton solve stalled.
         InvariantViolation: barrier ordering, sub/super verification,
-            invariant-set membership, or the gradient-constant check failed.
+            invariant-set membership (positivity included), or the
+            gradient-constant check failed.
     """
     _check_outer_budget(max_outer)
     if grid is None:
@@ -640,10 +624,9 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                     f"{kind}-solution verification failed at outer step {k}: "
                     f"violation {rep.worst_violation:.3e} over tol {rep.tol:.1e} "
                     f"at node {rep.node}")
-        # Newton from u; the fallback sweeps start from the upper barrier
-        value_next = inner_monotone_solve(
-            frozen, sub_value, sup_value, opts, start="super",
-            khat=constants.khat, guess=value, factor=factor)
+        # one Newton solve from u; its limit is checked below
+        value_next = inner_monotone_solve(frozen, sub_value, sup_value, opts,
+                                          guess=value, factor=factor)
         u_next = value_next.field
         grad_next = gradient(u_next)
         broken = verify_solution_bounds(u_next, sub, sup_field, height,

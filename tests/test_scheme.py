@@ -497,7 +497,17 @@ def test_verify_solution_bounds_reports_gaps(sub_stage):
     bad = verify_solution_bounds(too_big, sub, sup, m, c.gamma)
     allowed = scheme.MEMBERSHIP_SLACK_REL * m
     assert f"upper barrier gap {m:.3e} over allowed {allowed:.1e}" in bad
-    assert not any(v.startswith("lower barrier") for v in bad)
+    assert not any(v.startswith(("lower barrier", "positivity")) for v in bad)
+    # positivity has no slack: a node at -0.5 * allowed passes the lower
+    # barrier check where sub is that small, but not this one
+    dip = good.values.copy()
+    dip[1] = -0.5 * allowed
+    tiny = sub.values.copy()
+    tiny[1] = 0.0
+    low = verify_solution_bounds(ScalarField(g, dip), ScalarField(g, tiny),
+                                 sup, m, c.gamma)
+    assert low == [f"positivity: interior minimum {-0.5 * allowed:.3e} "
+                   "is not above 0"]
 
 
 # ---------------------------------------------------------------------------
@@ -798,23 +808,15 @@ def recording_inner(monkeypatch):
     return calls
 
 
-def fallbacks(caplog):
-    """The messages of the Newton limits the outer steps refused."""
-    return [r.getMessage() for r in caplog.records
-            if r.getMessage().startswith("Newton limit ")]
-
-
 @pytest.mark.parametrize("stage", ["sub_stage", "square2d_stage"])
-def test_newton_limit_agrees_with_the_monotone_limit(stage, request, caplog):
+def test_newton_limit_agrees_with_the_monotone_limit(stage, request):
     # the first outer step's frozen map at (1, 1), solved both ways
     spec, g, c, eig = request.getfixturevalue(stage)
     F, sub_value, sup_value = sub_inner_problem((spec, g, c, eig))
     sup = sup_value.field
-    with caplog.at_level("INFO", logger="plaplab.scheme"):
-        newton = inner_monotone_solve(F, sub_value, sup_value, khat=c.khat,
-                                      guess=sub_value).field
+    newton = inner_monotone_solve(F, sub_value, sup_value,
+                                  guess=sub_value).field
     sweeps = inner_monotone_solve(F, sub_value, sup_value, khat=c.khat).field
-    assert fallbacks(caplog) == []
     stop = scheme.INNER_STOP_REL * sup_norm(sup)
     assert np.abs(newton.values - sweeps.values).max() <= stop
     # the frozen residual contract, at the full inner tolerance
@@ -865,11 +867,10 @@ def test_outer_takes_one_gradient_per_solved_step(monkeypatch, name,
 
 
 @pytest.mark.parametrize("failure", ["stall", "zero"])
-def test_a_failed_newton_solve_falls_back_to_the_sweeps(sub_stage,
-                                                        monkeypatch, caplog,
-                                                        failure):
+def test_a_failed_newton_solve_ends_the_run(sub_stage, monkeypatch, failure):
+    # an outer step has one way to its limit: a stalled Newton solve, or a
+    # root that is not positive, ends the run at the first step, loudly
     spec, g, c, eig = sub_stage
-    plain = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
 
     def failing(F, start, opts=None, **kwargs):
         if failure == "stall":
@@ -879,40 +880,35 @@ def test_a_failed_newton_solve_falls_back_to_the_sweeps(sub_stage,
 
     monkeypatch.setattr(scheme, "solve_frozen", failing)
     calls = recording_inner(monkeypatch)
-    with caplog.at_level("INFO", logger="plaplab.scheme"):
-        forced = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
-    assert forced.converged and forced.certificates.all_ok
-    assert forced.outer_iters == plain.outer_iters
-    *steps, _, _ = calls
-    reason = "failed: forced stall" if failure == "stall" else "not positive"
-    assert len(steps) == forced.outer_iters
-    assert fallbacks(caplog) == [
-        f"Newton limit {reason}: monotone sweeps from the upper barrier"
-    ] * forced.outer_iters
-    stop = scheme.INNER_STOP_REL * forced.height
-    assert np.abs(forced.solution.values
-                  - plain.solution.values).max() <= stop
+    if failure == "stall":
+        with pytest.raises(SolveFailure, match="forced stall"):
+            outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    else:
+        with pytest.raises(InvariantViolation) as exc:
+            outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+        message = str(exc.value)
+        assert "outer iterate 1 left the invariant set" in message
+        assert "positivity: interior minimum 0.000e+00 is not above 0" \
+            in message
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("beta", [0.1, 2.0])
-def test_newton_steps_certify_on_a_small_right_hand_side(beta, monkeypatch,
-                                                          caplog):
+def test_newton_steps_certify_on_a_small_right_hand_side(beta, monkeypatch):
     # critical at lambda = 0.1 has M of about 1.6e-4: the Newton stop, at
     # tol_residual * max(1, ||F(U)||_inf) with tol_residual = 1e-9 M, must
     # still meet the residual certificate there
     spec = dataclasses.replace(load_problem(bundled_problem_path("critical")),
                                resolution=33)
     calls = recording_inner(monkeypatch)
-    with caplog.at_level("INFO", logger="plaplab.scheme"):
-        report = outer_fixed_point(spec, 0.1, beta)
+    report = outer_fixed_point(spec, 0.1, beta)
     assert report.converged and report.certificates.all_ok
     assert report.height < 1.0e-3
     *steps, _, _ = calls
     assert steps and all(guess is not None for *_, guess in steps)
-    assert fallbacks(caplog) == []
 
 
-def test_an_unchanged_frozen_map_keeps_its_limit(monkeypatch, caplog):
+def test_an_unchanged_frozen_map_keeps_its_limit(monkeypatch):
     # degenerate's frozen map does not depend on the iterate (C8's case):
     # step 2's Newton solve starts at that map's limit and stays there
     spec = dataclasses.replace(load_problem(bundled_problem_path("degenerate")),
@@ -921,15 +917,13 @@ def test_an_unchanged_frozen_map_keeps_its_limit(monkeypatch, caplog):
     c = compute_constants(spec, g)
     eig = first_eigenpair(g, spec.p, sample_weights(spec, g)[0])
     calls = recording_inner(monkeypatch)
-    with caplog.at_level("INFO", logger="plaplab.scheme"):
-        report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
     assert report.converged and report.outer_iters == 2
     assert report.outer_trace[1] == 0.0
     # two outer steps, then the two certificate iterations
     assert [call[1] for call in calls] == ["super", "super", "super", "sub"]
     assert [guess is not None for *_, guess in calls] == [True, True,
                                                           False, False]
-    assert fallbacks(caplog) == []
 
 
 def test_outer_steps_log_one_line_each(sub_stage, caplog):
@@ -940,7 +934,6 @@ def test_outer_steps_log_one_line_each(sub_stage, caplog):
              if r.getMessage().startswith("outer step ")]
     assert [m.split(":", 1)[0] for m in steps] == [
         f"outer step {k}" for k in range(1, report.outer_iters + 1)]
-    assert fallbacks(caplog) == []  # every step took its Newton limit
 
 
 # ---------------------------------------------------------------------------
