@@ -214,7 +214,8 @@ def _add_common(sub):
     sub.add_argument("--n", type=int, default=None,
                      help="override the resolution (nodes per axis)")
     sub.add_argument("--tol", type=float, default=None,
-                     help="residual tolerance of the nonlinear solves")
+                     help="residual tolerance of the nonlinear solves, "
+                     "relative to the sup norm of their right-hand side")
     sub.add_argument("--out", default=None, help="output CSV path")
 
 

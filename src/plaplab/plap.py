@@ -50,8 +50,8 @@ solves -Lap_p u = coeff * max(u, 0)^(q-1) + g, the frozen problem of an
 outer step of ``scheme``, by Newton on G(u) = -Lap_p u - F(u).  The Jacobian
 of G is the Newton Jacobian above less diag((q-1) coeff u^(q-2)) at the
 nodes where u > 0 (``_reaction_slope``), shifted in ``_assemble`` before the
-matrix is stored, and a residual stops at tol_residual * max(1,
-||F(u)||_inf), the load taken at its own field.
+matrix is stored, and a residual stops at tol_residual * ||F(u)||_inf, the
+load taken at its own field.
 
 With more than one axis, each Newton iteration first tries the chord step
 u - J_old^-1 r with the last kept LU factor (modified Newton; Kelley,
@@ -96,13 +96,13 @@ reads it, and keeps what the solve left there as the value of its result.
 
 Contracts the rest of the package relies on:
 
-* residual: ||(-Lap_p u) - g||_inf <= max(tol_residual * max(1, ||g||_inf),
-  rounding floor), where the rounding floor ROUNDING_ULPS * eps *
-  max(|J| |u|) is the rounding level of evaluating the operator at u
-  (J the Newton Jacobian, always assembled at u itself, never a kept
-  factor's); the floor is used only when no Newton step lowers the
-  residual any more.  Chord steps do not change this contract: the
-  true residual decides convergence against the same tol;
+* residual: ||(-Lap_p u) - g||_inf <= max(tol_residual * ||g||_inf,
+  rounding floor), with tol_residual alone when g = 0, where the rounding
+  floor ROUNDING_ULPS * eps * max(|J| |u|) is the rounding level of
+  evaluating the operator at u (J the Newton Jacobian, always assembled at
+  u itself, never a kept factor's); the floor is used only when no Newton
+  step lowers the residual any more.  Chord steps do not change this
+  contract: the true residual decides convergence against the same tol;
 * scaling:  solve(t*g) = t^(1/(p-1)) * solve(g) up to solver tolerance
   (exact for the regularized operator, because delta tracks the field scale);
 * boundedness: for ||g||_inf <= 1, solve(g) <= torsion function pointwise;
@@ -164,7 +164,8 @@ CHORD_CONTRACTION = 0.1
 @dataclass(frozen=True)
 class SolveOptions:
     """Options of the nonlinear solver: the residual tolerance of a Dirichlet
-    solve, relative to max(1, ||g||_inf)."""
+    solve, relative to ||g||_inf (absolute when g = 0), so a solve stops at
+    the same point of the problem's scaling orbit on any scale."""
 
     tol_residual: float = 1.0e-8
 
@@ -559,8 +560,9 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
 
     Returns:
         The solution as a Dirichlet-zero field, with sup-norm residual at most
-        tol_residual * max(1, ||g||_inf), or at most the rounding floor
-        when that is larger and no step lowers the residual further.
+        tol_residual * ||g||_inf (tol_residual when g = 0), or at most the
+        rounding floor when that is larger and no step lowers the residual
+        further.
 
     Raises:
         SolveFailure: if the iteration at p stalls or exhausts
@@ -634,18 +636,24 @@ def _cold_solve(grid, p, g, opts, solved):
     return solved[key]
 
 
+def _residual_stop(tol, g):
+    """tol * ||g||_inf, or tol when g vanishes: a residual's stop."""
+    size = float(np.abs(g).max())
+    return tol * size if size > 0.0 else tol
+
+
 def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
                  factor=None):
     """Newton iteration at p from u: (the solution, its _Residual).  ``tol``
-    is the relative tolerance: a residual stops at tol * max(1, ||g||_inf),
-    g the load ``gv`` plus the ``reaction`` term at the residual's own
-    field.  The first residual reads ``start``, the OperatorValue of u at p,
-    when it is not None."""
+    is the relative tolerance: a residual stops at tol * ||g||_inf (tol
+    when g = 0), g the load ``gv`` plus the ``reaction`` term at the
+    residual's own field.  The first residual reads ``start``, the
+    OperatorValue of u at p, when it is not None."""
     interior = grid.interior
     spacing = grid.spacing
     inner_shape = tuple(n - 2 for n in grid.shape)
     if reaction is None:
-        stop = tol * max(1.0, float(np.abs(gv).max()))
+        stop = _residual_stop(tol, gv)
     else:
         coeff, q = reaction
 
@@ -657,7 +665,7 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
             g, g_stop = gv, stop
         else:  # the order of scheme.FrozenNonlinearity.evaluate
             g = coeff * np.power(np.maximum(vals, 0.0), q - 1.0) + gv
-            g_stop = tol * max(1.0, float(np.abs(g).max()))
+            g_stop = _residual_stop(tol, g)
         r = (lap - g)[interior]
         return _Residual(r, float(np.abs(r).max()), g_stop, delta, faces, lap)
 

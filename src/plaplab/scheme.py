@@ -35,11 +35,12 @@ tolerance of SUBSUPER_TOL_REL times the candidate's own ||Lap_p v||_inf.
 Each outer iterate must stay in the invariant set (between the barriers,
 which outer_fixed_point builds once per run, with gradient below gamma*M) up
 to MEMBERSHIP_SLACK_REL * M, and be positive at the interior nodes, checked
-at every step by verify_solution_bounds.  Each solve must respect the empirical gradient
-constant.  A violation of any of these raises InvariantViolation -- it
-falsifies the implementation or a stale constant, never the underlying
-analysis -- so a returned report always lies in the set.  Functions other
-than outer_fixed_point take their grid from the fields they are given.
+at every step by verify_solution_bounds.  Each solve must respect the
+empirical gradient constant.  A violation of any of these raises
+InvariantViolation -- it falsifies the implementation or a stale constant,
+never the underlying analysis -- so a returned report always lies in the
+set.  Functions other than outer_fixed_point take their grid from the
+fields they are given.
 
 No field's Lap_p is computed twice in a run.  A field travels through this
 module with its -Lap_p, as a plap.OperatorValue: the barriers, the guess of
@@ -50,8 +51,8 @@ started at a barrier reads them.  Every other value is the one the solve
 that returned the field left behind (the ``held`` holder of
 plap.solve_plap_dirichlet): an outer step's Newton solve reads the previous
 iterate's, and every sweep of the certificate chains and the residual
-certificate the final iterate's.
-The values are those a fresh apply gives, so no result changes by a bit.
+certificate the final iterate's.  The values are those a fresh apply
+gives, so no result changes by a bit.
 
 The certificate chains converge to the final iterate u, so every sweep of
 both starts its Dirichlet solve at u (``warm``), not at the chain's last
@@ -64,17 +65,18 @@ solver tolerance.  Every first residual reads u's held -Lap_p, and in 2D
 the factor of a chain's first Jacobian, taken at u, stays a good chord
 model for its later sweeps.
 
-A monotone sweep after the first is solved only as far as it needs to be.  Its Dirichlet solve stops
-at INNER_FORCING times the change of the right-hand side since the last
-sweep, or at the full tolerance when that is larger: the forcing term of
-inexact Newton methods (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
-19 (1982); Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996)).  That
-change is about the residual of a sweep that starts at the last iterate;
-a certificate sweep starts at u, where the residual F(u) - F(U_n)
-is smaller, by about the factor 0.18 above.  The sweeps and their stop test
-are those of exact solves; a sweep that passes the stop test at a forced
-tolerance is solved again at the full one, from where it stopped, so every
-inner limit meets the full residual contract against its frozen map.
+A monotone sweep after the first is solved only as far as it needs to be.
+Its Dirichlet solve stops at INNER_FORCING times the change of the
+right-hand side since the last sweep, or at the full tolerance when that is
+larger: the forcing term of inexact Newton methods (Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 19 (1982); Eisenstat & Walker, SIAM J. Sci.
+Comput. 17 (1996)).  That change is about the residual of a sweep that
+starts at the last iterate; a certificate sweep starts at u, where the
+residual F(u) - F(U_n) is smaller, by about the factor 0.18 above.  The
+sweeps and their stop test are those of exact solves; a sweep that passes
+the stop test at a forced tolerance is solved again at the full one, from
+where it stopped, so every inner limit meets the full residual contract
+against its frozen map.
 
 Convergence of the outer map is monitored in C^1 (sup distance of values plus
 gradients); the fixed-point argument behind it is nonconstructive, so
@@ -261,14 +263,17 @@ def verify_subsuper(candidate: OperatorValue, F: FrozenNonlinearity,
                           node=node)
 
 
-def _support_tolerance(opts: SolveOptions, stop: float) -> SolveOptions:
-    """Tighten solver tolerance so iterate noise stays well under ``stop``.
+def _support_tolerance(opts: SolveOptions) -> SolveOptions:
+    """Tighten solver tolerance so iterate noise stays well under the inner
+    stop.
 
-    Fixed-point stopping tests compare successive solves; the absolute solver
-    residual must sit a decade below the stopping increment or the iteration
-    can plateau on solver noise instead of converging.
+    Fixed-point stopping tests compare successive solves; the relative solver
+    residual must sit a decade below the relative stopping increment
+    INNER_STOP_REL or the iteration can plateau on solver noise instead of
+    converging.  Both are relative, so the target means the same at every
+    scale of the problem.
     """
-    target = stop / 10.0
+    target = INNER_STOP_REL / 10.0
     if opts.tol_residual <= target:
         return opts
     return dataclasses.replace(opts, tol_residual=target)
@@ -281,7 +286,7 @@ def solve_frozen(F: FrozenNonlinearity, start: OperatorValue,
     solve from the field of ``start``, whose -Lap_p its first residual
     reads: plap.solve_plap_dirichlet with the load F.base and the reaction
     F.coeff * U^(q-1).  It stops at
-    ||-Lap_p U - F(U)||_inf <= tol_residual * max(1, ||F(U)||_inf), the
+    ||-Lap_p U - F(U)||_inf <= tol_residual * ||F(U)||_inf, the
     quantity the residual certificate checks, and returns U with its
     -Lap_p.  ``factor`` is the one-slot holder of solve_plap_dirichlet.
 
@@ -392,12 +397,12 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
               + 1.0e-12 * max(1.0, sup_size)):
         raise ConfigurationError("lower barrier exceeds upper barrier")
 
-    stop = INNER_STOP_REL * sup_size
     if factor is None:
         factor = []
-    solve_opts = _support_tolerance(opts, stop)
+    solve_opts = _support_tolerance(opts)
     if guess is not None:
         return solve_frozen(F, guess, solve_opts, factor=factor)
+    stop = INNER_STOP_REL * sup_size
     barrier = sup if start == "super" else sub
     held = [barrier]  # u's value, where the next sweep starts without warm
     u = barrier.field
@@ -500,7 +505,8 @@ def verify_solution_bounds(u: ScalarField, sub: ScalarField,
               for name, gap in gaps if not gap <= allowed]
     least = float(u.values[u.grid.interior].min())
     if not least > 0.0:
-        broken.append(f"positivity: interior minimum {least:.3e} is not above 0")
+        broken.append(
+            f"positivity: interior minimum {least:.3e} is not above 0")
     return broken
 
 

@@ -103,7 +103,7 @@ def test_residual_contract_and_boundary():
     opts = SolveOptions(tol_residual=1e-10)
     u = solve_plap_dirichlet(g, 2.6, load, opts)
     res = p_laplacian_apply(u, 2.6).values - load.values
-    tol = 1e-10 * max(1.0, sup_norm(load))
+    tol = 1e-10 * sup_norm(load)
     assert np.max(np.abs(res[g.interior])) <= tol
     assert np.all(u.values[g.boundary_mask()] == 0.0)
     assert np.all(u.values[g.interior] > 0.0)
@@ -132,6 +132,22 @@ def test_solver_homogeneity(t, p):
         g, p, load.with_values(t * load.values), opts)
     assert np.allclose(scaled.values, t ** (1.0 / (p - 1.0)) * base.values,
                        rtol=1e-6, atol=1e-12 * sup_norm(base))
+
+
+@pytest.mark.parametrize("t", [2.0 ** -40, 2.0 ** -20])
+def test_the_residual_stop_is_relative_to_the_load(t):
+    # the stop is tol * ||g||_inf on every scale, so a small load is solved
+    # as far as a unit one, and the scaling law holds to the tolerance
+    g = grid_1d(65)
+    p = 2.6
+    load = field_from_function(g, lambda x: 1.0 + np.sin(2.0 * x))
+    small = load.with_values(t * load.values)
+    base = solve_plap_dirichlet(g, p, load)
+    scaled = solve_plap_dirichlet(g, p, small)
+    _assert_residual_contract(scaled, p, small)
+    factor = t ** (1.0 / (p - 1.0))
+    assert np.abs(scaled.values - factor * base.values).max() \
+        <= 1e-7 * factor * sup_norm(base)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +291,7 @@ def test_a_reaction_solve_meets_its_residual_contract(shape):
                              initial_guess=guess, reaction=(coeff, q))
     load = coeff * np.power(np.maximum(u.values, 0.0), q - 1.0) + base
     residual = np.abs(p_laplacian_apply(u, p).values - load)[g.interior].max()
-    assert residual <= 1.0e-10 * max(1.0, load.max())
+    assert residual <= 1.0e-10 * load.max()
     assert u.values[g.interior].min() > 0.0
     # the reaction adds to the load, so u lies above the plain solution
     assert np.all(u.values >= guess.values)
@@ -948,7 +964,7 @@ def test_a_wrong_kept_factor_is_replaced(shape, monkeypatch):
                              factor=factor)
     monkeypatch.undo()
     assert factorizations and len(factor) == 1 and factor[0] is not wrong
-    tol = opts.tol_residual * max(1.0, sup_norm(load))
+    tol = opts.tol_residual * sup_norm(load)
     res = (p_laplacian_apply(u, p).values - load.values)[g.interior]
     assert np.max(np.abs(res)) <= tol
     fresh = solve_plap_dirichlet(g, p, load, opts, initial_guess=guess)
@@ -982,7 +998,7 @@ def test_rounding_floor_after_a_failed_chord_step_reads_a_fresh_jacobian(
 
 def _assert_residual_contract(u, p, load, tol=1e-8):
     res = (p_laplacian_apply(u, p).values - load.values)[u.grid.interior]
-    allowed = max(tol * max(1.0, sup_norm(load)), _rounding_floor(u, p))
+    allowed = max(tol * sup_norm(load), _rounding_floor(u, p))
     assert np.max(np.abs(res)) <= allowed
 
 
@@ -1008,7 +1024,7 @@ def test_a_cold_2d_solve_takes_chord_steps(monkeypatch):
 def test_no_chord_trial_follows_a_step_too_slow_to_pass(p, monkeypatch):
     g = build_grid(((0.0, 1.0), (0.0, 1.0)), (33, 33))
     load = const_field(g)
-    tol = SolveOptions().tol_residual * max(1.0, sup_norm(load))
+    tol = SolveOptions().tol_residual * sup_norm(load)
     # ("loop", None) per Newton loop, then per factor and per kept-factor
     # solve the norm of its right-hand side -r, the iteration's residual
     events = []

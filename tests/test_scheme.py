@@ -1,6 +1,7 @@
 """Monotone scheme tests: freezing, verification, inner and outer iteration."""
 
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -10,7 +11,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plaplab.constants import compute_constants, region_classify
+from plaplab.constants import (
+    compute_constants,
+    region_boundary,
+    region_classify,
+)
 from plaplab.errors import (
     ConfigurationError,
     GridMismatchError,
@@ -391,9 +396,8 @@ def recording_sweeps(monkeypatch):
     return sweeps
 
 
-def full_tolerance(sup):
-    return scheme._support_tolerance(
-        SolveOptions(), scheme.INNER_STOP_REL * sup_norm(sup)).tol_residual
+def full_tolerance():
+    return scheme._support_tolerance(SolveOptions()).tol_residual
 
 
 def assert_full_contract(limit, sweeps, p, tol):
@@ -403,7 +407,7 @@ def assert_full_contract(limit, sweeps, p, tol):
     assert u is limit and last_tol == tol
     residual = np.abs(p_laplacian_apply(limit, p).values
                       - g.values)[limit.grid.interior].max()
-    assert residual <= tol * max(1.0, sup_norm(g))
+    assert residual <= tol * sup_norm(g)
 
 
 @pytest.mark.parametrize("lam, beta", [(1.0, 1.0), (2.0, 0.1), (0.1, 2.0)])
@@ -411,7 +415,7 @@ def test_forced_sweeps_keep_the_sweeps_and_the_limit(sub_stage, monkeypatch,
                                                      lam, beta):
     spec, g, c, eig = sub_stage
     F, sub, sup = sub_inner_problem(sub_stage, lam, beta)
-    tol = full_tolerance(sup.field)
+    tol = full_tolerance()
     sweeps = recording_sweeps(monkeypatch)
     forced = inner_monotone_solve(F, sub, sup, khat=c.khat).field
     tols = [t for _, t, _, _ in sweeps]
@@ -434,7 +438,7 @@ def test_a_forced_stopping_sweep_is_solved_again_at_full_tolerance(
     # which passes the stop test at once
     spec, g, c, eig = sub_stage
     F, sub, sup = sub_inner_problem(sub_stage)
-    tol = full_tolerance(sup.field)
+    tol = full_tolerance()
     monkeypatch.setattr(scheme, "INNER_FORCING", 1.0e3)
     sweeps = recording_sweeps(monkeypatch)
     limit = inner_monotone_solve(F, sub, sup, khat=c.khat).field
@@ -603,6 +607,63 @@ def test_outer_step_leaving_the_invariant_set_raises(sub_stage, monkeypatch):
     assert "outer iterate 1 left the invariant set" in message
     assert f"upper barrier gap {0.5 * height:.3e}" in message
     assert f"over allowed {allowed:.1e}" in message
+
+
+def bundled_stage(name, **overrides):
+    """A bundled problem, with its constants and eigenpair."""
+    spec = dataclasses.replace(load_problem(bundled_problem_path(name)),
+                               **overrides)
+    g = spec.build_grid()
+    c = compute_constants(spec, g)
+    eig = first_eigenpair(g, spec.p, sample_weights(spec, g)[0])
+    return spec, g, c, eig
+
+
+def certificate_ratios(report):
+    """Each certificate's value over the value it allows."""
+    ce = report.certificates
+    volume = math.prod(hi - lo for lo, hi in report.solution.grid.extents)
+    return np.array([
+        ce.pde_residual / (scheme.RESIDUAL_CERT_REL * ce.residual_scale),
+        ce.two_sided_gap / (scheme.TWO_SIDED_CERT_REL * report.height),
+        abs(ce.picone_gap) / (scheme.PICONE_CERT_REL * ce.residual_scale
+                              * report.height * volume)])
+
+
+@pytest.mark.parametrize("name", ["sub", "square2d"])
+def test_the_images_of_a_point_under_scaling_run_alike(name):
+    # every bundled problem is homogeneous in u: if u solves at (lambda,
+    # beta), u/s solves at (lambda s^(q-p), beta s^(r-p)), and M, eps and
+    # both barriers scale by 1/s with it.  Scale-free stops make the run the
+    # same on each image, down to M of about 8e-10 at s = 2^28
+    spec, g, c, eig = bundled_stage(name)
+    plain = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
+    assert plain.converged
+    u0 = plain.solution.values
+    for k in (-12, 12, 28):
+        s = 2.0 ** k
+        image = outer_fixed_point(spec, s ** (spec.q - spec.p),
+                                  s ** (spec.r - spec.p), g, c, eig)
+        assert (image.converged, image.outer_iters) \
+            == (plain.converged, plain.outer_iters), k
+        np.testing.assert_allclose(certificate_ratios(image),
+                                   certificate_ratios(plain), rtol=0.01)
+        assert np.abs(s * image.solution.values - u0).max() \
+            <= 1e-12 * np.abs(u0).max(), k
+
+
+@pytest.mark.parametrize("name, steps", [("sub", 6), ("square2d", 7)])
+def test_gradient_growth_above_p_certifies_on_the_region_boundary(name,
+                                                                  steps):
+    # the paper's headline case, f <= omega3 u^a |grad u|^b with b > p: at
+    # a = 0.5 and b = 3 the growth r = 4.5 exceeds p = 2.5 (super case),
+    # and the point on the region's boundary must certify
+    spec, g, c, eig = bundled_stage(name, a=0.5, b=3.0)
+    assert spec.b > spec.p and spec.r > spec.p
+    (lam, beta), = region_boundary([0.5], c, spec)
+    report = outer_fixed_point(spec, lam, beta, g, c, eig)
+    assert report.converged and report.certificates.all_ok
+    assert report.outer_iters == steps
 
 
 class _ColamdLU(NamedTuple):
@@ -823,7 +884,7 @@ def test_newton_limit_agrees_with_the_monotone_limit(stage, request):
     load = F.evaluate(newton.values)
     residual = np.abs(p_laplacian_apply(newton, spec.p).values
                       - load)[g.interior].max()
-    assert residual <= full_tolerance(sup) * max(1.0, load.max())
+    assert residual <= full_tolerance() * load.max()
 
 
 def face_bytes(faces):
@@ -896,8 +957,8 @@ def test_a_failed_newton_solve_ends_the_run(sub_stage, monkeypatch, failure):
 @pytest.mark.parametrize("beta", [0.1, 2.0])
 def test_newton_steps_certify_on_a_small_right_hand_side(beta, monkeypatch):
     # critical at lambda = 0.1 has M of about 1.6e-4: the Newton stop, at
-    # tol_residual * max(1, ||F(U)||_inf) with tol_residual = 1e-9 M, must
-    # still meet the residual certificate there
+    # tol_residual * ||F(U)||_inf with tol_residual = 1e-9, must still meet
+    # the residual certificate there
     spec = dataclasses.replace(load_problem(bundled_problem_path("critical")),
                                resolution=33)
     calls = recording_inner(monkeypatch)

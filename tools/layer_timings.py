@@ -5,16 +5,19 @@ Usage, from the repository root:
     python3 tools/layer_timings.py
 
 Prints, for bundled ``sub`` at 2049 nodes and ``square2d`` at 33x33, the
-median per-call time in microseconds (``timeit``, REPEATS runs of CALLS
-calls each, BLAS at one thread) of ``scheme.freeze_nonlinearity`` and of
-the three layers inside it: ``evaluate_on`` of h, ``evaluate_on`` of f and
+first quartile, median and third quartile of the per-call time in
+microseconds (``timeit``, REPEATS runs of CALLS calls each, BLAS at one
+thread) of ``scheme.freeze_nonlinearity`` and of the three layers inside
+it: ``evaluate_on`` of h, ``evaluate_on`` of f and
 ``expr.check_growth``.  Each is called as ``freeze_nonlinearity`` calls it,
 on the positive iterate ``height * prod(sin(pi * (x_k - lo_k) / L_k))``
-with lambda = 1 and beta = 0.5.  Last comes the median time of the two
-certificate limits of one ``outer_fixed_point`` run at lambda = 1 and
-beta = 0.5 (REPEATS runs of one call): the two ``inner_monotone_solve``
+with lambda = 1 and beta = 0.5.  Last come the quartiles of the time of
+the two certificate limits of one ``outer_fixed_point`` run at lambda = 1
+and beta = 0.5 (REPEATS runs of one call): the two ``inner_monotone_solve``
 chains the run computes after its outer loop, called again with the run's
-own arguments.  Informational only: it exits 0 unless a call raises.
+own arguments.  The spread of a line's runs says how far its median can be
+trusted; medians read in two processes can differ by more than it.
+Informational only: it exits 0 unless a call raises.
 """
 
 import os
@@ -50,13 +53,15 @@ LAM, BETA, HEIGHT = 1.0, 0.5, 0.3
 CALLS, REPEATS = 200, 15
 
 
-def median_us(fn, calls=CALLS):
+def quartiles_us(fn, calls=CALLS):
+    """First quartile, median and third quartile of REPEATS runs, in
+    microseconds per call."""
     runs = timeit.repeat(fn, number=calls, repeat=REPEATS)
-    return 1.0e6 * statistics.median(runs) / calls
+    return [1.0e6 * t / calls for t in statistics.quantiles(runs, n=4)]
 
 
 def certificate_us(spec, grid):
-    """Median time of the two certificate limits of one run."""
+    """Quartiles of the time of the two certificate limits of one run."""
     chains = []  # the arguments of the run's calls without a guess
     inner = scheme.inner_monotone_solve
 
@@ -73,8 +78,8 @@ def certificate_us(spec, grid):
     if len(chains) != 2:
         raise RuntimeError(f"expected two certificate limits, saw "
                            f"{len(chains)}")
-    return median_us(lambda: [inner(*args, **kwargs)
-                              for args, kwargs in chains], calls=1)
+    return quartiles_us(lambda: [inner(*args, **kwargs)
+                                 for args, kwargs in chains], calls=1)
 
 
 def layer_times(problem, resolution):
@@ -97,23 +102,25 @@ def layer_times(problem, resolution):
     f = np.broadcast_to(evaluate_on(spec.f, f_bind), grid.shape)
     growth = np.power(uv, spec.q - 1.0)
     return {
-        "freeze_nonlinearity": median_us(
+        "freeze_nonlinearity": quartiles_us(
             lambda: freeze_nonlinearity(u, LAM, BETA, spec, grad=grad)),
-        "evaluate_on(h)": median_us(lambda: evaluate_on(spec.h, h_bind)),
-        "evaluate_on(f)": median_us(lambda: evaluate_on(spec.f, f_bind)),
-        "check_growth": median_us(
+        "evaluate_on(h)": quartiles_us(lambda: evaluate_on(spec.h, h_bind)),
+        "evaluate_on(f)": quartiles_us(lambda: evaluate_on(spec.f, f_bind)),
+        "check_growth": quartiles_us(
             lambda: check_growth(spec, weights, uv, gn, h, f, growth)),
         "certificate limits": certificate_us(spec, grid),
     }
 
 
 def main():
-    print(f"median us per call, {REPEATS} runs of {CALLS} calls "
+    print(f"us per call, {REPEATS} runs of {CALLS} calls "
           f"(certificate limits: {REPEATS} runs of 1 call)")
+    print(f"{'':37s} {'q1':>9s} {'median':>9s} {'q3':>9s}")
     for problem, resolution in CASES:
         label = f"{problem} {'x'.join(map(str, resolution))}"
         for layer, us in layer_times(problem, resolution).items():
-            print(f"{label:14s} {layer:22s} {us:9.1f}")
+            print(f"{label:14s} {layer:22s}"
+                  + "".join(f" {t:9.1f}" for t in us))
     return 0
 
 

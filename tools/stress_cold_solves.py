@@ -57,7 +57,7 @@ def contract_gap(u, p, load, opts):
     jac = plap._assemble(u.values, u.grid.spacing, p, plap._plap_own_delta(
         u.values, u.grid.spacing, p)[1])
     floor = plap._rounding_floor(jac, u.values[u.grid.interior])
-    return res / max(opts.tol_residual * max(1.0, sup_norm(load)), floor)
+    return res / max(opts.tol_residual * sup_norm(load), floor)
 
 
 def main():
