@@ -123,10 +123,10 @@ def compute_constants(spec: ProblemSpec, grid: Grid | None = None,
     The torsion weights and the probes often coincide (where every weight
     is 1, seven of the ten fields are the ones field).  Each distinct
     field is solved once per call; with grid, p and opts fixed this gives
-    the bits a repeated solve would.  ``solved`` is an optional map from the
-    bytes of a field to its solution on this grid with this p and opts, as
-    in torsion_function: a field found there is not solved again, and each
-    new solution is added, so a caller that hands the same map to
+    the bits a repeated solve would.  ``solved`` is an optional map of
+    earlier cold solves, as in torsion_function: a field solved there on
+    this grid with this p and opts is not solved again, and each new
+    solution is added, so a caller that hands the same map to
     first_eigenpair spares it the torsion of omega1.  Without one the call
     keeps a map of its own, and nothing is reused across calls.
     """
@@ -142,7 +142,7 @@ def compute_constants(spec: ProblemSpec, grid: Grid | None = None,
     extra.append(("omega_max", omega))
 
     if solved is None:
-        solved = {}  # bytes of a field -> its solution, for this call only
+        solved = {}  # the cold solves of this call only
     weighted = torsion_function(grid, spec.p, omega, opts, solved)
     unit = torsion_function(grid, spec.p,
                             ScalarField(grid, np.ones(grid.shape)), opts,

@@ -76,23 +76,17 @@ outlives such a call.  One axis keeps no factor: LAPACK factors and solves
 in one O(n) call.
 
 A run of warm solves starts each one at the field where the last one
-stopped, and every solve's first residual needs -Lap_p at its start.  The
-``held`` one-slot list hands that value across: a solve leaves there the
-``OperatorValue`` of its own result (the -Lap_p its last residual computed,
-with that residual's delta and face arrays), and a warm solve whose
-``initial_guess`` is that very field object, at the same p, takes its first
-residual from it instead of applying the operator again.  The value is
-exactly the one a fresh apply gives, so the hand-over changes no bit of any
-result.  A flat guess (cold fallback) and a guess whose boundary the solve
-has to zero never read it.  ``operator_value`` computes the value of a field
-that no solve returned, such as a barrier of ``scheme``.  ``scheme`` passes
-every field it solves from or returns as its OperatorValue: it seeds a
-one-slot list with the start's value and hands on what the solve left there,
-so the holder lives only as long as one run of solves.  A run of solves may
-also start every solve at one fixed field, as the certificate chains of
-``scheme`` start each sweep at the final iterate: the caller seeds the list
-with that field's value again before each solve, so each first residual
-reads it, and keeps what the solve left there as the value of its result.
+stopped, and every solve's first residual needs -Lap_p at its start.  A warm
+solve whose ``initial_guess`` is an ``OperatorValue`` takes its first
+residual from that value instead of applying the operator again, and
+returns the OperatorValue of its result (the -Lap_p its last residual
+computed, with that residual's delta and face arrays), which the next solve
+of the run starts from.  A value on another grid raises GridMismatchError,
+one at another p ConfigurationError.  A guess whose boundary is not +0.0 is
+zeroed and its -Lap_p computed afresh, and a flat guess falls back to the
+cold start.  The value is exactly the one a fresh apply gives, so starting
+from it changes no bit of any result.  ``operator_value`` computes the value
+of a field that no solve returned, such as a barrier of ``scheme``.
 
 Contracts the rest of the package relies on:
 
@@ -180,7 +174,8 @@ class OperatorValue(NamedTuple):
     """-Lap_p of ``field`` at ``p`` and at the field's own delta (``lap``, a
     nodal array, zero on the boundary), with that ``delta`` and the face
     arrays ``faces`` it was read from: all a warm solve's first residual and
-    first Jacobian need of their start."""
+    first Jacobian need of their start.  A solve started from one returns
+    its result's."""
 
     field: ScalarField
     p: float
@@ -202,7 +197,7 @@ class _Residual(NamedTuple):
     """The residual of -Lap_p u = g at one field u: its interior values ``r``
     and their max ``norm``, the stop ``tol`` that norm is held to, with u's
     ``delta``, ``faces`` and -Lap_p u (``lap``), which the next Jacobian and
-    a held OperatorValue read."""
+    the OperatorValue of a returned field read."""
 
     r: np.ndarray
     norm: float
@@ -505,11 +500,11 @@ def _cold_start(grid, p, gv):
 
 def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
                          opts: SolveOptions | None = None,
-                         initial_guess: ScalarField | None = None,
+                         initial_guess: ScalarField | OperatorValue | None = None,
                          trace: list | None = None,
                          factor: list | None = None, *,
-                         held: list | None = None,
-                         reaction: tuple | None = None) -> ScalarField:
+                         reaction: tuple | None = None,
+                         ) -> ScalarField | OperatorValue:
     """Solve the discrete Dirichlet problem -Lap_p u = g, u = 0 on the boundary.
 
     With ``reaction = (coeff, q)`` it solves -Lap_p u = F(u) instead, F(u) =
@@ -523,11 +518,16 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         p: exponent > 1.
         g: right-hand side field (any sign; need not vanish on the boundary).
         opts: solver options; defaults to SolveOptions().
-        initial_guess: warm start; Newton runs at p from it, and a stall
-            raises at once.  Without one (or with a flat one), Newton starts
-            from the p = 2 solution, for p > 2 scaled by the factor c with
-            the least 2-norm residual of -Lap_p(c u) = g, and retreats in p
-            only on a stall.
+        initial_guess: warm start, a field or the OperatorValue of one;
+            Newton runs at p from it, and a stall raises at once.  Without
+            one (or with a flat one), Newton starts from the p = 2 solution,
+            for p > 2 scaled by the factor c with the least 2-norm residual
+            of -Lap_p(c u) = g, and retreats in p only on a stall.  With an
+            OperatorValue the first residual reads its -Lap_p instead of
+            applying the operator, unless the field's boundary is not +0.0,
+            which the solve zeroes, or the field is flat.  Its grid must be
+            ``grid`` (GridMismatchError) and its p this p
+            (ConfigurationError).
         trace: optional list that receives (iteration, residual, damping)
             triples as the solve progresses.
         factor: optional one-slot list for the solve of the last kept LU
@@ -542,24 +542,12 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             its factors in a fresh list of its own, so it takes chord steps
             all the same, also across retreats in p, and leaves no factor
             behind.
-        held: optional one-slot list for the OperatorValue of a field;
-            keyword-only.  When it holds that of ``initial_guess`` itself
-            (the same object, not an equal copy) at this p, the first
-            residual reads it instead of applying the operator.  It is not
-            read on the cold path, on the cold fallback from a flat guess,
-            or when the guess has a boundary value other than +0.0, which
-            the solve zeroes.  On return it holds the OperatorValue of the
-            returned field, from the last residual, so a run of solves that
-            each start at the last one's result applies the operator once
-            less per solve, and a caller that passes fields on with their
-            -Lap_p takes the returned field's from there (scheme's
-            solve_frozen and monotone sweeps); a solve that raises leaves
-            it empty.
         reaction: optional (coeff, q), coeff a nodal array >= 0 and q > 1;
             keyword-only.  Adds the reaction term above.
 
     Returns:
-        The solution as a Dirichlet-zero field, with sup-norm residual at most
+        The solution as a Dirichlet-zero field, or its OperatorValue when
+        ``initial_guess`` is one, with sup-norm residual at most
         tol_residual * ||g||_inf (tol_residual when g = 0), or at most the
         rounding floor when that is larger and no step lowers the residual
         further.
@@ -579,16 +567,20 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
     gv = g.values
     gsup = float(np.abs(gv).max())
 
-    start = None  # the OperatorValue of the start u, when held
+    start = None  # the OperatorValue of the start u, when it can be read
+    valued = isinstance(initial_guess, OperatorValue)
     if initial_guess is not None:
-        if initial_guess.grid != grid:
+        guess = initial_guess.field if valued else initial_guess
+        if guess.grid != grid:
             raise GridMismatchError("initial guess lives on a different grid")
-        u = initial_guess.values.copy()
+        if valued and initial_guess.p != p:
+            raise ConfigurationError(f"initial guess is at p = "
+                                     f"{initial_guess.p}, the solve at p = {p}")
+        u = guess.values.copy()
         mask = grid.boundary_mask()
         boundary = u[mask]
-        if (held and held[0].field is initial_guess and held[0].p == p
-                and not (boundary.any() or np.signbit(boundary).any())):
-            start = held[0]  # u is the guess itself
+        if valued and not (boundary.any() or np.signbit(boundary).any()):
+            start = initial_guess  # u is the guess itself
         u[mask] = 0.0
         reached = p
         # a flat warm start cannot seed the Jacobian; fall back to cold start
@@ -597,8 +589,6 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             u, reached, start = _cold_start(grid, p, gv), 2.0, None
     else:
         u, reached = _cold_start(grid, p, gv), 2.0
-    if held is not None:
-        held.clear()
 
     if factor is None:
         factor = []
@@ -616,21 +606,19 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             continue
         if pk == p:
             result = ScalarField(grid, u_pk)
-            if held is not None:
-                held.append(OperatorValue(result, p, res.lap, res.delta,
-                                          res.faces))
+            if valued:
+                return OperatorValue(result, p, res.lap, res.delta, res.faces)
             return result
         u, reached, pk, start = u_pk, pk, p, None
 
 
 def _cold_solve(grid, p, g, opts, solved):
-    """``solve_plap_dirichlet(grid, p, g, opts)``; with a ``solved`` map from
-    the bytes of a right-hand side to its solution, a field already in it is
-    not solved again, and a new one is added.  The map must hold solves on
-    this grid with this p and opts only."""
+    """``solve_plap_dirichlet(grid, p, g, opts)``; with a ``solved`` map of
+    earlier solves, one of the same load on the same grid with the same p and
+    opts is not solved again, and a new one is added."""
     if solved is None:
         return solve_plap_dirichlet(grid, p, g, opts)
-    key = g.values.tobytes()
+    key = (grid, p, opts or SolveOptions(), g.values.tobytes())
     if key not in solved:
         solved[key] = solve_plap_dirichlet(grid, p, g, opts)
     return solved[key]
@@ -829,8 +817,8 @@ def estimate_grad_constant(grid: Grid, p: float, probes=None,
 
     Args:
         probes: (label, ScalarField) pairs; None means default_probes(grid).
-        solved: optional map from the bytes of a field to its solution on
-            this grid with this p and opts; a probe found there is not
+        solved: optional map of earlier cold solves (see _cold_solve); a
+            probe solved there on this grid with this p and opts is not
             solved again, and each new solution is added.
 
     Raises:

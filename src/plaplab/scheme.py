@@ -48,11 +48,12 @@ an outer step and every limit a solve returns.  The barriers are fixed for
 the run, so outer_fixed_point computes their values once
 (plap.operator_value); every barrier check and every monotone iteration
 started at a barrier reads them.  Every other value is the one the solve
-that returned the field left behind (the ``held`` holder of
-plap.solve_plap_dirichlet): an outer step's Newton solve reads the previous
-iterate's, and every sweep of the certificate chains and the residual
-certificate the final iterate's.  The values are those a fresh apply
-gives, so no result changes by a bit.
+that returned the field computed: plap.solve_plap_dirichlet, started from an
+OperatorValue, reads its -Lap_p and returns its result's.  An outer step's
+Newton solve starts from the previous iterate's value, and every sweep of
+the certificate chains and the residual certificate read the final
+iterate's.  The values are those a fresh apply gives, so no result changes
+by a bit.
 
 The certificate chains converge to the final iterate u, so every sweep of
 both starts its Dirichlet solve at u (``warm``), not at the chain's last
@@ -61,7 +62,7 @@ lies about 0.15/0.85 = 0.18 times as far from u as from the last one.  Only
 Newton's start moves: a sweep still solves -Lap_p U_{n+1} = F(U_n), which
 has one solution, so the iterates, their number and the stop test are
 those of a chain that starts each solve at its last iterate, up to the
-solver tolerance.  Every first residual reads u's held -Lap_p, and in 2D
+solver tolerance.  Every first residual reads u's -Lap_p, and in 2D
 the factor of a chain's first Jacobian, taken at u, stays a good chord
 model for its later sweeps.
 
@@ -287,17 +288,17 @@ def solve_frozen(F: FrozenNonlinearity, start: OperatorValue,
     reads: plap.solve_plap_dirichlet with the load F.base and the reaction
     F.coeff * U^(q-1).  It stops at
     ||-Lap_p U - F(U)||_inf <= tol_residual * ||F(U)||_inf, the
-    quantity the residual certificate checks, and returns U with its
-    -Lap_p.  ``factor`` is the one-slot holder of solve_plap_dirichlet.
+    quantity the residual certificate checks, and returns the solve's
+    OperatorValue of U.  ``factor`` is the one-slot holder of
+    solve_plap_dirichlet.
 
     Raises:
         SolveFailure: the Newton solve stalled (a warm solve has no retreat).
+        GridMismatchError: ``start`` lives on another grid than F.
     """
-    held = [start]
-    solve_plap_dirichlet(F.grid, start.p, ScalarField(F.grid, F.base), opts,
-                         initial_guess=start.field, factor=factor, held=held,
-                         reaction=(F.coeff, F.q))
-    return held[0]
+    return solve_plap_dirichlet(F.grid, start.p, ScalarField(F.grid, F.base),
+                                opts, initial_guess=start, factor=factor,
+                                reaction=(F.coeff, F.q))
 
 
 def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
@@ -314,27 +315,27 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
     from a barrier.
 
     ``sub`` and ``sup`` are the barriers' OperatorValues, and p is theirs.
-    The value returned is the one the last solve left (see
+    The value returned is the one the last solve returned (see
     plap.solve_plap_dirichlet), so the caller can hand the limit on to a
     solve that starts there without applying the operator again.
 
     With ``guess``, as an outer step of outer_fixed_point calls it, the
-    frozen problem is solved directly from the guess's field (solve_frozen),
-    to the full tolerance below, and its result is returned as it is, with
-    neither ``start`` nor ``khat`` read: a stalled solve raises
-    SolveFailure, and the caller checks the result's positivity, band and
-    gradient.  The frozen problem has one positive solution (see the module
-    docstring), so the Newton solve and the monotone iteration reach the
-    same limit up to the solver tolerance.
+    frozen problem is solved directly from the guess (solve_frozen), at the
+    guess's p, to the full tolerance below, and its result is returned as
+    it is, before the barriers, ``start`` or ``khat`` are read: a stalled
+    solve raises SolveFailure, and the caller checks the result's
+    positivity, band and gradient against the barriers it built.  The
+    frozen problem has one positive solution (see the module docstring), so
+    the Newton solve and the monotone iteration reach the same limit up to
+    the solver tolerance.
 
     Started from the upper barrier the sequence is nonincreasing (from the
     lower, nondecreasing); each iterate must stay inside the barrier band up
     to 10x the solver tolerance, else MonotonicityError.  Stops when the sup
-    move drops below 1e-8 * ||super||_inf.  Each sweep's solve starts at the
-    field of ``warm`` when one is given, and its first residual reads
-    warm's -Lap_p; otherwise it starts at the last iterate, so the first
-    sweep reads the start barrier's -Lap_p and each later one the last
-    sweep's.
+    move drops below 1e-8 * ||super||_inf.  Each sweep's solve starts from
+    ``warm`` when one is given; otherwise from the last iterate's value, so
+    the first sweep reads the start barrier's -Lap_p and each later one the
+    last sweep's.
 
     Each sweep after the first stops its solve at INNER_FORCING times the
     sup change of the right-hand side since the last sweep, or at the full
@@ -370,9 +371,9 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
             fresh one for this call.
         warm: the OperatorValue every sweep's solve starts from (the final
             iterate, for the certificate chains); None starts each at the
-            last iterate.  It must lie on the barriers' grid
-            (GridMismatchError) at their p (ConfigurationError).  The
-            iterates do not depend on it beyond the solver tolerance.
+            last iterate.  The solver refuses one off the barriers' grid
+            (GridMismatchError) or p (ConfigurationError).  The iterates do
+            not depend on it beyond the solver tolerance.
 
     Raises:
         SolveFailure: the Newton solve from ``guess`` stalled.
@@ -380,18 +381,14 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
     """
     if opts is None:
         opts = SolveOptions()
+    solve_opts = _support_tolerance(opts)
+    if guess is not None:
+        return solve_frozen(F, guess, solve_opts, factor=factor)
     if start not in ("sub", "super"):
         raise ConfigurationError(f"start must be 'sub' or 'super', got {start!r}")
     grid, p = sub.field.grid, sub.p
     if not sup.field.grid == F.grid == grid:
         raise GridMismatchError("barriers and frozen map live on different grids")
-    if warm is not None:
-        if warm.field.grid != grid:
-            raise GridMismatchError("warm start lives on another grid than "
-                                    "the barriers")
-        if warm.p != p:
-            raise ConfigurationError(
-                f"warm start is at p = {warm.p}, the barriers at p = {p}")
     sup_size = sup_norm(sup.field)
     if np.any(sub.field.values > sup.field.values
               + 1.0e-12 * max(1.0, sup_size)):
@@ -399,13 +396,9 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
 
     if factor is None:
         factor = []
-    solve_opts = _support_tolerance(opts)
-    if guess is not None:
-        return solve_frozen(F, guess, solve_opts, factor=factor)
     stop = INNER_STOP_REL * sup_size
-    barrier = sup if start == "super" else sub
-    held = [barrier]  # u's value, where the next sweep starts without warm
-    u = barrier.field
+    value = sup if start == "super" else sub  # the last iterate u's value
+    u = value.field
     interior = grid.interior
     last_rhs = None  # the last sweep's right-hand side, interior values
     for sweep in range(1, INNER_MAX_SWEEPS + 1):
@@ -419,11 +412,10 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
                 sweep_opts = dataclasses.replace(solve_opts,
                                                  tol_residual=forced)
         last_rhs = rhs.values[interior]
-        if warm is not None:
-            held = [warm]  # the sweep's solve starts at warm, not at u
-        u_next = solve_plap_dirichlet(grid, p, rhs, sweep_opts,
-                                      initial_guess=held[0].field,
-                                      factor=factor, held=held)
+        value = solve_plap_dirichlet(
+            grid, p, rhs, sweep_opts,
+            initial_guess=value if warm is None else warm, factor=factor)
+        u_next = value.field
         if khat is not None:
             assert_gradient_bound(khat, u_next, rhs_sup, p,
                                   context=f"inner sweep {sweep}")
@@ -446,13 +438,13 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
         if move < stop:
             if sweep_opts is not solve_opts:
                 # never return a limit solved at a forced tolerance
-                u = solve_plap_dirichlet(grid, p, rhs, solve_opts,
-                                         initial_guess=u, factor=factor,
-                                         held=held)
+                value = solve_plap_dirichlet(grid, p, rhs, solve_opts,
+                                             initial_guess=value,
+                                             factor=factor)
                 if khat is not None:
-                    assert_gradient_bound(khat, u, rhs_sup, p,
+                    assert_gradient_bound(khat, value.field, rhs_sup, p,
                                           context=f"inner sweep {sweep}")
-            return held[0]
+            return value
     raise IterationFailure(
         f"inner monotone iteration made no C0 limit in {INNER_MAX_SWEEPS} "
         "sweeps")

@@ -45,7 +45,12 @@ from .grid import (
     p_laplacian_apply,
     sup_norm,
 )
-from .plap import SolveOptions, _cold_solve, solve_plap_dirichlet
+from .plap import (
+    SolveOptions,
+    _cold_solve,
+    operator_value,
+    solve_plap_dirichlet,
+)
 
 log = logging.getLogger(__name__)
 
@@ -87,9 +92,9 @@ def torsion_function(grid: Grid, p: float, w: ScalarField,
                      solved: dict | None = None) -> TorsionResult:
     """Solve -Lap_p phi = w, phi = 0 on the boundary, for a weight w >= 0.
 
-    ``solved`` is an optional map from the bytes of a field to its solution
-    on this grid with this p and opts; a weight found there is not solved
-    again, and a new solution is added.
+    ``solved`` is an optional map of earlier cold solves (see
+    plap._cold_solve): a weight solved there on this grid with this p and
+    opts is not solved again, and a new solution is added.
 
     Raises:
         ConfigurationError: if the weight is negative somewhere or all zero.
@@ -112,17 +117,16 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
     power iteration.
 
     The start is the torsion function of omega1.  ``solved`` is an optional
-    map from the bytes of a field to its solution on this grid with this p
-    and opts, as in torsion_function: the start is read from it when
-    compute_constants has put omega1 there, as a probe, and solved afresh
-    otherwise; a cold solve gives the same bits either way.  The sweeps
+    map of earlier cold solves, as in torsion_function: the start is read
+    from it when compute_constants has put omega1 there, as a probe, and
+    solved afresh otherwise; a cold solve gives the same bits either way.  The sweeps
     share one kept LU factor (the chord steps of
     plap.solve_plap_dirichlet): successive right-hand sides differ little,
     so one factor stays a good linear model for many sweeps.  The factor
     lives for this call only, so the pair never depends on what was solved
-    before it.  Each sweep starts at the last one's solution and reads its
-    Lap_p from that solve (the ``held`` holder), bit for bit the value it
-    would compute.
+    before it.  Each sweep starts from the OperatorValue of the last one's
+    solution, which that solve returned, bit for bit the value it would
+    compute; the first starts from the torsion function's, computed once.
 
     Stops when successive eigenvalue estimates agree to 1e-8 relative and the
     sup-normalized field moves less than 1e-8.  The returned pair satisfies
@@ -137,14 +141,14 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
     wv = omega1.values
     start = torsion_function(grid, p, omega1, opts, solved)
     u = start.phi.values / start.phi_sup
-    guess = start.phi
+    value = operator_value(start.phi, p)  # the next sweep's start
     lam = None
     factor = []  # the sweeps' shared kept LU factor, for this call only
-    held = []  # Lap_p of the last sweep's solution, the next one's guess
     for sweep in range(1, EIGEN_MAX_SWEEPS + 1):
         rhs = ScalarField(grid, wv * u ** (p - 1.0))
-        v = solve_plap_dirichlet(grid, p, rhs, opts, initial_guess=guess,
-                                 factor=factor, held=held)
+        value = solve_plap_dirichlet(grid, p, rhs, opts, initial_guess=value,
+                                     factor=factor)
+        v = value.field
         scale = sup_norm(v)
         if scale == 0.0:
             raise EigenFailure("inverse iteration collapsed to zero")
@@ -154,7 +158,7 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
         done = (lam is not None
                 and abs(lam_next - lam) < EIGEN_STOP * lam_next
                 and shift < EIGEN_STOP)
-        u, lam, guess = u_next, lam_next, v
+        u, lam = u_next, lam_next
         log.debug("eigen sweep %d: lambda=%.12g shift=%.3e", sweep, lam, shift)
         if done:
             break

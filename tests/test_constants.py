@@ -34,7 +34,7 @@ from plaplab.errors import (
 )
 from plaplab.expr import ProblemSpec, bundled_problem_path, load_problem
 from plaplab.grid import build_grid
-from plaplab.plap import default_probes
+from plaplab.plap import SolveOptions, default_probes
 
 from oracles import barrier_min, torsion_sup_1d
 
@@ -156,6 +156,23 @@ def test_shared_solves_give_the_bundle_of_separate_solves(monkeypatch, name,
     a, b = shared.grad_estimate, separate.grad_estimate
     assert list(a.ratios.items()) == list(b.ratios.items())
     assert (a.worst_probe, a.probe_count) == (b.worst_probe, b.probe_count)
+
+
+@pytest.mark.parametrize("changes, opts", [
+    ({"p": 4.0}, None), ({"extents": (0.0, 2.0)}, None),
+    ({}, SolveOptions(tol_residual=1e-3))], ids=["p", "domain", "opts"])
+def test_a_map_shared_by_two_set_ups_keeps_their_solves_apart(changes, opts):
+    # sub's torsion weights and probes are the same loads on any grid and at
+    # any p, so a map keyed by the load alone hands the first set-up's
+    # solves to the second
+    solved = {}
+    compute_constants(bundled_spec("sub", 65), None, None, solved)
+    spec = bundled_spec("sub", 65, **changes)
+    shared = compute_constants(spec, None, opts, solved)
+    fresh = compute_constants(spec, None, opts)
+    assert (shared.phi_sup, shared.khat) == (fresh.phi_sup, fresh.khat)
+    assert (shared.weighted_torsion.phi.values.tobytes()
+            == fresh.weighted_torsion.phi.values.tobytes())
 
 
 @pytest.mark.parametrize("name, resolution", [("sub", 65), ("square2d", (9, 9))])

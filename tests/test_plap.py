@@ -808,7 +808,7 @@ def test_flat_warm_start_falls_back_to_cold_start():
 
 
 # ---------------------------------------------------------------------------
-# the held operator value of a warm solve's start
+# a warm solve started from the OperatorValue of its guess
 
 
 def _count_applies(monkeypatch):
@@ -825,36 +825,39 @@ def _count_applies(monkeypatch):
     return calls
 
 
-def _warm_solve(g, p, load, guess, held, applies):
+def _warm_solve(g, p, load, guess, applies):
     """A warm solve with its trace and its number of operator applies."""
     applies.clear()
     trace = []
-    u = solve_plap_dirichlet(g, p, load, initial_guess=guess, trace=trace,
-                             held=held)
+    u = solve_plap_dirichlet(g, p, load, initial_guess=guess, trace=trace)
     return u, trace, len(applies)
+
+
+def _assert_exact_value(value, p):
+    """The OperatorValue is bit for bit a fresh apply at its field."""
+    assert value.p == p
+    assert value.lap.tobytes() == p_laplacian_apply(value.field,
+                                                    p).values.tobytes()
+    assert value.delta == flux_delta(value.field)
 
 
 @pytest.mark.parametrize("shape", [(2049,), (33, 33)])
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
 def test_a_held_start_value_changes_no_bit(shape, p, monkeypatch):
+    # a solve from a field's OperatorValue takes the bits of a solve from the
+    # bare field with one apply less, and returns its result's value
     g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
-    held = []
-    guess = solve_plap_dirichlet(g, p, const_field(g), held=held)
-    # a solve leaves the value of its own result, bit for bit a fresh apply
-    assert len(held) == 1 and held[0].field is guess and held[0].p == p
-    assert held[0].lap.tobytes() == p_laplacian_apply(guess, p).values.tobytes()
-    assert held[0].delta == flux_delta(guess)
+    guess = operator_value(solve_plap_dirichlet(g, p, const_field(g)), p)
     load = field_from_function(g, lambda *x: 1.0 + 0.01 * x[0])
     applies = _count_applies(monkeypatch)
-    kept = list(held)
-    u, trace, calls = _warm_solve(g, p, load, guess, kept, applies)
-    u_plain, trace_plain, calls_plain = _warm_solve(g, p, load, guess, None,
+    value, trace, calls = _warm_solve(g, p, load, guess, applies)
+    u_plain, trace_plain, calls_plain = _warm_solve(g, p, load, guess.field,
                                                     applies)
-    assert u.values.tobytes() == u_plain.values.tobytes()
+    assert isinstance(u_plain, ScalarField)
+    assert value.field.values.tobytes() == u_plain.values.tobytes()
     assert trace == trace_plain and len(trace) >= 1
     assert calls == calls_plain - 1
-    assert kept[0].field is u
-    assert kept[0].lap.tobytes() == p_laplacian_apply(u, p).values.tobytes()
+    _assert_exact_value(value, p)
 
 
 def _poisoned(value):
@@ -863,51 +866,52 @@ def _poisoned(value):
     return value._replace(lap=value.lap + 1.0)
 
 
-def _unheld_case(case, g, p, solution):
-    """(guess, held value) pairs whose held value a solve must ignore."""
-    if case == "equal copy":
-        twin = ScalarField(g, solution.values)
-        return solution, _poisoned(operator_value(twin, p))
-    if case == "other p":
-        return solution, _poisoned(operator_value(solution, p + 0.5))
-    if case in ("nonzero boundary", "negative zero boundary"):
-        values = solution.values.copy()
-        values[g.boundary_mask()] = 0.25 if case == "nonzero boundary" else -0.0
-        guess = ScalarField(g, values)
-        return guess, _poisoned(operator_value(guess, p))
-    flat = zero_field(g)  # falls back to the cold start
-    return flat, _poisoned(operator_value(flat, p))
+def _unreadable_guess(case, g, solution):
+    """A guess whose OperatorValue a solve must not read: its boundary is
+    not +0.0, or it is flat and the solve starts cold."""
+    if case == "flat":
+        return zero_field(g)
+    values = solution.values.copy()
+    values[g.boundary_mask()] = 0.25 if case == "nonzero boundary" else -0.0
+    return ScalarField(g, values)
 
 
 @pytest.mark.parametrize("shape", [(129,), (17, 17)])
-@pytest.mark.parametrize("case", ["equal copy", "other p", "nonzero boundary",
-                                  "negative zero boundary", "flat"])
+@pytest.mark.parametrize("case", ["nonzero boundary", "negative zero boundary",
+                                  "flat"])
 def test_a_held_value_of_another_start_is_ignored(shape, case, monkeypatch):
+    # the value of a guess the solve zeroes, or of a flat one, is not read:
+    # the solve applies the operator afresh, as from the bare field
     g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
     p = 2.5
     solution = solve_plap_dirichlet(g, p, const_field(g))
-    guess, value = _unheld_case(case, g, p, solution)
+    guess = _unreadable_guess(case, g, solution)
     load = field_from_function(g, lambda *x: 1.0 + 0.01 * x[0])
     applies = _count_applies(monkeypatch)
-    kept = [value]
-    u, trace, calls = _warm_solve(g, p, load, guess, kept, applies)
-    u_plain, trace_plain, calls_plain = _warm_solve(g, p, load, guess, None,
+    value, trace, calls = _warm_solve(
+        g, p, load, _poisoned(operator_value(guess, p)), applies)
+    u_plain, trace_plain, calls_plain = _warm_solve(g, p, load, guess,
                                                     applies)
-    assert u.values.tobytes() == u_plain.values.tobytes()
+    assert value.field.values.tobytes() == u_plain.values.tobytes()
     assert trace == trace_plain and calls == calls_plain
-    assert kept[0].field is u
-    _assert_residual_contract(u, p, load)
+    _assert_exact_value(value, p)
+    _assert_residual_contract(value.field, p, load)
 
 
-def test_a_failed_solve_leaves_no_held_value(monkeypatch):
-    monkeypatch.setattr(plap, "_backtrack", lambda *args: None)
-    g = grid_1d(65)
-    guess = field_from_function(g, lambda x: np.sin(np.pi * x))
-    held = [operator_value(guess, 2.0)]
-    with pytest.raises(SolveFailure):
-        solve_plap_dirichlet(g, 2.0, const_field(g), initial_guess=guess,
-                             held=held)
-    assert held == []
+@pytest.mark.parametrize("shape", [(129,), (17, 17)])
+def test_a_start_value_on_another_grid_or_p_is_refused(shape):
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    other = build_grid(tuple((0.0, 2.0) for _ in shape), shape)
+    p = 2.5
+    solution = solve_plap_dirichlet(g, p, const_field(g))
+    elsewhere = operator_value(ScalarField(other, solution.values), p)
+    with pytest.raises(GridMismatchError, match="initial guess"):
+        solve_plap_dirichlet(g, p, const_field(g), initial_guess=elsewhere)
+    with pytest.raises(ConfigurationError,
+                       match=r"initial guess is at p = 3\.0, the solve at "
+                             r"p = 2\.5"):
+        solve_plap_dirichlet(g, p, const_field(g),
+                             initial_guess=operator_value(solution, p + 0.5))
 
 
 def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):

@@ -384,7 +384,8 @@ def sub_inner_problem(sub_stage, lam=1.0, beta=1.0):
 
 def recording_sweeps(monkeypatch):
     """Route the inner sweeps' solves through a recorder; returns a list of
-    (right-hand side, tol_residual, initial guess, result) per solve."""
+    (right-hand side, tol_residual, initial guess, result) per solve, the
+    guess and the result as OperatorValues."""
     sweeps = []
 
     def recorded(grid, p, g, opts, **kwargs):
@@ -404,7 +405,7 @@ def assert_full_contract(limit, sweeps, p, tol):
     """The limit is the last solve's result, solved at the full tolerance
     against F at the previous iterate, and meets that residual contract."""
     g, last_tol, _, u = sweeps[-1]
-    assert u is limit and last_tol == tol
+    assert u.field is limit and last_tol == tol
     residual = np.abs(p_laplacian_apply(limit, p).values
                       - g.values)[limit.grid.interior].max()
     assert residual <= tol * sup_norm(g)
@@ -835,7 +836,7 @@ def test_no_field_meets_the_operator_twice_in_a_run(monkeypatch):
         return raw(values, *args, **kwargs)
 
     monkeypatch.setattr(grid_module, "_plap_raw", keyed)
-    results = []  # every solve's result
+    results = []  # every solve's result, with its -Lap_p
 
     def recorded(*args, **kwargs):
         results.append(solve_plap_dirichlet(*args, **kwargs))
@@ -845,7 +846,7 @@ def test_no_field_meets_the_operator_twice_in_a_run(monkeypatch):
     report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
     assert report.converged and report.outer_iters > 2
     assert len(results) > report.outer_iters
-    assert all(u.values.tobytes() in applies for u in results)
+    assert all(u.field.values.tobytes() in applies for u in results)
     assert len(applies) > len(results)
     assert max(applies.values()) == 1
 
@@ -885,6 +886,19 @@ def test_newton_limit_agrees_with_the_monotone_limit(stage, request):
     residual = np.abs(p_laplacian_apply(newton, spec.p).values
                       - load)[g.interior].max()
     assert residual <= full_tolerance() * load.max()
+
+
+def test_an_outer_step_reads_neither_barrier(sub_stage, monkeypatch):
+    # the guess call returns the Newton limit before it checks ``start`` or
+    # reads the barriers, which outer_fixed_point built and ordered once
+    F, sub, sup = sub_inner_problem(sub_stage)
+    sizes = counting(monkeypatch, scheme, "sup_norm")
+    limit = inner_monotone_solve(F, None, None, start="neither", guess=sub)
+    assert sizes == []
+    direct = scheme.solve_frozen(F, sub, scheme._support_tolerance(
+        SolveOptions()))
+    assert limit.field.values.tobytes() == direct.field.values.tobytes()
+    assert limit.lap.tobytes() == direct.lap.tobytes()
 
 
 def face_bytes(faces):
@@ -1004,20 +1018,20 @@ def test_outer_steps_log_one_line_each(sub_stage, caplog):
 @pytest.mark.parametrize("stage", ["sub_stage", "square2d_stage"])
 def test_every_chain_sweep_starts_at_the_final_iterate(stage, request,
                                                        monkeypatch):
-    # each solve of both certificate chains starts at the run's solution,
-    # the very object, and takes its first residual from the -Lap_p held
-    # with it: the operator meets that field once, in the solve returning it
+    # each solve of both certificate chains starts from the run's solution
+    # with its -Lap_p, the very value the last outer step returned: the
+    # operator meets that field once, in the solve returning it
     spec, g, c, eig = request.getfixturevalue(stage)
-    calls = []  # per inner call: (warm, [(guess, held value) per solve])
+    calls = []  # per inner call: (warm, [guess per solve])
 
     def recording_inner(*args, warm=None, **kwargs):
         calls.append((warm, []))
         return inner_monotone_solve(*args, warm=warm, **kwargs)
 
-    def recording_solve(*args, initial_guess=None, held=None, **kwargs):
-        calls[-1][1].append((initial_guess, held[0] if held else None))
+    def recording_solve(*args, initial_guess=None, **kwargs):
+        calls[-1][1].append(initial_guess)
         return solve_plap_dirichlet(*args, initial_guess=initial_guess,
-                                    held=held, **kwargs)
+                                    **kwargs)
 
     applies = []  # the bytes of every input of the operator
     raw = grid_module._plap_raw
@@ -1038,8 +1052,7 @@ def test_every_chain_sweep_starts_at_the_final_iterate(stage, request,
     assert above.p == spec.p
     for solves in (above_solves, below_solves):
         assert len(solves) > 1
-        assert all(guess is above.field and held is above
-                   for guess, held in solves)
+        assert all(guess is above for guess in solves)
     assert applies.count(report.solution.values.tobytes()) == 1
 
 
@@ -1049,7 +1062,7 @@ def test_a_warm_start_on_another_grid_or_p_is_refused(sub_stage):
     other = parabola(build_grid(((0.0, 2.0),), g.shape[0]))
     with pytest.raises(GridMismatchError):
         inner_monotone_solve(F, sub, sup, warm=operator_value(other, spec.p))
-    with pytest.raises(ConfigurationError, match="warm start is at p"):
+    with pytest.raises(ConfigurationError, match="initial guess is at p"):
         inner_monotone_solve(F, sub, sup,
                              warm=operator_value(sup.field, spec.p + 0.5))
 
