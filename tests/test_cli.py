@@ -303,20 +303,20 @@ SWEEP_OUTER_ITERS = {
 # pde_residual of the same rows, as recorded; a change that only makes the
 # solver faster may move each by at most PDE_RESIDUAL_MOVE (absolute)
 SWEEP_PDE_RESIDUAL = {
-    "sub": (6.077142955529524e-11, 1.5860540658607647e-09,
-            6.292567800159077e-09, 3.1890878826601465e-11,
+    "sub": (6.077142955529524e-11, 1.5859140112262082e-09,
+            6.292548260233843e-09, 3.183647789839483e-11,
             3.766130962645775e-09, 1.2320817699418285e-08,
-            3.639921697384807e-11, 1.4185301822067231e-09,
+            3.644695656390695e-11, 1.4178058727054577e-09,
             7.189124406892233e-09),
     "super": (4.94320296501316e-15, 5.36114447106939e-13,
-              1.945150746203439e-12, 4.323097435587897e-12,
+              4.787836793695988e-16, 4.517275442594837e-12,
               3.7155320486981225e-11, 6.694103604765189e-12,
-              7.813712454840527e-10, 6.302252608669789e-10,
+              2.0389800958753312e-12, 6.302252608669789e-10,
               8.294492870319914e-10),
-    "critical": (1.93421667571414e-14, 2.5572749213359502e-12,
-                 1.743325145700525e-11, 2.1391777238477516e-12,
+    "critical": (8.429173158075454e-13, 2.5572749213359502e-12,
+                 1.743325145700525e-11, 9.294619240929336e-11,
                  2.819489086647309e-10, 1.9219618119237225e-09,
-                 7.677247726434189e-12, 1.0229383451410001e-09,
+                 3.3718466907473044e-10, 1.0229383451410001e-09,
                  6.973130073362199e-09),
     "degenerate": (3.757411048965764e-15, 3.757411048965764e-15,
                    3.757411048965764e-15, 1.0913492332065289e-13,
@@ -324,10 +324,10 @@ SWEEP_PDE_RESIDUAL = {
                    5.153655280309977e-13, 5.153655280309977e-13,
                    5.153655280309977e-13),
     "square2d": (5.687224996497875e-11, 1.6044142958637764e-09,
-                 6.783104578023114e-09, 3.863059871989094e-11,
-                 6.846391786829997e-10, 1.94062099723169e-09,
-                 8.149335650742273e-10, 4.36144320659082e-09,
-                 9.357224994843705e-09),
+                 6.7782557344742145e-09, 3.928629643823456e-11,
+                 6.37813413195687e-10, 1.944489236294089e-09,
+                 4.6247228269180596e-10, 4.220069849125707e-09,
+                 8.726759981314558e-09),
 }
 PDE_RESIDUAL_MOVE = 1.0e-9
 
