@@ -289,8 +289,8 @@ def test_an_infinite_range_bound_exits_before_the_set_up(command, flag, bounds,
 
 
 # (lambda, beta) of each row of `sweep --samples 3` at the default ranges,
-# lambda-major, and outer_iters of those rows on the bundled problems at
-# their own resolution; every row converges
+# lambda-major, and the status and outer_iters of those rows on the bundled
+# problems at their own resolution (None where no run was made)
 SWEEP_POINTS = [(lam, beta) for lam in (0.1, 1.05, 2.0)
                 for beta in (0.1, 1.05, 2.0)]
 SWEEP_OUTER_ITERS = {
@@ -299,7 +299,13 @@ SWEEP_OUTER_ITERS = {
     "critical": (6, 12, 17, 6, 12, 17, 6, 12, 17),
     "degenerate": (2, 2, 2, 2, 2, 2, 2, 2, 2),
     "square2d": (11, 14, 14, 8, 11, 12, 7, 9, 10),
+    "steep": (3, 3, 3, 3, 5, 5, 4, 6, None),
+    "steep2d": (6, 6, 6, 6, 7, 7, 6, 7, 7),
 }
+SWEEP_STATUS = {name: ("converged",) * len(SWEEP_POINTS)
+                for name in SWEEP_OUTER_ITERS}
+# b > p: the region lambda^(r-p) beta^(p-q) <= K leaves out (2, 2)
+SWEEP_STATUS["steep"] = ("converged",) * 8 + ("out_of_region",)
 # pde_residual of the same rows, as recorded; a change that only makes the
 # solver faster may move each by at most PDE_RESIDUAL_MOVE (absolute)
 SWEEP_PDE_RESIDUAL = {
@@ -328,6 +334,15 @@ SWEEP_PDE_RESIDUAL = {
                  6.37813413195687e-10, 1.944489236294089e-09,
                  4.6247228269180596e-10, 4.220069849125707e-09,
                  8.726759981314558e-09),
+    "steep": (1.6471025932052186e-13, 4.336808689942018e-15,
+              9.090818375856458e-15, 5.327582819347754e-11,
+              3.1841751457761802e-12, 8.127376549538212e-11,
+              1.6577406114492987e-11, 1.4417966820445827e-10, None),
+    "steep2d": (4.353474438584248e-11, 4.357701959695204e-11,
+                4.361933470670154e-11, 1.4978489559780428e-09,
+                4.4378611896433995e-11, 5.0776494120441384e-11,
+                4.055211721976093e-09, 1.7062362633879502e-10,
+                2.642681629083654e-10),
 }
 PDE_RESIDUAL_MOVE = 1.0e-9
 
@@ -340,11 +355,16 @@ def test_bundled_sweeps_keep_their_outcomes(name, tmp_path):
     rows = SweepResult.read(out).rows
     assert [(row.lam, row.beta, row.status, row.converged, row.outer_iters)
             for row in rows] \
-        == [(lam, beta, "converged", True, k) for (lam, beta), k
-            in zip(SWEEP_POINTS, SWEEP_OUTER_ITERS[name], strict=True)]
+        == [(lam, beta, status, status == "converged", k)
+            for (lam, beta), status, k in zip(SWEEP_POINTS, SWEEP_STATUS[name],
+                                             SWEEP_OUTER_ITERS[name],
+                                             strict=True)]
     for row, recorded in zip(rows, SWEEP_PDE_RESIDUAL[name], strict=True):
-        assert abs(row.pde_residual - recorded) <= PDE_RESIDUAL_MOVE, \
-            (row.lam, row.beta)
+        if recorded is None:
+            assert row.pde_residual is None, (row.lam, row.beta)
+        else:
+            assert abs(row.pde_residual - recorded) <= PDE_RESIDUAL_MOVE, \
+                (row.lam, row.beta)
 
 
 def test_sweep_set_up_solves_each_distinct_field_once(monkeypatch, tmp_path):

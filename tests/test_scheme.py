@@ -653,13 +653,20 @@ def test_the_images_of_a_point_under_scaling_run_alike(name):
             <= 1e-12 * np.abs(u0).max(), k
 
 
+# the bundled b > p problems, each the problem it is keyed by with a = 0.5
+# and b = 3
+STEEP = {"sub": "steep", "square2d": "steep2d"}
+
+
 @pytest.mark.parametrize("name, steps", [("sub", 6), ("square2d", 7)])
 def test_gradient_growth_above_p_certifies_on_the_region_boundary(name,
                                                                   steps):
     # the paper's headline case, f <= omega3 u^a |grad u|^b with b > p: at
     # a = 0.5 and b = 3 the growth r = 4.5 exceeds p = 2.5 (super case),
     # and the point on the region's boundary must certify
-    spec, g, c, eig = bundled_stage(name, a=0.5, b=3.0)
+    spec, g, c, eig = bundled_stage(STEEP[name])
+    assert spec == dataclasses.replace(
+        load_problem(bundled_problem_path(name)), a=0.5, b=3.0)
     assert spec.b > spec.p and spec.r > spec.p
     (lam, beta), = region_boundary([0.5], c, spec)
     report = outer_fixed_point(spec, lam, beta, g, c, eig)
