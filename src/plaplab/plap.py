@@ -574,8 +574,9 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         if guess.grid != grid:
             raise GridMismatchError("initial guess lives on a different grid")
         if valued and initial_guess.p != p:
-            raise ConfigurationError(f"initial guess is at p = "
-                                     f"{initial_guess.p}, the solve at p = {p}")
+            raise ConfigurationError(
+                f"initial guess is at p = {initial_guess.p}, the solve at "
+                f"p = {p}")
         u = guess.values.copy()
         mask = grid.boundary_mask()
         boundary = u[mask]

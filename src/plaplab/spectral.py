@@ -119,8 +119,8 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
     The start is the torsion function of omega1.  ``solved`` is an optional
     map of earlier cold solves, as in torsion_function: the start is read
     from it when compute_constants has put omega1 there, as a probe, and
-    solved afresh otherwise; a cold solve gives the same bits either way.  The sweeps
-    share one kept LU factor (the chord steps of
+    solved afresh otherwise; a cold solve gives the same bits either way.
+    The sweeps share one kept LU factor (the chord steps of
     plap.solve_plap_dirichlet): successive right-hand sides differ little,
     so one factor stays a good linear model for many sweeps.  The factor
     lives for this call only, so the pair never depends on what was solved
