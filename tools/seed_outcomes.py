@@ -9,13 +9,16 @@ Runs the distinct points of ``perfbench`` seeds 0, 1 and 2 of the sweep1d
 and sweep2d workloads (the range corners, then each seed's drawn points: 40
 and 7 points) through ``harness.run_point``, on one ``harness.set_up`` per
 workload, serially, with BLAS at one thread.  Prints one JSON object: per
-workload, the rows ``[lambda, beta, status, outer_iters, pde_residual]``.
+workload, the rows ``[lambda, beta, status, outer_iters, pde_residual,
+two_sided_gap, picone_gap]``.
 
 With ``--against FILE`` the rows are compared with a table this script
 printed before: the script exits 1 when a point is missing or new, a
 ``status`` or ``outer_iters`` changed, or a ``pde_residual`` moved by more
 than RESIDUAL_MOVE absolute, and 0 otherwise; each difference goes to
-stderr, with the largest residual move.  It also prints to stderr, per
+stderr, with the largest absolute move of ``pde_residual``, of
+``two_sided_gap`` and of ``picone_gap``.  The gap moves are informational:
+they decide no exit code.  It also prints to stderr, per
 workload, the headroom of three certificates: the largest ratio of
 ``pde_residual`` to the value the residual certificate allows,
 RESIDUAL_CERT_REL times the report's ``residual_scale``, the largest ratio
@@ -54,6 +57,9 @@ SEEDS = (0, 1, 2)
 # Largest absolute pde_residual move a change that keeps the outcomes may
 # make; tests/test_cli.py holds the bundled sweeps to the same bound.
 RESIDUAL_MOVE = 1.0e-9
+# The certificate values of a row, after lambda, beta, status and
+# outer_iters; only pde_residual's move decides the exit code.
+MOVED = ("pde_residual", "two_sided_gap", "picone_gap")
 
 
 def distinct_points(name):
@@ -67,9 +73,9 @@ def distinct_points(name):
 
 
 def outcomes(name):
-    """[lambda, beta, status, outer_iters, pde_residual] per point, and the
-    largest pde_residual, two_sided_gap and |picone_gap| over their allowed
-    values."""
+    """[lambda, beta, status, outer_iters, pde_residual, two_sided_gap,
+    picone_gap] per point, and the largest pde_residual, two_sided_gap and
+    |picone_gap| over their allowed values."""
     (case,) = harness.workload_cases(name)
     setup = harness.set_up(case)
     volume = math.prod(hi - lo for lo, hi in setup.grid.extents)
@@ -77,11 +83,12 @@ def outcomes(name):
     for lam, beta in distinct_points(name):
         pt = harness.run_point(setup, lam, beta)
         r = pt.report
-        rows.append([lam, beta, pt.status,
-                     None if r is None else r.outer_iters,
-                     None if r is None else r.certificates.pde_residual])
+        cert = None if r is None else r.certificates
+        rows.append([lam, beta, pt.status]
+                    + ([None] * 4 if r is None else
+                       [r.outer_iters, cert.pde_residual, cert.two_sided_gap,
+                        cert.picone_gap]))
         if r is not None:
-            cert = r.certificates
             residual = max(residual, cert.pde_residual
                            / (RESIDUAL_CERT_REL * cert.residual_scale))
             two_sided = max(two_sided, cert.two_sided_gap
@@ -93,25 +100,26 @@ def outcomes(name):
 
 
 def differences(table, recorded):
-    """Each kept outcome the table breaks, and the largest residual move."""
-    found, worst = [], 0.0
+    """Each kept outcome the table breaks, and the largest absolute move of
+    each of MOVED over the points whose status and outer_iters held."""
+    found, worst = [], dict.fromkeys(MOVED, 0.0)
     for name in WORKLOADS:
         got = {(r[0], r[1]): r for r in table[name]}
         want = {(r[0], r[1]): r for r in recorded[name]}
         if got.keys() != want.keys():
             found.append(f"{name}: the points differ from the table's")
         for point in got.keys() & want.keys():
-            (*_, status, iters, res), (*_, status0, iters0, res0) = \
-                got[point], want[point]
-            if (status, iters) != (status0, iters0):
-                found.append(f"{name} {point}: {status}/{iters}, "
-                             f"table {status0}/{iters0}")
-            elif res is not None:
-                move = abs(res - res0)
-                worst = max(worst, move)
-                if not move <= RESIDUAL_MOVE:
-                    found.append(f"{name} {point}: pde_residual {res!r} "
-                                 f"moved {move:.3e} from {res0!r}")
+            row, row0 = got[point], want[point]
+            if row[2:4] != row0[2:4]:
+                found.append(f"{name} {point}: {row[2]}/{row[3]}, "
+                             f"table {row0[2]}/{row0[3]}")
+            elif row[4] is not None:
+                for column, value, value0 in zip(MOVED, row[4:], row0[4:]):
+                    worst[column] = max(worst[column], abs(value - value0))
+                if not abs(row[4] - row0[4]) <= RESIDUAL_MOVE:
+                    found.append(f"{name} {point}: pde_residual {row[4]!r} "
+                                 f"moved {abs(row[4] - row0[4]):.3e} from "
+                                 f"{row0[4]!r}")
     return found, worst
 
 
@@ -132,8 +140,11 @@ def main(argv=None):
     found, worst = differences(table, json.loads(args.against.read_text()))
     for line in found:
         print(f"changed: {line}", file=sys.stderr)
-    print(f"largest pde_residual move {worst:.3e} (allowed "
+    print(f"largest pde_residual move {worst['pde_residual']:.3e} (allowed "
           f"{RESIDUAL_MOVE:.0e})", file=sys.stderr)
+    for column in MOVED[1:]:
+        print(f"largest {column} move {worst[column]:.3e} (informational)",
+              file=sys.stderr)
     for name in WORKLOADS:
         residual, two_sided, picone = headroom[name]
         print(f"{name}: largest pde_residual / (RESIDUAL_CERT_REL * "
