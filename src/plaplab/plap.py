@@ -64,16 +64,18 @@ once more, would miss both tests, ratio * ||r|| > max(tol,
 CHORD_CONTRACTION ||r||): the factor is dropped untried, which saves the
 trial's solve and residual (after such a step no trial was accepted in any
 measured run).  The ratio is 0 before a Newton loop's first step, so a
-factor handed over from another solve is always tried.  The factor is kept in
-a one-slot ``factor`` list.  A solve makes its own, so a cold solve keeps
-one across its Newton iterations and its retreats in p; a caller that
-solves a run of nearby problems hands one list to all of them.  The outer
-iteration of ``scheme`` makes one per ``outer_fixed_point`` call and shares
-it across all its outer steps, whose solves start next to the last limit;
-the two inner limits of its certificate stage get a fresh one each;
-the inverse iteration of ``spectral`` makes one per call.  No factor
-outlives such a call.  One axis keeps no factor: LAPACK factors and solves
-in one O(n) call.
+factor handed over from another solve is always tried, unless the start
+holds its own factored Jacobian (below).  The factor is kept in a one-slot
+``factor`` list.  A solve makes its own, so a cold solve keeps one across
+its Newton iterations and its retreats in p; a caller that solves a run of
+nearby problems hands one list to all of them.  The outer iteration of
+``scheme`` makes one per ``outer_fixed_point`` call and shares it across
+all its outer steps, whose solves start next to the last limit; the two
+inner limits of its certificate stage get a fresh one each; the inverse
+iteration of ``spectral`` makes one per call.  No factor outlives such a
+call.  One axis takes no chord steps and keeps no factor in the list: LAPACK
+``dgtsv`` factors and solves in one O(n) call, faster than a kept factor's
+``dgttrf`` and ``dgttrs`` together.
 
 A run of warm solves starts each one at the field where the last one
 stopped, and every solve's first residual needs -Lap_p at its start.  A warm
@@ -88,13 +90,31 @@ cold start.  The value is exactly the one a fresh apply gives, so starting
 from it changes no bit of any result.  ``operator_value`` computes the value
 of a field that no solve returned, such as a barrier of ``scheme``.
 
+Many solves can start from one field, as every sweep of the certificate
+chains of ``scheme`` starts at the final iterate.  Their first Newton steps
+all take the Jacobian at that field, so ``factored_value`` assembles and
+factors it once, through ``_try_solve`` as every factorization goes, and
+the value carries it (``jacobian``: the storage, whose ``coef`` the
+rounding floor reads, and the solve of its factor; with one axis LAPACK
+``dgttrf`` and ``dgttrs``, which give dgtsv's bits).  A solve without a
+reaction from such a value takes its first Newton step with that factor,
+through ``_backtrack`` as a fresh step goes, and neither assembles nor
+factors there; with two or more axes that factor then goes into the
+solve's ``factor`` list, as a fresh one would, in place of a chord trial.
+With one axis the step is the one a fresh Jacobian gives, bit for bit.  A
+solve with a reaction assembles its own, shifted Jacobian, and a start the
+solve zeroes or drops for the cold start drops the factor with its value.
+No value a solve returns carries a factor, so none outlives its caller's.
+
 Contracts the rest of the package relies on:
 
 * residual: ||(-Lap_p u) - g||_inf <= max(tol_residual * ||g||_inf,
   rounding floor), with tol_residual alone when g = 0, where the rounding
   floor ROUNDING_ULPS * eps * max(|J| |u|) is the rounding level of
-  evaluating the operator at u (J the Newton Jacobian, always assembled at
-  u itself, never a kept factor's); the floor is used only when no Newton
+  evaluating the operator at u (J the Newton Jacobian, its ``coef``
+  always assembled at u itself: a fresh one, or the one a factored start
+  value holds for its own field; never a chord step's kept factor's); the
+  floor is used only when no Newton
   step lowers the residual any more.  Chord steps do not change this
   contract: the true residual decides convergence against the same tol;
 * scaling:  solve(t*g) = t^(1/(p-1)) * solve(g) up to solver tolerance
@@ -114,7 +134,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv, dgttrf, dgttrs
 
 from .errors import (
     ConfigurationError,
@@ -175,13 +195,20 @@ class OperatorValue(NamedTuple):
     nodal array, zero on the boundary), with that ``delta`` and the face
     arrays ``faces`` it was read from: all a warm solve's first residual and
     first Jacobian need of their start.  A solve started from one returns
-    its result's."""
+    its result's.
+
+    ``jacobian``, optional, is the reaction-free Newton Jacobian at the
+    field, factored: (its storage, whose ``coef`` the rounding floor reads;
+    the grid-order solve of its factor), which ``factored_value`` adds.  A
+    reaction-free solve started from such a value takes its first Newton
+    step with that factor.  No value a solve returns carries one."""
 
     field: ScalarField
     p: float
     lap: np.ndarray
     delta: float
     faces: list
+    jacobian: tuple | None = None
 
 
 def operator_value(u: ScalarField, p: float) -> OperatorValue:
@@ -191,6 +218,18 @@ def operator_value(u: ScalarField, p: float) -> OperatorValue:
     faces = _faces(u.values, spacing)
     lap, delta = _plap_own_delta(u.values, spacing, p, faces)
     return OperatorValue(u, p, lap, delta, faces)
+
+
+def factored_value(value: OperatorValue) -> OperatorValue:
+    """``value`` with the reaction-free Newton Jacobian at its field,
+    assembled from its delta and faces and factored once (``jacobian``):
+    the Jacobian the first Newton step of every reaction-free solve from it
+    would assemble and factor.  A singular Jacobian leaves the value as it
+    is, and the solves assemble their own."""
+    jac = _assemble(value.field.values, value.field.grid.spacing, value.p,
+                    value.delta, faces=value.faces)
+    solve = _try_solve(jac, None)
+    return value if solve is None else value._replace(jacobian=(jac, solve))
 
 
 class _Residual(NamedTuple):
@@ -217,8 +256,9 @@ def _require_length(rhs, n):
 
 class _Tridiagonal(NamedTuple):
     """The Newton Jacobian of one axis: rows 0, 1 and 2 of ``coef`` hold its
-    upper, main and lower diagonals, and LAPACK ``dgtsv`` factors and solves
-    in one call, so no factor is kept."""
+    upper, main and lower diagonals.  LAPACK ``dgtsv`` factors and solves in
+    one call, so ``factor_solve`` keeps no factor; ``factor`` keeps one, by
+    ``dgttrf``, whose ``dgttrs`` solves give dgtsv's bits."""
 
     coef: np.ndarray
 
@@ -226,15 +266,38 @@ class _Tridiagonal(NamedTuple):
     def nnz(self):
         return 3 * (self.coef.shape[1] - 2) - 2
 
-    def factor_solve(self, rhs):
+    def _diagonals(self):
         coef = self.coef  # coef[q, c] is row c - offsets[q], column c
-        upper, diag, lower = coef[0, 2:-1], coef[1, 1:-1], coef[2, 1:-2]
+        return coef[2, 1:-2], coef[1, 1:-1], coef[0, 2:-1]
+
+    def factor_solve(self, rhs):
+        lower, diag, upper = self._diagonals()
         if diag.size == 1:
             # the wrapper takes no empty off-diagonal; LAPACK reads none here
             lower = upper = np.zeros(1)
         # no overwrite flags: a stalled solve's rounding floor reads coef
         *_, sol, info = dgtsv(lower, diag, upper, rhs)
         return (None if info > 0 else sol), None
+
+    def factor(self):
+        lower, diag, upper = self._diagonals()
+        n = diag.size
+        # the wrappers take at least three unknowns: identity rows padded
+        # below, coupled to none, change no bit of the rest
+        pad = max(0, 3 - n)
+        if pad:
+            lower, upper = (np.concatenate([band, np.zeros(pad)])
+                            for band in (lower, upper))
+            diag = np.concatenate([diag, np.ones(pad)])
+        *lu, info = dgttrf(lower, diag, upper)
+        if info > 0:
+            return None
+
+        def solve(rhs):
+            _require_length(rhs, n)
+            return dgttrs(*lu, np.concatenate([rhs, np.zeros(pad)]))[0][:n]
+
+        return solve
 
 
 class _Banded(NamedTuple):
@@ -252,6 +315,10 @@ class _Banded(NamedTuple):
         return _band(self.coef.shape[1:])[2].size
 
     def factor_solve(self, rhs):
+        solve = self.factor()
+        return (None, None) if solve is None else (solve(rhs), solve)
+
+    def factor(self):
         shape = self.coef.shape[1:]
         kl, order, sources, slots = _band(shape)
         inner = tuple(size - 2 for size in shape)
@@ -260,7 +327,7 @@ class _Banded(NamedTuple):
         # store is C-ordered, so its transpose is the Fortran-ordered ab
         lu, pivots, info = dgbtrf(store.T, kl, kl, overwrite_ab=1)
         if info > 0:
-            return None, None
+            return None
         band_inner = tuple(inner[k] for k in order)
         back = tuple(np.argsort(order))
 
@@ -270,7 +337,7 @@ class _Banded(NamedTuple):
             sol = dgbtrs(lu, kl, kl, band_rhs, pivots)[0]
             return sol.reshape(band_inner).transpose(back).ravel()
 
-        return solve(rhs), solve
+        return solve
 
 
 def _assemble(values, spacing, p, delta, *, faces=None, shift=None):
@@ -282,8 +349,10 @@ def _assemble(values, spacing, p, delta, *, faces=None, shift=None):
     is, the rounding floor reads it, and the storages differ only in how they
     factor it.  Each has ``factor_solve(rhs)``, which returns (the solution,
     or None when the matrix is singular; the grid-order solve of the kept
-    factor, or None), and ``nnz``, the couplings between interior nodes,
-    the entries a sparse matrix would store.
+    factor, or None), ``factor()``, which returns the grid-order solve of a
+    kept factor, or None when the matrix is singular, and ``nnz``, the
+    couplings between interior nodes, the entries a sparse matrix would
+    store.
 
     The conductances of each face family come from the same face arrays as
     the residual: ``faces`` is ``_faces(values, spacing)`` when the caller
@@ -414,14 +483,19 @@ def _band(shape):
 def _try_solve(matrix, rhs, factor=None):
     """Direct solve of an ``_assemble`` storage ``matrix`` by its
     ``factor_solve``; None when the matrix is singular or the result is not
-    finite.
+    finite.  Every factorization of the package goes through here.
 
     ``rhs`` and the solution are in grid (C) order.  Anything other than a
     singular matrix, such as a right-hand side of the wrong length
     (ValueError), propagates.  ``factor``, a one-slot list, receives the
     grid-order solve of the kept LU factor when the solution is finite; a
-    storage that keeps no factor (``_Tridiagonal``) leaves it as it is.
+    storage that keeps no factor there (``_Tridiagonal``) leaves it as it
+    is.  With ``rhs`` None it only factors, by the storage's ``factor``, and
+    returns the grid-order solve of the factor, or None when the matrix is
+    singular.
     """
+    if rhs is None:
+        return matrix.factor()
     sol, solve = matrix.factor_solve(rhs)
     if sol is None or not np.all(np.isfinite(sol)):
         return None
@@ -525,8 +599,10 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             of -Lap_p(c u) = g, and retreats in p only on a stall.  With an
             OperatorValue the first residual reads its -Lap_p instead of
             applying the operator, unless the field's boundary is not +0.0,
-            which the solve zeroes, or the field is flat.  Its grid must be
-            ``grid`` (GridMismatchError) and its p this p
+            which the solve zeroes, or the field is flat; and without a
+            ``reaction`` the first Newton step takes the factored Jacobian
+            the value holds, if any (see ``factored_value``).  Its grid must
+            be ``grid`` (GridMismatchError) and its p this p
             (ConfigurationError).
         trace: optional list that receives (iteration, residual, damping)
             triples as the solve progresses.
@@ -547,7 +623,8 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
 
     Returns:
         The solution as a Dirichlet-zero field, or its OperatorValue when
-        ``initial_guess`` is one, with sup-norm residual at most
+        ``initial_guess`` is one (with no factored Jacobian), with sup-norm
+        residual at most
         tol_residual * ||g||_inf (tol_residual when g = 0), or at most the
         rounding floor when that is larger and no step lowers the residual
         further.
@@ -637,7 +714,8 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
     is the relative tolerance: a residual stops at tol * ||g||_inf (tol
     when g = 0), g the load ``gv`` plus the ``reaction`` term at the
     residual's own field.  The first residual reads ``start``, the
-    OperatorValue of u at p, when it is not None."""
+    OperatorValue of u at p, when it is not None, and without a reaction
+    the first Newton step takes the factored Jacobian it holds, if any."""
     interior = grid.interior
     spacing = grid.spacing
     inner_shape = tuple(n - 2 for n in grid.shape)
@@ -660,6 +738,8 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
 
     res = (residual(u) if start is None
            else residual(u, start.lap, start.delta, start.faces))
+    # the factored Jacobian at u, exact for the first step without reaction
+    pinned = None if start is None or reaction is not None else start.jacobian
     ratio = 0.0  # ||r_new|| / ||r_old|| of the last accepted step
     for _ in range(NEWTON_MAX_ITER):
         if res.norm <= res.tol:
@@ -670,7 +750,7 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
             # one more step at the last step's rate fails the chord test:
             # drop the factor untried, as a rejected trial would
             factor.clear()
-        if factor:
+        if factor and pinned is None:
             # chord step: the kept factor's full step, while it contracts
             cand = u.copy()
             cand[interior] += factor[0](-res.r.ravel()).reshape(inner_shape)
@@ -681,13 +761,27 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
             else:
                 factor.clear()
         if accepted is None:
-            # a fresh Jacobian at u: the rounding floor below reads it too.
-            # The last one goes first, so that two are never alive at once
-            jac = None
-            shift = None if reaction is None else _reaction_slope(u, coeff, q)
-            jac = _assemble(u, spacing, p, res.delta, faces=res.faces,
-                            shift=shift)
-            step = _try_solve(jac, -res.r.ravel(), factor)
+            if pinned is not None:
+                # the Jacobian at u, which the start holds factored; its
+                # factor goes into the holder as a fresh one would, on the
+                # storages that keep one there
+                jac, solve = pinned
+                step = solve(-res.r.ravel())
+                if not np.all(np.isfinite(step)):
+                    step = None
+                elif jac.coef.ndim > 2:
+                    factor[:] = [solve]
+            else:
+                # a fresh Jacobian at u: the rounding floor below reads it
+                # too.  The last one goes first, so that two are never alive
+                # at once
+                jac = None
+                shift = (None if reaction is None
+                         else _reaction_slope(u, coeff, q))
+                jac = _assemble(u, spacing, p, res.delta, faces=res.faces,
+                                shift=shift)
+                step = _try_solve(jac, -res.r.ravel(), factor)
+            pinned = None
             if step is not None:
                 accepted = _backtrack(u, step.reshape(inner_shape), interior,
                                       residual, res.norm)

@@ -62,9 +62,12 @@ lies about 0.15/0.85 = 0.18 times as far from u as from the last one.  Only
 Newton's start moves: a sweep still solves -Lap_p U_{n+1} = F(U_n), which
 has one solution, so the iterates, their number and the stop test are
 those of a chain that starts each solve at its last iterate, up to the
-solver tolerance.  Every first residual reads u's -Lap_p, and in 2D
-the factor of a chain's first Jacobian, taken at u, stays a good chord
-model for its later sweeps.
+solver tolerance.  Every first residual reads u's -Lap_p, and every first
+Newton step takes the Jacobian at u, which outer_fixed_point assembles and
+factors once per run (plap.factored_value) and hands to both chains with
+u's value.  With one axis that step is the fresh one bit for bit; with two
+or more it replaces a chord trial of the chain's kept factor, and the
+factor at u then stays a good chord model for the later steps.
 
 A monotone sweep after the first is solved only as far as it needs to be.
 Its Dirichlet solve stops at INNER_FORCING times the change of the
@@ -119,6 +122,7 @@ from .plap import (
     OperatorValue,
     SolveOptions,
     assert_gradient_bound,
+    factored_value,
     operator_value,
     solve_plap_dirichlet,
 )
@@ -356,8 +360,10 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
     plap.solve_plap_dirichlet; without one the call makes its own, and its
     factor lives for this call only.  The outer iteration hands one holder
     to all its steps, and the certificate stage gives each of its two inner
-    limits a fresh one, so they stay independent computations.  No factor
-    outlives an outer_fixed_point call.
+    limits a fresh one, so neither reads a factor of the other's iterates;
+    the factored Jacobian at the final iterate, which both take at their
+    first steps, comes with ``warm``.  No factor outlives an
+    outer_fixed_point call.
 
     Args:
         start: the barrier to start from; keyword-only, as are the rest.
@@ -371,9 +377,12 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
             fresh one for this call.
         warm: the OperatorValue every sweep's solve starts from (the final
             iterate, for the certificate chains); None starts each at the
-            last iterate.  The solver refuses one off the barriers' grid
-            (GridMismatchError) or p (ConfigurationError).  The iterates do
-            not depend on it beyond the solver tolerance.
+            last iterate.  When it holds the factored Jacobian at its field
+            (plap.factored_value), every sweep's first Newton step takes
+            it, and neither assembles nor factors.  The solver refuses one
+            off the barriers' grid (GridMismatchError) or p
+            (ConfigurationError).  The iterates do not depend on it beyond
+            the solver tolerance.
 
     Raises:
         SolveFailure: the Newton solve from ``guess`` stalled.
@@ -645,14 +654,16 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
         if dist < OUTER_STOP_REL * height:
             break
 
-    # both chains start every sweep's solve at u, which they converge to
+    # both chains start every sweep's solve at u, which they converge to,
+    # and take its first Newton step with the Jacobian at u, factored here
     frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
+    warm = factored_value(value)
     from_above = inner_monotone_solve(frozen, sub_value, sup_value, opts,
                                       start="super", khat=constants.khat,
-                                      warm=value).field
+                                      warm=warm).field
     from_below = inner_monotone_solve(frozen, sub_value, sup_value, opts,
                                       start="sub", khat=constants.khat,
-                                      warm=value).field
+                                      warm=warm).field
     two_sided_gap = float(np.max(np.abs(from_above.values - from_below.values)))
     picone_gap = picone_diagnostic(from_above, from_below, frozen, spec.p)
 

@@ -477,7 +477,8 @@ def test_cold_probe_solves_stay_within_their_factorization_budget(
 
 
 # every storage: a singular matrix, the zero matrix, one unknown, and a
-# right-hand side of the wrong length, also for a kept solve
+# right-hand side of the wrong length, also for a kept solve and for a
+# factor made without a right-hand side
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_try_solve_refuses_singular_matrices_and_wrong_lengths(dimension):
     def stencil(unknowns, centre=0.0, coupling=0.0):
@@ -501,6 +502,7 @@ def test_try_solve_refuses_singular_matrices_and_wrong_lengths(dimension):
     n = values[g.interior].size
     zero = _assemble(np.zeros(shape), g.spacing, 2.5, 0.0)
     assert _try_solve(zero, np.ones(n), factor) is None and factor == []
+    assert _try_solve(zero, None) is None
     # one unknown: no off-diagonal entries
     assert _try_solve(stencil(1), np.ones(1)) is None
     assert _try_solve(stencil(1, 4.0), np.ones(1)).tolist() == [0.25]
@@ -517,7 +519,11 @@ def test_try_solve_refuses_singular_matrices_and_wrong_lengths(dimension):
     factor = []
     assert _try_solve(jac, np.ones(n), factor) is not None
     assert len(factor) == (dimension > 1)
-    for solve in factor:
+    # without a right-hand side it factors alone and answers as a solve
+    alone = _try_solve(jac, None)
+    rhs = np.linspace(-1.0, 2.0, n)
+    assert alone(rhs).tobytes() == _try_solve(jac, rhs).tobytes()
+    for solve in factor + [alone]:
         for length in (n - 1, n + 1):
             with pytest.raises(ValueError):
                 solve(np.ones(length))
@@ -912,6 +918,112 @@ def test_a_start_value_on_another_grid_or_p_is_refused(shape):
                              r"p = 2\.5"):
         solve_plap_dirichlet(g, p, const_field(g),
                              initial_guess=operator_value(solution, p + 0.5))
+
+
+# ---------------------------------------------------------------------------
+# a warm solve's first Newton step with the factored Jacobian at its start
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.5, 4.0, 8.0])
+def test_a_kept_tridiagonal_factor_solves_as_dgtsv(p, shifted):
+    # dgttrf and dgttrs against dgtsv, bit for bit, two solves of one
+    # factor, from one unknown up (the wrappers take three, so the smallest
+    # are padded)
+    rng = np.random.default_rng(14)
+    for shape in ((2049,), (3,), (4,)):
+        g = build_grid(((0.0, 1.0),), shape)
+        for u_int, jac in _jacobians(p, shape):
+            if shifted:
+                values = np.zeros(shape)
+                values[g.interior] = u_int
+                coeff = np.full(shape, 2.0)
+                jac = _assemble(values, g.spacing, p, _plap_own_delta(
+                    values, g.spacing, p)[1], shift=plap._reaction_slope(
+                        values, coeff, 1.5))
+            before = stored(jac)
+            solve = _try_solve(jac, None)
+            for _ in range(2):
+                rhs = rng.standard_normal(u_int.size)
+                assert solve(rhs).tobytes() == jac.factor_solve(
+                    rhs)[0].tobytes(), shape
+            assert stored(jac) == before
+
+
+def _counted_solve(monkeypatch, *args, **kwargs):
+    """A solve with its numbers of Jacobian assemblies and factorizations
+    (_try_solve calls)."""
+    counts = dict.fromkeys(("_assemble", "_try_solve"), 0)
+
+    def counted(name, original):
+        def wrapper(*a, **k):
+            counts[name] += 1
+            return original(*a, **k)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in counts:
+            patch.setattr(plap, name, counted(name, getattr(plap, name)))
+        u = solve_plap_dirichlet(*args, **kwargs)
+    return u, counts["_assemble"], counts["_try_solve"]
+
+
+@pytest.mark.parametrize("shape", [(2049,), (33, 33)])
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
+def test_a_factored_start_takes_its_first_step_with_that_factor(shape, p,
+                                                                monkeypatch):
+    # from the same start, with and without its factored Jacobian: the same
+    # bits, and one assembly and one factorization less
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    start = operator_value(solve_plap_dirichlet(g, p, const_field(g)), p)
+    factored = plap.factored_value(start)
+    assert factored.jacobian is not None and start.jacobian is None
+    load = field_from_function(g, lambda *x: 1.0 + 0.01 * x[0])
+    u, assembled, factors = _counted_solve(monkeypatch, g, p, load,
+                                           initial_guess=factored)
+    plain, assembled_plain, factors_plain = _counted_solve(
+        monkeypatch, g, p, load, initial_guess=start)
+    assert u.field.values.tobytes() == plain.field.values.tobytes()
+    assert u.jacobian is None
+    assert factors_plain >= 1
+    assert (assembled, factors) == (assembled_plain - 1, factors_plain - 1)
+
+
+def test_a_factored_start_is_not_a_chord_trial(monkeypatch):
+    # a factor already in the holder is not tried at the first step, which
+    # the start's factor takes and leaves in the holder as a fresh one
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+    p = 2.5
+    start = operator_value(solve_plap_dirichlet(g, p, const_field(g)), p)
+    factored = plap.factored_value(start)
+    load = field_from_function(g, lambda *x: 1.0 + 0.01 * x[0])
+
+    def refuse(rhs):
+        raise AssertionError("the holder's factor was tried")
+
+    holder = [refuse]
+    u = solve_plap_dirichlet(g, p, load, initial_guess=factored,
+                             factor=holder)
+    fresh = solve_plap_dirichlet(g, p, load, initial_guess=start)
+    assert u.field.values.tobytes() == fresh.field.values.tobytes()
+    assert holder and holder[0] is not refuse
+
+
+@pytest.mark.parametrize("shape", [(129,), (17, 17)])
+def test_a_reaction_solve_ignores_a_factored_start(shape, monkeypatch):
+    # the Jacobian of a solve with a reaction is shifted, so it assembles its
+    # own at the start
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    p, q = 2.5, 1.5
+    base = ScalarField(g, np.ones(g.shape))
+    start = operator_value(solve_plap_dirichlet(g, p, base), p)
+    reaction = (np.full(g.shape, 2.0), q)
+    runs = [_counted_solve(monkeypatch, g, p, base, initial_guess=value,
+                           reaction=reaction)
+            for value in (plap.factored_value(start), start)]
+    (u, *counts), (plain, *counts_plain) = runs
+    assert u.field.values.tobytes() == plain.field.values.tobytes()
+    assert counts == counts_plain and counts[0] >= 1
 
 
 def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):

@@ -12,10 +12,12 @@ it: ``evaluate_on`` of h, ``evaluate_on`` of f and
 ``expr.check_growth``.  Each is called as ``freeze_nonlinearity`` calls it,
 on the positive iterate ``height * prod(sin(pi * (x_k - lo_k) / L_k))``
 with lambda = 1 and beta = 0.5.  Last come the quartiles of the time of
-the two certificate limits of one ``outer_fixed_point`` run at lambda = 1
-and beta = 0.5 (REPEATS runs of one call): the two ``inner_monotone_solve``
-chains the run computes after its outer loop, called again with the run's
-own arguments.  The spread of a line's runs says how far its median can be
+the certificate stage of one ``outer_fixed_point`` run at lambda = 1 and
+beta = 0.5 (REPEATS runs of one call), as the run pays it: the
+factorization of the Jacobian at the final iterate
+(``plap.factored_value``), then the two ``inner_monotone_solve`` chains the
+run computes after its outer loop, called again with the run's own
+arguments and that factored value.  The spread of a line's runs says how far its median can be
 trusted; medians read in two processes can differ by more than it.
 Informational only: it exits 0 unless a call raises.
 """
@@ -46,6 +48,7 @@ from plaplab.expr import (  # noqa: E402
     sample_weights,
 )
 from plaplab.grid import ScalarField, gradient  # noqa: E402
+from plaplab.plap import factored_value  # noqa: E402
 from plaplab.scheme import freeze_nonlinearity  # noqa: E402
 
 CASES = (("sub", (2049,)), ("square2d", (33, 33)))
@@ -61,7 +64,9 @@ def quartiles_us(fn, calls=CALLS):
 
 
 def certificate_us(spec, grid):
-    """Quartiles of the time of the two certificate limits of one run."""
+    """Quartiles of the time of the certificate stage of one run: the
+    factorization of the Jacobian at the final iterate and the two limits
+    that start from it."""
     chains = []  # the arguments of the run's calls without a guess
     inner = scheme.inner_monotone_solve
 
@@ -78,8 +83,15 @@ def certificate_us(spec, grid):
     if len(chains) != 2:
         raise RuntimeError(f"expected two certificate limits, saw "
                            f"{len(chains)}")
-    return quartiles_us(lambda: [inner(*args, **kwargs)
-                                 for args, kwargs in chains], calls=1)
+    # the final iterate's value as the outer loop returned it, unfactored
+    value = chains[0][1]["warm"]._replace(jacobian=None)
+
+    def stage():
+        warm = factored_value(value)
+        for args, kwargs in chains:
+            inner(*args, **{**kwargs, "warm": warm})
+
+    return quartiles_us(stage, calls=1)
 
 
 def layer_times(problem, resolution):
@@ -108,13 +120,13 @@ def layer_times(problem, resolution):
         "evaluate_on(f)": quartiles_us(lambda: evaluate_on(spec.f, f_bind)),
         "check_growth": quartiles_us(
             lambda: check_growth(spec, weights, uv, gn, h, f, growth)),
-        "certificate limits": certificate_us(spec, grid),
+        "certificate stage": certificate_us(spec, grid),
     }
 
 
 def main():
     print(f"us per call, {REPEATS} runs of {CALLS} calls "
-          f"(certificate limits: {REPEATS} runs of 1 call)")
+          f"(certificate stage: {REPEATS} runs of 1 call)")
     print(f"{'':37s} {'q1':>9s} {'median':>9s} {'q3':>9s}")
     for problem, resolution in CASES:
         label = f"{problem} {'x'.join(map(str, resolution))}"
