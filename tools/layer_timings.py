@@ -17,8 +17,9 @@ beta = 0.5 (REPEATS runs of one call), as the run pays it: the
 factorization of the Jacobian at the final iterate
 (``plap.factored_value``), then the two ``inner_monotone_solve`` chains the
 run computes after its outer loop, called again with the run's own
-arguments and that factored value.  The spread of a line's runs says how far its median can be
-trusted; medians read in two processes can differ by more than it.
+arguments and that factored value.  The spread of a line's runs says how
+far its median can be trusted; medians read in two processes can differ by
+more than it.
 Informational only: it exits 0 unless a call raises.
 """
 
