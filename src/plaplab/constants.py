@@ -49,9 +49,9 @@ _THRESHOLD_GUARD = 1.0 + 1.0e-12
 # Slack accepted when double-checking Phi(M) <= 1 numerically.
 _BARRIER_SLACK = 1.0e-10
 
-# Iteration budget of the Brent root of Phi(M) = 1 (SciPy's brentq default);
-# a sub-case height takes about ten evaluations.
-_BRENT_MAXITER = 100
+# Iteration cap of the sub-case Newton climb to Phi(M) = 1, which takes at
+# most about eight steps.
+_NEWTON_MAXITER = 30
 
 SUPER, CRITICAL, SUB = "super", "critical", "sub"
 
@@ -211,77 +211,6 @@ def super_threshold(c: ConstantsBundle, spec: ProblemSpec) -> float:
             / (r - q) ** (r - q))
 
 
-def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """Root of f in the sign-changing bracket [a, b] by Brent's method.
-
-    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4,
-    written operation for operation like SciPy's C ``brentq``: the same
-    bracket swap, the same interpolation or extrapolation trial, kept when
-    2|s| < min(|s_prev|, 3|s_bisect| - delta), the same step floor
-    delta = (xtol + rtol |x|) / 2 and 100 iterations.  The root therefore
-    equals ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)`` bit for
-    bit.  Where the C trial step divides by zero it is an infinity or a NaN,
-    which the test rejects; here the ZeroDivisionError bisects alike.
-
-    Raises:
-        ConfigurationError: f is NaN at a trial point, or f(a) and f(b)
-            have the same sign.
-        IterationFailure: no convergence within _BRENT_MAXITER iterations.
-    """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ConfigurationError(f"root finder: f({x!r}) is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ConfigurationError(
-            f"root finder: f({a!r}) and f({b!r}) have the same sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.nan  # bisect unless a trial step is accepted
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                pass
-        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    raise IterationFailure(
-        f"root finder: no convergence in {_BRENT_MAXITER} iterations, "
-        f"last x = {xcur!r}")
-
-
 def _out_of_range(lam: float, beta: float, case: str) -> ConfigurationError:
     return ConfigurationError(
         f"(lambda, beta) = ({lam:.6g}, {beta:.6g}) is beyond the "
@@ -296,16 +225,22 @@ def barrier_height(lam: float, beta: float, c: ConstantsBundle,
     (a numerical double check of the threshold test, guarding against
     cancellation near the region boundary).  Critical case: closed form,
     requiring beta * coeff_grad < 1 strictly.  Sub case: the unique root of
-    Phi(M) = 1, bracketed by doubling/halving from t = 1 and solved by
-    Brent's method (Brent 1973, ch. 4) to rtol 1e-13; the root equals
-    SciPy's ``brentq`` at the same tolerances bit for bit, and Phi(M) lands
-    in [1 - 1e-10, 1 + 1e-10].
+    Phi(M) = 1, by Newton's method in s = log t on g(s) = log Phi(e^s) =
+    logaddexp(a - (p-q) s, b - (p-r) s), with a = log(lambda * coeff_sub)
+    and b = log(beta * coeff_grad).  g is convex and decreasing, so from
+    s0 = max(a/(p-q), b/(p-r)), where one of Phi's two terms is 1, the steps
+    climb to the root without a bracket; they stop when a step is at most
+    1e-15 * max(1, |s|).  The stop is relative in M, so at an image
+    (lambda s^(q-p), beta s^(r-p)) of a point of a homogeneous problem the
+    height is M/s to rounding.  |Phi(M) - 1| <= 1e-10 is checked.
 
     Raises:
         ConfigurationError: the point is not positive and finite, or its
-            height, or in the sub case its bracket, leaves the float range
-            (Phi overflows, a bracket end reaches 0 or inf, or M is 0 or
-            inf), as at (1e-310, 1e-310) on the bundled ``sub``.
+            height leaves the float range (M is 0 or inf, Phi(M) overflows,
+            or in the sub case misses 1 by more than 1e-10 at the edge of
+            the range), as at (1e-310, 1e-310) on the bundled ``sub``.
+        IterationFailure: the sub-case Newton steps do not stop within
+            _NEWTON_MAXITER.
     """
     _check_point(lam, beta)
     p, q, r = spec.p, spec.q, spec.r
@@ -343,16 +278,30 @@ def barrier_height(lam: float, beta: float, c: ConstantsBundle,
         if not 0.0 < m < math.inf:
             raise _out_of_range(lam, beta, case)
         return m
-    # sub case: Phi is strictly decreasing from +inf to 0
-    lo = hi = 1.0
-    while phi(hi) > 1.0:
-        hi *= 2.0
-    while phi(lo) < 1.0:
-        lo /= 2.0
-    if lo == hi:
-        return lo
-    return _brent_root(lambda t: phi(t) - 1.0, lo, hi,
-                       xtol=1.0e-30, rtol=1.0e-13)
+    # sub case: Newton on the convex, decreasing g(s) = log Phi(e^s), from
+    # a point where g >= 0, so no step passes the root
+    dq, dr = p - q, p - r
+    a = math.log(lam) + math.log(c.coeff_sub)
+    b = math.log(beta) + math.log(c.coeff_grad)
+    s = max(a / dq, b / dr)
+    for _ in range(_NEWTON_MAXITER):
+        x, y = a - dq * s, b - dr * s
+        g = max(x, y) + math.log1p(math.exp(-abs(x - y)))  # logaddexp
+        step = g / (dq * math.exp(x - g) + dr * math.exp(y - g))
+        s += step
+        if abs(step) <= 1.0e-15 * max(1.0, abs(s)):
+            break
+    else:
+        raise IterationFailure(
+            f"sub-case barrier height at ({lam:.6g}, {beta:.6g}): no stop in "
+            f"{_NEWTON_MAXITER} Newton steps, last log M = {s!r}")
+    try:
+        m = math.exp(s)
+    except OverflowError:
+        m = math.inf  # phi rejects it
+    if abs(phi(m) - 1.0) > _BARRIER_SLACK:
+        raise _out_of_range(lam, beta, case)
+    return m
 
 
 def region_classify(lam: float, beta: float, c: ConstantsBundle,
@@ -396,6 +345,10 @@ def region_boundary(lambda_values, c: ConstantsBundle,
     in-region (boundary included); scaling beta up by 1e-6 leaves the region.
     Critical case: the excluded frontier beta = 1/coeff_grad.  Sub case:
     empty, the region has no finite boundary.
+
+    Raises:
+        ConfigurationError: a lambda is not positive and finite, or its
+            super-case beta leaves the float range (0 or inf).
     """
     case = growth_case(spec)
     if case == SUB:
@@ -406,7 +359,12 @@ def region_boundary(lambda_values, c: ConstantsBundle,
         _check_point(lam, 1.0)
         if case == SUPER:
             k = super_threshold(c, spec)
-            beta = (k / lam ** (r - p)) ** (1.0 / (p - q))
+            try:
+                beta = (k / lam ** (r - p)) ** (1.0 / (p - q))
+            except (OverflowError, ZeroDivisionError):
+                beta = math.inf
+            if not 0.0 < beta < math.inf:
+                raise _out_of_range(lam, beta, case)
         else:
             beta = 1.0 / c.coeff_grad
         out.append((float(lam), float(beta)))

@@ -186,7 +186,7 @@ def make_epsilon(lam: float, lambda1: float, height: float, phi_sup: float,
     The first branch makes eps*u1 a sub-solution of the frozen problem; the
     second keeps its gradient within the invariant set's budget gamma*height.
     """
-    if lam <= 0 or lambda1 <= 0 or height <= 0 or phi_sup <= 0:
+    if not (lam > 0 and lambda1 > 0 and height > 0 and phi_sup > 0):
         raise ConfigurationError("make_epsilon needs positive inputs")
     p, q = spec.p, spec.q
     return min((lam / lambda1) ** (1.0 / (p - q)),

@@ -77,6 +77,14 @@ def test_solve_exit_codes(capsys, tmp_path):
                  str(tmp_path / "s.csv")]) == 2
 
 
+def test_solve_certifies_a_tiny_sub_case_height(capsys):
+    # degenerate at (1e-30, 1e-30) has M of about 8.2e-32: the height must
+    # solve Phi(M) = 1 to a relative tolerance for the barrier to certify
+    assert main(["solve", "--spec", str(bundled_problem_path("degenerate")),
+                 "--lambda", "1e-30", "--beta", "1e-30"]) == 0
+    assert "converged = true" in capsys.readouterr().out
+
+
 def test_solve_beyond_the_float_range_exits_2(capsys):
     # the sub-case bracket for Phi(M) = 1 would need Phi beyond 1.8e308
     assert main(["solve", "--spec", SUB, "--n", "33", "--lambda", "1e-310",

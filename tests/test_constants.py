@@ -389,7 +389,7 @@ def test_critical_and_sub_boundaries(unit_bundle):
 
 
 # ---------------------------------------------------------------------------
-# the sub-case root: Brent's method, bit for bit SciPy's brentq
+# the sub-case root: Newton's method in log t
 
 
 @pytest.fixture(scope="module")
@@ -405,102 +405,44 @@ def bundled_constants():
     return get
 
 
-def scipy_root(f, a, b, xtol, rtol):
-    return float(brentq(f, a, b, xtol=xtol, rtol=rtol))
+@pytest.mark.parametrize("name", ["sub", "degenerate", "square2d"])
+def test_sub_heights_scale_along_an_orbit(bundled_constants, name):
+    # every bundled problem is homogeneous, so the height at the image
+    # (lam s^(q-p), beta s^(r-p)) of (1, 1) is exactly M/s: the stop is
+    # relative in log M and holds over 60 decades of M
+    spec, c = bundled_constants(name)
+    m0 = barrier_height(1.0, 1.0, c, spec)
+    for k in range(-100, 101, 4):
+        s = 2.0 ** k
+        lam, beta = s ** (spec.q - spec.p), s ** (spec.r - spec.p)
+        m = barrier_height(lam, beta, c, spec)
+        assert abs(barrier_value(m, lam, beta, c, spec) - 1.0) <= 1e-12, k
+        assert abs(s * m - m0) <= 1e-13 * m0, k
 
 
-def recorded(f, points):
-    """f, appending each point it is evaluated at to ``points``."""
-    def g(t):
-        points.append(t)
-        return f(t)
-    return g
-
-
-@pytest.mark.parametrize("name", ["sub", "degenerate"])
-def test_sub_heights_equal_scipy_brentq_bit_for_bit(monkeypatch,
-                                                    bundled_constants, name):
+@pytest.mark.parametrize("name", ["sub", "degenerate", "square2d"])
+def test_sub_heights_match_scipy_brentq_on_the_cli_lattice(bundled_constants,
+                                                           name):
     spec, c = bundled_constants(name)
     axis = np.linspace(0.1, 2.0, 8)  # the CLI's default region lattice
-    lattice = [(float(lam), float(beta)) for lam in axis for beta in axis]
+    for lam, beta in ((float(lam), float(beta)) for lam in axis
+                      for beta in axis):
+        def f(t, lam=lam, beta=beta):
+            return barrier_value(t, lam, beta, c, spec) - 1.0
 
-    def heights(root):
-        points = []
-        monkeypatch.setattr(constants, "_brent_root",
-                            lambda f, a, b, xtol, rtol:
-                            root(recorded(f, points), a, b, xtol, rtol))
-        found = [barrier_height(lam, beta, c, spec).hex()
-                 for lam, beta in lattice]
-        return found, points
-
-    ours, our_points = heights(constants._brent_root)
-    theirs, their_points = heights(scipy_root)
-    assert ours == theirs
-    assert our_points == their_points  # the same trial points, in order
-    assert len(our_points) > 2 * len(lattice)
+        xtol = 1.0e-30
+        theirs = brentq(f, 1.0e-3, 1.0e3, xtol=xtol, rtol=1.0e-15)
+        assert xtol < 1.0e-10 * 1.0e-13 * theirs  # brentq's xtol stays idle
+        ours = barrier_height(lam, beta, c, spec)
+        assert ours == pytest.approx(theirs, rel=1e-13, abs=0.0), (lam, beta)
 
 
-def test_brent_root_equals_scipy_brentq_on_two_power_functions():
-    rng = np.random.default_rng(22)
-    compared = 0
-    for _ in range(2000):
-        a, b = (float(v) for v in 10.0 ** rng.uniform(-6.0, 6.0, 2))
-        alpha, gamma = (float(v) for v in -rng.uniform(0.1, 4.0, 2))
-
-        def f(t, a=a, b=b, alpha=alpha, gamma=gamma):
-            return a * t ** alpha + b * t ** gamma - 1.0
-
-        lo = hi = 1.0  # bracketed as barrier_height brackets Phi(t) = 1
-        while f(hi) > 0.0:
-            hi *= 2.0
-        while f(lo) < 0.0:
-            lo /= 2.0
-        if lo == hi:
-            continue
-        our_points, their_points = [], []
-        ours = constants._brent_root(recorded(f, our_points), lo, hi,
-                                     1.0e-30, 1.0e-13)
-        theirs = scipy_root(recorded(f, their_points), lo, hi,
-                            1.0e-30, 1.0e-13)
-        assert ours.hex() == theirs.hex(), (a, b, alpha, gamma)
-        assert our_points == their_points, (a, b, alpha, gamma)
-        compared += 1
-    assert compared >= 1900
-
-
-def test_brent_root_takes_scipys_steps_on_a_steep_tanh():
-    # one of the rare brackets where the "- delta" in the trial-step test
-    # 2|s| < min(|s_prev|, 3|s_bisect| - delta) decides a step
-    def f(t):
-        return math.tanh(7403.473575299956 * (t + 0.6719973093269465)) + 1e-3
-
-    a, b = -1.3700375066321164, 2.3370721742297347
-    xtol, rtol = 4.451541715355522e-20, 0.00047050166417208643
-    our_points, their_points = [], []
-    ours = constants._brent_root(recorded(f, our_points), a, b, xtol, rtol)
-    theirs = scipy_root(recorded(f, their_points), a, b, xtol, rtol)
-    assert ours.hex() == theirs.hex()
-    assert our_points == their_points
-
-
-def test_brent_root_failures_are_typed():
-    root = constants._brent_root
-    with pytest.raises(ConfigurationError, match="NaN"):
-        # the first interpolation lands on t = 1, where f is NaN
-        root(lambda t: math.nan if 0.5 < t < 1.5 else 1.0 - t, 0.0, 2.0,
-             1.0e-30, 1.0e-13)
-    with pytest.raises(ConfigurationError, match="same sign"):
-        root(lambda t: t + 1.0, 0.0, 2.0, 1.0e-30, 1.0e-13)
-
-    def step(t):
-        return 1.0 if t > 1.0e-200 else -1.0
-
-    # a step has no secant to follow: about 1700 bisections reach the
-    # tolerance from this bracket, against a budget of 100 iterations
-    with pytest.raises(IterationFailure):
-        root(step, -1.0e300, 1.0e300, 1.0e-300, 1.0e-15)
-    with pytest.raises(RuntimeError):
-        brentq(step, -1.0e300, 1.0e300, xtol=1.0e-300, rtol=1.0e-15)
+def test_a_sub_height_that_does_not_stop_is_an_iteration_failure(
+        monkeypatch, bundled_constants):
+    spec, c = bundled_constants("sub")
+    monkeypatch.setattr(constants, "_NEWTON_MAXITER", 1)
+    with pytest.raises(IterationFailure, match=r"\(1, 1\): no stop in 1 "):
+        barrier_height(1.0, 1.0, c, spec)
 
 
 @pytest.mark.parametrize("name, lam, beta", [
@@ -531,6 +473,17 @@ def test_an_overflowing_super_threshold_product_is_a_configuration_error(
     spec = make_spec(2.0, 1.5, 2.0, 1.0)  # r - p = 2: 1e200^2 overflows
     with pytest.raises(ConfigurationError, match="floating-point range"):
         region_classify(1e200, 1.0, unit_bundle, spec)
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e200])
+def test_a_boundary_beta_beyond_the_float_range_is_a_configuration_error(
+        bundled_constants, lam):
+    # super has r - p = 1 and p - q = 0.5: beta = (K / lam)^2 overflows at
+    # lam = 1e-200 and underflows to 0 at lam = 1e200
+    spec, c = bundled_constants("super")
+    with pytest.raises(ConfigurationError, match="floating-point range") as err:
+        region_boundary([lam], c, spec)
+    assert f"({lam:.6g}, " in str(err.value)
 
 
 def test_the_package_does_not_import_scipy_optimize_fft_or_special():

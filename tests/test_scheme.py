@@ -156,6 +156,14 @@ def test_make_epsilon_takes_the_smaller_branch():
         make_epsilon(0.0, 16.0, 0.2, 0.19, spec)
 
 
+@pytest.mark.parametrize("position", range(4))
+def test_make_epsilon_rejects_a_nan_input(position):
+    inputs = [1.0, 16.0, 0.2, 0.19]
+    inputs[position] = math.nan
+    with pytest.raises(ConfigurationError, match="positive inputs"):
+        make_epsilon(*inputs, make_spec())
+
+
 # ---------------------------------------------------------------------------
 # sub/super verification
 
@@ -636,12 +644,12 @@ def test_the_images_of_a_point_under_scaling_run_alike(name):
     # every bundled problem is homogeneous in u: if u solves at (lambda,
     # beta), u/s solves at (lambda s^(q-p), beta s^(r-p)), and M, eps and
     # both barriers scale by 1/s with it.  Scale-free stops make the run the
-    # same on each image, down to M of about 8e-10 at s = 2^28
+    # same on each image, down to M of about 1.6e-31 at s = 2^100
     spec, g, c, eig = bundled_stage(name)
     plain = outer_fixed_point(spec, 1.0, 1.0, g, c, eig)
     assert plain.converged
     u0 = plain.solution.values
-    for k in (-12, 12, 28):
+    for k in (-12, 12, 28, 100):
         s = 2.0 ** k
         image = outer_fixed_point(spec, s ** (spec.q - spec.p),
                                   s ** (spec.r - spec.p), g, c, eig)
