@@ -354,11 +354,13 @@ def cmd_region(args) -> int:
             inside += v.in_region
             rows.append([_fmt(float(lam)), _fmt(float(beta)), v.case,
                          _fmt(v.in_region), _fmt(v.margin), _fmt(v.height)])
-    _emit(args.out, REGION_HEADER, rows)
     case = growth_case(spec)
+    curve = None  # computed before any output, so an error writes nothing
     if args.out is not None and case in (SUPER, CRITICAL):
         dense = np.linspace(lo, hi, 256)
         curve = region_boundary([float(x) for x in dense], constants, spec)
+    _emit(args.out, REGION_HEADER, rows)
+    if curve is not None:
         _emit(_sibling_path(args.out, "boundary"), ["lambda", "beta"],
               [[_fmt(l), _fmt(b)] for l, b in curve])
     print(f"{case}: {inside} of {len(rows)} sampled points inside the region")

@@ -628,6 +628,19 @@ def _worst(violations) -> GrowthViolation | None:
                key=lambda v: v.excess, default=None)
 
 
+def _growth_checks(spec: ProblemSpec, weights, u, gnorm, h, f, growth):
+    """(check, lhs, rhs) of each growth hypothesis lhs <= rhs, in the order
+    check_growth reports ties; f is broadcast against gnorm and u."""
+    w1, w2, w3 = weights
+    f = np.broadcast_to(f, np.broadcast_shapes(np.shape(f), np.shape(gnorm),
+                                               np.shape(u)))
+    f_bound = w3 * np.power(u, spec.a) * np.power(gnorm, spec.b)
+    return (("omega1*u^(q-1) <= h", w1 * growth, h),
+            ("h <= omega2*u^(q-1)", h, w2 * growth),
+            ("f >= 0", -f, 0.0),
+            ("f <= omega3*u^a*gnorm^b", f, f_bound))
+
+
 def check_growth(spec: ProblemSpec, weights, u, gnorm, h, f, growth
                  ) -> GrowthViolation | None:
     """Largest failure of the growth hypotheses, or None when they hold:
@@ -636,24 +649,19 @@ def check_growth(spec: ProblemSpec, weights, u, gnorm, h, f, growth
 
     each with 1e-12 relative slack.  h and f are h(x, u) and f(x, u, gnorm)
     as the caller evaluated them, growth is np.power(u, q - 1) and weights
-    is sample_weights(spec, grid).  Arrays broadcast against the grid,
-    leading sample axes allowed; the result's index is into the broadcast
-    shape of the failing check (gnorm takes part in the f checks only).
+    are the value arrays of sample_weights(spec, grid).  Arrays broadcast
+    against the grid, leading sample axes allowed; the result's index is
+    into the broadcast shape of the failing check (gnorm and u take part in
+    the f checks' shape, the weights and growth in the h checks').
 
     A check fails where lhs - rhs exceeds 1e-12 * max(1, |lhs|, |rhs|), a
     slack never below 1e-12.  So a check whose largest lhs - rhs is at most
     1e-12 cannot fail, and it returns at once, without the slack array;
     only the others compute it, and the result is the same bit for bit.
     """
-    w1, w2, w3 = (w.values for w in weights)
-    f = np.broadcast_to(f, np.broadcast_shapes(np.shape(f), np.shape(gnorm)))
-    f_bound = w3 * np.power(u, spec.a) * np.power(gnorm, spec.b)
-    return _worst((
-        _worst_excess("omega1*u^(q-1) <= h", w1 * growth, h),
-        _worst_excess("h <= omega2*u^(q-1)", h, w2 * growth),
-        _worst_excess("f >= 0", -f, 0.0),
-        _worst_excess("f <= omega3*u^a*gnorm^b", f, f_bound),
-    ))
+    return _worst(_worst_excess(*check)
+                  for check in _growth_checks(spec, weights, u, gnorm, h, f,
+                                              growth))
 
 
 def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
@@ -663,25 +671,55 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     state in U_SAMPLES and, for f, every gradient magnitude in GNORM_SAMPLES
     (see check_growth).  This is a screen before any solve; the iterates of
     a run are checked at their own values by freeze_nonlinearity.
+
+    The growth checks run over the coordinate axes that omega1, omega2,
+    omega3, h or f read.  Along any other axis every value is the same, bit
+    for bit, so the meshes and weights are cut to its index 0; the first
+    worst node in C order, which the report names, has index 0 there
+    anyway.  The states are stacked on a leading axis, k = min(24, N // R)
+    of them per evaluation, where N is the grid's node count and R the
+    count left after the cut; so no array exceeds the 24 * N values of one
+    state on the whole grid.  A problem that reads no coordinate takes all
+    24 states in one pass; one that reads every coordinate takes them one
+    at a time.  Each batch reports in the order of a loop over the states:
+    the largest excess wins, a tie goes to the weights' check, then to the
+    earlier state, then to the earlier check.  An EvalError names the first
+    state whose h or f fails on its own.
     """
     grid = spec.build_grid()
-    weights = sample_weights(spec, grid)
-    bindings = spec.coordinate_bindings(grid)
-    gnorm = GNORM_SAMPLES.reshape((-1,) + (1,) * grid.dimension)
-
-    worst = _worst(_worst_excess(f"{name} >= 0", -w.values, 0.0)
+    weights = [w.values for w in sample_weights(spec, grid)]
+    worst = _worst(_worst_excess(f"{name} >= 0", -w, 0.0)
                    for name, w in zip(("omega1", "omega2", "omega3"), weights))
+
+    read = frozenset().union(*(getattr(spec, name).variables()
+                               for name in _EXPR_KEYS))
+    cut = tuple(slice(None) if f"x{k + 1}" in read else slice(0, 1)
+                for k in range(grid.dimension))
+    weights = [w[cut] for w in weights]
+    bindings = {**spec.param_bindings(),
+                **{f"x{k + 1}": m[cut] for k, m in enumerate(grid.meshes())}}
+    ones = (1,) * grid.dimension
+    gnorm = GNORM_SAMPLES.reshape((1, -1) + ones)  # state, gnorm, grid axes
+    batch = min(len(U_SAMPLES), grid.node_count() // weights[0].size)
     worst_u = None
-    for u in U_SAMPLES:
-        try:
-            h = evaluate_on(spec.h, {**bindings, "u": u})
-            f = evaluate_on(spec.f, {**bindings, "u": u, "gnorm": gnorm})
-        except EvalError as exc:
-            raise EvalError(f"evaluating h and f at u={u:.6g}: {exc}") from exc
-        found = check_growth(spec, weights, u, gnorm, h, f,
-                             np.power(u, spec.q - 1.0))
-        if found is not None and (worst is None or found.excess > worst.excess):
-            worst, worst_u = found, float(u)
+    for first in range(0, len(U_SAMPLES), batch):
+        states = U_SAMPLES[first:first + batch]
+        u = states.reshape((-1, 1) + ones)
+        h, f = _growth_terms(spec, bindings, u, gnorm)
+        growth = np.power(u[:, 0], spec.q - 1.0)
+        # a check that holds on the whole batch holds at every state; a nan
+        # goes on, as in _worst_excess
+        failing = [(check, *np.broadcast_arrays(lhs, rhs)) for check, lhs, rhs
+                   in _growth_checks(spec, weights, u, gnorm, h, f, growth)
+                   if not np.subtract(lhs, rhs).max() <= 1.0e-12]
+        if not failing:
+            continue
+        for j, state in enumerate(states):
+            found = _worst(_worst_excess(check, lhs[j], rhs[j])
+                           for check, lhs, rhs in failing)
+            if found is not None and (worst is None
+                                      or found.excess > worst.excess):
+                worst, worst_u = found, float(state)
 
     if worst is None:
         return HypothesisReport(True, 0.0)
@@ -689,6 +727,22 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     return HypothesisReport(False, worst.excess, worst.check,
                             worst.index[-grid.dimension:], worst_u,
                             float(GNORM_SAMPLES[sample[0]]) if sample else None)
+
+
+def _growth_terms(spec, bindings, u, gnorm):
+    """h and f at the states u, stacked on the leading axis (h without the
+    gnorm axis); an EvalError names the first state whose h or f fails when
+    evaluated alone, with that evaluation's text."""
+    try:
+        return (evaluate_on(spec.h, {**bindings, "u": u[:, 0]}),
+                evaluate_on(spec.f, {**bindings, "u": u, "gnorm": gnorm}))
+    except EvalError as exc:
+        if len(u) == 1:
+            raise EvalError(
+                f"evaluating h and f at u={u.flat[0]:.6g}: {exc}") from exc
+        for j in range(len(u)):
+            _growth_terms(spec, bindings, u[j:j + 1], gnorm)
+        raise
 
 
 # --------------------------------------------------------------------------

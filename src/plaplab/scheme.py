@@ -205,7 +205,7 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
     grid = u.grid
     if grad is not None and grad.grid != grid:
         raise GridMismatchError("gradient lives on a different grid than u")
-    weights = sample_weights(spec, grid)
+    weights = [w.values for w in sample_weights(spec, grid)]
     w1 = weights[0]
     uv = np.maximum(u.values, 0.0)
     gn = (gradient(u) if grad is None else grad).magnitude().values
@@ -227,9 +227,9 @@ def freeze_nonlinearity(u: ScalarField, lam: float, beta: float,
             values={"u": float(uv[node]), "gnorm": float(gn[node]),
                     "lhs": violation.lhs, "rhs": violation.rhs})
 
-    base = lam * (h_vals - w1.values * growth) + beta * f_vals
+    base = lam * (h_vals - w1 * growth) + beta * f_vals
     base = np.maximum(base, 0.0)  # roundoff only; real negatives raised above
-    return FrozenNonlinearity(grid=grid, coeff=lam * w1.values, base=base,
+    return FrozenNonlinearity(grid=grid, coeff=lam * w1, base=base,
                               q=spec.q, source=lam * h_vals + beta * f_vals)
 
 

@@ -2,8 +2,9 @@
 
 Everything here is computed by a route unrelated to the package's own
 machinery: closed forms, adaptive quadrature, banded symmetric eigensolves,
-flux integration of the 1D two-point problem, brute-force minimization, and
-a plain tree walk of the expression language.
+flux integration of the 1D two-point problem, brute-force minimization, a
+plain tree walk of the expression language, and the growth-hypothesis
+screen run sample by sample on the full grid.
 Tests freeze values from these, never from the code under test.
 """
 
@@ -12,7 +13,18 @@ from scipy.integrate import cumulative_trapezoid, quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq, minimize_scalar
 
-from plaplab.expr import BinOp, Call, EvalError, Neg, Num, Var
+from plaplab.expr import (
+    GNORM_SAMPLES,
+    U_SAMPLES,
+    BinOp,
+    Call,
+    EvalError,
+    HypothesisReport,
+    Neg,
+    Num,
+    Var,
+    sample_weights,
+)
 from plaplab.grid import ScalarField
 
 
@@ -196,3 +208,69 @@ def _walk(node, bindings):
     if np.any((left < 0.0) & (np.floor(right) != right)):
         raise EvalError(f"negative base with fractional exponent in '{node}'")
     return np.power(left, right)
+
+
+def screen_per_sample(spec):
+    """The growth-hypothesis screen one state sample at a time, on every
+    node of the grid, each check over its whole broadcast array: the
+    HypothesisReport ``expr.validate_hypotheses`` must return, and the
+    EvalError text it must raise.
+
+    The weights must be >= 0 at every node; for each u in U_SAMPLES, in
+    order, omega1 u^(q-1) <= h <= omega2 u^(q-1) at every node, and
+    0 <= f <= omega3 u^a gnorm^b at every node and every gnorm in
+    GNORM_SAMPLES, each with slack 1e-12 * max(1, |lhs|, |rhs|).  The
+    largest excess is reported at its first node in C order; a tie keeps
+    the weights' check, then the earlier u, then the earlier check.
+    """
+    grid = spec.build_grid()
+    weights = [w.values for w in sample_weights(spec, grid)]
+    bindings = spec.coordinate_bindings(grid)
+    gnorm = GNORM_SAMPLES.reshape((-1,) + (1,) * grid.dimension)
+    worst = None  # (excess, check, index, u)
+    for name, w in zip(("omega1", "omega2", "omega3"), weights):
+        worst = _worse(worst, _excess(-w, 0.0), f"{name} >= 0", None)
+    for u in U_SAMPLES:
+        try:
+            h = evaluate_tree(spec.h, {**bindings, "u": u})
+            f = evaluate_tree(spec.f, {**bindings, "u": u, "gnorm": gnorm})
+        except EvalError as exc:
+            raise EvalError(f"evaluating h and f at u={u:.6g}: {exc}") from exc
+        f = np.broadcast_to(f, np.broadcast_shapes(np.shape(f), gnorm.shape))
+        growth = np.power(u, spec.q - 1.0)
+        bound = weights[2] * np.power(u, spec.a) * np.power(gnorm, spec.b)
+        found = None
+        for check, lhs, rhs in (
+                ("omega1*u^(q-1) <= h", weights[0] * growth, h),
+                ("h <= omega2*u^(q-1)", h, weights[1] * growth),
+                ("f >= 0", -f, 0.0),
+                ("f <= omega3*u^a*gnorm^b", f, bound)):
+            found = _worse(found, _excess(lhs, rhs), check, float(u))
+        if found is not None and (worst is None or found[0] > worst[0]):
+            worst = found
+    if worst is None:
+        return HypothesisReport(True, 0.0)
+    excess, check, index, u = worst
+    sample = index[:-grid.dimension]
+    return HypothesisReport(False, excess, check, index[-grid.dimension:], u,
+                            float(GNORM_SAMPLES[sample[0]]) if sample else None)
+
+
+def _excess(lhs, rhs):
+    """(largest lhs - rhs beyond its slack, its first index), or None."""
+    diff = np.subtract(lhs, rhs)
+    if diff.max() <= 1.0e-12:  # below every slack; a nan goes on
+        return None
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    bad = diff > 1.0e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    if not bad.any():
+        return None
+    index = np.unravel_index(int(np.argmax(np.where(bad, diff, -np.inf))),
+                             diff.shape)
+    return float(diff[index]), tuple(int(i) for i in index)
+
+
+def _worse(worst, found, check, u):
+    if found is None or (worst is not None and found[0] <= worst[0]):
+        return worst
+    return (found[0], check, found[1], u)

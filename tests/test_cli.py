@@ -86,7 +86,8 @@ def test_solve_certifies_a_tiny_sub_case_height(capsys):
 
 
 def test_solve_beyond_the_float_range_exits_2(capsys):
-    # the sub-case bracket for Phi(M) = 1 would need Phi beyond 1.8e308
+    # the Newton height's check of Phi(M) = 1 raises: M lies beyond the
+    # float range, where Phi cannot be evaluated
     assert main(["solve", "--spec", SUB, "--n", "33", "--lambda", "1e-310",
                  "--beta", "1e-310"]) == 2
     err = capsys.readouterr().err
@@ -199,6 +200,18 @@ def test_region_table_and_boundary_for_super(tmp_path, capsys):
     bheader, brows = read_csv(tmp_path / "region_boundary.csv")
     assert bheader == ["lambda", "beta"]
     assert len(brows) == 256
+
+
+def test_region_boundary_beyond_the_float_range_writes_no_file(tmp_path,
+                                                               capsys):
+    # the sampled points classify, but the boundary's beta at lambda = 1e-200
+    # overflows; the table must not be left behind without its curve
+    out = tmp_path / "r.csv"
+    assert main(["region", "--spec", SUPER, "--n", "17",
+                 "--lambda-range", "1e-200:1", "--beta-range", "1:2",
+                 "--samples", "2", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "inside the region" not in capsys.readouterr().out
 
 
 def test_region_sub_spec_has_no_boundary_file(tmp_path):

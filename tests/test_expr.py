@@ -1,5 +1,8 @@
 """Expression language, problem specs, and problem-file loader tests."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from plaplab.errors import (
 )
 from plaplab.expr import (
     PARAMETER_NAMES,
+    U_SAMPLES,
     BinOp,
     Call,
     EvalError,
@@ -34,7 +38,7 @@ from plaplab.expr import (
 from plaplab.grid import build_grid, field_from_function
 from plaplab.scheme import freeze_nonlinearity
 
-from oracles import evaluate_tree
+from oracles import evaluate_tree, screen_per_sample
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +332,129 @@ def test_validate_hypotheses_finds_a_violation_at_one_gnorm_sample():
     assert report.gnorm == 10.0
 
 
+def _screen_outcome(screen, spec):
+    try:
+        return screen(spec)
+    except EvalError as exc:
+        return str(exc)
+
+
+def _bundled(name, resolution=None, exponents=None):
+    spec = load_problem(bundled_problem_path(name))
+    if resolution is not None:
+        spec = dataclasses.replace(spec, resolution=resolution)
+    if exponents is not None:
+        spec = dataclasses.replace(spec, p=exponents[0], q=exponents[1])
+    return spec
+
+
+def _square(**overrides):
+    return make_spec(**{"extents": ((0.0, 1.0), (0.0, 1.0)),
+                        "resolution": (9, 33), **overrides})
+
+
+_X1_X2 = dict(omega3="1 + x1 * x2", resolution=(17, 17),
+              f="(1 + x1 * x2) * u ^ a * gnorm ^ b"
+                " * (1 + max(0, gnorm - 9.9))")
+
+# (spec, the outcome's kind: "pass", the failed check, or "EvalError")
+_SCREEN_CASES = {
+    **{f"{name}-own": (lambda name=name: _bundled(name), "pass")
+       for name in ("critical", "degenerate", "square2d", "steep", "steep2d",
+                    "sub", "super")},
+    **{f"{name}-2049": (lambda name=name: _bundled(name, (2049,)), "pass")
+       for name in ("critical", "degenerate", "steep", "sub", "super")},
+    **{f"{name}-65x65": (lambda name=name: _bundled(name, (65, 65)), "pass")
+       for name in ("square2d", "steep2d")},  # their own resolution is 33x33
+    **{f"square2d-65x65-p{p}-q{q}": (
+        lambda p=p, q=q: _bundled("square2d", (65, 65), (p, q)), "pass")
+       for p, q in ((1.5, 1.2), (4.0, 1.5))},
+    "h-too-small": (lambda: make_spec(h="0.5 * u ^ (q - 1)"),
+                    "omega1*u^(q-1) <= h"),
+    "f-too-large": (lambda: make_spec(f="2 * u ^ a * gnorm ^ b"),
+                    "f <= omega3*u^a*gnorm^b"),
+    "f-negative": (lambda: make_spec(f="0 - u * gnorm"), "f >= 0"),
+    "one-gnorm-sample": (
+        lambda: make_spec(f="u ^ a * gnorm ^ b * (1 + max(0, gnorm - 9.9))"),
+        "f <= omega3*u^a*gnorm^b"),
+    # worst at an interior state, in the second of three batches of 9
+    "x2-only": (lambda: _square(
+        h="u ^ (q - 1) * (1 + x2 * max(0, 1 - abs(u - 1)))"),
+        "h <= omega2*u^(q-1)"),
+    "x2-only-pass": (lambda: _square(omega2="1 + x2 * (1 - x2)",
+                                     h="(1 + 0.5 * x2 * (1 - x2)) * u ^ (q - 1)"),
+                     "pass"),
+    "x1-x2": (lambda: _square(**_X1_X2), "f <= omega3*u^a*gnorm^b"),
+    "x1-x2-pass": (lambda: _square(omega3="1 + x1 * x2", resolution=(17, 17),
+                                   f="(1 + x1 * x2) * u ^ a * gnorm ^ b"),
+                   "pass"),
+    "weight-negative-at-one-node": (
+        lambda: make_spec(omega1="min(1, 64 * x1 - 0.5)"), "omega1 >= 0"),
+    "weight-negative-and-f-too-large": (
+        lambda: make_spec(omega3="min(1, 64 * x1 - 0.5)"),
+        "f <= omega3*u^a*gnorm^b"),
+    # gnorm^400 overflows, so 0 * inf puts nans among the f bound's excesses
+    # where omega3 = 0; f breaks its bound at the finite ones (both screens
+    # warn of the overflow, which the test silences)
+    "nan-among-the-excesses": (
+        lambda: make_spec(omega3="x1", b=400.0, f="gnorm"),
+        "f <= omega3*u^a*gnorm^b"),
+    "domain-error-at-the-first-state": (
+        lambda: make_spec(h="(u - 1) ^ 0.5"), "EvalError"),
+    "domain-error-in-f-at-a-later-state": (
+        lambda: make_spec(f="u ^ a * gnorm ^ b * (3 - u) ^ 0.5"), "EvalError"),
+    # the states above 5 trip the first guard, but the first state that
+    # fails alone, above 0.5, trips the second
+    "domain-error-named-by-its-own-state": (
+        lambda: make_spec(h="u ^ (q - 1) + 0 * (5 - u) ^ 0.5"
+                            " + 0 * (0.5 - u) ^ 0.5"), "EvalError"),
+    "domain-error-x1-x2": (
+        lambda: _square(**{**_X1_X2, "h": "(1 + 0 * x1 * x2) * (0.5 - u) ^ 0.5"}),
+        "EvalError"),
+    "non-finite": (lambda: make_spec(h="u ^ (q - 1) * exp(100 * u)"),
+                   "EvalError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCREEN_CASES))
+def test_screen_matches_the_full_grid_screen_state_by_state(case):
+    build, kind = _SCREEN_CASES[case]
+    spec = build()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _screen_outcome(screen_per_sample, spec)
+        got = _screen_outcome(validate_hypotheses, spec)
+    if kind == "EvalError":
+        assert isinstance(want, str) and want.startswith("evaluating h and f")
+    elif kind == "pass":
+        assert want.passed
+    else:
+        assert want.check == kind
+    assert got == want
+
+
+def test_screen_error_names_the_state_that_fails_alone():
+    want = f"evaluating h and f at u={U_SAMPLES[U_SAMPLES > 0.5][0]:.6g}"
+    spec = _SCREEN_CASES["domain-error-named-by-its-own-state"][0]()
+    with pytest.raises(EvalError, match=r"\(0\.5 - u\) \^ 0\.5") as err:
+        validate_hypotheses(spec)
+    assert str(err.value).startswith(want + ":")
+
+
+def test_screen_peak_allocation_stays_within_the_full_grid_screen():
+    # x1 * x2 reads every coordinate, so the screen takes one state at a time
+    spec = _square(**{**_X1_X2, "resolution": (65, 65)})
+    peaks = []
+    for screen in (validate_hypotheses, screen_per_sample):
+        screen(spec)  # sampled weights and compiled programs are cached
+        tracemalloc.start()
+        try:
+            screen(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
 def _growth_case(u, **overrides):
     """check_growth's inputs on a 9-node grid: weights 1, the state u
     everywhere, gnorm 0, and h and f on their bounds u^(q-1) and 0."""
@@ -335,7 +462,8 @@ def _growth_case(u, **overrides):
     grid = spec.build_grid()
     u = np.full(grid.shape, u)
     growth = np.power(u, spec.q - 1.0)
-    return (spec, sample_weights(spec, grid), u, np.zeros(grid.shape),
+    return (spec, [w.values for w in sample_weights(spec, grid)], u,
+            np.zeros(grid.shape),
             growth.copy(), np.zeros(grid.shape), growth)
 
 

@@ -1,4 +1,5 @@
-"""Per-call times of the frozen map's layers and of the certificate chains.
+"""Per-call times of the set-up stages, of the frozen map's layers and of
+the certificate chains.
 
 Usage, from the repository root:
 
@@ -6,12 +7,17 @@ Usage, from the repository root:
 
 Prints, for bundled ``sub`` at 2049 nodes and ``square2d`` at 33x33, the
 first quartile, median and third quartile of the per-call time in
-microseconds (``timeit``, REPEATS runs of CALLS calls each, BLAS at one
-thread) of ``scheme.freeze_nonlinearity`` and of the three layers inside
-it: ``evaluate_on`` of h, ``evaluate_on`` of f and
-``expr.check_growth``.  Each is called as ``freeze_nonlinearity`` calls it,
-on the positive iterate ``height * prod(sin(pi * (x_k - lo_k) / L_k))``
-with lambda = 1 and beta = 0.5.  Last come the quartiles of the time of
+microseconds (``timeit``, BLAS at one thread).  First come the four stages
+of a set-up, REPEATS runs of one call each, as a run pays them in order:
+``load_problem`` of the bundled file, ``validate_hypotheses`` with the
+``sample_weights`` cache cleared before each call (a fresh run samples the
+weights there), then ``compute_constants`` and ``first_eigenpair``, which
+find the weights sampled.  Next, REPEATS runs of CALLS calls each, come
+``scheme.freeze_nonlinearity`` and the three layers inside it:
+``evaluate_on`` of h, ``evaluate_on`` of f and ``expr.check_growth``.
+Each is called as ``freeze_nonlinearity`` calls it, on the positive iterate
+``height * prod(sin(pi * (x_k - lo_k) / L_k))`` with lambda = 1 and
+beta = 0.5.  Last come the quartiles of the time of
 the certificate stage of one ``outer_fixed_point`` run at lambda = 1 and
 beta = 0.5 (REPEATS runs of one call), as the run pays it: the
 factorization of the Jacobian at the final iterate
@@ -41,16 +47,19 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from plaplab import scheme  # noqa: E402
+from plaplab.constants import compute_constants  # noqa: E402
 from plaplab.expr import (  # noqa: E402
     bundled_problem_path,
     check_growth,
     evaluate_on,
     load_problem,
     sample_weights,
+    validate_hypotheses,
 )
 from plaplab.grid import ScalarField, gradient  # noqa: E402
-from plaplab.plap import factored_value  # noqa: E402
+from plaplab.plap import SolveOptions, factored_value  # noqa: E402
 from plaplab.scheme import freeze_nonlinearity  # noqa: E402
+from plaplab.spectral import first_eigenpair  # noqa: E402
 
 CASES = (("sub", (2049,)), ("square2d", (33, 33)))
 LAM, BETA, HEIGHT = 1.0, 0.5, 0.3
@@ -95,17 +104,36 @@ def certificate_us(spec, grid):
     return quartiles_us(stage, calls=1)
 
 
+def setup_us(path, spec, grid):
+    """Quartiles of each set-up stage's time, one call per run."""
+    opts = SolveOptions()
+
+    def validate():
+        sample_weights.cache_clear()  # every run samples afresh
+        validate_hypotheses(spec)
+
+    stages = {
+        "load_problem": lambda: load_problem(path),
+        "validate_hypotheses": validate,
+        "compute_constants": lambda: compute_constants(spec, grid, opts),
+        "first_eigenpair": lambda: first_eigenpair(
+            grid, spec.p, sample_weights(spec, grid)[0], opts),
+    }
+    return {stage: quartiles_us(fn, calls=1) for stage, fn in stages.items()}
+
+
 def layer_times(problem, resolution):
-    spec = dataclasses.replace(load_problem(bundled_problem_path(problem)),
-                               resolution=resolution)
+    path = bundled_problem_path(problem)
+    spec = dataclasses.replace(load_problem(path), resolution=resolution)
     grid = spec.build_grid()
+    times = setup_us(path, spec, grid)
     shape = np.ones(grid.shape)
     for mesh, (lo, hi) in zip(grid.meshes(), grid.extents):
         shape = shape * np.sin(np.pi * (mesh - lo) / (hi - lo))
     u = ScalarField(grid, HEIGHT * np.maximum(shape, 0.0))
     grad = gradient(u)
 
-    weights = sample_weights(spec, grid)
+    weights = [w.values for w in sample_weights(spec, grid)]
     uv = np.maximum(u.values, 0.0)
     gn = grad.magnitude().values
     bindings = spec.coordinate_bindings(grid)
@@ -115,6 +143,7 @@ def layer_times(problem, resolution):
     f = np.broadcast_to(evaluate_on(spec.f, f_bind), grid.shape)
     growth = np.power(uv, spec.q - 1.0)
     return {
+        **times,
         "freeze_nonlinearity": quartiles_us(
             lambda: freeze_nonlinearity(u, LAM, BETA, spec, grad=grad)),
         "evaluate_on(h)": quartiles_us(lambda: evaluate_on(spec.h, h_bind)),
@@ -127,7 +156,7 @@ def layer_times(problem, resolution):
 
 def main():
     print(f"us per call, {REPEATS} runs of {CALLS} calls "
-          f"(certificate stage: {REPEATS} runs of 1 call)")
+          f"(set-up stages and certificate stage: {REPEATS} runs of 1 call)")
     print(f"{'':37s} {'q1':>9s} {'median':>9s} {'q3':>9s}")
     for problem, resolution in CASES:
         label = f"{problem} {'x'.join(map(str, resolution))}"
