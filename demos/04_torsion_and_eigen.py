@@ -12,7 +12,6 @@ from plaplab import (
     ScalarField,
     build_grid,
     first_eigenpair,
-    rayleigh_quotient,
     sup_norm,
     torsion_function,
 )
@@ -58,13 +57,6 @@ def main():
             grid, 2.5, ScalarField(grid, t * profile.values))
         print(f"  weight x {t}: lambda1 = {scaled.lambda1:.8f}  "
               f"(lambda1/t = {ref.lambda1 / t:.8f})")
-
-    print()
-    print("== Rayleigh quotient as an independent cross-check ==")
-    pair = first_eigenpair(grid, 2.0, ones)
-    rq = rayleigh_quotient(pair.u1, ones, 2.0)
-    print(f"p = 2: inverse-iteration lambda1 = {pair.lambda1:.8f}, "
-          f"Rayleigh quotient of u1 = {rq:.8f}, pi^2 = {np.pi ** 2:.8f}")
 
 
 if __name__ == "__main__":

@@ -62,7 +62,6 @@ from .grid import (
     flux_delta,
     gradient,
     integrate,
-    is_dirichlet_zero,
     p_laplacian_apply,
     sup_norm,
     zero_field,
@@ -71,7 +70,6 @@ from .plap import (
     GradConstantEstimate,
     SolveOptions,
     assert_gradient_bound,
-    check_comparison,
     default_probes,
     estimate_grad_constant,
     solve_plap_dirichlet,
@@ -92,7 +90,6 @@ from .spectral import (
     EigenPair,
     TorsionResult,
     first_eigenpair,
-    rayleigh_quotient,
     torsion_function,
 )
 

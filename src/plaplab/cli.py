@@ -82,7 +82,7 @@ from .expr import (
     sample_weights,
     validate_hypotheses,
 )
-from .grid import gradient, sup_norm
+from .grid import gradient
 from .plap import SolveOptions
 from .scheme import SolveReport, _check_outer_budget, outer_fixed_point
 from .spectral import first_eigenpair, torsion_function

@@ -16,15 +16,18 @@ Grammar, loosest to tightest binding::
     power  := atom ("^" unary)?          right-associative
     atom   := NUMBER | IDENT | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
 
-so ``-x^2`` is ``-(x^2)`` and ``2^3^2`` is ``2^(3^2)``.  Functions: abs, exp,
-sin, cos (one argument) and min, max (two).  Unknown identifiers are rejected
-at parse time with a position; runtime problems (division by zero, fractional
-powers of negatives, overflow to non-finite values) raise EvalError.
-Each expression is compiled once per problem, with its parameters
-substituted and its constant subtrees folded, and keeps every guard that can
-fire: the finite check and the division test always, and a power's
-zero-base test unless its exponent is a constant of at least 0, its
-negative-base test unless the exponent is an integer constant.
+so ``-x^2`` is ``-(x^2)`` and ``2^3^2`` is ``2^(3^2)``.  A NUMBER is decimal
+digits with an optional fraction and exponent (``1``, ``0.25``, ``2e-3``);
+its digits are the characters ``str.isdecimal`` accepts, which ``float``
+reads, so a superscript such as ``²`` is an unexpected character.
+Functions: abs, exp, sin, cos (one argument) and min, max (two).  Unknown
+identifiers are rejected at parse time with a position; runtime problems
+(division by zero, fractional powers of negatives, overflow to non-finite
+values) raise EvalError.  Each expression is compiled once per problem,
+with its parameters substituted and its constant subtrees folded, and keeps
+every guard that can fire: the finite check and the division test always,
+and a power's zero-base test unless its exponent is a constant of at least
+0, its negative-base test unless the exponent is an integer constant.
 
 A problem file is flat ``key = value`` text with keys p, q, a, b, omega1,
 omega2, omega3, h, f, domain, resolution; expressions are double-quoted,
@@ -195,21 +198,21 @@ def _tokenize(source):
             tokens.append(_Token(c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             if j < n and source[j] == ".":
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j].isdecimal():
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k].isdecimal():
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j].isdecimal():
                         j += 1
                 else:
                     line, col = _line_col(source, j)
@@ -630,11 +633,18 @@ def _worst(violations) -> GrowthViolation | None:
 
 def _growth_checks(spec: ProblemSpec, weights, u, gnorm, h, f, growth):
     """(check, lhs, rhs) of each growth hypothesis lhs <= rhs, in the order
-    check_growth reports ties; f is broadcast against gnorm and u."""
+    check_growth reports ties; f is broadcast against gnorm and u.
+
+    The f bound is 0 wherever omega3 u^a is 0, also where gnorm^b
+    overflows (0 * inf would be nan, which no check can fail); elsewhere an
+    overflowed bound is +inf."""
     w1, w2, w3 = weights
     f = np.broadcast_to(f, np.broadcast_shapes(np.shape(f), np.shape(gnorm),
                                                np.shape(u)))
-    f_bound = w3 * np.power(u, spec.a) * np.power(gnorm, spec.b)
+    scale = w3 * np.power(u, spec.a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_bound = np.where(scale == 0.0, 0.0,
+                           scale * np.power(gnorm, spec.b))
     return (("omega1*u^(q-1) <= h", w1 * growth, h),
             ("h <= omega2*u^(q-1)", h, w2 * growth),
             ("f >= 0", -f, 0.0),

@@ -24,12 +24,12 @@ A grid computes its ``spacing`` and its (read-only) boundary mask once, when
 it is built; the solvers read both on every call.
 
 Face families.  Every face quantity -- the flux, the gradient scale, the
-Newton Jacobian's conductances, the discrete energy -- is read from one pair
-``(s, t)`` per axis.  The faces of family k join the nodes ``lo`` and
-``hi = lo + e_k`` whose other coordinates are interior: shape n_k - 1 along
-axis k, n_j - 2 along each other axis j.  ``s = (u[hi] - u[lo]) / h_k`` and
-``t`` holds, per other axis j, the transverse derivative averaged from four
-nodal differences, (u[lo+e_j] + u[hi+e_j] - u[lo-e_j] - u[hi-e_j]) / (4 h_j);
+Newton Jacobian's conductances -- is read from one pair ``(s, t)`` per axis.
+The faces of family k join the nodes ``lo`` and ``hi = lo + e_k`` whose
+other coordinates are interior: shape n_k - 1 along axis k, n_j - 2 along
+each other axis j.  ``s = (u[hi] - u[lo]) / h_k`` and ``t`` holds, per
+other axis j, the transverse derivative averaged from four nodal
+differences, (u[lo+e_j] + u[hi+e_j] - u[lo-e_j] - u[hi-e_j]) / (4 h_j);
 ``|Du|^2 = s^2 + sum_j t_j^2`` there.  In 1d ``t`` is empty.
 
 The regularization is ``delta = 1e-8 * s`` where ``s`` is the largest midpoint
@@ -202,11 +202,6 @@ def zero_field(grid: Grid) -> ScalarField:
 def field_from_function(grid: Grid, fn) -> ScalarField:
     """Sample ``fn(*coordinate_arrays)`` onto the grid nodes."""
     return ScalarField(grid, np.asarray(fn(*grid.meshes()), dtype=float))
-
-
-def is_dirichlet_zero(u: ScalarField, tol: float = 0.0) -> bool:
-    """True if the field is (within ``tol``) zero on every boundary node."""
-    return bool(np.all(np.abs(u.values[u.grid.boundary_mask()]) <= tol))
 
 
 def sup_norm(field) -> float:

@@ -852,13 +852,6 @@ def _rounding_floor(jac, u_interior):
     return ROUNDING_ULPS * np.finfo(float).eps * float(np.max(ju))
 
 
-def check_comparison(u1: ScalarField, u2: ScalarField) -> bool:
-    """True when u1 <= u2 at every node (fields on one grid)."""
-    if u1.grid != u2.grid:
-        raise GridMismatchError("comparison requires a common grid")
-    return bool(np.all(u1.values <= u2.values))
-
-
 # --------------------------------------------------------------------------
 # Empirical gradient constant
 

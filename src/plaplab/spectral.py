@@ -13,10 +13,7 @@ starting from the torsion function of omega1 (positive, with the right
 boundary behavior).  At the fixed point the normalization constant carries the
 eigenvalue: lambda1 = (1 / ||v||_inf)^(p-1), which certifies itself -- the
 residual of the eigen-equation is at solver-tolerance level, independent of
-any quadrature.  The Rayleigh quotient is kept as a separate diagnostic; in
-1d, evaluated with face-midpoint gradient quadrature, it coincides with the
-fixed-point eigenvalue because the discrete operator is the exact gradient of
-the discrete energy.
+any quadrature.
 
 Eigenvalues scale inversely with the weight: lambda1(t * omega1) =
 lambda1(omega1) / t, exactly at the discrete level.
@@ -25,7 +22,6 @@ lambda1(omega1) / t, exactly at the discrete level.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +35,6 @@ from .errors import (
 from .grid import (
     Grid,
     ScalarField,
-    _faces,
-    _slope2,
-    integrate,
     p_laplacian_apply,
     sup_norm,
 )
@@ -177,23 +170,3 @@ def first_eigenpair(grid: Grid, p: float, omega1: ScalarField,
         raise EigenFailure(
             f"eigen residual {residual:.3e} exceeds certificate {allowed:.3e}")
     return EigenPair(lambda1=lam, u1=u1)
-
-
-def rayleigh_quotient(u: ScalarField, omega1: ScalarField, p: float) -> float:
-    """Diagnostic quotient int |grad u|^p / int omega1 |u|^p.
-
-    The numerator uses face-midpoint gradients (the discrete energy of the
-    operator), averaged over the face families; in 1d this makes the quotient
-    of a converged eigenfunction equal the fixed-point eigenvalue to solver
-    accuracy.  In 2d each face family lies on interior transverse lines only,
-    so the boundary strips drop out of the numerator and the quotient
-    converges at first order in h: a diagnostic, not an eigenvalue estimate.
-    """
-    grid = u.grid
-    faces = _faces(u.values, grid.spacing)
-    energy = sum(float(np.sum(_slope2(s, t) ** (p / 2.0))) for s, t in faces)
-    num = energy / len(faces) * math.prod(grid.spacing)
-    den = integrate(ScalarField(grid, omega1.values * np.abs(u.values) ** p))
-    if den == 0.0:
-        raise ConfigurationError("Rayleigh quotient undefined: zero denominator")
-    return num / den

@@ -238,7 +238,11 @@ def screen_per_sample(spec):
             raise EvalError(f"evaluating h and f at u={u:.6g}: {exc}") from exc
         f = np.broadcast_to(f, np.broadcast_shapes(np.shape(f), gnorm.shape))
         growth = np.power(u, spec.q - 1.0)
-        bound = weights[2] * np.power(u, spec.a) * np.power(gnorm, spec.b)
+        # 0 where omega3 u^a is 0, even where gnorm^b overflows
+        scale = weights[2] * np.power(u, spec.a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.where(scale == 0.0, 0.0,
+                             scale * np.power(gnorm, spec.b))
         found = None
         for check, lhs, rhs in (
                 ("omega1*u^(q-1) <= h", weights[0] * growth, h),

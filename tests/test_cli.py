@@ -8,6 +8,7 @@ import pytest
 
 import plaplab.cli as cli
 import plaplab.plap as plap
+import plaplab.scheme as scheme
 from plaplab.cli import (
     REGION_HEADER,
     SWEEP_HEADER,
@@ -48,6 +49,21 @@ def test_solve_certifies_and_writes_outputs(tmp_path, capsys):
     assert "residual_ok = true" in report_file
 
 
+@pytest.mark.parametrize("rule,value,verdict", [
+    ("OUTER_STOP_REL", 1e-3, "residual_ok"),
+    ("INNER_STOP_REL", 1e-5, "two_sided_ok"),
+    ("INNER_STOP_REL", 1e-3, "picone_ok")])
+def test_a_failed_verdict_exits_three_and_names_it(rule, value, verdict,
+                                                   monkeypatch, capsys):
+    # the stopping rules of test_scheme's LOOSE_STOPPING_RULES, each of
+    # which fails one verdict on sub at (1, 1)
+    monkeypatch.setattr(scheme, rule, value)
+    assert main(["solve", "--spec", SUB, "--lambda", "1", "--beta", "1"]) == 3
+    report = capsys.readouterr().out
+    assert "converged = false" in report
+    assert f"{verdict} = false" in report
+
+
 def test_solve_trace_flag_adds_outer_moves(capsys):
     code = main(["solve", "--spec", SUB, "--n", "17", "--lambda", "1",
                  "--beta", "1", "--trace"])
@@ -75,6 +91,15 @@ def test_solve_exit_codes(capsys, tmp_path):
     assert main(["sweep", "--spec", SUB, "--n", "17",
                  "--lambda-range", "nope", "--out",
                  str(tmp_path / "s.csv")]) == 2
+
+
+def test_a_non_decimal_digit_in_a_problem_file_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.plap"
+    bad.write_text(bundled_problem_path("sub").read_text().replace(
+        'h = "u ^ (q - 1)"', 'h = "u ^ (q - 1) * 1\u00b2"'))
+    assert main(["solve", "--spec", str(bad), "--n", "17", "--lambda", "1",
+                 "--beta", "1"]) == 2
+    assert "unexpected character '\u00b2'" in capsys.readouterr().err
 
 
 def test_solve_certifies_a_tiny_sub_case_height(capsys):

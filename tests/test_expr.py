@@ -20,6 +20,7 @@ from plaplab.expr import (
     Call,
     EvalError,
     GrowthViolation,
+    HypothesisReport,
     Neg,
     Num,
     ParseError,
@@ -75,12 +76,25 @@ def test_parameter_names_are_expression_variables():
     ("(1 + 2", "expected ')'"),
     ("1 2", "unexpected"),
     ("", "end of input"),
+    # digits to str.isdigit, but not to float
+    ("2\u00b2", "unexpected character '\u00b2' (line 1, column 2)"),
+    ("1\u2460", "unexpected character '\u2460' (line 1, column 2)"),
 ])
 def test_parse_errors_are_positioned(src, fragment):
     with pytest.raises(ParseError) as err:
         parse(src)
     assert fragment in str(err.value)
     assert err.value.line == 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.one_of(st.sampled_from("0123456789.eE+-*/^(), x1u"),
+                         st.characters()), max_size=12))
+def test_parse_raises_nothing_but_parse_error(source):
+    try:
+        parse(source)
+    except ParseError:
+        pass
 
 
 def test_multiline_error_reports_second_line():
@@ -393,9 +407,9 @@ _SCREEN_CASES = {
     "weight-negative-and-f-too-large": (
         lambda: make_spec(omega3="min(1, 64 * x1 - 0.5)"),
         "f <= omega3*u^a*gnorm^b"),
-    # gnorm^400 overflows, so 0 * inf puts nans among the f bound's excesses
-    # where omega3 = 0; f breaks its bound at the finite ones (both screens
-    # warn of the overflow, which the test silences)
+    # gnorm^400 overflows where omega3 = 0, and 0 * inf would put nans among
+    # the f bound's excesses; both screens take the bound as 0 there, so f
+    # breaks it at node 0
     "nan-among-the-excesses": (
         lambda: make_spec(omega3="x1", b=400.0, f="gnorm"),
         "f <= omega3*u^a*gnorm^b"),
@@ -420,9 +434,8 @@ _SCREEN_CASES = {
 def test_screen_matches_the_full_grid_screen_state_by_state(case):
     build, kind = _SCREEN_CASES[case]
     spec = build()
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = _screen_outcome(screen_per_sample, spec)
-        got = _screen_outcome(validate_hypotheses, spec)
+    want = _screen_outcome(screen_per_sample, spec)
+    got = _screen_outcome(validate_hypotheses, spec)
     if kind == "EvalError":
         assert isinstance(want, str) and want.startswith("evaluating h and f")
     elif kind == "pass":
@@ -430,6 +443,15 @@ def test_screen_matches_the_full_grid_screen_state_by_state(case):
     else:
         assert want.check == kind
     assert got == want
+
+
+def test_screen_f_bound_is_zero_where_omega3_is_zero_and_gnorm_b_overflows():
+    # at node 0, omega3 = x1 = 0 and 10^400 overflows: the bound is 0, not
+    # 0 * inf = nan, so f = gnorm breaks it by 10 at the first state
+    report = validate_hypotheses(make_spec(omega3="x1", b=400.0, f="gnorm"))
+    assert report == HypothesisReport(False, 10.0, "f <= omega3*u^a*gnorm^b",
+                                      (0,), U_SAMPLES[0], 10.0)
+    assert U_SAMPLES[0] == 0.001
 
 
 def test_screen_error_names_the_state_that_fails_alone():
@@ -514,6 +536,23 @@ def test_freeze_raises_where_h_breaks_its_upper_bound_at_one_node():
     assert "h <= omega2*u^(q-1)" in str(err.value)
     assert err.value.node == (8,)
     assert err.value.values == {"u": 1.0, "gnorm": 0.0, "lhs": 1.01, "rhs": 1.0}
+
+
+def test_freeze_raises_where_omega3_is_zero_and_gnorm_b_overflows():
+    # omega3 = x1 is 0 at node 0, where gnorm = 10 and 10^400 overflows: the
+    # f bound is 0 there, not 0 * inf = nan, so f = gnorm breaks it by about
+    # 10, more than anywhere else (elsewhere the bound is +inf where gnorm^b
+    # overflows, and f < 1 where it does not exceed its bound)
+    spec = make_spec(omega3="x1", b=400.0, f="gnorm", resolution=17)
+    u = field_from_function(spec.build_grid(),
+                            lambda x: 1.0 + 10.0 * x * (1.0 - x))
+    with pytest.raises(HypothesisViolationError) as err:
+        freeze_nonlinearity(u, 1.0, 1.0, spec)
+    assert "f <= omega3*u^a*gnorm^b" in str(err.value)
+    assert err.value.node == (0,)
+    values = err.value.values
+    assert values["u"] == 1.0 and values["rhs"] == 0.0
+    assert values["lhs"] == values["gnorm"] == pytest.approx(10.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

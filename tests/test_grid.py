@@ -18,7 +18,6 @@ from plaplab.grid import (
     flux_delta,
     gradient,
     integrate,
-    is_dirichlet_zero,
     p_laplacian_apply,
     sup_norm,
     zero_field,
@@ -134,13 +133,6 @@ def test_field_shape_mismatch_rejected():
         ScalarField(g, np.zeros(8))
     with pytest.raises(ConfigurationError):
         VectorField(g, np.zeros((2, 9)))
-
-
-def test_is_dirichlet_zero():
-    g = unit_grid_1d(9)
-    assert is_dirichlet_zero(bump_1d(g), tol=1e-12)
-    shifted = bump_1d(g).with_values(bump_1d(g).values + 0.5)
-    assert not is_dirichlet_zero(shifted)
 
 
 def test_sup_norm_scalar_and_vector():

@@ -48,7 +48,6 @@ from plaplab.plap import (
     _stencil,
     _try_solve,
     assert_gradient_bound,
-    check_comparison,
     default_probes,
     estimate_grad_constant,
     operator_value,
@@ -1303,16 +1302,6 @@ def test_rejects_mismatched_grid_and_bad_p():
         solve_plap_dirichlet(g, 2.0, const_field(other))
     with pytest.raises(ConfigurationError):
         solve_plap_dirichlet(g, 0.5, const_field(g))
-
-
-def test_check_comparison():
-    g = grid_1d(17)
-    lo = const_field(g, 0.0)
-    hi = const_field(g, 1.0)
-    assert check_comparison(lo, hi)
-    assert not check_comparison(hi, lo)
-    with pytest.raises(GridMismatchError):
-        check_comparison(lo, const_field(grid_1d(19)))
 
 
 # ---------------------------------------------------------------------------

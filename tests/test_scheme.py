@@ -47,7 +47,6 @@ from plaplab.grid import (
 )
 from plaplab.plap import (
     SolveOptions,
-    check_comparison,
     operator_value,
     solve_plap_dirichlet,
 )
@@ -339,8 +338,8 @@ def test_inner_iteration_is_monotone_from_both_ends(sub_stage):
                               khat=c.khat).field
     slack = 1e-9 * sup_norm(sup)
     for u in (down, up):
-        assert check_comparison(sub, u.with_values(u.values + slack))
-        assert check_comparison(u, sup.with_values(sup.values + slack))
+        assert np.all(sub.values <= u.values + slack)
+        assert np.all(u.values <= sup.values + slack)
     assert np.max(np.abs(down.values - up.values)) <= 1e-6 * m
 
 
@@ -544,6 +543,27 @@ def test_outer_budget_exhaustion_is_inconclusive_not_fatal(sub_stage):
     report = outer_fixed_point(spec, 1.0, 1.0, g, c, eig, max_outer=1)
     assert not report.converged
     assert report.outer_iters == 1
+
+
+# each stopping rule loosened until one verdict fails on the bundled sub
+# problem at (1, 1): the outer rule stops 6 steps in, 2.2 times over the
+# residual allowed; a loose inner rule leaves the two limits 2.3 (1e-5) and
+# 115 (1e-3) times farther apart than allowed, and at 1e-3 the Picone gap
+# 2.2 times over its allowed value
+LOOSE_STOPPING_RULES = [("OUTER_STOP_REL", 1e-3, "residual_ok"),
+                        ("INNER_STOP_REL", 1e-5, "two_sided_ok"),
+                        ("INNER_STOP_REL", 1e-3, "picone_ok")]
+
+
+@pytest.mark.parametrize("rule,value,verdict", LOOSE_STOPPING_RULES)
+def test_a_failed_verdict_leaves_the_run_unconverged(rule, value, verdict,
+                                                     monkeypatch):
+    monkeypatch.setattr(scheme, rule, value)
+    spec = load_problem(bundled_problem_path("sub"))
+    report = outer_fixed_point(spec, 1.0, 1.0)
+    assert not getattr(report.certificates, verdict)
+    assert not report.certificates.all_ok
+    assert not report.converged
 
 
 @pytest.mark.parametrize("max_outer", [0, -1])
