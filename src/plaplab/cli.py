@@ -24,7 +24,10 @@ Exit codes (total: every run terminates with one of these)
 Output files are plain CSV with headers; floats are written with repr so a
 round trip through the file reproduces each record bit for bit.  Missing
 values (for example the barrier height at a point outside the region) are
-empty fields.  The ``PLAP_LOG`` environment variable ({error, info, debug})
+empty fields.  Lines that are not CSV (the inside count of ``region``, the
+timings of ``sweep --timings``) go to standard output with ``--out`` and
+to standard error without it, so a CSV written to standard output parses
+as CSV.  The ``PLAP_LOG`` environment variable ({error, info, debug})
 controls diagnostic logging on standard error.
 
 CSV schemas (frozen)
@@ -77,7 +80,6 @@ from .errors import (
 from .expr import (
     EvalError,
     ParseError,
-    ProblemSpec,
     load_problem,
     sample_weights,
     validate_hypotheses,
@@ -279,7 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(args) -> ProblemSpec:
+def _load(args):
+    """The problem, its grid and the solve options of a subcommand, with
+    ``--tol`` checked before the problem file is read: (spec, grid, opts)."""
+    opts = (SolveOptions() if args.tol is None
+            else SolveOptions(tol_residual=args.tol))
     spec = load_problem(args.spec)
     if args.n is not None:
         spec = dataclasses.replace(spec, resolution=args.n)
@@ -294,13 +300,24 @@ def _load_spec(args) -> ProblemSpec:
             + report.summary(), node=report.node,
             values={"u": report.u, "gnorm": report.gnorm,
                     "violation": report.worst_violation})
-    return spec
+    return spec, spec.build_grid(), opts
 
 
-def _solve_options(args) -> SolveOptions:
-    if args.tol is None:
-        return SolveOptions()
-    return SolveOptions(tol_residual=args.tol)
+def _set_up(spec, grid, opts):
+    """The constants and the first eigenpair of ``solve`` and ``sweep``, on
+    one map of cold solves, so the eigen start reads omega1's torsion from
+    the constants' solves: (constants, eigen)."""
+    solved = {}
+    constants = compute_constants(spec, grid, opts, solved)
+    eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0], opts,
+                            solved)
+    return constants, eigen
+
+
+def _side_stream(out):
+    """Where lines that are not CSV go: standard output, unless the CSV is
+    written there (no ``--out``), then standard error."""
+    return sys.stderr if out is None else sys.stdout
 
 
 def _parse_range(text, name):
@@ -342,9 +359,7 @@ def _sample_grid(args):
 
 def cmd_region(args) -> int:
     (lo, hi), lams, betas = _sample_grid(args)
-    opts = _solve_options(args)
-    spec = _load_spec(args)
-    grid = spec.build_grid()
+    spec, grid, opts = _load(args)
     constants = compute_constants(spec, grid, opts)
     rows = []
     inside = 0
@@ -363,7 +378,8 @@ def cmd_region(args) -> int:
     if curve is not None:
         _emit(_sibling_path(args.out, "boundary"), ["lambda", "beta"],
               [[_fmt(l), _fmt(b)] for l, b in curve])
-    print(f"{case}: {inside} of {len(rows)} sampled points inside the region")
+    print(f"{case}: {inside} of {len(rows)} sampled points inside the region",
+          file=_side_stream(args.out))
     return 0
 
 
@@ -397,13 +413,8 @@ def cmd_solve(args) -> int:
     # the point and the budget are checked before any set-up work
     _check_point(args.lam, args.beta)
     _check_outer_budget(args.max_outer)
-    spec = _load_spec(args)
-    grid = spec.build_grid()
-    opts = _solve_options(args)
-    solved = {}  # the set-up's cold solves: the eigen start reads omega1's
-    constants = compute_constants(spec, grid, opts, solved)
-    eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0], opts,
-                            solved)
+    spec, grid, opts = _load(args)
+    constants, eigen = _set_up(spec, grid, opts)
     report = outer_fixed_point(spec, args.lam, args.beta, grid, constants,
                                eigen, opts, args.max_outer)
     text = "\n".join(_report_lines(report, args.trace))
@@ -444,13 +455,8 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError("--parallel must be at least 1")
     _check_outer_budget(args.max_outer)
     _, lams, betas = _sample_grid(args)
-    opts = _solve_options(args)
-    spec = _load_spec(args)
-    grid = spec.build_grid()
-    solved = {}  # the set-up's cold solves: the eigen start reads omega1's
-    constants = compute_constants(spec, grid, opts, solved)
-    eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0], opts,
-                            solved)
+    spec, grid, opts = _load(args)
+    constants, eigen = _set_up(spec, grid, opts)
     points = [(float(lam), float(beta)) for lam in lams for beta in betas]
 
     times = [0.0] * len(points)
@@ -468,18 +474,17 @@ def cmd_sweep(args) -> int:
     result = SweepResult(rows=tuple(rows))
     result.write(args.out)
     if args.timings:
-        for (lam, beta), dt in zip(points, times):
-            print(f"timing lambda={lam:.6g} beta={beta:.6g}: {dt:.3f} s")
-        print(f"timing total: {sum(times):.3f} s")
+        lines = [f"timing lambda={lam:.6g} beta={beta:.6g}: {dt:.3f} s"
+                 for (lam, beta), dt in zip(points, times)]
+        print("\n".join(lines + [f"timing total: {sum(times):.3f} s"]),
+              file=_side_stream(args.out))
     done = sum(r.status == "converged" for r in result.rows)
     log.info("sweep: %d of %d points converged", done, len(points))
     return 0
 
 
 def cmd_eigen(args) -> int:
-    spec = _load_spec(args)
-    grid = spec.build_grid()
-    opts = _solve_options(args)
+    spec, grid, opts = _load(args)
     w1 = sample_weights(spec, grid)[0]
     pair = first_eigenpair(grid, spec.p, w1, opts)
     print(f"{pair.lambda1:.12g}")
@@ -489,9 +494,7 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_torsion(args) -> int:
-    spec = _load_spec(args)
-    grid = spec.build_grid()
-    opts = _solve_options(args)
+    spec, grid, opts = _load(args)
     omega = combined_weight(sample_weights(spec, grid))
     result = torsion_function(grid, spec.p, omega, opts)
     print(f"{result.phi_sup:.12g}")

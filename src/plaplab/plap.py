@@ -1,4 +1,4 @@
-"""Dirichlet solver for the discrete p-Laplacian, plus comparison helpers.
+"""Dirichlet solver for the discrete p-Laplacian.
 
 Solves  -div(|Du|^(p-2) Du) = g  on interior nodes with u = 0 on the
 boundary, using damped Newton iteration on the conservative flux

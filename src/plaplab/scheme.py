@@ -336,10 +336,10 @@ def inner_monotone_solve(F: FrozenNonlinearity, sub: OperatorValue,
     Started from the upper barrier the sequence is nonincreasing (from the
     lower, nondecreasing); each iterate must stay inside the barrier band up
     to 10x the solver tolerance, else MonotonicityError.  Stops when the sup
-    move drops below 1e-8 * ||super||_inf.  Each sweep's solve starts from
-    ``warm`` when one is given; otherwise from the last iterate's value, so
-    the first sweep reads the start barrier's -Lap_p and each later one the
-    last sweep's.
+    move drops below INNER_STOP_REL * ||super||_inf.  Each sweep's solve
+    starts from ``warm`` when one is given; otherwise from the last
+    iterate's value, so the first sweep reads the start barrier's -Lap_p
+    and each later one the last sweep's.
 
     Each sweep after the first stops its solve at INNER_FORCING times the
     sup change of the right-hand side since the last sweep, or at the full
@@ -515,6 +515,12 @@ def verify_solution_bounds(u: ScalarField, sub: ScalarField,
 class Certificates:
     """The verdicts of a run at its final iterate, in checkable form.
 
+    Each verdict is carried as its value and the largest value it allows
+    (``*_allowed``), which outer_fixed_point sets once where it builds the
+    report.  Each ``*_ok`` flag is value <= allowed (|picone_gap| for
+    Picone; a NaN value fails), so a reader takes a verdict's headroom as
+    value / allowed from the report and never restates a rule.
+
     Membership of the invariant set (barriers and gradient bound) is not
     among them: verify_solution_bounds checks it at every outer step, and a
     breach raises InvariantViolation (exit 7), so no report exists for a run
@@ -523,11 +529,23 @@ class Certificates:
 
     pde_residual: float
     residual_scale: float
-    residual_ok: bool
+    residual_allowed: float
     two_sided_gap: float
-    two_sided_ok: bool
+    two_sided_allowed: float
     picone_gap: float
-    picone_ok: bool
+    picone_allowed: float
+
+    @property
+    def residual_ok(self) -> bool:
+        return self.pde_residual <= self.residual_allowed
+
+    @property
+    def two_sided_ok(self) -> bool:
+        return self.two_sided_gap <= self.two_sided_allowed
+
+    @property
+    def picone_ok(self) -> bool:
+        return abs(self.picone_gap) <= self.picone_allowed
 
     @property
     def all_ok(self) -> bool:
@@ -574,11 +592,12 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     Classifies the point (OutOfRegionError when outside the existence
     region), builds the barriers, iterates the freezing map from the lower
     barrier, and certifies the limit.  ``converged`` in the report is true
-    only when the C^1 trace dropped below 1e-7*M within ``max_outer`` steps
-    AND every certificate holds; a run that merely ran out of budget is
-    reported unconverged (inconclusive), not raised.  ``constants`` and
-    ``eigen`` are computed when not given, with one map of cold solves, so
-    the eigen start reads omega1's torsion from the constants' solves.
+    only when a C^1 move dropped below OUTER_STOP_REL * M within
+    ``max_outer`` steps AND every certificate holds; a run that merely ran
+    out of budget is reported unconverged (inconclusive), not raised.
+    ``constants`` and ``eigen`` are computed when not given, with one map
+    of cold solves, so the eigen start reads omega1's torsion from the
+    constants' solves.
 
     Raises:
         ConfigurationError: max_outer below 1.
@@ -622,6 +641,8 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     grad_u = gradient(u)
     trace = []
     factor = []  # one kept LU factor holder for every outer step of this call
+    stop = OUTER_STOP_REL * height
+    stopped = False  # whether a C1 move dropped below ``stop``
     for k in range(1, max_outer + 1):
         frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
         for barrier, kind in ((sup_value, "super"), (sub_value, "sub")):
@@ -649,9 +670,9 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                     (grad_next.components - grad_u.components) ** 2, axis=0)))))
         trace.append(dist)
         value, u, grad_u = value_next, u_next, grad_next
-        log.info("outer step %d: C1 move %.3e (target %.1e)",
-                 k, dist, OUTER_STOP_REL * height)
-        if dist < OUTER_STOP_REL * height:
+        log.info("outer step %d: C1 move %.3e (target %.1e)", k, dist, stop)
+        stopped = dist < stop
+        if stopped:
             break
 
     # both chains start every sweep's solve at u, which they converge to,
@@ -674,17 +695,13 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     pde_residual = float(np.max(np.abs(defect)))
     scale = natural_residual_scale(lam, beta, constants, spec, height)
     volume = math.prod(hi - lo for lo, hi in grid.extents)
-    picone_scale = max(scale * height * volume, 1.0e-30)
     certificates = Certificates(
         pde_residual=pde_residual, residual_scale=scale,
-        residual_ok=pde_residual <= RESIDUAL_CERT_REL * scale,
-        two_sided_gap=two_sided_gap,
-        two_sided_ok=two_sided_gap <= TWO_SIDED_CERT_REL * height,
-        picone_gap=picone_gap,
-        picone_ok=abs(picone_gap) <= PICONE_CERT_REL * picone_scale)
-
-    # the loop breaks exactly when a move drops below the stopping threshold
-    stopped = trace[-1] < OUTER_STOP_REL * height
+        two_sided_gap=two_sided_gap, picone_gap=picone_gap,
+        residual_allowed=RESIDUAL_CERT_REL * scale,
+        two_sided_allowed=TWO_SIDED_CERT_REL * height,
+        picone_allowed=PICONE_CERT_REL * max(scale * height * volume,
+                                             1.0e-30))
     return SolveReport(converged=stopped and certificates.all_ok,
                        solution=u, outer_iters=len(trace),
                        outer_trace=tuple(trace), certificates=certificates,

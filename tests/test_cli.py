@@ -455,6 +455,20 @@ def test_sweep_timings_go_to_stdout_not_csv(tmp_path, capsys):
     assert "timing" not in out.read_text()
 
 
+@pytest.mark.parametrize("command,header,note", [
+    (["region", "--spec", SUPER], REGION_HEADER, "inside the region"),
+    (["sweep", "--spec", SUB, "--timings"], SWEEP_HEADER, "timing total:")],
+    ids=["region", "sweep"])
+def test_without_out_stdout_parses_as_the_csv_alone(command, header, note,
+                                                    capsys):
+    # the lines that are not CSV go to stderr when the CSV takes stdout
+    assert main(command + ["--n", "17", "--samples", "2"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(captured.out.splitlines()))
+    assert rows[0] == header and len(rows) == 1 + 2 * 2
+    assert note in captured.err
+
+
 # ---------------------------------------------------------------------------
 # eigen and torsion
 

@@ -553,6 +553,10 @@ def test_outer_budget_exhaustion_is_inconclusive_not_fatal(sub_stage):
 LOOSE_STOPPING_RULES = [("OUTER_STOP_REL", 1e-3, "residual_ok"),
                         ("INNER_STOP_REL", 1e-5, "two_sided_ok"),
                         ("INNER_STOP_REL", 1e-3, "picone_ok")]
+# the value and the allowed value each verdict compares
+VERDICT_FIELDS = {"residual_ok": ("pde_residual", "residual_allowed"),
+                  "two_sided_ok": ("two_sided_gap", "two_sided_allowed"),
+                  "picone_ok": ("picone_gap", "picone_allowed")}
 
 
 @pytest.mark.parametrize("rule,value,verdict", LOOSE_STOPPING_RULES)
@@ -561,9 +565,36 @@ def test_a_failed_verdict_leaves_the_run_unconverged(rule, value, verdict,
     monkeypatch.setattr(scheme, rule, value)
     spec = load_problem(bundled_problem_path("sub"))
     report = outer_fixed_point(spec, 1.0, 1.0)
-    assert not getattr(report.certificates, verdict)
-    assert not report.certificates.all_ok
+    ce = report.certificates
+    assert not getattr(ce, verdict)
+    got, allowed = (getattr(ce, name) for name in VERDICT_FIELDS[verdict])
+    assert abs(got) > allowed > 0.0
+    assert not ce.all_ok
     assert not report.converged
+
+
+def test_the_report_carries_the_documented_allowed_values():
+    # the rules as the README states them, from the run's constants, M and
+    # box: the residual 1e-5 times omega_sup*(lambda*M^(q-1) +
+    # beta*(gamma*M)^b*M^a), the two-sided gap 1e-6*M, the Picone gap 1e-8
+    # times that scale, M and the area of the box.  square2d's weights do
+    # not read x2, so its box is stretched to [0, 1] x [0, 2], of area 2,
+    # where a lost volume factor shows
+    spec, g, c, eig = bundled_stage("square2d",
+                                    extents=((0.0, 1.0), (0.0, 2.0)))
+    lam, beta = 1.0, 1.0
+    report = outer_fixed_point(spec, lam, beta, g, c, eig)
+    assert report.converged
+    ce, m = report.certificates, report.height
+    scale = c.omega_sup * (lam * m ** (spec.q - 1.0)
+                           + beta * (c.gamma * m) ** spec.b * m ** spec.a)
+    assert ce.residual_scale == pytest.approx(scale, rel=1e-14)
+    assert ce.residual_allowed == pytest.approx(1e-5 * scale, rel=1e-14)
+    assert ce.two_sided_allowed == pytest.approx(1e-6 * m, rel=1e-14)
+    assert ce.picone_allowed == pytest.approx(2e-8 * scale * m, rel=1e-14)
+    for verdict, (name, allowed) in VERDICT_FIELDS.items():
+        assert getattr(ce, verdict) is (abs(getattr(ce, name))
+                                        <= getattr(ce, allowed))
 
 
 @pytest.mark.parametrize("max_outer", [0, -1])

@@ -20,13 +20,10 @@ stderr, with the largest absolute move of ``pde_residual``, of
 ``two_sided_gap`` and of ``picone_gap``.  The gap moves are informational:
 they decide no exit code.  It also prints to stderr, per
 workload, the headroom of three certificates: the largest ratio of
-``pde_residual`` to the value the residual certificate allows,
-RESIDUAL_CERT_REL times the report's ``residual_scale``, the largest ratio
-of ``two_sided_gap`` to the value the two-sided certificate allows,
-TWO_SIDED_CERT_REL times the report's ``height`` M, and the largest ratio
-of ``|picone_gap|`` to the value the Picone certificate allows,
-PICONE_CERT_REL times ``residual_scale``, M and the volume of the box.  The
-script only reads ``perfbench/``.
+``pde_residual``, of ``two_sided_gap`` and of ``|picone_gap|`` to the
+value its certificate allows, as the report carries it
+(``residual_allowed``, ``two_sided_allowed``, ``picone_allowed``; see
+``plaplab.scheme.Certificates``).  The script only reads ``perfbench/``.
 """
 
 import os
@@ -37,7 +34,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import json  # noqa: E402
-import math  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -46,11 +42,6 @@ sys.dont_write_bytecode = True  # leave no cache behind in perfbench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import harness  # noqa: E402
-from plaplab.scheme import (  # noqa: E402
-    PICONE_CERT_REL,
-    RESIDUAL_CERT_REL,
-    TWO_SIDED_CERT_REL,
-)
 
 WORKLOADS = ("sweep1d", "sweep2d")
 SEEDS = (0, 1, 2)
@@ -78,7 +69,6 @@ def outcomes(name):
     |picone_gap| over their allowed values."""
     (case,) = harness.workload_cases(name)
     setup = harness.set_up(case)
-    volume = math.prod(hi - lo for lo, hi in setup.grid.extents)
     rows, residual, two_sided, picone = [], 0.0, 0.0, 0.0
     for lam, beta in distinct_points(name):
         pt = harness.run_point(setup, lam, beta)
@@ -89,13 +79,11 @@ def outcomes(name):
                        [r.outer_iters, cert.pde_residual, cert.two_sided_gap,
                         cert.picone_gap]))
         if r is not None:
-            residual = max(residual, cert.pde_residual
-                           / (RESIDUAL_CERT_REL * cert.residual_scale))
-            two_sided = max(two_sided, cert.two_sided_gap
-                            / (TWO_SIDED_CERT_REL * r.height))
-            picone = max(picone, abs(cert.picone_gap)
-                         / (PICONE_CERT_REL * cert.residual_scale
-                            * r.height * volume))
+            residual = max(residual,
+                           cert.pde_residual / cert.residual_allowed)
+            two_sided = max(two_sided,
+                            cert.two_sided_gap / cert.two_sided_allowed)
+            picone = max(picone, abs(cert.picone_gap) / cert.picone_allowed)
     return rows, (residual, two_sided, picone)
 
 
@@ -147,12 +135,12 @@ def main(argv=None):
               file=sys.stderr)
     for name in WORKLOADS:
         residual, two_sided, picone = headroom[name]
-        print(f"{name}: largest pde_residual / (RESIDUAL_CERT_REL * "
-              f"residual_scale) {residual:.3e}", file=sys.stderr)
-        print(f"{name}: largest two_sided_gap / (TWO_SIDED_CERT_REL * M) "
+        print(f"{name}: largest pde_residual / residual_allowed "
+              f"{residual:.3e}", file=sys.stderr)
+        print(f"{name}: largest two_sided_gap / two_sided_allowed "
               f"{two_sided:.3e}", file=sys.stderr)
-        print(f"{name}: largest |picone_gap| / (PICONE_CERT_REL * "
-              f"residual_scale * M * volume) {picone:.3e}", file=sys.stderr)
+        print(f"{name}: largest |picone_gap| / picone_allowed "
+              f"{picone:.3e}", file=sys.stderr)
     return 1 if found else 0
 
 
