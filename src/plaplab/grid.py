@@ -290,27 +290,21 @@ def _masked_power(m2: np.ndarray, expo: float) -> np.ndarray:
     return out
 
 
-def _gradient_scale(values: np.ndarray, spacing, faces=None) -> float:
-    """Largest face-midpoint gradient magnitude; the natural flux scale.
-
-    ``faces`` is ``_faces(values, spacing)`` when the caller has built it."""
-    if faces is None:
-        faces = _faces(values, spacing)
+def _gradient_scale(faces) -> float:
+    """Largest face-midpoint gradient magnitude of a field, read from its
+    face arrays ``faces``; the natural flux scale."""
     return float(np.sqrt(max(_slope2(s, t).max() for s, t in faces)))
 
 
 def flux_delta(u: ScalarField) -> float:
     """Regularization delta used for this field: 1e-8 of its gradient scale."""
-    return DELTA_RELATIVE * _gradient_scale(u.values, u.grid.spacing)
+    return DELTA_RELATIVE * _gradient_scale(_faces(u.values, u.grid.spacing))
 
 
 def _plap_raw(values: np.ndarray, spacing, p: float, delta: float,
-              faces=None) -> np.ndarray:
-    """Negative discrete p-Laplacian of a nodal array; zero on the boundary.
-
-    ``faces`` is ``_faces(values, spacing)`` when the caller has built it."""
-    if faces is None:
-        faces = _faces(values, spacing)
+              faces) -> np.ndarray:
+    """Negative discrete p-Laplacian of a nodal array, read from its face
+    arrays ``faces = _faces(values, spacing)``; zero on the boundary."""
     d2 = delta * delta
     div = None
     for axis, ((s, t), h) in enumerate(zip(faces, spacing)):
@@ -323,15 +317,13 @@ def _plap_raw(values: np.ndarray, spacing, p: float, delta: float,
     return out
 
 
-def _plap_own_delta(values, spacing, p, faces=None):
+def _plap_own_delta(values, spacing, p):
     """``_plap_raw`` at the field's own delta, DELTA_RELATIVE times its
-    gradient scale, with both read from one face build: (result, delta).
-
-    ``faces`` is ``_faces(values, spacing)`` when the caller has built it."""
-    if faces is None:
-        faces = _faces(values, spacing)
-    delta = DELTA_RELATIVE * _gradient_scale(values, spacing, faces)
-    return _plap_raw(values, spacing, p, delta, faces), delta
+    gradient scale, with both read from one face build: (result, delta,
+    faces)."""
+    faces = _faces(values, spacing)
+    delta = DELTA_RELATIVE * _gradient_scale(faces)
+    return _plap_raw(values, spacing, p, delta, faces), delta, faces
 
 
 def p_laplacian_apply(u: ScalarField, p: float) -> ScalarField:
@@ -348,5 +340,4 @@ def p_laplacian_apply(u: ScalarField, p: float) -> ScalarField:
     """
     if p <= 1.0:
         raise ConfigurationError(f"p must exceed 1, got {p}")
-    out, _ = _plap_own_delta(u.values, u.grid.spacing, p)
-    return ScalarField(u.grid, out)
+    return ScalarField(u.grid, _plap_own_delta(u.values, u.grid.spacing, p)[0])

@@ -77,18 +77,22 @@ call.  One axis takes no chord steps and keeps no factor in the list: LAPACK
 ``dgtsv`` factors and solves in one O(n) call, faster than a kept factor's
 ``dgttrf`` and ``dgttrs`` together.
 
-A run of warm solves starts each one at the field where the last one
-stopped, and every solve's first residual needs -Lap_p at its start.  A warm
-solve whose ``initial_guess`` is an ``OperatorValue`` takes its first
-residual from that value instead of applying the operator again, and
-returns the OperatorValue of its result (the -Lap_p its last residual
-computed, with that residual's delta and face arrays), which the next solve
-of the run starts from.  A value on another grid raises GridMismatchError,
-one at another p ConfigurationError.  A guess whose boundary is not +0.0 is
-zeroed and its -Lap_p computed afresh, and a flat guess falls back to the
+Every Newton loop starts from an ``OperatorValue``: a field with its -Lap_p
+at the loop's p, the delta of that -Lap_p and the face arrays it was read
+from, all its first residual and first Jacobian need.  ``operator_value``
+computes one in one operator apply, the apply the first residual would make.
+A cold solve computes the value of its start, of each retreat in p and of
+each return to p.  A warm solve takes a value as its ``initial_guess`` (a
+bare field raises ConfigurationError) and returns the OperatorValue of its
+result (the -Lap_p its last residual computed, with that residual's delta
+and face arrays), which the next solve of a run starts from, so a run of
+warm solves applies the operator at no start.  A value on another grid
+raises GridMismatchError, one at another p ConfigurationError.  A guess
+whose boundary is not +0.0 is zeroed and its value computed afresh, and a
+flat guess, read from its face arrays before any apply, falls back to the
 cold start.  The value is exactly the one a fresh apply gives, so starting
-from it changes no bit of any result.  ``operator_value`` computes the value
-of a field that no solve returned, such as a barrier of ``scheme``.
+from it changes no bit of any result.  ``operator_value`` also computes the
+value of a field that no solve returned, such as a barrier of ``scheme``.
 
 Many solves can start from one field, as every sweep of the certificate
 chains of ``scheme`` starts at the final iterate.  Their first Newton steps
@@ -212,12 +216,9 @@ class OperatorValue(NamedTuple):
 
 
 def operator_value(u: ScalarField, p: float) -> OperatorValue:
-    """The OperatorValue of ``u`` at ``p``, computed.  ``lap`` equals
-    ``p_laplacian_apply(u, p).values`` bit for bit."""
-    spacing = u.grid.spacing
-    faces = _faces(u.values, spacing)
-    lap, delta = _plap_own_delta(u.values, spacing, p, faces)
-    return OperatorValue(u, p, lap, delta, faces)
+    """The OperatorValue of ``u`` at ``p``, computed: one operator apply.
+    ``lap`` equals ``p_laplacian_apply(u, p).values`` bit for bit."""
+    return OperatorValue(u, p, *_plap_own_delta(u.values, u.grid.spacing, p))
 
 
 def factored_value(value: OperatorValue) -> OperatorValue:
@@ -340,7 +341,7 @@ class _Banded(NamedTuple):
         return solve
 
 
-def _assemble(values, spacing, p, delta, *, faces=None, shift=None):
+def _assemble(values, spacing, p, delta, *, faces, shift=None):
     """Interior-by-interior Newton Jacobian of the operator at delta,
     including the transverse coupling, as ``coef`` (see _stencil) kept in
     the storage of its number of axes (see _pack).
@@ -355,16 +356,13 @@ def _assemble(values, spacing, p, delta, *, faces=None, shift=None):
     store.
 
     The conductances of each face family come from the same face arrays as
-    the residual: ``faces`` is ``_faces(values, spacing)`` when the caller
-    has built it.  Each face adds -v to the row of its lo node and +v to the
-    row of its hi node, v = (1/h_k) dF/du_c, for every node c its flux F
-    reads.  ``shift``, a nodal array, is subtracted from the diagonal: the
+    the residual, ``faces = _faces(values, spacing)``.  Each face adds -v to
+    the row of its lo node and +v to the row of its hi node, v = (1/h_k)
+    dF/du_c, for every node c its flux F reads.  ``shift``, a nodal array, is subtracted from the diagonal: the
     Jacobian of -Lap_p u - F(u) for a reaction F with F'(u) = shift (see
     ``_reaction_slope``).  It goes into ``coef`` before any storage is
     packed, so every storage and the rounding floor read the shifted matrix.
     """
-    if faces is None:
-        faces = _faces(values, spacing)
     shape = values.shape
     offsets, plans = _stencil(shape)
     coef = np.zeros((len(offsets),) + shape)
@@ -555,13 +553,14 @@ def _linear_poisson(grid, gv):
 
 
 def _cold_start(grid, p, gv):
-    """The p = 2 solution; for p > 2 rescaled by
+    """The OperatorValue at p of the p = 2 solution; for p > 2 rescaled by
     c = (<Au, g> / <Au, Au>)^(1/(p-1)), A the operator at p on the interior.
 
     The regularized operator is (p-1)-homogeneous, A(cu) = c^(p-1) A(u), so c
     is the scale whose residual is least in the 2-norm, at the cost of one
-    operator apply.  The start is kept when <Au, g> is not positive, and for
-    p <= 2, where the power 1/(p-1) >= 1 magnifies any error of the ratio.
+    operator apply more than the value's.  The start is kept when <Au, g> is
+    not positive, and for p <= 2, where the power 1/(p-1) >= 1 magnifies any
+    error of the ratio.
     """
     u = _linear_poisson(grid, gv)
     if p > 2.0:
@@ -569,12 +568,38 @@ def _cold_start(grid, p, gv):
         num = float(au @ gv[grid.interior].ravel())
         if num > 0.0:  # then au is not zero either
             u *= (num / float(au @ au)) ** (1.0 / (p - 1.0))
-    return u
+    return operator_value(ScalarField(grid, u), p)
+
+
+def _warm_start(grid, p, guess, gv):
+    """The OperatorValue a warm solve at p with load ``gv`` starts Newton
+    from: ``guess`` itself when its field's boundary is +0.0, else the value
+    of that field zeroed there; None when the field is flat and the load
+    not zero, and the solve then starts cold.  Flatness is read from the
+    face arrays, before any apply."""
+    if not isinstance(guess, OperatorValue):
+        raise ConfigurationError(
+            "initial guess must be an OperatorValue; build one with "
+            "operator_value")
+    if guess.field.grid != grid:
+        raise GridMismatchError("initial guess lives on a different grid")
+    if guess.p != p:
+        raise ConfigurationError(
+            f"initial guess is at p = {guess.p}, the solve at p = {p}")
+    field, mask = guess.field, grid.boundary_mask()
+    boundary = field.values[mask]
+    zeroed = boundary.any() or np.signbit(boundary).any()
+    if zeroed:
+        field = ScalarField(grid, np.where(mask, 0.0, field.values))
+    faces = _faces(field.values, grid.spacing) if zeroed else guess.faces
+    if _gradient_scale(faces) == 0.0 and np.abs(gv).max() > 0.0:
+        return None  # a flat start cannot seed the Jacobian
+    return operator_value(field, p) if zeroed else guess
 
 
 def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
                          opts: SolveOptions | None = None,
-                         initial_guess: ScalarField | OperatorValue | None = None,
+                         initial_guess: OperatorValue | None = None,
                          trace: list | None = None,
                          factor: list | None = None, *,
                          reaction: tuple | None = None,
@@ -592,12 +617,13 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
         p: exponent > 1.
         g: right-hand side field (any sign; need not vanish on the boundary).
         opts: solver options; defaults to SolveOptions().
-        initial_guess: warm start, a field or the OperatorValue of one;
-            Newton runs at p from it, and a stall raises at once.  Without
-            one (or with a flat one), Newton starts from the p = 2 solution,
-            for p > 2 scaled by the factor c with the least 2-norm residual
-            of -Lap_p(c u) = g, and retreats in p only on a stall.  With an
-            OperatorValue the first residual reads its -Lap_p instead of
+        initial_guess: warm start, the OperatorValue of a field at p (a
+            bare field raises ConfigurationError; ``operator_value`` makes
+            one); Newton runs at p from it, and a stall raises at once.
+            Without one (or with a flat one), Newton starts from the p = 2
+            solution, for p > 2 scaled by the factor c with the least
+            2-norm residual of -Lap_p(c u) = g, and retreats in p only on a
+            stall.  The first residual reads the value's -Lap_p instead of
             applying the operator, unless the field's boundary is not +0.0,
             which the solve zeroes, or the field is flat; and without a
             ``reaction`` the first Newton step takes the factored Jacobian
@@ -622,8 +648,8 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
             keyword-only.  Adds the reaction term above.
 
     Returns:
-        The solution as a Dirichlet-zero field, or its OperatorValue when
-        ``initial_guess`` is one (with no factored Jacobian), with sup-norm
+        The solution as a Dirichlet-zero field, or its OperatorValue (with
+        no factored Jacobian) when the solve is warm, with sup-norm
         residual at most
         tol_residual * ||g||_inf (tol_residual when g = 0), or at most the
         rounding floor when that is larger and no step lowers the residual
@@ -642,52 +668,32 @@ def solve_plap_dirichlet(grid: Grid, p: float, g: ScalarField,
     if g.grid != grid:
         raise GridMismatchError("right-hand side lives on a different grid")
     gv = g.values
-    gsup = float(np.abs(gv).max())
-
-    start = None  # the OperatorValue of the start u, when it can be read
-    valued = isinstance(initial_guess, OperatorValue)
-    if initial_guess is not None:
-        guess = initial_guess.field if valued else initial_guess
-        if guess.grid != grid:
-            raise GridMismatchError("initial guess lives on a different grid")
-        if valued and initial_guess.p != p:
-            raise ConfigurationError(
-                f"initial guess is at p = {initial_guess.p}, the solve at "
-                f"p = {p}")
-        u = guess.values.copy()
-        mask = grid.boundary_mask()
-        boundary = u[mask]
-        if valued and not (boundary.any() or np.signbit(boundary).any()):
-            start = initial_guess  # u is the guess itself
-        u[mask] = 0.0
-        reached = p
-        # a flat warm start cannot seed the Jacobian; fall back to cold start
-        faces = start.faces if start is not None else None
-        if _gradient_scale(u, grid.spacing, faces) == 0.0 and gsup > 0.0:
-            u, reached, start = _cold_start(grid, p, gv), 2.0, None
-    else:
-        u, reached = _cold_start(grid, p, gv), 2.0
+    start, reached = initial_guess, p
+    if start is not None:
+        start = _warm_start(grid, p, start, gv)
+    if start is None:
+        start, reached = _cold_start(grid, p, gv), 2.0
 
     if factor is None:
         factor = []
     history = []
-    pk = p
     while True:
         try:
-            u_pk, res = _newton_loop(grid, pk, gv, u, opts.tol_residual,
-                                     history, trace if pk == p else None,
-                                     start, reaction, factor)
+            u, res = _newton_loop(grid, start, gv, opts.tol_residual, history,
+                                  trace if start.p == p else None, reaction,
+                                  factor)
         except SolveFailure:
-            if abs(pk - reached) <= CONTINUATION_STEP:
+            if abs(start.p - reached) <= CONTINUATION_STEP:
                 raise
-            pk = 0.5 * (reached + pk)  # retreat from the same u
+            # retreat from the same u
+            start = operator_value(start.field, 0.5 * (reached + start.p))
             continue
-        if pk == p:
-            result = ScalarField(grid, u_pk)
-            if valued:
-                return OperatorValue(result, p, res.lap, res.delta, res.faces)
-            return result
-        u, reached, pk, start = u_pk, pk, p, None
+        result = ScalarField(grid, u)
+        if start.p == p:
+            if initial_guess is None:
+                return result
+            return OperatorValue(result, p, res.lap, res.delta, res.faces)
+        reached, start = start.p, operator_value(result, p)
 
 
 def _cold_solve(grid, p, g, opts, solved):
@@ -708,14 +714,16 @@ def _residual_stop(tol, g):
     return tol * size if size > 0.0 else tol
 
 
-def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
+def _newton_loop(grid, start, gv, tol, history, trace, reaction=None,
                  factor=None):
-    """Newton iteration at p from u: (the solution, its _Residual).  ``tol``
-    is the relative tolerance: a residual stops at tol * ||g||_inf (tol
-    when g = 0), g the load ``gv`` plus the ``reaction`` term at the
-    residual's own field.  The first residual reads ``start``, the
-    OperatorValue of u at p, when it is not None, and without a reaction
-    the first Newton step takes the factored Jacobian it holds, if any."""
+    """Newton iteration at p from u, both read from ``start``, the
+    OperatorValue of u at p: (the solution, its _Residual).  ``tol`` is the
+    relative tolerance: a residual stops at tol * ||g||_inf (tol when g =
+    0), g the load ``gv`` plus the ``reaction`` term at the residual's own
+    field.  The first residual reads the start's -Lap_p, and without a
+    reaction the first Newton step takes the factored Jacobian it holds, if
+    any."""
+    u, p = start.field.values, start.p
     interior = grid.interior
     spacing = grid.spacing
     inner_shape = tuple(n - 2 for n in grid.shape)
@@ -724,10 +732,10 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
     else:
         coeff, q = reaction
 
-    def residual(vals, lap=None, delta=None, faces=None):
-        if lap is None:
-            faces = _faces(vals, spacing)  # shared with the next _assemble
-            lap, delta = _plap_own_delta(vals, spacing, p, faces)
+    def residual(vals, value=None):
+        # value: (-Lap_p at vals, its delta, its faces), applied unless held;
+        # the faces go on to the next _assemble
+        lap, delta, faces = value or _plap_own_delta(vals, spacing, p)
         if reaction is None:
             g, g_stop = gv, stop
         else:  # the order of scheme.FrozenNonlinearity.evaluate
@@ -736,10 +744,9 @@ def _newton_loop(grid, p, gv, u, tol, history, trace, start, reaction=None,
         r = (lap - g)[interior]
         return _Residual(r, float(np.abs(r).max()), g_stop, delta, faces, lap)
 
-    res = (residual(u) if start is None
-           else residual(u, start.lap, start.delta, start.faces))
+    res = residual(u, (start.lap, start.delta, start.faces))
     # the factored Jacobian at u, exact for the first step without reaction
-    pinned = None if start is None or reaction is not None else start.jacobian
+    pinned = None if reaction is not None else start.jacobian
     ratio = 0.0  # ||r_new|| / ||r_old|| of the last accepted step
     for _ in range(NEWTON_MAX_ITER):
         if res.norm <= res.tol:

@@ -104,6 +104,7 @@ import numpy as np
 from .constants import (
     ConstantsBundle,
     RegionVerdict,
+    _out_of_range,
     compute_constants,
     region_classify,
 )
@@ -516,8 +517,8 @@ class Certificates:
     """The verdicts of a run at its final iterate, in checkable form.
 
     Each verdict is carried as its value and the largest value it allows
-    (``*_allowed``), which outer_fixed_point sets once where it builds the
-    report.  Each ``*_ok`` flag is value <= allowed (|picone_gap| for
+    (``*_allowed``), which outer_fixed_point computes once, before its first
+    outer step.  Each ``*_ok`` flag is value <= allowed (|picone_gap| for
     Picone; a NaN value fails), so a reader takes a verdict's headroom as
     value / allowed from the report and never restates a rule.
 
@@ -600,7 +601,9 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     constants' solves.
 
     Raises:
-        ConfigurationError: max_outer below 1.
+        ConfigurationError: max_outer below 1, or a certificate's allowed
+            value leaves the float range (the float-range error of
+            constants.barrier_height), raised before the first step.
         OutOfRegionError: point outside the region (no solve attempted).
         SolveFailure: an outer step's Newton solve stalled.
         InvariantViolation: barrier ordering, sub/super verification,
@@ -621,6 +624,19 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
             f"(lambda, beta) = ({lam:.6g}, {beta:.6g}) is outside the "
             f"{verdict.case} existence region (margin {verdict.margin:.3e})")
     height = verdict.height
+    # what each certificate allows depends on the point, the constants,
+    # the height and the box alone
+    try:
+        scale = natural_residual_scale(lam, beta, constants, spec, height)
+    except OverflowError:
+        scale = math.inf
+    volume = math.prod(hi - lo for lo, hi in grid.extents)
+    allowed = dict(residual_allowed=RESIDUAL_CERT_REL * scale,
+                   two_sided_allowed=TWO_SIDED_CERT_REL * height,
+                   picone_allowed=PICONE_CERT_REL * max(
+                       scale * height * volume, 1.0e-30))
+    if not all(map(math.isfinite, allowed.values())):
+        raise _out_of_range(lam, beta, verdict.case)
     if eigen is None:
         eigen = first_eigenpair(grid, spec.p, sample_weights(spec, grid)[0],
                                 opts, solved)
@@ -643,8 +659,10 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     factor = []  # one kept LU factor holder for every outer step of this call
     stop = OUTER_STOP_REL * height
     stopped = False  # whether a C1 move dropped below ``stop``
+    # the frozen map at u: u0 here, each new iterate at the end of its
+    # step, so the certificate stage reads the one at the last
+    frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
     for k in range(1, max_outer + 1):
-        frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
         for barrier, kind in ((sup_value, "super"), (sub_value, "sub")):
             rep = verify_subsuper(barrier, frozen, kind)
             if not rep.ok:
@@ -670,6 +688,7 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
                     (grad_next.components - grad_u.components) ** 2, axis=0)))))
         trace.append(dist)
         value, u, grad_u = value_next, u_next, grad_next
+        frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
         log.info("outer step %d: C1 move %.3e (target %.1e)", k, dist, stop)
         stopped = dist < stop
         if stopped:
@@ -677,7 +696,6 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
 
     # both chains start every sweep's solve at u, which they converge to,
     # and take its first Newton step with the Jacobian at u, factored here
-    frozen = freeze_nonlinearity(u, lam, beta, spec, grad_u)
     warm = factored_value(value)
     from_above = inner_monotone_solve(frozen, sub_value, sup_value, opts,
                                       start="super", khat=constants.khat,
@@ -689,19 +707,13 @@ def outer_fixed_point(spec: ProblemSpec, lam: float, beta: float,
     picone_gap = picone_diagnostic(from_above, from_below, frozen, spec.p)
 
     # the residual is checked against the raw lambda*h + beta*f at u, which
-    # the freeze above already evaluated, and Lap_p u, which the solve that
+    # the freeze at u already evaluated, and Lap_p u, which the solve that
     # returned u computed
     defect = (value.lap - frozen.source)[grid.interior]
     pde_residual = float(np.max(np.abs(defect)))
-    scale = natural_residual_scale(lam, beta, constants, spec, height)
-    volume = math.prod(hi - lo for lo, hi in grid.extents)
     certificates = Certificates(
         pde_residual=pde_residual, residual_scale=scale,
-        two_sided_gap=two_sided_gap, picone_gap=picone_gap,
-        residual_allowed=RESIDUAL_CERT_REL * scale,
-        two_sided_allowed=TWO_SIDED_CERT_REL * height,
-        picone_allowed=PICONE_CERT_REL * max(scale * height * volume,
-                                             1.0e-30))
+        two_sided_gap=two_sided_gap, picone_gap=picone_gap, **allowed)
     return SolveReport(converged=stopped and certificates.all_ok,
                        solution=u, outer_iters=len(trace),
                        outer_trace=tuple(trace), certificates=certificates,

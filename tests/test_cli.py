@@ -119,6 +119,21 @@ def test_solve_beyond_the_float_range_exits_2(capsys):
     assert "(1e-310, 1e-310)" in err and "floating-point range" in err
 
 
+@pytest.mark.parametrize("lam, code", [("1e120", 0), ("1e130", 2),
+                                       ("1e155", 2)])
+def test_certificate_allowances_beyond_the_float_range_exit_2(lam, code,
+                                                             capsys):
+    # sub at beta = 1: from about lambda = 1e124 the Picone allowance
+    # PICONE_CERT_REL * scale * M * |box| overflows.  The run stops before
+    # its first outer step, so no power of the iterates overflows either
+    # (the suite turns every warning into an error)
+    assert main(["solve", "--spec", SUB, "--n", "17", "--lambda", lam,
+                 "--beta", "1"]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert f"({float(lam):.6g}, 1)" in err and "floating-point range" in err
+
+
 def _library_errors(cls=PlapLabError):
     for sub in cls.__subclasses__():
         yield sub

@@ -192,13 +192,19 @@ def stored(matrix):
     return matrix.coef.tobytes()
 
 
+def _face_bytes(faces):
+    """The bytes of every array of a ``_faces`` list, in order."""
+    return [a.tobytes() for s, t in faces for a in (s, *t)]
+
+
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
 def test_newton_jacobian_matches_central_differences(p, dimension):
     u = _jacobian_test_field(dimension)
     g = u.grid
     delta = flux_delta(u)  # held fixed: the Jacobian is taken at fixed delta
-    jac = grid_order(_assemble(u.values, g.spacing, p, delta))
+    jac = grid_order(_assemble(u.values, g.spacing, p, delta,
+                               faces=_faces(u.values, g.spacing)))
     eps = 1.0e-6 * sup_norm(u)
     nodes = np.argwhere(np.ones(tuple(n - 2 for n in g.shape), dtype=bool)) + 1
     fd = np.empty_like(jac)
@@ -206,8 +212,9 @@ def test_newton_jacobian_matches_central_differences(p, dimension):
         up, down = u.values.copy(), u.values.copy()
         up[node] += eps
         down[node] -= eps
-        diff = (_plap_raw(up, g.spacing, p, delta)
-                - _plap_raw(down, g.spacing, p, delta))
+        diff = (_plap_raw(up, g.spacing, p, delta, _faces(up, g.spacing))
+                - _plap_raw(down, g.spacing, p, delta,
+                            _faces(down, g.spacing)))
         fd[:, col] = diff[g.interior].ravel() / (2.0 * eps)
     assert np.max(np.abs(jac - fd)) <= 1.0e-6 * np.max(np.abs(jac))
 
@@ -229,13 +236,14 @@ def _reaction_problem(dimension, seed=11):
 def test_shifted_jacobian_matches_central_differences_of_g(p, q, dimension):
     # G(u) = -Lap_p u - coeff u^(q-1) - base, at fixed delta
     g, values, coeff, base = _reaction_problem(dimension)
-    delta = DELTA_RELATIVE * _gradient_scale(values, g.spacing)
+    faces = _faces(values, g.spacing)
+    delta = DELTA_RELATIVE * _gradient_scale(faces)
 
     def G(v):
-        return (_plap_raw(v, g.spacing, p, delta)
+        return (_plap_raw(v, g.spacing, p, delta, _faces(v, g.spacing))
                 - coeff * np.power(np.maximum(v, 0.0), q - 1.0) - base)
 
-    jac = grid_order(_assemble(values, g.spacing, p, delta,
+    jac = grid_order(_assemble(values, g.spacing, p, delta, faces=faces,
                                shift=plap._reaction_slope(values, coeff, q)))
     eps = 1.0e-6 * values.max()
     nodes = np.argwhere(np.ones(tuple(n - 2 for n in g.shape), dtype=bool)) + 1
@@ -247,7 +255,7 @@ def test_shifted_jacobian_matches_central_differences_of_g(p, q, dimension):
         fd[:, col] = (G(up) - G(down))[g.interior].ravel() / (2.0 * eps)
     assert np.max(np.abs(jac - fd)) <= 1.0e-6 * np.max(np.abs(jac))
     # the reaction pulls the diagonal down, nothing else
-    plain = grid_order(_assemble(values, g.spacing, p, delta))
+    plain = grid_order(_assemble(values, g.spacing, p, delta, faces=faces))
     assert np.all(np.diag(jac) < np.diag(plain))
     assert np.array_equal(jac - np.diag(np.diag(jac)),
                           plain - np.diag(np.diag(plain)))
@@ -266,9 +274,11 @@ def test_the_shift_is_zero_where_the_field_vanishes(dimension):
     assert shift[zero] == 0.0 and shift[negative] == 0.0
     assert not shift[g.boundary_mask()].any()
     assert np.count_nonzero(shift) == np.prod(inner) - 2
-    delta = DELTA_RELATIVE * _gradient_scale(values, g.spacing)
-    shifted = grid_order(_assemble(values, g.spacing, 2.5, delta, shift=shift))
-    plain = grid_order(_assemble(values, g.spacing, 2.5, delta))
+    faces = _faces(values, g.spacing)
+    delta = DELTA_RELATIVE * _gradient_scale(faces)
+    shifted = grid_order(_assemble(values, g.spacing, 2.5, delta, faces=faces,
+                                   shift=shift))
+    plain = grid_order(_assemble(values, g.spacing, 2.5, delta, faces=faces))
     for node in (zero, negative):
         col = np.ravel_multi_index(tuple(i - 1 for i in node), inner)
         assert np.array_equal(shifted[:, col], plain[:, col])
@@ -287,7 +297,8 @@ def test_a_reaction_solve_meets_its_residual_contract(shape):
     guess = solve_plap_dirichlet(g, p, ScalarField(g, base))
     opts = SolveOptions(tol_residual=1.0e-10)
     u = solve_plap_dirichlet(g, p, ScalarField(g, base), opts,
-                             initial_guess=guess, reaction=(coeff, q))
+                             initial_guess=operator_value(guess, p),
+                             reaction=(coeff, q)).field
     load = coeff * np.power(np.maximum(u.values, 0.0), q - 1.0) + base
     residual = np.abs(p_laplacian_apply(u, p).values - load)[g.interior].max()
     assert residual <= 1.0e-10 * load.max()
@@ -305,11 +316,14 @@ def test_newton_residual_reads_delta_and_flux_from_one_face_build(shape, zero):
     if not zero:
         values[g.interior] = np.random.default_rng(7).standard_normal(
             tuple(n - 2 for n in shape))
+    faces = _faces(values, g.spacing)
     for p in (1.5, 2.5, 4.0):
-        delta = DELTA_RELATIVE * _gradient_scale(values, g.spacing)
-        out, got = _plap_own_delta(values, g.spacing, p)
+        delta = DELTA_RELATIVE * _gradient_scale(faces)
+        out, got, own_faces = _plap_own_delta(values, g.spacing, p)
         assert got == delta and (delta == 0.0) == zero
-        assert out.tobytes() == _plap_raw(values, g.spacing, p, delta).tobytes()
+        assert _face_bytes(own_faces) == _face_bytes(faces)
+        assert out.tobytes() == _plap_raw(values, g.spacing, p, delta,
+                                          faces).tobytes()
         assert p_laplacian_apply(ScalarField(g, values), p).values.tobytes() \
             == out.tobytes()
 
@@ -323,11 +337,11 @@ def test_assembly_from_the_residual_faces_is_bit_equal(shape, frozen):
     values = np.zeros(shape)
     values[g.interior] = np.random.default_rng(8).standard_normal(
         tuple(n - 2 for n in shape))
-    faces = _faces(values, g.spacing)
     for p in (1.5, 2.5, 4.0):
-        delta = DELTA_RELATIVE * _gradient_scale(values, g.spacing, faces)
+        _, delta, faces = _plap_own_delta(values, g.spacing, p)
         got = _assemble(values, g.spacing, p, delta, faces=faces)
-        expected = _assemble(values, g.spacing, p, delta)
+        expected = _assemble(values, g.spacing, p, delta,
+                             faces=_faces(values, g.spacing))
         assert stored(got) == stored(expected)
 
 
@@ -356,7 +370,8 @@ def test_frozen_matrix_at_p2_is_the_standard_laplacian(dimension):
     g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:dimension], shape)
     rng = np.random.default_rng(3)
     values = rng.standard_normal(g.shape)
-    mat = grid_order(_assemble(values, g.spacing, 2.0, 1.0e-3))
+    mat = grid_order(_assemble(values, g.spacing, 2.0, 1.0e-3,
+                               faces=_faces(values, g.spacing)))
     assert np.allclose(mat, kron_laplacian(g).toarray(), rtol=1e-14, atol=0.0)
 
 
@@ -453,7 +468,9 @@ def test_the_cold_start_is_rescaled_only_above_p2(shape, p):
 
     for label, load in default_probes(g) + [("bump", one_node_bump(g))]:
         linear = plap._linear_poisson(g, load.values)
-        start = plap._cold_start(g, p, load.values)
+        value = plap._cold_start(g, p, load.values)
+        _assert_exact_value(value, p)
+        start = value.field.values
         if p <= 2.0:
             assert start.tobytes() == linear.tobytes(), label
         else:
@@ -499,7 +516,8 @@ def test_try_solve_refuses_singular_matrices_and_wrong_lengths(dimension):
     values[g.interior] = np.random.default_rng(6).standard_normal(
         tuple(n - 2 for n in shape))
     n = values[g.interior].size
-    zero = _assemble(np.zeros(shape), g.spacing, 2.5, 0.0)
+    zero = _assemble(np.zeros(shape), g.spacing, 2.5, 0.0,
+                     faces=_faces(np.zeros(shape), g.spacing))
     assert _try_solve(zero, np.ones(n), factor) is None and factor == []
     assert _try_solve(zero, None) is None
     # one unknown: no off-diagonal entries
@@ -511,7 +529,8 @@ def test_try_solve_refuses_singular_matrices_and_wrong_lengths(dimension):
     with pytest.raises(ValueError):
         _try_solve(stencil(1, 1.0), np.ones(2))
     # LAPACK's dgbtrs checks no length: a longer right-hand side would pass
-    jac = _assemble(values, g.spacing, 2.5, 1.0e-3)
+    jac = _assemble(values, g.spacing, 2.5, 1.0e-3,
+                    faces=_faces(values, g.spacing))
     for length in (n - 1, n + 1):
         with pytest.raises(ValueError):
             _try_solve(jac, np.ones(length))
@@ -532,7 +551,8 @@ def test_try_solve_refuses_singular_matrices_and_wrong_lengths(dimension):
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
 def test_banded_solve_matches_sparse_lu(p, frozen):
     u = _jacobian_test_field(1)
-    mat = _assemble(u.values, u.grid.spacing, p, flux_delta(u))
+    mat = _assemble(u.values, u.grid.spacing, p, flux_delta(u),
+                    faces=_faces(u.values, u.grid.spacing))
     assert isinstance(mat, _Tridiagonal)
     rhs = np.random.default_rng(5).standard_normal(u.grid.shape[0] - 2)
     expected = spla.spsolve(sp.csc_matrix(grid_order(mat)), rhs)
@@ -590,7 +610,8 @@ def test_assembly_pattern_follows_the_grid_shape(frozen):
     for shape in ((17,), (7, 9), (9, 7), (33, 33), (7, 9), (5, 6, 7)):
         g = build_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))[:len(shape)], shape)
         values = rng.standard_normal(shape)
-        mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
+        mat = _assemble(values, g.spacing, 2.5, 1.0e-3,
+                        faces=_faces(values, g.spacing))
         expected = _loop_jacobian(values, g.spacing, 2.5, 1.0e-3)
         assert isinstance(mat, storage[len(shape)])
         # the entries a CSC matrix of the pattern stores: every coupling of
@@ -654,7 +675,8 @@ def test_try_solve_answers_in_grid_order(shape, frozen):
     inner = tuple(n - 2 for n in shape)
     values = np.zeros(shape)
     values[g.interior] = rng.standard_normal(inner)
-    mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
+    mat = _assemble(values, g.spacing, 2.5, 1.0e-3,
+                    faces=_faces(values, g.spacing))
     rhs = rng.standard_normal(np.prod(inner))
     expected = np.linalg.solve(grid_order(mat), rhs)
     factor = []
@@ -691,7 +713,8 @@ def test_every_multi_axis_grid_factors_through_dgbtrf(monkeypatch):
         values = np.zeros(shape)
         values[g.interior] = np.random.default_rng(10).standard_normal(
             tuple(n - 2 for n in shape))
-        mat = _assemble(values, g.spacing, 2.5, 1.0e-3)
+        mat = _assemble(values, g.spacing, 2.5, 1.0e-3,
+                        faces=_faces(values, g.spacing))
         calls.clear()
         assert _try_solve(mat, np.ones(values[g.interior].size)) is not None
         assert calls == ["dgbtrf"], shape
@@ -706,15 +729,16 @@ def _jacobians(p, shape=(2049,)):
     smooth = np.sin(np.pi * x[0]) * (1.2 + np.sin(3.0 * x[0]))
     for xk in x[1:]:
         smooth = smooth * np.sin(np.pi * xk)
-    fields = [smooth, plap._cold_start(g, p, np.ones(g.shape))]
+    fields = [smooth, plap._cold_start(g, p, np.ones(g.shape)).field.values]
     rng = np.random.default_rng(12)
     for _ in range(3):
         values = np.zeros(g.shape)
         values[g.interior] = rng.standard_normal(tuple(n - 2 for n in shape))
         fields.append(values)
     for values in fields:
-        delta = _plap_own_delta(values, g.spacing, p)[1]
-        yield values[g.interior], _assemble(values, g.spacing, p, delta)
+        _, delta, faces = _plap_own_delta(values, g.spacing, p)
+        yield values[g.interior], _assemble(values, g.spacing, p, delta,
+                                            faces=faces)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
@@ -767,7 +791,7 @@ def test_one_axis_solve_builds_no_sparse_matrix(monkeypatch):
     for p in (1.5, 2.5, 4.0):  # a cold solve, then a warm one
         u = solve_plap_dirichlet(g, p, load)
         solved += [(p, load, u), (p, larger, solve_plap_dirichlet(
-            g, p, larger, initial_guess=u))]
+            g, p, larger, initial_guess=operator_value(u, p)).field)]
     monkeypatch.undo()
     for p, rhs, u in solved:
         _assert_residual_contract(u, p, rhs)
@@ -799,8 +823,9 @@ def test_warm_start_and_trace_triples():
         assert residual >= 0.0
         assert 0.0 < damping <= 1.0
     warm_trace = []
-    again = solve_plap_dirichlet(g, 2.8, load, initial_guess=u,
-                                 trace=warm_trace)
+    again = solve_plap_dirichlet(g, 2.8, load,
+                                 initial_guess=operator_value(u, 2.8),
+                                 trace=warm_trace).field
     assert len(warm_trace) <= len(trace)
     assert np.max(np.abs(again.values - u.values)) <= 1e-8
 
@@ -808,8 +833,9 @@ def test_warm_start_and_trace_triples():
 def test_flat_warm_start_falls_back_to_cold_start():
     g = grid_1d(33)
     load = const_field(g)
-    u = solve_plap_dirichlet(g, 3.0, load, initial_guess=zero_field(g))
-    assert sup_norm(u) > 0.1
+    u = solve_plap_dirichlet(g, 3.0, load,
+                             initial_guess=operator_value(zero_field(g), 3.0))
+    assert sup_norm(u.field) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -818,12 +844,12 @@ def test_flat_warm_start_falls_back_to_cold_start():
 
 def _count_applies(monkeypatch):
     """Route grid._plap_raw, the operator apply, through a wrapper; returns
-    a list that gains one entry per call."""
+    a list that gains one entry per call, the bytes of the array applied."""
     calls = []
     raw = grid_module._plap_raw
 
     def counted(values, *args, **kwargs):
-        calls.append(None)
+        calls.append(values.tobytes())
         return raw(values, *args, **kwargs)
 
     monkeypatch.setattr(grid_module, "_plap_raw", counted)
@@ -831,8 +857,11 @@ def _count_applies(monkeypatch):
 
 
 def _warm_solve(g, p, load, guess, applies):
-    """A warm solve with its trace and its number of operator applies."""
+    """A warm solve with its trace and its number of operator applies; the
+    value of a bare field ``guess`` is computed first, inside the count."""
     applies.clear()
+    if isinstance(guess, ScalarField):
+        guess = operator_value(guess, p)
     trace = []
     u = solve_plap_dirichlet(g, p, load, initial_guess=guess, trace=trace)
     return u, trace, len(applies)
@@ -849,8 +878,9 @@ def _assert_exact_value(value, p):
 @pytest.mark.parametrize("shape", [(2049,), (33, 33)])
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
 def test_a_held_start_value_changes_no_bit(shape, p, monkeypatch):
-    # a solve from a field's OperatorValue takes the bits of a solve from the
-    # bare field with one apply less, and returns its result's value
+    # a solve from a field's held OperatorValue takes the bits of a solve
+    # from the bare field, whose value it computes first, with one apply
+    # less, and both return their result's value
     g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
     guess = operator_value(solve_plap_dirichlet(g, p, const_field(g)), p)
     load = field_from_function(g, lambda *x: 1.0 + 0.01 * x[0])
@@ -858,8 +888,8 @@ def test_a_held_start_value_changes_no_bit(shape, p, monkeypatch):
     value, trace, calls = _warm_solve(g, p, load, guess, applies)
     u_plain, trace_plain, calls_plain = _warm_solve(g, p, load, guess.field,
                                                     applies)
-    assert isinstance(u_plain, ScalarField)
-    assert value.field.values.tobytes() == u_plain.values.tobytes()
+    assert isinstance(u_plain, plap.OperatorValue)
+    assert value.field.values.tobytes() == u_plain.field.values.tobytes()
     assert trace == trace_plain and len(trace) >= 1
     assert calls == calls_plain - 1
     _assert_exact_value(value, p)
@@ -886,7 +916,7 @@ def _unreadable_guess(case, g, solution):
                                   "flat"])
 def test_a_held_value_of_another_start_is_ignored(shape, case, monkeypatch):
     # the value of a guess the solve zeroes, or of a flat one, is not read:
-    # the solve applies the operator afresh, as from the bare field
+    # the solve applies the operator afresh, as from the guess's true value
     g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
     p = 2.5
     solution = solve_plap_dirichlet(g, p, const_field(g))
@@ -895,9 +925,9 @@ def test_a_held_value_of_another_start_is_ignored(shape, case, monkeypatch):
     applies = _count_applies(monkeypatch)
     value, trace, calls = _warm_solve(
         g, p, load, _poisoned(operator_value(guess, p)), applies)
-    u_plain, trace_plain, calls_plain = _warm_solve(g, p, load, guess,
-                                                    applies)
-    assert value.field.values.tobytes() == u_plain.values.tobytes()
+    u_plain, trace_plain, calls_plain = _warm_solve(
+        g, p, load, operator_value(guess, p), applies)
+    assert value.field.values.tobytes() == u_plain.field.values.tobytes()
     assert trace == trace_plain and calls == calls_plain
     _assert_exact_value(value, p)
     _assert_residual_contract(value.field, p, load)
@@ -919,6 +949,62 @@ def test_a_start_value_on_another_grid_or_p_is_refused(shape):
                              initial_guess=operator_value(solution, p + 0.5))
 
 
+def test_a_bare_field_guess_is_refused():
+    g = grid_1d(33)
+    u = solve_plap_dirichlet(g, 2.5, const_field(g))
+    with pytest.raises(ConfigurationError, match="operator_value"):
+        solve_plap_dirichlet(g, 2.5, const_field(g), initial_guess=u)
+
+
+def _start_costs(monkeypatch, applies):
+    """Per _newton_loop call, the operator applies its start cost: those
+    ``applies`` (see _count_applies) gained since the last call returned or
+    raised, or since the count began, and those the call itself made at its
+    start's field, whose -Lap_p it should read from the start.  Install it
+    after _record_exponents, so that a forced stall still ends a call."""
+    costs, counted = [], [len(applies)]
+    newton_loop = plap._newton_loop
+
+    def counting(grid, start, *args, **kwargs):
+        before = len(applies)
+        try:
+            return newton_loop(grid, start, *args, **kwargs)
+        finally:
+            again = applies[before:].count(start.field.values.tobytes())
+            costs.append(before - counted[0] + again)
+            counted[0] = len(applies)
+
+    monkeypatch.setattr(plap, "_newton_loop", counting)
+    return costs
+
+
+@pytest.mark.parametrize("shape", [(129,), (17, 17)])
+@pytest.mark.parametrize("case, p, stall_at, costs", [
+    ("cold", 1.5, (), [1]), ("cold", 3.0, (), [2]),
+    ("cold", 3.0, (1,), [2, 1, 1]), ("held value", 3.0, (), [0]),
+    ("nonzero boundary", 3.0, (), [1]),
+    ("negative zero boundary", 3.0, (), [1]), ("flat", 3.0, (), [2])])
+def test_every_newton_loop_start_costs_one_apply(shape, case, p, stall_at,
+                                                 costs, monkeypatch):
+    # each start's value is the one apply its first residual reads: the cold
+    # start (whose rescale above p = 2 costs one more), each retreat in p and
+    # each return to p, a guess the solve zeroes, and a flat one's cold
+    # start; a held value costs none
+    g = build_grid(tuple((0.0, 1.0) for _ in shape), shape)
+    guess = None
+    if case != "cold":
+        solution = solve_plap_dirichlet(g, p, const_field(g))
+        guess = operator_value(solution if case == "held value"
+                               else _unreadable_guess(case, g, solution), p)
+    load = field_from_function(g, lambda *x: 1.0 + 0.01 * x[0])
+    applies = _count_applies(monkeypatch)
+    exponents, _ = _record_exponents(monkeypatch, stall_at)
+    got = _start_costs(monkeypatch, applies)
+    solve_plap_dirichlet(g, p, load, initial_guess=guess)
+    assert got == costs
+    assert exponents == ([p, 0.5 * (2.0 + p), p] if stall_at else [p])
+
+
 # ---------------------------------------------------------------------------
 # a warm solve's first Newton step with the factored Jacobian at its start
 
@@ -937,9 +1023,9 @@ def test_a_kept_tridiagonal_factor_solves_as_dgtsv(p, shifted):
                 values = np.zeros(shape)
                 values[g.interior] = u_int
                 coeff = np.full(shape, 2.0)
-                jac = _assemble(values, g.spacing, p, _plap_own_delta(
-                    values, g.spacing, p)[1], shift=plap._reaction_slope(
-                        values, coeff, 1.5))
+                _, delta, faces = _plap_own_delta(values, g.spacing, p)
+                jac = _assemble(values, g.spacing, p, delta, faces=faces,
+                                shift=plap._reaction_slope(values, coeff, 1.5))
             before = stored(jac)
             solve = _try_solve(jac, None)
             for _ in range(2):
@@ -1037,7 +1123,8 @@ def test_iteration_budget_exhaustion_raises_with_history(monkeypatch):
 
 def _rounding_floor(u, p):
     delta = flux_delta(u)
-    jac = grid_order(_assemble(u.values, u.grid.spacing, p, delta))
+    jac = grid_order(_assemble(u.values, u.grid.spacing, p, delta,
+                               faces=_faces(u.values, u.grid.spacing)))
     return ROUNDING_ULPS * np.finfo(float).eps * np.max(
         abs(jac) @ np.abs(u.values[u.grid.interior].ravel()))
 
@@ -1059,7 +1146,8 @@ def test_stall_above_the_rounding_floor_still_raises(monkeypatch):
     guess = field_from_function(g, lambda x: np.sin(np.pi * x))
     with pytest.raises(SolveFailure, match=r"stalled at residual .* above the "
                        r"rounding floor \d"):
-        solve_plap_dirichlet(g, 2.0, const_field(g), initial_guess=guess)
+        solve_plap_dirichlet(g, 2.0, const_field(g),
+                             initial_guess=operator_value(guess, 2.0))
 
 
 @pytest.mark.parametrize("shape", [(9, 9), (17, 17)])
@@ -1067,7 +1155,7 @@ def test_a_wrong_kept_factor_is_replaced(shape, monkeypatch):
     g = build_grid(((0.0, 1.0), (0.0, 1.0)), shape)
     p, opts = 2.5, SolveOptions(tol_residual=1e-10)
     load = field_from_function(g, lambda x, y: 1.0 + x * y)
-    guess = solve_plap_dirichlet(g, p, const_field(g), opts)
+    guess = operator_value(solve_plap_dirichlet(g, p, const_field(g), opts), p)
     # the p = 2 Laplacian is a poor linear model of the p = 2.5 operator
     wrong = spla.splu(kron_laplacian(g)).solve
     factor = [wrong]
@@ -1076,13 +1164,13 @@ def test_a_wrong_kept_factor_is_replaced(shape, monkeypatch):
     monkeypatch.setattr(plap, "_try_solve", lambda *args: factorizations.append(
         args) or try_solve(*args))
     u = solve_plap_dirichlet(g, p, load, opts, initial_guess=guess,
-                             factor=factor)
+                             factor=factor).field
     monkeypatch.undo()
     assert factorizations and len(factor) == 1 and factor[0] is not wrong
     tol = opts.tol_residual * sup_norm(load)
     res = (p_laplacian_apply(u, p).values - load.values)[g.interior]
     assert np.max(np.abs(res)) <= tol
-    fresh = solve_plap_dirichlet(g, p, load, opts, initial_guess=guess)
+    fresh = solve_plap_dirichlet(g, p, load, opts, initial_guess=guess).field
     assert np.max(np.abs(u.values - fresh.values)) <= 10.0 * tol
 
 
@@ -1103,7 +1191,8 @@ def test_rounding_floor_after_a_failed_chord_step_reads_a_fresh_jacobian(
     monkeypatch.setattr(plap, "_backtrack", lambda *args: None)
     idle = [lambda rhs: np.zeros_like(rhs)]  # a chord step that stays put
     with pytest.raises(SolveFailure) as err:
-        solve_plap_dirichlet(g, p, const_field(g), initial_guess=guess,
+        solve_plap_dirichlet(g, p, const_field(g),
+                             initial_guess=operator_value(guess, p),
                              factor=idle)
     monkeypatch.undo()
     assert len(jacobians) == 1
@@ -1212,13 +1301,13 @@ def _record_exponents(monkeypatch, stall_at=()):
     exponents, raised = [], []
     newton_loop = plap._newton_loop
 
-    def recording(grid, p, gv, u, tol, history, *rest):
-        exponents.append(p)
+    def recording(grid, start, gv, tol, history, *rest):
+        exponents.append(start.p)
         if len(exponents) in stall_at:
             history.append(0.5)
             raised.append(SolveFailure("forced stall", history))
             raise raised[-1]
-        return newton_loop(grid, p, gv, u, tol, history, *rest)
+        return newton_loop(grid, start, gv, tol, history, *rest)
 
     monkeypatch.setattr(plap, "_newton_loop", recording)
     return exponents, raised
@@ -1257,7 +1346,8 @@ def test_a_warm_stall_raises_after_one_attempt(monkeypatch):
     guess = field_from_function(g, lambda x: np.sin(np.pi * x))
     exponents, raised = _record_exponents(monkeypatch, stall_at=(1,))
     with pytest.raises(SolveFailure) as err:
-        solve_plap_dirichlet(g, 4.0, const_field(g), initial_guess=guess)
+        solve_plap_dirichlet(g, 4.0, const_field(g),
+                             initial_guess=operator_value(guess, 4.0))
     assert exponents == [4.0]
     assert err.value is raised[0]
 

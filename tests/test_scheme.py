@@ -612,6 +612,19 @@ def test_outer_rejects_out_of_region_points():
         outer_fixed_point(spec, 10.0, 10.0, g, c)
 
 
+def test_an_overflowing_residual_scale_is_a_float_range_error(monkeypatch):
+    # p - q = 1 keeps M about lambda: (gamma M)^b overflows at 1e160 in the
+    # residual scale, before any step
+    spec = make_spec(n=9, p=4.0, q=3.0, a=0.5, b=2.0)  # r = 3.5 < p
+    g = spec.build_grid()
+    c = compute_constants(spec, g)
+    monkeypatch.setattr("plaplab.scheme.first_eigenpair", None)  # not reached
+    with pytest.raises(ConfigurationError,
+                       match=r"\(1e\+160, 1\) is beyond the floating-point "
+                             "range"):
+        outer_fixed_point(spec, 1e160, 1.0, g, c)
+
+
 def test_outer_detects_stale_gradient_constant(sub_stage):
     spec, g, c, eig = sub_stage
     doctored = dataclasses.replace(c, khat=1e-6 * c.khat)

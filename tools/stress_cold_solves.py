@@ -33,7 +33,7 @@ import numpy as np  # noqa: E402
 import plaplab.plap as plap  # noqa: E402
 from plaplab.errors import SolveFailure  # noqa: E402
 from plaplab.grid import (  # noqa: E402
-    ScalarField, build_grid, p_laplacian_apply, sup_norm)
+    ScalarField, build_grid, sup_norm)
 
 SHAPES = ((2049,), (33, 33), (65, 65), (9, 9, 9))
 EXPONENTS = (1.1, 1.25, 1.5, 1.75, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
@@ -52,10 +52,10 @@ def stress_loads(grid):
 def contract_gap(u, p, load, opts):
     """Residual over what the contract allows, tol or the rounding floor; a
     value above 1 misses the contract."""
-    res = np.max(np.abs((p_laplacian_apply(u, p).values
-                         - load.values)[u.grid.interior]))
-    jac = plap._assemble(u.values, u.grid.spacing, p, plap._plap_own_delta(
-        u.values, u.grid.spacing, p)[1])
+    value = plap.operator_value(u, p)
+    res = np.max(np.abs((value.lap - load.values)[u.grid.interior]))
+    jac = plap._assemble(u.values, u.grid.spacing, p, value.delta,
+                         faces=value.faces)
     floor = plap._rounding_floor(jac, u.values[u.grid.interior])
     return res / max(opts.tol_residual * sup_norm(load), floor)
 
